@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -81,6 +83,88 @@ void BM_EncodeBatchThreads(benchmark::State& state) {
   parallel::set_num_threads(0);
 }
 BENCHMARK(BM_EncodeBatchThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// One served chunk of the serve-online-wide shape (128 UCIHAR samples, 561
+// features, d = 2048) encoded two ways on one lane: one batch through the
+// register-tiled kernel, or sample by sample (vecmat + tanh, the path the
+// serve loop took before it encoded each request once). main() reports the
+// same-run ratio `ratio.encode_chunk_batched_over_per_sample`.
+constexpr std::size_t kChunkRows = 128;
+constexpr std::uint32_t kChunkFeatures = 561;
+constexpr std::uint32_t kChunkDim = 2048;
+
+void BM_EncodeChunkBatched(benchmark::State& state) {
+  const parallel::ScopedThreadCount one_lane(1);
+  const core::Encoder encoder(kChunkFeatures, kChunkDim, 12);
+  const auto samples = random_f(kChunkRows, kChunkFeatures, 13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encoder.encode_batch(samples));
+  }
+  state.SetItemsProcessed(state.iterations() * kChunkRows * kChunkFeatures * kChunkDim);
+}
+BENCHMARK(BM_EncodeChunkBatched)->Unit(benchmark::kMillisecond);
+
+void BM_EncodeChunkPerSample(benchmark::State& state) {
+  const core::Encoder encoder(kChunkFeatures, kChunkDim, 12);
+  const auto samples = random_f(kChunkRows, kChunkFeatures, 13);
+  std::vector<float> encoded(kChunkDim);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kChunkRows; ++i) {
+      tensor::vecmat(samples.row(i), encoder.base(), encoded);
+      tensor::tanh_inplace(encoded);
+      benchmark::DoNotOptimize(encoded.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kChunkRows * kChunkFeatures * kChunkDim);
+}
+BENCHMARK(BM_EncodeChunkPerSample)->Unit(benchmark::kMillisecond);
+
+// The int8 FULLY_CONNECTED accumulation of a 64-row block into d = 2048 on
+// one lane, at the fleet's (27) and the serve workload's (561) input width:
+// the packed kernel against the row-by-row loop it replaced. main() reports
+// `ratio.fc_int8_packed_over_reference/<k>`.
+constexpr std::size_t kFcRows = 64;
+constexpr std::size_t kFcCols = 2048;
+
+void BM_FcInt8Packed(benchmark::State& state) {
+  const parallel::ScopedThreadCount one_lane(1);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto x = random_i8(kFcRows, k, 14);
+  const auto w = random_i8(k, kFcCols, 15);
+  const auto packed = tensor::pack_weights_i8({w.data(), w.size()}, k, kFcCols);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::matmul_i8_packed(x, 3, packed));
+  }
+  state.SetItemsProcessed(state.iterations() * kFcRows * k * kFcCols);
+}
+BENCHMARK(BM_FcInt8Packed)->Arg(27)->Arg(561);
+
+void BM_FcInt8Reference(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto x = random_i8(kFcRows, k, 14);
+  const auto w = random_i8(k, kFcCols, 15);
+  std::vector<std::int32_t> acc(kFcCols);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < kFcRows; ++r) {
+      std::fill(acc.begin(), acc.end(), 0);
+      for (std::size_t i = 0; i < k; ++i) {
+        const std::int32_t xi = static_cast<std::int32_t>(x(r, i)) - 3;
+        if (xi == 0) {
+          continue;
+        }
+        const std::int8_t* row = w.data() + i * kFcCols;
+        for (std::size_t j = 0; j < kFcCols; ++j) {
+          acc[j] += xi * static_cast<std::int32_t>(row[j]);
+        }
+      }
+      benchmark::DoNotOptimize(acc.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kFcRows * k * kFcCols);
+}
+BENCHMARK(BM_FcInt8Reference)->Arg(27)->Arg(561);
 
 void BM_Vecmat(benchmark::State& state) {
   const auto d = static_cast<std::size_t>(state.range(0));
@@ -208,6 +292,17 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 
   const std::vector<Entry>& entries() const noexcept { return entries_; }
 
+  /// Seconds per iteration of the named run; 0 when it did not run (e.g.
+  /// filtered out by --benchmark_filter).
+  double seconds_per_iter(const std::string& name) const {
+    for (const Entry& entry : entries_) {
+      if (entry.name == name) {
+        return entry.seconds_per_iter;
+      }
+    }
+    return 0.0;
+  }
+
  private:
   std::vector<Entry> entries_;
 };
@@ -236,8 +331,26 @@ int main(int argc, char** argv) {
 
   CollectingReporter console;
   benchmark::RunSpecifiedBenchmarks(&console);
+  reporter.workload("nproc", static_cast<std::uint64_t>(hdc::parallel::hardware_threads()));
   for (const auto& entry : console.entries()) {
     reporter.wall_seconds(entry.name + ".s_per_iter", entry.seconds_per_iter);
+  }
+  // Same-run speedups of the batched kernels over the per-sample paths they
+  // replaced (report-only, like every wall figure; > 1 means faster).
+  const auto ratio = [&](const std::string& name, const std::string& slow,
+                         const std::string& fast) {
+    const double slow_s = console.seconds_per_iter(slow);
+    const double fast_s = console.seconds_per_iter(fast);
+    if (slow_s > 0.0 && fast_s > 0.0) {
+      std::printf("%s = %.2fx\n", name.c_str(), slow_s / fast_s);
+      reporter.metric(name, slow_s / fast_s, "x", "wall", "higher");
+    }
+  };
+  ratio("ratio.encode_chunk_batched_over_per_sample", "BM_EncodeChunkPerSample",
+        "BM_EncodeChunkBatched");
+  for (const char* k : {"27", "561"}) {
+    ratio(std::string("ratio.fc_int8_packed_over_reference/") + k,
+          std::string("BM_FcInt8Reference/") + k, std::string("BM_FcInt8Packed/") + k);
   }
   reporter.write();
   return 0;

@@ -8,7 +8,7 @@ namespace hdc {
 
 /// Fixed-size host worker pool with a deterministic `parallel_for`.
 ///
-/// The library parallelizes only *independent output rows* (matmul row
+/// The library parallelizes only *independent outputs* (matmul column
 /// blocks, per-sample scoring, pre-seeded bagging members), so results are
 /// bit-identical to serial execution for any thread count: every output
 /// element is written by exactly one chunk and each chunk performs the same

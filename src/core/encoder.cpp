@@ -37,8 +37,8 @@ std::vector<float> Encoder::encode(std::span<const float> sample) const {
 
 tensor::MatrixF Encoder::encode_batch(const tensor::MatrixF& samples) const {
   HDC_CHECK(samples.cols() == base_.rows(), "batch feature count mismatch");
-  // Row-parallel with tanh fused per block; bit-identical to the serial
-  // matmul + tanh pass for any thread count.
+  // Column-parallel with tanh fused per range; each row is bit-identical to
+  // `encode` of that sample, for any thread count.
   return tensor::matmul_tanh(samples, base_);
 }
 

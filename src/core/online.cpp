@@ -77,8 +77,13 @@ OnlineLearner::OnlineLearner(std::uint32_t num_features, std::uint32_t num_class
 }
 
 std::uint32_t OnlineLearner::learn(std::span<const float> sample, std::uint32_t label) {
+  return learn_encoded(encoder_.encode(sample), label);
+}
+
+std::uint32_t OnlineLearner::learn_encoded(std::span<const float> encoded,
+                                           std::uint32_t label) {
   HDC_CHECK(label < model_.num_classes(), "label out of range");
-  const auto encoded = encoder_.encode(sample);
+  HDC_CHECK(encoded.size() == model_.dim(), "encoded hypervector width mismatch");
   const auto scores = model_.scores(encoded, config_.similarity);
   const auto predicted = static_cast<std::uint32_t>(tensor::argmax(scores));
 
@@ -102,9 +107,13 @@ double OnlineLearner::learn_batch(const data::Dataset& batch) {
             "batch feature count disagrees with learner");
   HDC_CHECK(batch.num_classes <= model_.num_classes(),
             "batch declares more classes than the learner was built for");
+  HDC_CHECK(batch.num_samples() > 0, "online learning over an empty batch");
+  // The encoder never adapts, so encoding the whole batch up front gives
+  // each sample the hypervector `learn` would compute for it.
+  const tensor::MatrixF encoded = encoder_.encode_batch(batch.features);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < batch.num_samples(); ++i) {
-    correct += learn(batch.features.row(i), batch.labels[i]) == batch.labels[i] ? 1 : 0;
+    correct += learn_encoded(encoded.row(i), batch.labels[i]) == batch.labels[i] ? 1 : 0;
   }
   return static_cast<double>(correct) / static_cast<double>(batch.num_samples());
 }

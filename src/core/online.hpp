@@ -94,7 +94,14 @@ class OnlineLearner {
   /// update (prequential evaluation).
   std::uint32_t learn(std::span<const float> sample, std::uint32_t label);
 
-  /// Processes a labeled batch; returns prequential accuracy over it.
+  /// `learn` on a pre-encoded hypervector (see `encode`): the serve loop
+  /// encodes each request once, as a batch, and every consumer reads rows
+  /// of that matrix. `learn(x, y)` equals `learn_encoded(encode(x), y)`.
+  std::uint32_t learn_encoded(std::span<const float> encoded, std::uint32_t label);
+
+  /// Processes a labeled batch (encoded in one pass, then learned sample by
+  /// sample in order); returns prequential accuracy over it. Rejects an
+  /// empty batch.
   double learn_batch(const data::Dataset& batch);
 
   /// Pure prediction, no adaptation.

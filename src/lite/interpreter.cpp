@@ -22,17 +22,15 @@ void TensorRange::update(float value) {
   max = std::max(max, value);
 }
 
-/// Per-run activation storage, one slot per tensor index.
-struct LiteInterpreter::Scratch {
-  std::vector<std::vector<float>> f32;
-  std::vector<std::vector<std::int8_t>> i8;
-  std::vector<std::vector<std::int32_t>> i32;
-
-  explicit Scratch(std::size_t tensor_count)
-      : f32(tensor_count), i8(tensor_count), i32(tensor_count) {}
-};
-
 namespace {
+
+// Rows per block. A block pushes its rows through each op together, so one
+// pass over a weight matrix serves all of them. run() holds a block of
+// activations per worker lane, which keeps its blocks small; calibrate()
+// runs serially and takes larger ones, which amortize the float kernel's
+// per-call packing of the weights.
+constexpr std::size_t kRunRows = 16;
+constexpr std::size_t kCalibrateRows = 64;
 
 std::array<std::int8_t, 256> build_tanh_lut(const Quantization& in, const Quantization& out) {
   std::array<std::int8_t, 256> lut{};
@@ -46,152 +44,169 @@ std::array<std::int8_t, 256> build_tanh_lut(const Quantization& in, const Quanti
 
 }  // namespace
 
-LiteInterpreter::LiteInterpreter(const LiteModel& model) : model_(model) {
-  model_.validate();
-  tanh_luts_.resize(model_.ops.size());
-  for (std::size_t i = 0; i < model_.ops.size(); ++i) {
-    const auto& op = model_.ops[i];
-    if (op.code != OpCode::kTanh) {
-      continue;
+/// Per-block activation storage, one slot per tensor index (rows x width).
+struct LiteInterpreter::Activations {
+  std::vector<tensor::MatrixF> f32;
+  std::vector<tensor::MatrixI8> i8;
+  std::vector<std::vector<std::int32_t>> classes;  ///< ARG_MAX output per row
+
+  explicit Activations(std::size_t tensor_count)
+      : f32(tensor_count), i8(tensor_count), classes(tensor_count) {}
+};
+
+LiteInterpreter::LiteInterpreter(const LiteModel& model) {
+  model.validate();
+  num_tensors_ = model.tensors.size();
+  input_ = model.input;
+  output_ = model.output;
+  const LiteTensor& input_tensor = model.tensor(model.input);
+  input_width_ = input_tensor.num_elements();
+  input_dtype_ = input_tensor.dtype;
+  const LiteTensor& output_tensor = model.tensor(model.output);
+  output_dtype_ = output_tensor.dtype;
+  output_quant_ = output_tensor.quant;
+  ends_argmax_ = !model.ops.empty() && model.ops.back().code == OpCode::kArgMax;
+  output_width_ = ends_argmax_ ? 1 : output_tensor.num_elements();
+  quantized_ = model.is_quantized();
+
+  steps_.reserve(model.ops.size());
+  for (const LiteOp& op : model.ops) {
+    const LiteTensor& in = model.tensor(op.inputs[0]);
+    const LiteTensor& out = model.tensor(op.outputs[0]);
+    Step step;
+    step.code = op.code;
+    step.input = op.inputs[0];
+    step.output = op.outputs[0];
+    step.in_dtype = in.dtype;
+    step.in_quant = in.quant;
+    step.out_quant = out.quant;
+    step.width = out.num_elements();
+    if (op.code == OpCode::kFullyConnected) {
+      const LiteTensor& weights = model.tensor(op.inputs[1]);
+      const std::size_t in_width = weights.shape[0];
+      const std::size_t out_width = weights.shape[1];
+      if (in.dtype == DType::kFloat32) {
+        const float* w = weights.typed_data<float>();
+        step.weights_f32 =
+            tensor::MatrixF(in_width, out_width, std::vector<float>(w, w + in_width * out_width));
+      } else {
+        HDC_CHECK(in.quant.zero_point >= -128 && in.quant.zero_point <= 127,
+                  "int8 FULLY_CONNECTED input zero point out of range");
+        const std::int8_t* w = weights.typed_data<std::int8_t>();
+        step.weights_i8 = tensor::pack_weights_i8({w, in_width * out_width}, in_width, out_width);
+        // Per-channel weights carry one scale per output column; per-tensor
+        // weights share quant.scale across all of them.
+        step.weight_scales.resize(out_width);
+        for (std::size_t j = 0; j < out_width; ++j) {
+          step.weight_scales[j] = weights.per_channel()
+                                      ? static_cast<double>(weights.channel_scales[j])
+                                      : static_cast<double>(weights.quant.scale);
+        }
+      }
+    } else if (op.code == OpCode::kTanh && in.dtype == DType::kInt8) {
+      step.lut = build_tanh_lut(in.quant, out.quant);
     }
-    const auto& in = model_.tensor(op.inputs[0]);
-    const auto& out = model_.tensor(op.outputs[0]);
-    if (in.dtype == DType::kInt8) {
-      tanh_luts_[i] = build_tanh_lut(in.quant, out.quant);
-    }
+    steps_.push_back(std::move(step));
   }
 }
 
-void LiteInterpreter::run_sample(std::span<const float> input, Scratch& scratch,
-                                 std::vector<TensorRange>* ranges) const {
-  const auto& input_tensor = model_.tensor(model_.input);
-  HDC_CHECK(input.size() == input_tensor.num_elements(), "input width mismatch");
-  HDC_CHECK(input_tensor.dtype == DType::kFloat32, "model input must be float32");
-  scratch.f32[model_.input].assign(input.begin(), input.end());
+void LiteInterpreter::run_block(const tensor::MatrixF& inputs, std::size_t begin,
+                                std::size_t end, Activations& act,
+                                std::vector<TensorRange>* ranges) const {
+  const std::size_t rows = end - begin;
+  tensor::MatrixF& input = act.f32[input_];
+  input = tensor::MatrixF(rows, input_width_);
+  std::copy_n(inputs.data() + begin * input_width_, rows * input_width_, input.data());
 
+  // Range updates run tensor by tensor in row-major order, the order a
+  // row-by-row pass would visit each tensor's values in.
   auto record = [&](std::uint32_t tensor_index) {
     if (ranges == nullptr) {
       return;
     }
-    for (const float v : scratch.f32[tensor_index]) {
+    for (const float v : act.f32[tensor_index].storage()) {
       (*ranges)[tensor_index].update(v);
     }
   };
-  record(model_.input);
+  record(input_);
 
-  for (std::size_t op_index = 0; op_index < model_.ops.size(); ++op_index) {
-    const auto& op = model_.ops[op_index];
-    switch (op.code) {
+  for (const Step& step : steps_) {
+    switch (step.code) {
       case OpCode::kFullyConnected: {
-        const auto& act = model_.tensor(op.inputs[0]);
-        const auto& weights = model_.tensor(op.inputs[1]);
-        const auto& out = model_.tensor(op.outputs[0]);
-        const std::size_t in_width = weights.shape[0];
-        const std::size_t out_width = weights.shape[1];
-
-        if (act.dtype == DType::kFloat32) {
-          const float* w = weights.typed_data<float>();
-          const auto& x = scratch.f32[op.inputs[0]];
-          auto& y = scratch.f32[op.outputs[0]];
-          y.assign(out_width, 0.0F);
-          for (std::size_t i = 0; i < in_width; ++i) {
-            const float xi = x[i];
-            if (xi == 0.0F) {
-              continue;
-            }
-            const float* row = w + i * out_width;
-            for (std::size_t j = 0; j < out_width; ++j) {
-              y[j] += xi * row[j];
-            }
-          }
-          record(op.outputs[0]);
+        if (step.in_dtype == DType::kFloat32) {
+          act.f32[step.output] = tensor::matmul(act.f32[step.input], step.weights_f32);
+          record(step.output);
         } else {
-          // int8 path: int32 accumulation over zero-point-corrected inputs,
-          // then requantization to the output tensor's scale.
-          const std::int8_t* w = weights.typed_data<std::int8_t>();
-          const auto& x = scratch.i8[op.inputs[0]];
-          const std::int32_t zp_in = act.quant.zero_point;
-          std::vector<std::int32_t> acc(out_width, 0);
-          for (std::size_t i = 0; i < in_width; ++i) {
-            const std::int32_t xi = static_cast<std::int32_t>(x[i]) - zp_in;
-            if (xi == 0) {
-              continue;
+          // int8 path: exact int32 accumulation over zero-point-corrected
+          // inputs, then requantization to the output tensor's scale.
+          const tensor::MatrixI32 acc = tensor::matmul_i8_packed(
+              act.i8[step.input], step.in_quant.zero_point, step.weights_i8);
+          tensor::MatrixI8& y = act.i8[step.output];
+          y = tensor::MatrixI8(rows, step.width);
+          const double in_over_out = static_cast<double>(step.in_quant.scale) /
+                                     static_cast<double>(step.out_quant.scale);
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t j = 0; j < step.width; ++j) {
+              const double scaled =
+                  std::round(static_cast<double>(acc(r, j)) * in_over_out *
+                             step.weight_scales[j]) +
+                  step.out_quant.zero_point;
+              y(r, j) = static_cast<std::int8_t>(std::clamp(scaled, -128.0, 127.0));
             }
-            const std::int8_t* row = w + i * out_width;
-            for (std::size_t j = 0; j < out_width; ++j) {
-              acc[j] += xi * static_cast<std::int32_t>(row[j]);
-            }
-          }
-          // Per-channel weights carry one scale per output column; per-tensor
-          // weights share quant.scale across all of them.
-          auto& y = scratch.i8[op.outputs[0]];
-          y.resize(out_width);
-          const double in_over_out = static_cast<double>(act.quant.scale) /
-                                     static_cast<double>(out.quant.scale);
-          for (std::size_t j = 0; j < out_width; ++j) {
-            const double w_scale = weights.per_channel()
-                                       ? static_cast<double>(weights.channel_scales[j])
-                                       : static_cast<double>(weights.quant.scale);
-            const double scaled =
-                std::round(static_cast<double>(acc[j]) * in_over_out * w_scale) +
-                out.quant.zero_point;
-            y[j] = static_cast<std::int8_t>(std::clamp(scaled, -128.0, 127.0));
           }
         }
         break;
       }
       case OpCode::kTanh: {
-        const auto& in = model_.tensor(op.inputs[0]);
-        if (in.dtype == DType::kFloat32) {
-          auto& y = scratch.f32[op.outputs[0]];
-          y = scratch.f32[op.inputs[0]];
-          tensor::tanh_inplace(y);
-          record(op.outputs[0]);
+        if (step.in_dtype == DType::kFloat32) {
+          tensor::MatrixF& y = act.f32[step.output];
+          y = act.f32[step.input];
+          tensor::tanh_inplace(y.storage());
+          record(step.output);
         } else {
-          const auto& lut = tanh_luts_[op_index];
-          HDC_CHECK(lut.has_value(), "missing tanh LUT for int8 op");
-          const auto& x = scratch.i8[op.inputs[0]];
-          auto& y = scratch.i8[op.outputs[0]];
-          y.resize(x.size());
+          const tensor::MatrixI8& x = act.i8[step.input];
+          tensor::MatrixI8& y = act.i8[step.output];
+          y = tensor::MatrixI8(x.rows(), x.cols());
           for (std::size_t i = 0; i < x.size(); ++i) {
-            y[i] = (*lut)[static_cast<std::size_t>(static_cast<int>(x[i]) + 128)];
+            y.data()[i] = step.lut[static_cast<std::size_t>(static_cast<int>(x.data()[i]) + 128)];
           }
         }
         break;
       }
       case OpCode::kQuantize: {
-        const auto& out = model_.tensor(op.outputs[0]);
-        const auto& x = scratch.f32[op.inputs[0]];
-        auto& y = scratch.i8[op.outputs[0]];
-        y.resize(x.size());
+        const tensor::MatrixF& x = act.f32[step.input];
+        tensor::MatrixI8& y = act.i8[step.output];
+        y = tensor::MatrixI8(x.rows(), x.cols());
         for (std::size_t i = 0; i < x.size(); ++i) {
-          y[i] = out.quant.quantize(x[i]);
+          y.data()[i] = step.out_quant.quantize(x.data()[i]);
         }
         break;
       }
       case OpCode::kDequantize: {
-        const auto& in = model_.tensor(op.inputs[0]);
-        const auto& x = scratch.i8[op.inputs[0]];
-        auto& y = scratch.f32[op.outputs[0]];
-        y.resize(x.size());
+        const tensor::MatrixI8& x = act.i8[step.input];
+        tensor::MatrixF& y = act.f32[step.output];
+        y = tensor::MatrixF(x.rows(), x.cols());
         for (std::size_t i = 0; i < x.size(); ++i) {
-          y[i] = in.quant.dequantize(x[i]);
+          y.data()[i] = step.in_quant.dequantize(x.data()[i]);
         }
-        record(op.outputs[0]);
+        record(step.output);
         break;
       }
       case OpCode::kArgMax: {
-        const auto& in = model_.tensor(op.inputs[0]);
-        std::size_t best = 0;
-        if (in.dtype == DType::kFloat32) {
-          best = tensor::argmax(scratch.f32[op.inputs[0]]);
-        } else {
-          // argmax over raw int8 values equals argmax over real values since
-          // the whole tensor shares one (scale, zero_point).
-          const auto& x = scratch.i8[op.inputs[0]];
-          best = static_cast<std::size_t>(std::max_element(x.begin(), x.end()) - x.begin());
+        std::vector<std::int32_t>& classes = act.classes[step.output];
+        classes.resize(rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+          std::size_t best = 0;
+          if (step.in_dtype == DType::kFloat32) {
+            best = tensor::argmax(act.f32[step.input].row(r));
+          } else {
+            // argmax over raw int8 values equals argmax over real values
+            // since the whole tensor shares one (scale, zero_point).
+            const auto x = act.i8[step.input].row(r);
+            best = static_cast<std::size_t>(std::max_element(x.begin(), x.end()) - x.begin());
+          }
+          classes[r] = static_cast<std::int32_t>(best);
         }
-        scratch.i32[op.outputs[0]] = {static_cast<std::int32_t>(best)};
         break;
       }
     }
@@ -201,51 +216,54 @@ void LiteInterpreter::run_sample(std::span<const float> input, Scratch& scratch,
 InferenceResult LiteInterpreter::run(const tensor::MatrixF& inputs,
                                      obs::TraceContext* trace) const {
   if (trace != nullptr) {
-    // The op loop executes every op once per row; counting outside the loop
-    // keeps the per-sample path untouched.
+    // Every op executes once per row; counting outside the op loop keeps
+    // the kernels untouched.
     trace->instant(obs::Track::kHost, "lite.run",
                    {{"samples", static_cast<std::int64_t>(inputs.rows())},
-                    {"ops", static_cast<std::int64_t>(model_.ops.size())}});
+                    {"ops", static_cast<std::int64_t>(steps_.size())}});
     if (obs::MetricsRegistry* metrics = trace->metrics()) {
       metrics->counter("lite.runs").add(1);
       metrics->counter("lite.samples").add(inputs.rows());
-      for (const auto& op : model_.ops) {
-        metrics->counter(std::string("lite.op.") + opcode_name(op.code))
+      for (const Step& step : steps_) {
+        metrics->counter(std::string("lite.op.") + opcode_name(step.code))
             .add(inputs.rows());
       }
     }
   }
-  const auto& out_tensor = model_.tensor(model_.output);
-  const bool ends_argmax =
-      !model_.ops.empty() && model_.ops.back().code == OpCode::kArgMax;
+  if (inputs.rows() > 0) {
+    HDC_CHECK(inputs.cols() == input_width_, "input width mismatch");
+    HDC_CHECK(input_dtype_ == DType::kFloat32, "model input must be float32");
+  }
 
   InferenceResult result;
-  result.has_classes = ends_argmax;
-  const std::size_t out_width = ends_argmax ? 1 : out_tensor.num_elements();
-  result.values = tensor::MatrixF(inputs.rows(), out_width);
-  if (ends_argmax) {
+  result.has_classes = ends_argmax_;
+  result.values = tensor::MatrixF(inputs.rows(), output_width_);
+  if (ends_argmax_) {
     result.classes.resize(inputs.rows());
   }
 
-  // Sample-parallel execution: rows are independent, each chunk owns its
-  // activation scratch, and every output row is written by exactly one
+  // Row-parallel execution: rows are independent, each chunk owns its
+  // activation blocks, and every output row is written by exactly one
   // chunk — results match the serial loop bit for bit.
   parallel::parallel_for(0, inputs.rows(), [&](std::size_t lo, std::size_t hi) {
-    Scratch scratch(model_.tensors.size());
-    for (std::size_t row = lo; row < hi; ++row) {
-      run_sample(inputs.row(row), scratch, nullptr);
-      auto out_row = result.values.row(row);
-      if (ends_argmax) {
-        const std::int32_t cls = scratch.i32[model_.output][0];
-        result.classes[row] = cls;
-        out_row[0] = static_cast<float>(cls);
-      } else if (out_tensor.dtype == DType::kFloat32) {
-        const auto& y = scratch.f32[model_.output];
-        std::copy(y.begin(), y.end(), out_row.begin());
-      } else {
-        const auto& y = scratch.i8[model_.output];
-        for (std::size_t j = 0; j < y.size(); ++j) {
-          out_row[j] = out_tensor.quant.dequantize(y[j]);
+    Activations act(num_tensors_);
+    for (std::size_t begin = lo; begin < hi; begin += kRunRows) {
+      const std::size_t end = std::min(begin + kRunRows, hi);
+      run_block(inputs, begin, end, act, nullptr);
+      for (std::size_t r = 0; r < end - begin; ++r) {
+        auto out_row = result.values.row(begin + r);
+        if (ends_argmax_) {
+          const std::int32_t cls = act.classes[output_][r];
+          result.classes[begin + r] = cls;
+          out_row[0] = static_cast<float>(cls);
+        } else if (output_dtype_ == DType::kFloat32) {
+          const auto y = act.f32[output_].row(r);
+          std::copy(y.begin(), y.end(), out_row.begin());
+        } else {
+          const auto y = act.i8[output_].row(r);
+          for (std::size_t j = 0; j < y.size(); ++j) {
+            out_row[j] = output_quant_.dequantize(y[j]);
+          }
         }
       }
     }
@@ -254,11 +272,18 @@ InferenceResult LiteInterpreter::run(const tensor::MatrixF& inputs,
 }
 
 std::vector<TensorRange> LiteInterpreter::calibrate(const tensor::MatrixF& inputs) const {
-  HDC_CHECK(!model_.is_quantized(), "calibration runs on the float model");
-  std::vector<TensorRange> ranges(model_.tensors.size());
-  Scratch scratch(model_.tensors.size());
-  for (std::size_t row = 0; row < inputs.rows(); ++row) {
-    run_sample(inputs.row(row), scratch, &ranges);
+  HDC_CHECK(!quantized_, "calibration runs on the float model");
+  if (inputs.rows() > 0) {
+    HDC_CHECK(inputs.cols() == input_width_, "input width mismatch");
+    HDC_CHECK(input_dtype_ == DType::kFloat32, "model input must be float32");
+  }
+  std::vector<TensorRange> ranges(num_tensors_);
+  Activations act(num_tensors_);
+  // Blocks run in row order, so each tensor's range sees its values in the
+  // order a row-by-row pass would; the float kernels are exact per row, so
+  // the recorded ranges equal the per-row ones.
+  for (std::size_t begin = 0; begin < inputs.rows(); begin += kCalibrateRows) {
+    run_block(inputs, begin, std::min(begin + kCalibrateRows, inputs.rows()), act, &ranges);
   }
   return ranges;
 }

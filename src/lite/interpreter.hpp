@@ -2,11 +2,11 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "lite/model.hpp"
 #include "tensor/matrix.hpp"
+#include "tensor/ops.hpp"
 
 namespace hdc::obs {
 class TraceContext;
@@ -36,11 +36,17 @@ struct InferenceResult {
 /// runtime on the host CPU. Executes float and int8 kernels with
 /// TFLite-compatible semantics (int32 accumulation, re-quantization through
 /// a real-valued multiplier, 256-entry tanh LUT for int8).
+///
+/// Construction prepares the model once: it validates it, packs the int8
+/// FULLY_CONNECTED weights into the kernel layout (still int8) and builds
+/// the tanh LUTs. The interpreter keeps no copy of the model, so one
+/// prepared instance can be shared by every run of a compiled model. Runs
+/// push a block of rows through each op at a time, so each pass over a
+/// weight matrix serves several rows; the results equal a row-by-row
+/// execution bit for bit.
 class LiteInterpreter {
  public:
   explicit LiteInterpreter(const LiteModel& model);
-
-  const LiteModel& model() const noexcept { return model_; }
 
   /// When `trace` is non-null, the op loop publishes per-opcode execution
   /// counters (`lite.op.<OPCODE>`) and records one `lite.run` instant at the
@@ -54,13 +60,37 @@ class LiteInterpreter {
   std::vector<TensorRange> calibrate(const tensor::MatrixF& inputs) const;
 
  private:
-  struct Scratch;
-  void run_sample(std::span<const float> input, Scratch& scratch,
-                  std::vector<TensorRange>* ranges) const;
+  /// One op with everything its kernel needs, resolved at preparation.
+  struct Step {
+    OpCode code = OpCode::kFullyConnected;
+    std::uint32_t input = 0;   ///< activation tensor index
+    std::uint32_t output = 0;  ///< activation tensor index
+    DType in_dtype = DType::kFloat32;
+    Quantization in_quant;
+    Quantization out_quant;
+    std::size_t width = 0;  ///< output elements per row
+    tensor::MatrixF weights_f32;         ///< float FULLY_CONNECTED
+    tensor::PackedWeightsI8 weights_i8;  ///< int8 FULLY_CONNECTED
+    std::vector<double> weight_scales;   ///< int8 FULLY_CONNECTED, per column
+    std::array<std::int8_t, 256> lut{};  ///< int8 TANH
+  };
+  struct Activations;
 
-  LiteModel model_;
-  // Precomputed 256-entry LUTs, one per int8 TANH op (indexed by op order).
-  std::vector<std::optional<std::array<std::int8_t, 256>>> tanh_luts_;
+  /// Executes rows [begin, end) of `inputs` through every op.
+  void run_block(const tensor::MatrixF& inputs, std::size_t begin, std::size_t end,
+                 Activations& act, std::vector<TensorRange>* ranges) const;
+
+  std::vector<Step> steps_;
+  std::size_t num_tensors_ = 0;
+  std::uint32_t input_ = 0;
+  std::uint32_t output_ = 0;
+  std::size_t input_width_ = 0;
+  DType input_dtype_ = DType::kFloat32;
+  DType output_dtype_ = DType::kFloat32;
+  Quantization output_quant_;
+  std::size_t output_width_ = 0;
+  bool ends_argmax_ = false;
+  bool quantized_ = false;
 };
 
 }  // namespace hdc::lite

@@ -73,8 +73,10 @@ LiteModel quantize_model(const LiteModel& float_model,
   HDC_CHECK(!float_model.is_quantized(), "model is already quantized");
   HDC_CHECK(representative_inputs.rows() > 0, "representative dataset is empty");
 
-  const LiteInterpreter calibrator(float_model);
-  const std::vector<TensorRange> ranges = calibrator.calibrate(representative_inputs);
+  // The calibrator holds a copy of the float weights; it goes out of scope
+  // before the weights are quantized below.
+  const std::vector<TensorRange> ranges =
+      LiteInterpreter(float_model).calibrate(representative_inputs);
 
   auto activation_quant = [&](std::uint32_t tensor_index) {
     const TensorRange& r = ranges[tensor_index];

@@ -597,13 +597,14 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
       const SimDuration member_latency_base = (td - req.arrival) + swap_upload;
       std::uint64_t member_correct = 0;
       preds[req.id].reserve(static_cast<std::size_t>(n));
+      // One batch encode per request; the decision and the dimension window
+      // read its rows.
+      const tensor::MatrixF encoded = tenant.scorer.encoder().encode_batch(req.data.features);
       for (std::size_t j = 0; j < n; ++j, ++g) {
         const std::uint32_t predicted = predictions[g];
         const std::uint32_t label = req.data.labels[j];
-        const std::vector<float> encoded =
-            tenant.scorer.encode(req.data.features.row(j));
         const core::OnlineLearner::Decision decision =
-            tenant.scorer.decide_encoded(encoded);
+            tenant.scorer.decide_encoded(encoded.row(j));
         obs::ServingMonitor::Sample sample;
         sample.at = service_start + per_sample * static_cast<double>(g + 1);
         sample.latency = member_latency_base + per_sample;
@@ -626,7 +627,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
         fleet_stats->record(msample);
         obs::ModelQualityStats& tstats = *tenant_stats[tenant_index];
         tstats.record(msample);
-        tstats.record_dimensions(sample.at, label, encoded);
+        tstats.record_dimensions(sample.at, label, encoded.row(j));
 
         member_correct += predicted == label ? 1 : 0;
         preds[req.id].push_back(predicted);

@@ -819,47 +819,55 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     // margins from the host scoring model.
     std::uint64_t host_errors = 0;
     std::uint64_t chunk_correct = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint32_t predicted = outcome.predictions[j];
-      const std::uint32_t label = item.data.labels[j];
-      // Encode once; the decision and the per-dimension discriminability
-      // window both consume the same hypervector.
-      const std::vector<float> encoded = learner.encode(item.data.features.row(j));
-      const core::OnlineLearner::Decision decision = learner.decide_encoded(encoded);
+    // Encode the request once per learner, as one batch: the decision, the
+    // per-dimension discriminability window and the online update all read
+    // rows of these matrices. Encoders never adapt, so a row equals what
+    // encoding the sample on its own would give. The block scope frees them
+    // before a model refresh allocates.
+    {
+      const tensor::MatrixF encoded = learner.encoder().encode_batch(item.data.features);
+      const tensor::MatrixF reduced_encoded =
+          config.online_updates ? reduced_learner.encoder().encode_batch(item.data.features)
+                                : tensor::MatrixF();
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::uint32_t predicted = outcome.predictions[j];
+        const std::uint32_t label = item.data.labels[j];
+        const core::OnlineLearner::Decision decision = learner.decide_encoded(encoded.row(j));
 
-      obs::ServingMonitor::Sample sample;
-      sample.at = start + per_sample * static_cast<double>(j + 1);
-      sample.latency = wait + per_sample;
-      sample.request_id = static_cast<std::int64_t>(item.index);
-      sample.predicted = predicted;
-      sample.correct = predicted == label;
-      sample.margin = decision.margin();
-      log_clock = sample.at.to_seconds();
-      monitor->record(sample);
+        obs::ServingMonitor::Sample sample;
+        sample.at = start + per_sample * static_cast<double>(j + 1);
+        sample.latency = wait + per_sample;
+        sample.request_id = static_cast<std::int64_t>(item.index);
+        sample.predicted = predicted;
+        sample.correct = predicted == label;
+        sample.margin = decision.margin();
+        log_clock = sample.at.to_seconds();
+        monitor->record(sample);
 
-      // Served samples only — shed/expired chunks never reach this loop, so
-      // confusion row sums stay exactly equal to per-class served counts.
-      obs::ModelQualityStats::Sample msample;
-      msample.at = sample.at;
-      msample.predicted = predicted;
-      msample.label = label;
-      msample.top1 = static_cast<double>(decision.top1);
-      msample.request_id = static_cast<std::int64_t>(item.index);
-      model_stats->record(msample);
-      model_stats->record_dimensions(sample.at, label, encoded);
+        // Served samples only — shed/expired chunks never reach this loop, so
+        // confusion row sums stay exactly equal to per-class served counts.
+        obs::ModelQualityStats::Sample msample;
+        msample.at = sample.at;
+        msample.predicted = predicted;
+        msample.label = label;
+        msample.top1 = static_cast<double>(decision.top1);
+        msample.request_id = static_cast<std::int64_t>(item.index);
+        model_stats->record(msample);
+        model_stats->record_dimensions(sample.at, label, encoded.row(j));
 
-      if (config.online_updates) {
-        if (learner.learn(item.data.features.row(j), label) != label) {
-          ++host_errors;
+        if (config.online_updates) {
+          if (learner.learn_encoded(encoded.row(j), label) != label) {
+            ++host_errors;
+          }
+          // The reduced-tier learner adapts on the same pass; its update cost
+          // piggybacks on the full learner's charged update below (a documented
+          // simplification that keeps fault-free timings identical to serving
+          // without the ladder).
+          reduced_learner.learn_encoded(reduced_encoded.row(j), label);
         }
-        // The reduced-tier learner adapts on the same pass; its update cost
-        // piggybacks on the full learner's charged update below (a documented
-        // simplification that keeps fault-free timings identical to serving
-        // without the ladder).
-        reduced_learner.learn(item.data.features.row(j), label);
+        result.predictions.push_back(predicted);
+        chunk_correct += predicted == label ? 1 : 0;
       }
-      result.predictions.push_back(predicted);
-      chunk_correct += predicted == label ? 1 : 0;
     }
 
     log_clock = chunk_end.to_seconds();

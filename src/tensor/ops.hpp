@@ -2,18 +2,21 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "tensor/matrix.hpp"
 
 namespace hdc::tensor {
 
-/// C = A * B  (float, row-major, blocked for cache efficiency). Row blocks
-/// run on the host worker pool (see common/parallel.hpp); results are
-/// bit-identical for any thread count.
+/// C = A * B  (float, row-major, register-tiled). Column ranges run on the
+/// host worker pool (see common/parallel.hpp). Each output element sums its
+/// k terms in ascending k from +0, exactly as `vecmat` does for one row, so
+/// results are bit-identical to `vecmat` row by row and for any thread
+/// count.
 MatrixF matmul(const MatrixF& a, const MatrixF& b);
 
 /// C = tanh(A * B): the HDC batch-encode kernel, with the non-linearity
-/// fused into each parallel row block.
+/// fused into each parallel column range.
 MatrixF matmul_tanh(const MatrixF& a, const MatrixF& b);
 
 /// y = x * A  for a single row vector x (1 x k) and matrix A (k x n).
@@ -22,6 +25,27 @@ void vecmat(std::span<const float> x, const MatrixF& a, std::span<float> y);
 /// C(int32) = A(int8) * B(int8), the reference the systolic array is tested
 /// against. Accumulation in int32, no saturation (matches MXU semantics).
 MatrixI32 matmul_i8(const MatrixI8& a, const MatrixI8& b);
+
+/// int8 weights (k x n, row-major) repacked for `matmul_i8_packed`:
+/// transposed so the k weights of each output column are contiguous, and
+/// kept int8. Each column is zero-padded to `stride` (k rounded up to 16),
+/// so the kernel's dot products run in whole vectors.
+struct PackedWeightsI8 {
+  std::size_t rows = 0;    ///< k: input width
+  std::size_t cols = 0;    ///< n: output width
+  std::size_t stride = 0;  ///< padded column length
+  std::vector<std::int8_t> columns;  ///< column j at [j * stride, j * stride + rows)
+};
+PackedWeightsI8 pack_weights_i8(std::span<const std::int8_t> weights, std::size_t rows,
+                                std::size_t cols);
+
+/// C(int32) = (A - a_zero_point) * W for int8 activations A and packed int8
+/// weights W: a fully-connected layer's accumulators. Sums are exact in
+/// int32 (no saturation), so they equal the row-by-row loop in any order.
+/// Several rows share each pass over a weight column. `a_zero_point` must
+/// lie in [-128, 127]. Row blocks run on the host worker pool.
+MatrixI32 matmul_i8_packed(const MatrixI8& a, std::int32_t a_zero_point,
+                           const PackedWeightsI8& w);
 
 /// y += alpha * x.
 void axpy(float alpha, std::span<const float> x, std::span<float> y);

@@ -151,6 +151,7 @@ CompiledModel EdgeTpuCompiler::compile(lite::LiteModel model) const {
       SimDuration::millis(800) +
       SimDuration::seconds(static_cast<double>(compiled.report.weight_bytes) / 4e6);
 
+  compiled.interpreter = std::make_shared<const lite::LiteInterpreter>(model);
   compiled.model = std::move(model);
   return compiled;
 }

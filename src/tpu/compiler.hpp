@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/sim_time.hpp"
+#include "lite/interpreter.hpp"
 #include "lite/model.hpp"
 #include "tpu/systolic.hpp"
 
@@ -35,6 +37,10 @@ struct CompileReport {
 
 struct CompiledModel {
   lite::LiteModel model;
+  /// The functional executor of `model`, prepared once by the compiler
+  /// (packed int8 weights, tanh LUTs) and shared by every copy of this
+  /// compiled model, so invocations never re-prepare or copy the model.
+  std::shared_ptr<const lite::LiteInterpreter> interpreter;
   std::vector<OpPlan> plan;  ///< one entry per model op
   CompileReport report;
   std::string id;  ///< unique identity for on-chip caching

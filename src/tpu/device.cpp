@@ -12,6 +12,16 @@
 
 namespace hdc::tpu {
 
+namespace {
+
+const lite::LiteInterpreter& prepared_interpreter(const CompiledModel& model) {
+  HDC_CHECK(model.interpreter != nullptr,
+            "compiled model has no prepared interpreter (build it with EdgeTpuCompiler)");
+  return *model.interpreter;
+}
+
+}  // namespace
+
 ExecutionStats& ExecutionStats::operator+=(const ExecutionStats& other) {
   device_compute += other.device_compute;
   host_compute += other.host_compute;
@@ -292,8 +302,7 @@ std::pair<lite::InferenceResult, ExecutionStats> EdgeTpuDevice::invoke(
   if (options.mode == ExecutionMode::kFunctional) {
     // Bit-exact int8 semantics; equivalence of the MXU tile engine with
     // these reference kernels is established by the systolic property tests.
-    const lite::LiteInterpreter interpreter(model.model);
-    result = interpreter.run(inputs, trace_);
+    result = prepared_interpreter(model).run(inputs, trace_);
   }
   clock_ += stats.total();
   return {std::move(result), stats};
@@ -307,10 +316,8 @@ std::pair<lite::InferenceResult, ExecutionStats> EdgeTpuDevice::invoke_with_faul
   FaultInjector* faults = &*faults_;
 
   const bool functional = options.mode == ExecutionMode::kFunctional;
-  std::optional<lite::LiteInterpreter> interpreter;
-  if (functional) {
-    interpreter.emplace(model.model);
-  }
+  const lite::LiteInterpreter* interpreter =
+      functional ? &prepared_interpreter(model) : nullptr;
 
   // Frame checksum of a parameter upload: CRC32 chained over every constant
   // tensor, computed once on first use.

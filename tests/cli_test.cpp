@@ -10,6 +10,8 @@
 #include <fstream>
 #include <string>
 
+#include <unistd.h>
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -36,7 +38,11 @@ RunResult run_cli(const std::string& args) {
 class CliTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new fs::path(fs::temp_directory_path() / "hdc_cli_test");
+    // One directory per test process: ctest runs each test of this suite
+    // in its own process, possibly concurrently, and TearDownTestSuite
+    // removes the directory.
+    dir_ = new fs::path(fs::temp_directory_path() /
+                        ("hdc_cli_test_" + std::to_string(::getpid())));
     fs::create_directories(*dir_);
     // A small 3-class, 4-feature CSV.
     std::ofstream csv(*dir_ / "train.csv");

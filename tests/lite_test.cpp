@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 
@@ -199,6 +200,156 @@ TEST(InterpreterTest, CalibrateOnQuantizedModelThrows) {
   const LiteModel quantized = quantize_model(float_model, fx.train.features);
   const LiteInterpreter interpreter(quantized);
   EXPECT_THROW(interpreter.calibrate(fx.train.features), Error);
+}
+
+TEST(InterpreterTest, BatchedCalibrationEqualsPerRowRanges) {
+  const Fixture fx = make_fixture(256);
+  const LiteModel model = build_float_model(nn::build_inference_graph(fx.classifier));
+  const LiteInterpreter interpreter(model);
+  // 150 rows span three row blocks, the last one partial.
+  tensor::MatrixF inputs(150, fx.train.num_features());
+  std::copy_n(fx.train.features.data(), inputs.size(), inputs.data());
+  const std::vector<TensorRange> batched = interpreter.calibrate(inputs);
+
+  std::vector<TensorRange> per_row(model.tensors.size());
+  for (std::size_t r = 0; r < inputs.rows(); ++r) {
+    tensor::MatrixF one(1, inputs.cols());
+    std::copy_n(inputs.row(r).data(), inputs.cols(), one.data());
+    const std::vector<TensorRange> ranges = interpreter.calibrate(one);
+    for (std::size_t t = 0; t < ranges.size(); ++t) {
+      if (ranges[t].seen) {
+        per_row[t].update(ranges[t].min);
+        per_row[t].update(ranges[t].max);
+      }
+    }
+  }
+  ASSERT_EQ(batched.size(), per_row.size());
+  for (std::size_t t = 0; t < batched.size(); ++t) {
+    EXPECT_EQ(batched[t].seen, per_row[t].seen) << "tensor " << t;
+    EXPECT_EQ(batched[t].min, per_row[t].min) << "tensor " << t;
+    EXPECT_EQ(batched[t].max, per_row[t].max) << "tensor " << t;
+  }
+}
+
+/// The row-by-row int8 FULLY_CONNECTED accumulation the packed kernel
+/// replaces: zero-point-corrected inputs times row-major weights in int32.
+tensor::MatrixI32 unpacked_fc_i8(const tensor::MatrixI8& x, std::int32_t zero_point,
+                                 const tensor::MatrixI8& w) {
+  tensor::MatrixI32 acc(x.rows(), w.cols(), 0);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t i = 0; i < w.rows(); ++i) {
+      const std::int32_t xi = static_cast<std::int32_t>(x(r, i)) - zero_point;
+      if (xi == 0) {
+        continue;
+      }
+      for (std::size_t j = 0; j < w.cols(); ++j) {
+        acc(r, j) += xi * static_cast<std::int32_t>(w(i, j));
+      }
+    }
+  }
+  return acc;
+}
+
+tensor::MatrixI8 random_i8(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  tensor::MatrixI8 m(rows, cols);
+  Rng rng(seed);
+  for (auto& v : m.storage()) {
+    v = static_cast<std::int8_t>(static_cast<std::int64_t>(rng.next_below(256)) - 128);
+  }
+  return m;
+}
+
+TEST(PackedFcTest, EqualsUnpackedLoopIncludingExtremeZeroPoints) {
+  for (const std::size_t k : {27U, 561U, 2048U}) {
+    for (const std::size_t rows : {1U, 3U, 4U, 9U}) {
+      for (const std::int32_t zero_point : {-128, 0, 127}) {
+        tensor::MatrixI8 x = random_i8(rows, k, k + rows);
+        tensor::MatrixI8 w = random_i8(k, 130, k * 3 + 1);
+        // Extremes: x = -128 against zp = 127 gives the widest input
+        // (-255), and w = -128 the widest weight.
+        for (std::size_t i = 0; i < k; i += 5) {
+          x(0, i) = -128;
+          w(i, 0) = -128;
+          w(i, 129) = -128;
+        }
+        const auto packed =
+            tensor::pack_weights_i8({w.data(), w.size()}, w.rows(), w.cols());
+        ASSERT_EQ(tensor::matmul_i8_packed(x, zero_point, packed),
+                  unpacked_fc_i8(x, zero_point, w))
+            << "k=" << k << " rows=" << rows << " zp=" << zero_point;
+      }
+    }
+  }
+}
+
+TEST(PackedFcTest, SaturatedInputsReachExactInt32Extremes) {
+  // Every term is (-128 - 127) * -128 = 32640: the sum must be exact.
+  tensor::MatrixI8 x(5, 2048, static_cast<std::int8_t>(-128));
+  tensor::MatrixI8 w(2048, 3, static_cast<std::int8_t>(-128));
+  const auto packed = tensor::pack_weights_i8({w.data(), w.size()}, w.rows(), w.cols());
+  const tensor::MatrixI32 acc = tensor::matmul_i8_packed(x, 127, packed);
+  for (const std::int32_t v : acc.storage()) {
+    EXPECT_EQ(v, 2048 * 32640);
+  }
+}
+
+TEST(PackedFcTest, ZeroPointOutsideInt8Rejected) {
+  const tensor::MatrixI8 x(1, 4);
+  const tensor::MatrixI8 w(4, 2);
+  const auto packed = tensor::pack_weights_i8({w.data(), w.size()}, 4, 2);
+  EXPECT_THROW(tensor::matmul_i8_packed(x, 128, packed), Error);
+  EXPECT_THROW(tensor::matmul_i8_packed(x, -129, packed), Error);
+}
+
+TEST(PackedFcTest, InterpreterMatchesRowByRowReferenceAtExtremes) {
+  // Hand-built int8 model: QUANTIZE (zp 127, so negative inputs saturate to
+  // -128) -> FULLY_CONNECTED with -128 weights -> output. The interpreter
+  // must reproduce the row-by-row accumulation and requantization exactly.
+  constexpr std::uint32_t kIn = 27;
+  constexpr std::uint32_t kOut = 19;
+  const Quantization in_quant{0.01F, 127};
+  const Quantization out_quant{40.0F, -3};
+  tensor::MatrixI8 w = random_i8(kIn, kOut, 5);
+  for (std::size_t i = 0; i < kIn; i += 2) {
+    w(i, 0) = -128;
+  }
+  const Quantization w_quant{0.02F, 0};
+  LiteModelBuilder b("extreme");
+  const std::uint32_t input = b.add_activation("in", DType::kFloat32, kIn);
+  const std::uint32_t q = b.add_activation("in_q", DType::kInt8, kIn, in_quant);
+  const std::uint32_t weights = b.add_weights_i8("w", w, w_quant);
+  const std::uint32_t out = b.add_activation("out_q", DType::kInt8, kOut, out_quant);
+  b.add_op(OpCode::kQuantize, {input}, {q});
+  b.add_op(OpCode::kFullyConnected, {q, weights}, {out});
+  b.set_input(input);
+  b.set_output(out);
+  const LiteModel model = b.finish();
+
+  // 70 rows: several 4-row groups plus a tail, within one row block.
+  tensor::MatrixF inputs(70, kIn);
+  Rng rng(6);
+  for (auto& v : inputs.storage()) {
+    v = rng.uniform(-5.0F, 0.5F);  // mostly saturating at -128
+  }
+  const InferenceResult result = LiteInterpreter(model).run(inputs);
+
+  tensor::MatrixI8 xq(inputs.rows(), kIn);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    xq.storage()[i] = in_quant.quantize(inputs.storage()[i]);
+  }
+  const tensor::MatrixI32 acc = unpacked_fc_i8(xq, in_quant.zero_point, w);
+  const double in_over_out =
+      static_cast<double>(in_quant.scale) / static_cast<double>(out_quant.scale);
+  for (std::size_t r = 0; r < inputs.rows(); ++r) {
+    for (std::size_t j = 0; j < kOut; ++j) {
+      const double scaled =
+          std::round(static_cast<double>(acc(r, j)) * in_over_out *
+                     static_cast<double>(w_quant.scale)) +
+          out_quant.zero_point;
+      const auto y = static_cast<std::int8_t>(std::clamp(scaled, -128.0, 127.0));
+      ASSERT_EQ(result.values(r, j), out_quant.dequantize(y)) << r << "," << j;
+    }
+  }
 }
 
 // ------------------------------------------------------------- quantize ----

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "../tools/json_min.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
@@ -1010,7 +1012,11 @@ std::string slurp(const fs::path& path) {
 class ObsCliTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new fs::path(fs::temp_directory_path() / "hdc_obs_cli_test");
+    // One directory per test process: ctest runs each test of this suite
+    // in its own process, possibly concurrently, and TearDownTestSuite
+    // removes the directory.
+    dir_ = new fs::path(fs::temp_directory_path() /
+                        ("hdc_obs_cli_test_" + std::to_string(::getpid())));
     fs::create_directories(*dir_);
     std::ofstream csv(*dir_ / "data.csv");
     for (int i = 0; i < 240; ++i) {

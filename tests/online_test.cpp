@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/byte_io.hpp"
 #include "common/error.hpp"
 #include <cmath>
 
@@ -318,6 +319,66 @@ TEST(OnlineLearnerTest, LabelOutOfRangeThrows) {
   OnlineLearner learner(4, 2, OnlineConfig{.dim = 32});
   std::vector<float> sample(4, 0.5F);
   EXPECT_THROW(learner.learn(sample, 2), Error);
+}
+
+std::vector<std::uint8_t> serialized(const OnlineLearner& learner) {
+  ByteWriter writer;
+  learner.serialize(writer);
+  return writer.take();
+}
+
+TEST(OnlineLearnerTest, LearnEncodedEqualsLearnByteForByte) {
+  data::StreamConfig cfg;
+  cfg.spec = task_spec();
+  cfg.chunk_size = 96;
+  data::DriftStream stream(cfg);
+  const data::Dataset chunk = stream.next_chunk();
+  OnlineLearner from_raw(cfg.spec.features, cfg.spec.classes, small_online());
+  OnlineLearner from_encoded(cfg.spec.features, cfg.spec.classes, small_online());
+  for (std::size_t i = 0; i < chunk.num_samples(); ++i) {
+    const std::uint32_t label = chunk.labels[i];
+    const std::uint32_t a = from_raw.learn(chunk.features.row(i), label);
+    const std::uint32_t b =
+        from_encoded.learn_encoded(from_encoded.encode(chunk.features.row(i)), label);
+    ASSERT_EQ(a, b) << "sample " << i;
+  }
+  EXPECT_EQ(serialized(from_raw), serialized(from_encoded));
+}
+
+TEST(OnlineLearnerTest, LearnBatchEqualsPerSampleLoopByteForByte) {
+  data::StreamConfig cfg;
+  cfg.spec = task_spec();
+  cfg.chunk_size = 77;  // not a multiple of the kernel's row tile
+  data::DriftStream stream(cfg);
+  OnlineLearner batched(cfg.spec.features, cfg.spec.classes, small_online());
+  OnlineLearner looped(cfg.spec.features, cfg.spec.classes, small_online());
+  for (int c = 0; c < 3; ++c) {
+    const data::Dataset chunk = stream.next_chunk();
+    const double accuracy = batched.learn_batch(chunk);
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < chunk.num_samples(); ++i) {
+      correct += looped.learn(chunk.features.row(i), chunk.labels[i]) == chunk.labels[i];
+    }
+    EXPECT_EQ(accuracy,
+              static_cast<double>(correct) / static_cast<double>(chunk.num_samples()));
+  }
+  EXPECT_EQ(serialized(batched), serialized(looped));
+}
+
+TEST(OnlineLearnerTest, EmptyBatchRejected) {
+  OnlineLearner learner(4, 2, OnlineConfig{.dim = 32});
+  data::Dataset empty;
+  empty.features = tensor::MatrixF(0, 4);
+  empty.num_classes = 2;
+  EXPECT_NO_THROW(empty.validate());  // well-formed, just empty
+  EXPECT_THROW(learner.learn_batch(empty), Error);
+  EXPECT_EQ(learner.stats().samples_seen, 0U);
+}
+
+TEST(OnlineLearnerTest, LearnEncodedRejectsWrongWidth) {
+  OnlineLearner learner(4, 2, OnlineConfig{.dim = 32});
+  const std::vector<float> encoded(31, 0.5F);
+  EXPECT_THROW(learner.learn_encoded(encoded, 0), Error);
 }
 
 TEST(OnlineLearnerTest, SinglePassCompetitiveWithIteratedTraining) {

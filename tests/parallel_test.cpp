@@ -237,6 +237,53 @@ TEST(DeterminismTest, EncodeBatchIsBitIdenticalAcrossThreadCounts) {
   expect_threads_invariant([&] { return encoder.encode_batch(samples).storage(); });
 }
 
+TEST(DeterminismTest, TiledMatmulEqualsKAscendingReferenceAtEveryThreadCount) {
+  // Row counts that split unevenly across 2 and 4 lanes and leave partial
+  // 4-row tiles in some chunks; whole zero columns exercise tile skipping.
+  for (const std::size_t rows : {5U, 65U}) {
+    auto a = random_f(rows, 129, rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t k = 0; k < a.cols(); k += 4) {
+        a(i, k) = 0.0F;
+      }
+    }
+    const auto b = random_f(129, 17, rows + 1);
+    tensor::MatrixF expected(rows, b.cols(), 0.0F);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < b.cols(); ++j) {
+        float acc = 0.0F;
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+          acc += a(i, k) * b(k, j);
+        }
+        expected(i, j) = acc;
+      }
+    }
+    tensor::MatrixF expected_tanh = expected;
+    tensor::tanh_inplace(expected_tanh.storage());
+    for (const std::size_t threads : {1U, 2U, 4U}) {
+      parallel::set_num_threads(threads);
+      EXPECT_EQ(tensor::matmul(a, b), expected) << rows << " rows, " << threads << " threads";
+      EXPECT_EQ(tensor::matmul_tanh(a, b), expected_tanh)
+          << rows << " rows, " << threads << " threads";
+      parallel::set_num_threads(0);
+    }
+  }
+}
+
+TEST(DeterminismTest, PackedInt8FcIsBitIdenticalAcrossThreadCounts) {
+  tensor::MatrixI8 x(37, 561);
+  tensor::MatrixI8 w(561, 70);
+  Rng rng(12);
+  for (auto& v : x.storage()) {
+    v = static_cast<std::int8_t>(static_cast<std::int64_t>(rng.next_below(256)) - 128);
+  }
+  for (auto& v : w.storage()) {
+    v = static_cast<std::int8_t>(static_cast<std::int64_t>(rng.next_below(256)) - 128);
+  }
+  const auto packed = tensor::pack_weights_i8({w.data(), w.size()}, w.rows(), w.cols());
+  expect_threads_invariant([&] { return tensor::matmul_i8_packed(x, 127, packed).storage(); });
+}
+
 TEST(DeterminismTest, PlainTrainingIsBitIdenticalAcrossThreadCounts) {
   const data::SyntheticSpec spec = data::paper_dataset("ISOLET");
   const data::Dataset ds = data::generate_synthetic(spec, 200);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -145,6 +147,91 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatmulShapeTest,
                                            MatmulShape{3, 5, 7}, MatmulShape{64, 64, 64},
                                            MatmulShape{65, 63, 130}, MatmulShape{2, 200, 33},
                                            MatmulShape{128, 1, 128}));
+
+/// Each output element summed one term at a time in ascending k from +0,
+/// with no zero skipping: the order the tiled kernel must reproduce.
+MatrixF k_ascending_matmul(const MatrixF& a, const MatrixF& b) {
+  MatrixF c(a.rows(), b.cols(), 0.0F);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0F;
+      for (std::size_t k = 0; k < a.cols(); ++k) {
+        acc += a(i, k) * b(k, j);
+      }
+      c(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+/// Random A with whole zero columns (bagging's masked features), stray zero
+/// entries and, when there are enough rows, an all-zero row.
+MatrixF sparse_activations(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  MatrixF a = random_matrix(rows, cols, seed);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t k = 0; k < cols; ++k) {
+      if (k % 3 == 1 || (i + 2 * k) % 7 == 0) {
+        a(i, k) = 0.0F;
+      }
+    }
+  }
+  if (rows > 2) {
+    std::fill(a.row(2).begin(), a.row(2).end(), 0.0F);
+  }
+  return a;
+}
+
+// The tiled kernel must equal the k-ascending reference bit for bit on every
+// combination of row tails (1/3/5/65 against 4-row tiles), column tails
+// (1/15/17 against 8-column strips, 2048 across 512-column blocks) and
+// k-panel edges (127/129/561 against 256-deep panels).
+TEST(MatmulTest, TiledKernelEqualsKAscendingReferenceBitForBit) {
+  for (const std::size_t rows : {1U, 3U, 5U, 65U}) {
+    for (const std::size_t cols : {1U, 15U, 17U, 2048U}) {
+      for (const std::size_t k : {1U, 27U, 127U, 129U, 561U}) {
+        if (rows * cols * k > 20'000'000U) {
+          continue;  // the naive reference would dominate the suite
+        }
+        const MatrixF a = sparse_activations(rows, k, rows * 1000 + k);
+        const MatrixF b = random_matrix(k, cols, cols * 7 + k);
+        const MatrixF expected = k_ascending_matmul(a, b);
+        ASSERT_EQ(matmul(a, b), expected) << rows << "x" << k << " @ " << k << "x" << cols;
+        MatrixF expected_tanh = expected;
+        tanh_inplace(expected_tanh.storage());
+        ASSERT_EQ(matmul_tanh(a, b), expected_tanh)
+            << rows << "x" << k << " @ " << k << "x" << cols;
+      }
+    }
+  }
+}
+
+TEST(MatmulTest, TiledKernelCoversLargeShapeBitForBit) {
+  // One chunk-sized encode shape (65 rows, 561 features, 2048 wide) with
+  // masked features, checked on a strided subset of output columns.
+  const MatrixF a = sparse_activations(65, 561, 91);
+  const MatrixF b = random_matrix(561, 2048, 92);
+  const MatrixF c = matmul(a, b);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); j += 37) {
+      float acc = 0.0F;
+      for (std::size_t k = 0; k < a.cols(); ++k) {
+        acc += a(i, k) * b(k, j);
+      }
+      ASSERT_EQ(c(i, j), acc) << "row " << i << " col " << j;
+    }
+  }
+}
+
+TEST(MatmulTest, RowsEqualVecmatBitForBit) {
+  const MatrixF a = sparse_activations(6, 129, 93);
+  const MatrixF b = random_matrix(129, 40, 94);
+  const MatrixF c = matmul(a, b);
+  std::vector<float> y(b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    vecmat(a.row(i), b, y);
+    EXPECT_TRUE(std::equal(y.begin(), y.end(), c.row(i).begin())) << "row " << i;
+  }
+}
 
 TEST(MatmulI8Test, SmallKnownProduct) {
   MatrixI8 a(1, 2);
