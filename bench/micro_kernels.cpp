@@ -7,8 +7,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -17,6 +20,7 @@
 #include "core/encoder.hpp"
 #include "core/binary.hpp"
 #include "core/level_encoder.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "lite/builder.hpp"
 #include "lite/interpreter.hpp"
@@ -165,6 +169,90 @@ void BM_FcInt8Reference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kFcRows * k * kFcCols);
 }
 BENCHMARK(BM_FcInt8Reference)->Arg(27)->Arg(561);
+
+// tanh over one sample's 2048 encoder pre-activations (the fleet shape: 27
+// features, d = 2048): the 4-lane port against the C library's scalar tanhf,
+// the encoder's tanh before the port. main() reports
+// `ratio.tanh_vector_over_libm`.
+std::vector<float> encoder_preactivations() {
+  const core::Encoder encoder(27, kChunkDim, 16);
+  const auto sample = random_f(1, 27, 17);
+  std::vector<float> pre(kChunkDim);
+  tensor::vecmat(sample.row(0), encoder.base(), pre);
+  return pre;
+}
+
+void BM_TanhVector(benchmark::State& state) {
+  const auto pre = encoder_preactivations();
+  std::vector<float> v(pre.size());
+  for (auto _ : state) {
+    std::copy(pre.begin(), pre.end(), v.begin());
+    tensor::tanh_inplace(v);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pre.size()));
+}
+BENCHMARK(BM_TanhVector);
+
+void BM_TanhLibm(benchmark::State& state) {
+  const auto pre = encoder_preactivations();
+  std::vector<float> v(pre.size());
+  for (auto _ : state) {
+    std::copy(pre.begin(), pre.end(), v.begin());
+    for (float& x : v) {
+      x = std::tanh(x);
+    }
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pre.size()));
+}
+BENCHMARK(BM_TanhLibm);
+
+// Cosine scores of one encoded sample against k classes of width d: the fleet
+// (k = 5, d = 2048) and the paper's ISOLET model (k = 26, d = 10000).
+// HdModel::scores makes one pass over d per block of classes; the reference
+// is the per-class loop it replaced (three passes over d per class). main()
+// reports `ratio.scores_single_pass_over_per_class/<k>`.
+std::vector<float> per_class_scores(const core::HdModel& model, std::span<const float> encoded) {
+  std::vector<float> out(model.num_classes());
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    out[c] = tensor::cosine(encoded, model.class_hypervectors().row(c));
+  }
+  return out;
+}
+
+core::HdModel random_model(std::uint32_t k, std::uint32_t d) {
+  core::HdModel model(k, d);
+  Rng rng(18);
+  rng.fill_gaussian(model.class_hypervectors().data(), model.class_hypervectors().size());
+  return model;
+}
+
+void BM_ScoresSinglePass(benchmark::State& state) {
+  const auto k = static_cast<std::uint32_t>(state.range(0));
+  const auto d = static_cast<std::uint32_t>(state.range(1));
+  const auto model = random_model(k, d);
+  const auto encoded = random_f(1, d, 19);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.scores(encoded.row(0), core::Similarity::kCosine));
+  }
+  state.SetItemsProcessed(state.iterations() * k * d);
+}
+BENCHMARK(BM_ScoresSinglePass)->Args({5, 2048})->Args({26, 10000});
+
+void BM_ScoresPerClass(benchmark::State& state) {
+  const auto k = static_cast<std::uint32_t>(state.range(0));
+  const auto d = static_cast<std::uint32_t>(state.range(1));
+  const auto model = random_model(k, d);
+  const auto encoded = random_f(1, d, 19);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(per_class_scores(model, encoded.row(0)));
+  }
+  state.SetItemsProcessed(state.iterations() * k * d);
+}
+BENCHMARK(BM_ScoresPerClass)->Args({5, 2048})->Args({26, 10000});
 
 void BM_Vecmat(benchmark::State& state) {
   const auto d = static_cast<std::size_t>(state.range(0));
@@ -351,6 +439,11 @@ int main(int argc, char** argv) {
   for (const char* k : {"27", "561"}) {
     ratio(std::string("ratio.fc_int8_packed_over_reference/") + k,
           std::string("BM_FcInt8Reference/") + k, std::string("BM_FcInt8Packed/") + k);
+  }
+  ratio("ratio.tanh_vector_over_libm", "BM_TanhLibm", "BM_TanhVector");
+  for (const auto& [k, shape] : {std::pair{"5", "5/2048"}, std::pair{"26", "26/10000"}}) {
+    ratio(std::string("ratio.scores_single_pass_over_per_class/") + k,
+          std::string("BM_ScoresPerClass/") + shape, std::string("BM_ScoresSinglePass/") + shape);
   }
   reporter.write();
   return 0;

@@ -1,5 +1,10 @@
 #include "core/model.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <utility>
+
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "tensor/ops.hpp"
@@ -16,13 +21,69 @@ HdModel::HdModel(tensor::MatrixF class_hypervectors) : class_hvs_(std::move(clas
             "class hypervector matrix must be k x d with k >= 2");
 }
 
+namespace {
+
+// Classes scored per pass over d: a pass keeps 2 * kClassBlock + 1 double
+// accumulators, which fit the 16 vector registers of SSE2 or NEON in pairs.
+constexpr std::size_t kClassBlock = 8;
+
+// Scores the N class rows at `rows` (d floats apart) against `e` in one
+// pass over d. The query's squared norm, each class's dot product and each
+// class's squared norm sum in doubles of their own, in ascending index from
+// +0, exactly as tensor::l2_norm and tensor::dot sum them, so every score is
+// bit-identical to tensor::cosine (or tensor::dot) of that class.
+template <std::size_t N, bool kCosine>
+void score_block(const float* e, const float* rows, std::size_t d, float* out) {
+  double dot[N] = {};
+  double norm[N] = {};
+  double query = 0.0;
+  for (std::size_t i = 0; i < d; ++i) {
+    const double x = e[i];
+    if constexpr (kCosine) {
+      query += x * x;
+    }
+    for (std::size_t j = 0; j < N; ++j) {
+      const double y = rows[j * d + i];
+      dot[j] += x * y;
+      if constexpr (kCosine) {
+        norm[j] += y * y;
+      }
+    }
+  }
+  const auto query_norm = static_cast<float>(std::sqrt(query));
+  for (std::size_t j = 0; j < N; ++j) {
+    if constexpr (kCosine) {
+      const auto class_norm = static_cast<float>(std::sqrt(norm[j]));
+      out[j] = query_norm == 0.0F || class_norm == 0.0F
+                   ? 0.0F
+                   : static_cast<float>(dot[j]) / (query_norm * class_norm);
+    } else {
+      out[j] = static_cast<float>(dot[j]);
+    }
+  }
+}
+
+using ScoreBlockFn = void (*)(const float*, const float*, std::size_t, float*);
+
+// score_block<1..kClassBlock, kCosine>, indexed by block size - 1.
+template <bool kCosine, std::size_t... I>
+constexpr std::array<ScoreBlockFn, sizeof...(I)> score_blocks(std::index_sequence<I...>) {
+  return {&score_block<I + 1, kCosine>...};
+}
+constexpr auto kCosineBlocks = score_blocks<true>(std::make_index_sequence<kClassBlock>{});
+constexpr auto kDotBlocks = score_blocks<false>(std::make_index_sequence<kClassBlock>{});
+
+}  // namespace
+
 std::vector<float> HdModel::scores(std::span<const float> encoded, Similarity metric) const {
   HDC_CHECK(encoded.size() == class_hvs_.cols(), "encoded width disagrees with model dim");
-  std::vector<float> out(class_hvs_.rows());
-  for (std::size_t c = 0; c < class_hvs_.rows(); ++c) {
-    const auto hv = class_hvs_.row(c);
-    out[c] = metric == Similarity::kCosine ? tensor::cosine(encoded, hv)
-                                           : tensor::dot(encoded, hv);
+  const std::size_t k = class_hvs_.rows();
+  const std::size_t d = class_hvs_.cols();
+  const auto& blocks = metric == Similarity::kCosine ? kCosineBlocks : kDotBlocks;
+  std::vector<float> out(k);
+  for (std::size_t c = 0; c < k; c += kClassBlock) {
+    const std::size_t n = std::min(kClassBlock, k - c);
+    blocks[n - 1](encoded.data(), class_hvs_.data() + c * d, d, out.data() + c);
   }
   return out;
 }

@@ -36,7 +36,7 @@ std::array<std::int8_t, 256> build_tanh_lut(const Quantization& in, const Quanti
   std::array<std::int8_t, 256> lut{};
   for (int q = -128; q <= 127; ++q) {
     const float real = in.dequantize(q);
-    const float t = std::tanh(real);
+    const float t = tensor::tanh(real);
     lut[static_cast<std::size_t>(q + 128)] = out.quantize(t);
   }
   return lut;

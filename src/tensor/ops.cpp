@@ -385,12 +385,6 @@ std::size_t argmax_i32(std::span<const std::int32_t> v) {
   return static_cast<std::size_t>(std::max_element(v.begin(), v.end()) - v.begin());
 }
 
-void tanh_inplace(std::span<float> v) {
-  for (float& x : v) {
-    x = std::tanh(x);
-  }
-}
-
 MatrixF transpose(const MatrixF& a) {
   MatrixF t(a.cols(), a.rows());
   for (std::size_t i = 0; i < a.rows(); ++i) {

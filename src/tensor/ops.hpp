@@ -60,7 +60,14 @@ float cosine(std::span<const float> a, std::span<const float> b);
 std::size_t argmax(std::span<const float> v);
 std::size_t argmax_i32(std::span<const std::int32_t> v);
 
-/// Elementwise tanh in place.
+/// tanh(x) as the fdlibm `tanhf` computes it (the one glibc 2.36 ships):
+/// bit-equal to `std::tanh` there. Built without fused multiply-adds, so
+/// its bits do not depend on the platform. The one float tanh of the
+/// library (see tanh.cpp).
+float tanh(float x);
+
+/// Elementwise tanh in place, four lanes at a time; every element equals
+/// `tanh(float)` bit for bit.
 void tanh_inplace(std::span<float> v);
 
 /// B = A^T.

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/bagging.hpp"
 #include "core/encoder.hpp"
 #include "core/model.hpp"
@@ -219,6 +225,73 @@ TEST(HdModelTest, ClassIndexOutOfRangeThrows) {
   HdModel model(2, 4);
   std::vector<float> e(4);
   EXPECT_THROW(model.bundle(2, e, 1.0F), Error);
+}
+
+// The per-class loop `scores` replaced: one tensor::cosine / tensor::dot per
+// class, each a separate pass over d.
+std::vector<float> per_class_scores(const HdModel& model, std::span<const float> encoded,
+                                    Similarity metric) {
+  std::vector<float> out(model.num_classes());
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    const auto hv = model.class_hypervectors().row(c);
+    out[c] = metric == Similarity::kCosine ? tensor::cosine(encoded, hv)
+                                           : tensor::dot(encoded, hv);
+  }
+  return out;
+}
+
+void expect_scores_bit_identical(const HdModel& model, std::span<const float> encoded) {
+  for (const Similarity metric : {Similarity::kCosine, Similarity::kDot}) {
+    const auto got = model.scores(encoded, metric);
+    const auto want = per_class_scores(model, encoded, metric);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[c]), std::bit_cast<std::uint32_t>(want[c]))
+          << "class " << c << " of " << got.size() << ", d = " << encoded.size()
+          << (metric == Similarity::kCosine ? ", cosine" : ", dot");
+    }
+  }
+}
+
+TEST(HdModelTest, SinglePassScoresEqualPerClassLoopBitForBit) {
+  Rng rng(41);
+  for (const std::uint32_t k : {2U, 5U, 12U, 26U, 33U}) {
+    for (const std::uint32_t d : {1U, 7U, 2048U, 10000U}) {
+      HdModel model(k, d);
+      auto& hvs = model.class_hypervectors();
+      rng.fill_gaussian(hvs.data(), hvs.size());
+      std::vector<float> encoded(d);
+      rng.fill_gaussian(encoded.data(), d);
+      tensor::tanh_inplace(encoded);
+      expect_scores_bit_identical(model, encoded);
+
+      // Zero-norm branches: an all-zero class row, then a zero query.
+      const auto zero_row = hvs.row(k / 2);
+      std::fill(zero_row.begin(), zero_row.end(), 0.0F);
+      expect_scores_bit_identical(model, encoded);
+      const std::vector<float> zero(d, 0.0F);
+      expect_scores_bit_identical(model, zero);
+
+      // Scores read the class rows as they are now: nothing is cached
+      // across a bundle or a detach.
+      model.bundle(0, encoded, 0.75F);
+      model.detach(k - 1, encoded, 0.25F);
+      model.bundle(k / 2, encoded, 1.0F);
+      expect_scores_bit_identical(model, encoded);
+
+      // A cancelling pair of 2^80 products up front: summed in ascending
+      // index it cancels before the other terms arrive, in any other order
+      // it swallows them, so a reordered sum shows in the float score.
+      if (d >= 2) {
+        encoded[0] = encoded[1] = 0x1p40F;
+        for (std::size_t c = 0; c < k; ++c) {
+          hvs(c, 0) = 0x1p40F;
+          hvs(c, 1) = -0x1p40F;
+        }
+        expect_scores_bit_identical(model, encoded);
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------- Trainer ----

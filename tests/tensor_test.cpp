@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numbers>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
@@ -351,6 +357,141 @@ TEST(TanhTest, BoundedAndOdd) {
   EXPECT_NEAR(v[4], 1.0F, 1e-5F);
   EXPECT_EQ(v[2], 0.0F);
   EXPECT_NEAR(v[1], -v[3], 1e-6F);
+}
+
+// The scalar port is checked against the C library only where that library
+// is the one it ports: glibc 2.36 on x86-64 ships the fdlibm tanhf/expm1f.
+// Later glibc releases replaced tanhf, so elsewhere the comparison skips.
+#if defined(__GLIBC__) && defined(__x86_64__) && __GLIBC__ == 2 && __GLIBC_MINOR__ <= 36
+constexpr bool kLibmTanhIsFdlibm = true;
+#else
+constexpr bool kLibmTanhIsFdlibm = false;
+#endif
+
+// tanh_inplace runs blocks of this length: not a multiple of 4, so every
+// block ends in the scalar tail and the 4-lane groups start at every offset
+// of a contiguous pattern range over consecutive blocks.
+constexpr std::size_t kOddBlock = 1023;
+
+bool same_tanh(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+struct TanhMismatches {
+  std::uint64_t vector = 0;  ///< tanh_inplace differs from tanh(float)
+  std::uint64_t libm = 0;    ///< tanh(float) differs from std::tanh
+  std::uint32_t first_vector = 0;
+  std::uint32_t first_libm = 0;
+
+  void add(const TanhMismatches& other) {
+    if (vector == 0 && other.vector != 0) {
+      first_vector = other.first_vector;
+    }
+    if (libm == 0 && other.libm != 0) {
+      first_libm = other.first_libm;
+    }
+    vector += other.vector;
+    libm += other.libm;
+  }
+};
+
+// Runs the float bit patterns in `patterns` through tanh_inplace in
+// kOddBlock blocks and compares each result with the scalar port, and the
+// scalar port with std::tanh when `with_libm`.
+TanhMismatches check_tanh(std::span<const std::uint32_t> patterns, bool with_libm) {
+  TanhMismatches out;
+  std::vector<float> block(kOddBlock);
+  for (std::size_t begin = 0; begin < patterns.size(); begin += kOddBlock) {
+    const std::size_t n = std::min(kOddBlock, patterns.size() - begin);
+    for (std::size_t i = 0; i < n; ++i) {
+      block[i] = std::bit_cast<float>(patterns[begin + i]);
+    }
+    tanh_inplace({block.data(), n});
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t bits = patterns[begin + i];
+      const float x = std::bit_cast<float>(bits);
+      const float scalar = tanh(x);
+      if (!same_tanh(block[i], scalar) && out.vector++ == 0) {
+        out.first_vector = bits;
+      }
+      if (with_libm && !same_tanh(scalar, std::tanh(x)) && out.libm++ == 0) {
+        out.first_libm = bits;
+      }
+    }
+  }
+  return out;
+}
+
+// Every branch threshold of the fdlibm pair, as |x| bit patterns: tanhf's
+// 2^-55, 1 and 22; expm1f's 2^-25, 0.5 ln2 and 1.5 ln2 on u = -2|x|; the
+// expm1f exponent cases k = 23 and k = 57 on u = 2|x| (u = 22.5 ln2 and
+// 56.5 ln2); and inf, whose window runs into the NaNs.
+std::vector<std::uint32_t> tanh_branch_windows() {
+  const float ln2 = std::numbers::ln2_v<float>;
+  const std::uint32_t thresholds[] = {
+      0x24000000, 0x32800000, std::bit_cast<std::uint32_t>(0.25F * ln2),
+      std::bit_cast<std::uint32_t>(0.75F * ln2), 0x3f800000,
+      std::bit_cast<std::uint32_t>(11.25F * ln2), std::bit_cast<std::uint32_t>(28.25F * ln2),
+      0x41b00000, 0x7f800000};
+  constexpr std::uint32_t kHalfWidth = 1U << 14;
+  std::vector<std::uint32_t> patterns;
+  for (const std::uint32_t sign : {0U, 0x80000000U}) {
+    for (const std::uint32_t t : thresholds) {
+      for (std::uint32_t b = t - kHalfWidth; b != t + kHalfWidth; ++b) {
+        patterns.push_back(sign | b);
+      }
+    }
+  }
+  return patterns;
+}
+
+TEST(TanhTest, VectorEqualsScalarPortAroundEveryBranch) {
+  std::vector<std::uint32_t> patterns = tanh_branch_windows();
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4099) {
+    patterns.push_back(static_cast<std::uint32_t>(b));  // plus a strided sweep
+  }
+  patterns.insert(patterns.end(), {0x00000000U, 0x80000000U, 0x00000001U, 0x7f7fffffU,
+                                   0x7f800000U, 0xff800000U, 0x7fc00000U, 0xffc00001U});
+  const TanhMismatches m = check_tanh(patterns, kLibmTanhIsFdlibm);
+  EXPECT_EQ(m.vector, 0U) << "first at bits 0x" << std::hex << m.first_vector;
+  EXPECT_EQ(m.libm, 0U) << "first at bits 0x" << std::hex << m.first_libm;
+}
+
+TEST(TanhTest, ScalarPortIsOddSaturatesAndKeepsSpecials) {
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(tanh(-0.0F)), 0x80000000U);
+  EXPECT_EQ(tanh(0.0F), 0.0F);
+  EXPECT_EQ(tanh(1e-30F), 1e-30F);
+  EXPECT_EQ(tanh(22.0F), 1.0F);
+  EXPECT_EQ(tanh(-std::numeric_limits<float>::infinity()), -1.0F);
+  EXPECT_TRUE(std::isnan(tanh(std::numeric_limits<float>::quiet_NaN())));
+  for (const float x : {0.1F, 0.5F, 0.9F, 1.0F, 3.0F, 9.0F}) {
+    EXPECT_EQ(tanh(-x), -tanh(x));
+    EXPECT_NEAR(tanh(x), std::tanh(static_cast<double>(x)), 1e-7);
+  }
+}
+
+// Every float bit pattern (tier2: about 15 s on 4 threads). Ranges of
+// patterns run on the worker pool; each checks in kOddBlock blocks.
+TEST(TanhExhaustiveTest, EveryFloatMatchesScalarPortAndLibm) {
+  constexpr std::uint64_t kSlice = std::uint64_t{1} << 20;
+  constexpr std::size_t kSlices = (std::uint64_t{1} << 32) / kSlice;
+  std::vector<TanhMismatches> per_slice(kSlices);
+  parallel::parallel_for(0, kSlices, [&](std::size_t lo, std::size_t hi) {
+    std::vector<std::uint32_t> patterns(kSlice);
+    for (std::size_t s = lo; s < hi; ++s) {
+      for (std::uint64_t i = 0; i < kSlice; ++i) {
+        patterns[i] = static_cast<std::uint32_t>(s * kSlice + i);
+      }
+      per_slice[s] = check_tanh(patterns, kLibmTanhIsFdlibm);
+    }
+  });
+  TanhMismatches total;
+  for (const TanhMismatches& m : per_slice) {
+    total.add(m);
+  }
+  EXPECT_EQ(total.vector, 0U) << "first at bits 0x" << std::hex << total.first_vector;
+  EXPECT_EQ(total.libm, 0U) << "first at bits 0x" << std::hex << total.first_libm;
 }
 
 // ------------------------------------------------------------- reshape ----
