@@ -26,6 +26,7 @@
 #include "lite/interpreter.hpp"
 #include "lite/quantize.hpp"
 #include "nn/wide_nn.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tpu/systolic.hpp"
 
@@ -209,6 +210,137 @@ void BM_TanhLibm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pre.size()));
 }
 BENCHMARK(BM_TanhLibm);
+
+// The two compilations of the host kernels (tensor/kernels.hpp) on one lane:
+// the portable (SSE2/NEON) instantiation against the AVX2 one, on the
+// serve-online-wide encode shape (128 x 561 into d = 2048), the tanh
+// pre-activations above, and the int8 FC shapes above. The AVX2 runs are
+// skipped on a CPU without AVX2, and their ratios are then not reported.
+// main() reports `ratio.gemm_avx2_over_portable`,
+// `ratio.tanh_avx2_over_portable` and `ratio.fc_int8_avx2_over_portable/<k>`.
+const tensor::kernels::KernelSet* kernel_set(benchmark::State& state, bool avx2) {
+  const tensor::kernels::KernelSet* set =
+      avx2 ? tensor::kernels::avx2() : &tensor::kernels::portable();
+  if (set == nullptr) {
+    state.SkipWithError("no AVX2 on this CPU or build");
+  }
+  return set;
+}
+
+void gemm_width(benchmark::State& state, bool avx2) {
+  const tensor::kernels::KernelSet* set = kernel_set(state, avx2);
+  if (set == nullptr) {
+    return;
+  }
+  const auto a = random_f(kChunkRows, kChunkFeatures, 13);
+  const auto b = random_f(kChunkFeatures, kChunkDim, 12);
+  for (auto _ : state) {
+    tensor::MatrixF c(kChunkRows, kChunkDim, 0.0F);
+    set->matmul_cols(a, b, c, 0, kChunkDim);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kChunkRows * kChunkFeatures * kChunkDim);
+}
+void BM_GemmPortable(benchmark::State& state) { gemm_width(state, false); }
+void BM_GemmAvx2(benchmark::State& state) { gemm_width(state, true); }
+BENCHMARK(BM_GemmPortable)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GemmAvx2)->Unit(benchmark::kMillisecond);
+
+void tanh_width(benchmark::State& state, bool avx2) {
+  const tensor::kernels::KernelSet* set = kernel_set(state, avx2);
+  if (set == nullptr) {
+    return;
+  }
+  const auto pre = encoder_preactivations();
+  std::vector<float> v(pre.size());
+  for (auto _ : state) {
+    std::copy(pre.begin(), pre.end(), v.begin());
+    set->tanh_inplace(v);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pre.size()));
+}
+void BM_TanhPortable(benchmark::State& state) { tanh_width(state, false); }
+void BM_TanhAvx2(benchmark::State& state) { tanh_width(state, true); }
+BENCHMARK(BM_TanhPortable);
+BENCHMARK(BM_TanhAvx2);
+
+void fc_int8_width(benchmark::State& state, bool avx2) {
+  const tensor::kernels::KernelSet* set = kernel_set(state, avx2);
+  if (set == nullptr) {
+    return;
+  }
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto x = random_i8(kFcRows, k, 14);
+  const auto w = random_i8(k, kFcCols, 15);
+  const auto packed = tensor::pack_weights_i8({w.data(), w.size()}, k, kFcCols);
+  for (auto _ : state) {
+    tensor::MatrixI32 c(kFcRows, kFcCols, 0);
+    set->matmul_i8_packed_rows(x, 3, packed, c, 0, kFcRows);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kFcRows * k * kFcCols);
+}
+void BM_FcInt8Portable(benchmark::State& state) { fc_int8_width(state, false); }
+void BM_FcInt8Avx2(benchmark::State& state) { fc_int8_width(state, true); }
+BENCHMARK(BM_FcInt8Portable)->Arg(27)->Arg(561);
+BENCHMARK(BM_FcInt8Avx2)->Arg(27)->Arg(561);
+
+// Requantisation of one 64-row block of int8 FC accumulators into d = 2048
+// with per-channel scales: the vector kernel behind the interpreter (the
+// active instantiation) against the per-element std::round loop it
+// replaced. main() reports `ratio.requant_vector_over_round`.
+struct RequantInput {
+  tensor::MatrixI32 acc;
+  std::vector<double> scales;
+  double multiplier = 0.0;
+};
+
+RequantInput requant_input() {
+  RequantInput in;
+  in.acc = tensor::MatrixI32(kFcRows, kFcCols);
+  Rng rng(18);
+  for (auto& v : in.acc.storage()) {
+    v = static_cast<std::int32_t>(rng.next_below(200001)) - 100000;
+  }
+  in.scales.resize(kFcCols);
+  for (auto& s : in.scales) {
+    s = 1e-3 * (1.0 + rng.next_double());
+  }
+  in.multiplier = 0.02 / 0.9;
+  return in;
+}
+
+void BM_RequantVector(benchmark::State& state) {
+  const RequantInput in = requant_input();
+  tensor::MatrixI8 out(kFcRows, kFcCols);
+  for (auto _ : state) {
+    tensor::requantize_i8(in.acc, in.multiplier, in.scales, -5, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kFcRows * kFcCols);
+}
+BENCHMARK(BM_RequantVector);
+
+void BM_RequantRound(benchmark::State& state) {
+  const RequantInput in = requant_input();
+  tensor::MatrixI8 out(kFcRows, kFcCols);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < kFcRows; ++r) {
+      for (std::size_t j = 0; j < kFcCols; ++j) {
+        const double scaled =
+            std::round(static_cast<double>(in.acc(r, j)) * in.multiplier * in.scales[j]) - 5;
+        out(r, j) = static_cast<std::int8_t>(std::clamp(scaled, -128.0, 127.0));
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kFcRows * kFcCols);
+}
+BENCHMARK(BM_RequantRound);
 
 // Cosine scores of one encoded sample against k classes of width d: the fleet
 // (k = 5, d = 2048) and the paper's ISOLET model (k = 26, d = 10000).
@@ -445,6 +577,13 @@ int main(int argc, char** argv) {
     ratio(std::string("ratio.scores_single_pass_over_per_class/") + k,
           std::string("BM_ScoresPerClass/") + shape, std::string("BM_ScoresSinglePass/") + shape);
   }
+  ratio("ratio.gemm_avx2_over_portable", "BM_GemmPortable", "BM_GemmAvx2");
+  ratio("ratio.tanh_avx2_over_portable", "BM_TanhPortable", "BM_TanhAvx2");
+  for (const char* k : {"27", "561"}) {
+    ratio(std::string("ratio.fc_int8_avx2_over_portable/") + k,
+          std::string("BM_FcInt8Portable/") + k, std::string("BM_FcInt8Avx2/") + k);
+  }
+  ratio("ratio.requant_vector_over_round", "BM_RequantRound", "BM_RequantVector");
   reporter.write();
   return 0;
 }

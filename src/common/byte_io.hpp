@@ -87,6 +87,9 @@ class ByteReader {
     HDC_CHECK(count <= max_elements, "vector length exceeds sanity bound");
     require(count * sizeof(T));
     std::vector<T> values(count);
+    if (count == 0) {
+      return values;  // an empty vector's data() may be null: no memcpy from or to it
+    }
     std::memcpy(values.data(), data_.data() + cursor_, count * sizeof(T));
     cursor_ += count * sizeof(T);
     return values;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -92,6 +91,8 @@ LiteInterpreter::LiteInterpreter(const LiteModel& model) {
       } else {
         HDC_CHECK(in.quant.zero_point >= -128 && in.quant.zero_point <= 127,
                   "int8 FULLY_CONNECTED input zero point out of range");
+        HDC_CHECK(out.quant.zero_point >= -128 && out.quant.zero_point <= 127,
+                  "int8 FULLY_CONNECTED output zero point out of range");
         const std::int8_t* w = weights.typed_data<std::int8_t>();
         step.weights_i8 = tensor::pack_weights_i8({w, in_width * out_width}, in_width, out_width);
         // Per-channel weights carry one scale per output column; per-tensor
@@ -145,15 +146,8 @@ void LiteInterpreter::run_block(const tensor::MatrixF& inputs, std::size_t begin
           y = tensor::MatrixI8(rows, step.width);
           const double in_over_out = static_cast<double>(step.in_quant.scale) /
                                      static_cast<double>(step.out_quant.scale);
-          for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t j = 0; j < step.width; ++j) {
-              const double scaled =
-                  std::round(static_cast<double>(acc(r, j)) * in_over_out *
-                             step.weight_scales[j]) +
-                  step.out_quant.zero_point;
-              y(r, j) = static_cast<std::int8_t>(std::clamp(scaled, -128.0, 127.0));
-            }
-          }
+          tensor::requantize_i8(acc, in_over_out, step.weight_scales,
+                                step.out_quant.zero_point, y);
         }
         break;
       }

@@ -1,6 +1,8 @@
 #include "runtime/resilient.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -104,14 +106,23 @@ ResilientExecutor::Outcome ResilientExecutor::run(const tpu::CompiledModel& comp
     return outcome;
   }
 
+  // The device's outputs for the whole batch, computed once up front; each
+  // sample's simulated invocation (and every retry of it) then frames its
+  // row of them, and the rows the device completes are kept.
   const bool functional = options.mode == tpu::ExecutionMode::kFunctional;
+  lite::InferenceResult device_outputs;
+  if (functional) {
+    device_outputs = device_->compute_outputs(compiled, inputs);
+  }
   std::vector<float> values;
   std::vector<std::int32_t> classes;
   std::size_t out_width = 0;
   bool has_classes = false;
   bool width_known = false;
 
-  const auto append_rows = [&](const lite::InferenceResult& part) {
+  // Appends rows [begin, begin + count) of `part` to the batch result.
+  const auto append_rows = [&](const lite::InferenceResult& part, std::size_t begin,
+                               std::size_t count) {
     if (!functional) {
       return;
     }
@@ -122,15 +133,21 @@ ResilientExecutor::Outcome ResilientExecutor::run(const tpu::CompiledModel& comp
     }
     HDC_CHECK(part.values.cols() == out_width && part.has_classes == has_classes,
               "device model and CPU fallback model disagree on output shape");
-    values.insert(values.end(), part.values.storage().begin(), part.values.storage().end());
-    classes.insert(classes.end(), part.classes.begin(), part.classes.end());
+    const auto first = part.values.storage().begin() +
+                       static_cast<std::ptrdiff_t>(begin * out_width);
+    values.insert(values.end(), first, first + static_cast<std::ptrdiff_t>(count * out_width));
+    if (has_classes) {
+      const auto first_class = part.classes.begin() + static_cast<std::ptrdiff_t>(begin);
+      classes.insert(classes.end(), first_class,
+                     first_class + static_cast<std::ptrdiff_t>(count));
+    }
   };
 
   const auto run_on_cpu = [&](std::size_t begin, std::size_t count) {
     tensor::MatrixF rows(count, inputs.cols());
     std::copy_n(inputs.row(begin).data(), count * inputs.cols(), rows.data());
     auto [result, time] = cpu_.run(cpu_fallback, rows, options.mode, trace_);
-    append_rows(result);
+    append_rows(result, 0, count);
     if (request != nullptr) {
       request->append(obs::Stage::kHost, time, static_cast<std::uint32_t>(begin), 0);
     }
@@ -149,9 +166,6 @@ ResilientExecutor::Outcome ResilientExecutor::run(const tpu::CompiledModel& comp
   std::uint32_t consecutive_failures = 0;
   std::size_t row = 0;
   for (; row < num_samples; ++row) {
-    tensor::MatrixF one(1, inputs.cols());
-    std::copy_n(inputs.row(row).data(), inputs.cols(), one.data());
-
     bool done = false;
     SimDuration sample_spent;  // device time + backoff this sample consumed
     SimDuration backoff = policy_.initial_backoff;
@@ -196,12 +210,16 @@ ResilientExecutor::Outcome ResilientExecutor::run(const tpu::CompiledModel& comp
         backoff = std::min(backoff * policy_.backoff_multiplier, policy_.max_backoff);
       }
       try {
-        auto [result, stats] = device_->invoke(compiled, one, options, host);
+        tpu::ExecutionStats stats;
+        device_->invoke_sample(
+            compiled, functional ? inputs.row(row) : std::span<const float>{},
+            functional ? device_outputs.values.row(row) : std::span<const float>{}, row, options,
+            host, stats);
         outcome.report.device_stats += stats;
         if (request != nullptr) {
           append_stats_spans(*request, stats, static_cast<std::uint32_t>(row), attempt);
         }
-        append_rows(result);
+        append_rows(device_outputs, row, 1);
         outcome.report.tpu_samples += 1;
         consecutive_failures = 0;
         done = true;

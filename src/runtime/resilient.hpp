@@ -60,8 +60,10 @@ struct ResilienceReport {
   ResilienceReport& operator+=(const ResilienceReport& other);
 };
 
-/// Fault-tolerant invoke path: drives the (fault-injectable) Edge TPU device
-/// sample by sample with bounded retry and exponential backoff, re-uploads
+/// Fault-tolerant invoke path: computes the batch's device outputs once
+/// (`EdgeTpuDevice::compute_outputs`), then drives the (fault-injectable)
+/// Edge TPU device sample by sample (`EdgeTpuDevice::invoke_sample`) with
+/// bounded retry and exponential backoff, re-uploads
 /// parameters after SRAM corruption (the device evicts them; the next
 /// attempt's upload is charged automatically), and degrades to the host
 /// `CpuExecutor` — per sample after exhausted retries, or wholesale once the

@@ -8,6 +8,11 @@
 
 namespace hdc::tensor {
 
+// The float GEMM, tanh, packed int8 FC and requantisation kernels below run
+// at the CPU's vector width: each is compiled once portably (SSE2/NEON) and,
+// on x86-64, once for AVX2, and the AVX2 copy is used when the CPU has it
+// (tensor/kernels.hpp). Both copies give the same bits.
+
 /// C = A * B  (float, row-major, register-tiled). Column ranges run on the
 /// host worker pool (see common/parallel.hpp). Each output element sums its
 /// k terms in ascending k from +0, exactly as `vecmat` does for one row, so
@@ -47,6 +52,14 @@ PackedWeightsI8 pack_weights_i8(std::span<const std::int8_t> weights, std::size_
 MatrixI32 matmul_i8_packed(const MatrixI8& a, std::int32_t a_zero_point,
                            const PackedWeightsI8& w);
 
+/// out(r, j) = clamp(round(acc(r, j) * multiplier * column_scales[j]) +
+/// zero_point, -128, 127), with the two multiplies in that order in double
+/// and `round` rounding halves away from zero: exactly what that expression
+/// gives with std::round, at every accumulator, for finite positive scales.
+/// `out` must already have acc's shape; `zero_point` lies in [-128, 127].
+void requantize_i8(const MatrixI32& acc, double multiplier, std::span<const double> column_scales,
+                   std::int32_t zero_point, MatrixI8& out);
+
 /// y += alpha * x.
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
 
@@ -66,8 +79,8 @@ std::size_t argmax_i32(std::span<const std::int32_t> v);
 /// library (see tanh.cpp).
 float tanh(float x);
 
-/// Elementwise tanh in place, four lanes at a time; every element equals
-/// `tanh(float)` bit for bit.
+/// Elementwise tanh in place, a vector of lanes at a time; every element
+/// equals `tanh(float)` bit for bit.
 void tanh_inplace(std::span<float> v);
 
 /// B = A^T.

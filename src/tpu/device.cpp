@@ -289,6 +289,13 @@ TpuProgram EdgeTpuDevice::trace(const CompiledModel& model) const {
   return assembler.assemble(model);
 }
 
+lite::InferenceResult EdgeTpuDevice::compute_outputs(const CompiledModel& model,
+                                                     const tensor::MatrixF& inputs) const {
+  // Bit-exact int8 semantics; equivalence of the MXU tile engine with
+  // these reference kernels is established by the systolic property tests.
+  return prepared_interpreter(model).run(inputs, trace_);
+}
+
 std::pair<lite::InferenceResult, ExecutionStats> EdgeTpuDevice::invoke(
     const CompiledModel& model, const tensor::MatrixF& inputs, const InvokeOptions& options,
     const HostCostModel& host) {
@@ -300,9 +307,7 @@ std::pair<lite::InferenceResult, ExecutionStats> EdgeTpuDevice::invoke(
 
   lite::InferenceResult result;
   if (options.mode == ExecutionMode::kFunctional) {
-    // Bit-exact int8 semantics; equivalence of the MXU tile engine with
-    // these reference kernels is established by the systolic property tests.
-    result = prepared_interpreter(model).run(inputs, trace_);
+    result = compute_outputs(model, inputs);
   }
   clock_ += stats.total();
   return {std::move(result), stats};
@@ -313,179 +318,137 @@ std::pair<lite::InferenceResult, ExecutionStats> EdgeTpuDevice::invoke_with_faul
     const HostCostModel& host) {
   const auto num_samples = static_cast<std::uint64_t>(inputs.rows());
   HDC_CHECK(num_samples > 0, "invoke over zero samples");
+  const bool functional = options.mode == ExecutionMode::kFunctional;
+  lite::InferenceResult result;
+  if (functional) {
+    result = compute_outputs(model, inputs);
+  }
+  ExecutionStats stats;
+  for (std::size_t row = 0; row < num_samples; ++row) {
+    invoke_sample(model, functional ? inputs.row(row) : std::span<const float>{},
+                  functional ? result.values.row(row) : std::span<const float>{}, row, options,
+                  host, stats);
+  }
+  return {std::move(result), stats};
+}
+
+void EdgeTpuDevice::invoke_sample(const CompiledModel& model, std::span<const float> input,
+                                  std::span<const float> output, std::uint64_t sample,
+                                  const InvokeOptions& options, const HostCostModel& host,
+                                  ExecutionStats& stats) {
+  HDC_CHECK(faults_ && faults_->enabled(), "invoke_sample needs an enabled fault injector");
   FaultInjector* faults = &*faults_;
 
-  const bool functional = options.mode == ExecutionMode::kFunctional;
-  const lite::LiteInterpreter* interpreter =
-      functional ? &prepared_interpreter(model) : nullptr;
-
   // Frame checksum of a parameter upload: CRC32 chained over every constant
-  // tensor, computed once on first use.
-  std::optional<std::uint32_t> cached_weights_crc;
+  // tensor.
   const auto parameter_crc = [&] {
-    if (!cached_weights_crc) {
-      std::uint32_t crc = 0;
-      for (const auto& tensor : model.model.tensors) {
-        if (tensor.is_constant()) {
-          crc = crc32(tensor.data.data(), tensor.data.size(), crc);
-        }
+    std::uint32_t crc = 0;
+    for (const auto& tensor : model.model.tensors) {
+      if (tensor.is_constant()) {
+        crc = crc32(tensor.data.data(), tensor.data.size(), crc);
       }
-      cached_weights_crc = crc;
     }
-    return *cached_weights_crc;
+    return crc;
   };
 
-  ExecutionStats stats;
   // Portion of stats.total() already folded into the device clock; faults
   // must still charge the simulated time their failed attempt consumed.
-  SimDuration accounted;
-  const auto sync_clock = [&] {
-    clock_ += stats.total() - accounted;
-    accounted = stats.total();
-  };
+  const SimDuration accounted = stats.total();
+  const auto sync_clock = [&] { clock_ += stats.total() - accounted; };
   const auto charge_link = [&stats](const TransferReport& report, SimDuration& bucket) {
     bucket += report.time;
     stats.transfer_retries += report.crc_retries;
     stats.nak_stalls += report.nak_stalls;
   };
 
-  std::vector<float> values;
-  std::vector<std::int32_t> classes;
-  std::size_t out_width = 0;
-  bool has_classes = false;
-  if (functional) {
-    values.reserve(num_samples);
-    classes.reserve(num_samples);
-  }
-
-  for (std::size_t row = 0; row < num_samples; ++row) {
-    // Bus presence: a detach drops the device and its SRAM contents.
-    if (faults->detached(clock_)) {
-      memory_.evict();
-      ExecutionStats partial = stats;
-      partial.device_detaches += 1;
-      sync_clock();
-      throw DeviceLost("device detached from the bus", partial);
-    }
-
-    if (model.has_device_segment()) {
-      // Parameter (re-)upload over the CRC-framed link when not resident.
-      if (!memory_.lookup(model.id) && memory_.fits(model.report.weight_bytes)) {
-        const TransferReport upload =
-            link_.checked_transfer(model.report.weight_bytes, parameter_crc(), faults,
-                                   trace_);
-        charge_link(upload, stats.weight_upload);
-        if (!upload.delivered) {
-          sync_clock();
-          throw TransferCorrupt("parameter upload failed CRC verification", stats);
-        }
-        memory_.make_resident(model.id, model.report.weight_bytes);
-      }
-
-      // SRAM scrub at the invocation boundary: bit flips in resident
-      // parameters are detected before they can silently corrupt outputs.
-      if (memory_.is_resident(model.id) &&
-          faults->sram_bitflips(model.report.weight_bytes) > 0) {
-        memory_.evict(model.id);
-        ExecutionStats partial = stats;
-        partial.sram_scrubs += 1;
-        sync_clock();
-        throw SramCorrupt("parameter SRAM failed scrubbing; weights evicted", partial);
-      }
-
-      stats.transfer += link_.config().invoke_overhead;
-      if (trace_ != nullptr) {
-        trace_->span(obs::Track::kLink, "usb.invoke_overhead",
-                     link_.config().invoke_overhead);
-      }
-      const std::uint32_t input_crc =
-          functional ? crc32(inputs.row(row).data(), inputs.cols() * sizeof(float)) : 0;
-      const TransferReport in =
-          link_.checked_transfer(model.device_input_bytes, input_crc, faults, trace_);
-      charge_link(in, stats.transfer);
-      if (!in.delivered) {
-        sync_clock();
-        throw TransferCorrupt("input activation transfer failed CRC verification", stats);
-      }
-      if (!memory_.fits(model.report.weight_bytes)) {
-        // Oversized models re-stream parameters from host memory every run.
-        const TransferReport stream =
-            link_.checked_transfer(model.report.weight_bytes, parameter_crc(), faults,
-                                   trace_);
-        charge_link(stream, stats.weight_upload);
-        if (!stream.delivered) {
-          sync_clock();
-          throw TransferCorrupt("streamed parameter transfer failed CRC verification",
-                                stats);
-        }
-      }
-    }
-
-    const ExecutionStats sample = sample_compute_cost(model, host);
-    stats += sample;
-    if (trace_ != nullptr) {
-      trace_->span(obs::Track::kDevice, "mxu.invoke", sample.device_compute,
-                   {{"sample", row}, {"macs", sample.device_macs}});
-      if (!sample.host_compute.is_zero()) {
-        trace_->span(obs::Track::kHost, "host.compute", sample.host_compute,
-                     {{"sample", row}});
-      }
-      if (obs::MetricsRegistry* metrics = trace_->metrics()) {
-        metrics->counter("tpu.invocations").add(1);
-        metrics->counter("tpu.device_macs").add(sample.device_macs);
-        metrics->histogram("tpu.sample_latency")
-            .observe(sample.device_compute + sample.host_compute);
-      }
-    }
-
-    lite::InferenceResult one;
-    if (functional) {
-      tensor::MatrixF one_row(1, inputs.cols());
-      std::copy_n(inputs.row(row).data(), inputs.cols(), one_row.data());
-      one = interpreter->run(one_row, trace_);
-    }
-
-    if (model.has_device_segment()) {
-      const std::uint32_t output_crc =
-          functional ? crc32(one.values.row(0).data(), one.values.cols() * sizeof(float))
-                     : 0;
-      const TransferReport out =
-          link_.checked_transfer(model.device_output_bytes, output_crc, faults, trace_);
-      charge_link(out, stats.transfer);
-      if (!out.delivered) {
-        sync_clock();
-        throw TransferCorrupt("output transfer failed CRC verification", stats);
-      }
-      if (options.interactive) {
-        stats.transfer += link_.config().interactive_round_trip;
-        if (trace_ != nullptr) {
-          trace_->span(obs::Track::kLink, "usb.round_trip",
-                       link_.config().interactive_round_trip);
-        }
-      }
-    }
-
-    if (functional) {
-      if (row == 0) {
-        out_width = one.values.cols();
-        has_classes = one.has_classes;
-      }
-      const auto out_row = one.values.row(0);
-      values.insert(values.end(), out_row.begin(), out_row.end());
-      if (has_classes) {
-        classes.push_back(one.classes[0]);
-      }
-    }
+  // Bus presence: a detach drops the device and its SRAM contents.
+  if (faults->detached(clock_)) {
+    memory_.evict();
+    ExecutionStats partial = stats;
+    partial.device_detaches += 1;
     sync_clock();
+    throw DeviceLost("device detached from the bus", partial);
   }
 
-  lite::InferenceResult result;
-  if (functional) {
-    result.values = tensor::MatrixF(num_samples, out_width, std::move(values));
-    result.classes = std::move(classes);
-    result.has_classes = has_classes;
+  if (model.has_device_segment()) {
+    // Parameter (re-)upload over the CRC-framed link when not resident.
+    if (!memory_.lookup(model.id) && memory_.fits(model.report.weight_bytes)) {
+      const TransferReport upload = link_.checked_transfer(model.report.weight_bytes,
+                                                           parameter_crc(), faults, trace_);
+      charge_link(upload, stats.weight_upload);
+      if (!upload.delivered) {
+        sync_clock();
+        throw TransferCorrupt("parameter upload failed CRC verification", stats);
+      }
+      memory_.make_resident(model.id, model.report.weight_bytes);
+    }
+
+    // SRAM scrub at the invocation boundary: bit flips in resident
+    // parameters are detected before they can silently corrupt outputs.
+    if (memory_.is_resident(model.id) && faults->sram_bitflips(model.report.weight_bytes) > 0) {
+      memory_.evict(model.id);
+      ExecutionStats partial = stats;
+      partial.sram_scrubs += 1;
+      sync_clock();
+      throw SramCorrupt("parameter SRAM failed scrubbing; weights evicted", partial);
+    }
+
+    stats.transfer += link_.config().invoke_overhead;
+    if (trace_ != nullptr) {
+      trace_->span(obs::Track::kLink, "usb.invoke_overhead", link_.config().invoke_overhead);
+    }
+    const TransferReport in = link_.checked_transfer(
+        model.device_input_bytes, crc32(input.data(), input.size_bytes()), faults, trace_);
+    charge_link(in, stats.transfer);
+    if (!in.delivered) {
+      sync_clock();
+      throw TransferCorrupt("input activation transfer failed CRC verification", stats);
+    }
+    if (!memory_.fits(model.report.weight_bytes)) {
+      // Oversized models re-stream parameters from host memory every run.
+      const TransferReport stream = link_.checked_transfer(model.report.weight_bytes,
+                                                           parameter_crc(), faults, trace_);
+      charge_link(stream, stats.weight_upload);
+      if (!stream.delivered) {
+        sync_clock();
+        throw TransferCorrupt("streamed parameter transfer failed CRC verification", stats);
+      }
+    }
   }
-  return {std::move(result), stats};
+
+  const ExecutionStats compute = sample_compute_cost(model, host);
+  stats += compute;
+  if (trace_ != nullptr) {
+    trace_->span(obs::Track::kDevice, "mxu.invoke", compute.device_compute,
+                 {{"sample", sample}, {"macs", compute.device_macs}});
+    if (!compute.host_compute.is_zero()) {
+      trace_->span(obs::Track::kHost, "host.compute", compute.host_compute,
+                   {{"sample", sample}});
+    }
+    if (obs::MetricsRegistry* metrics = trace_->metrics()) {
+      metrics->counter("tpu.invocations").add(1);
+      metrics->counter("tpu.device_macs").add(compute.device_macs);
+      metrics->histogram("tpu.sample_latency")
+          .observe(compute.device_compute + compute.host_compute);
+    }
+  }
+
+  if (model.has_device_segment()) {
+    const TransferReport out = link_.checked_transfer(
+        model.device_output_bytes, crc32(output.data(), output.size_bytes()), faults, trace_);
+    charge_link(out, stats.transfer);
+    if (!out.delivered) {
+      sync_clock();
+      throw TransferCorrupt("output transfer failed CRC verification", stats);
+    }
+    if (options.interactive) {
+      stats.transfer += link_.config().interactive_round_trip;
+      if (trace_ != nullptr) {
+        trace_->span(obs::Track::kLink, "usb.round_trip", link_.config().interactive_round_trip);
+      }
+    }
+  }
+  sync_clock();
 }
 
 }  // namespace hdc::tpu

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "lite/interpreter.hpp"
@@ -92,6 +93,28 @@ class EdgeTpuDevice {
                                                           const InvokeOptions& options,
                                                           const HostCostModel& host);
 
+  /// Functional outputs of `inputs` (one sample per row) through the
+  /// compiled model's prepared interpreter, recorded on this device's trace.
+  /// Charges no simulated time; `invoke` and `invoke_sample` do that.
+  lite::InferenceResult compute_outputs(const CompiledModel& model,
+                                        const tensor::MatrixF& inputs) const;
+
+  /// One sample of a fault-injected invocation: the bus-presence check, the
+  /// CRC-framed parameter upload when the weights are not resident, the SRAM
+  /// scrub, the input transfer, the compute charge and the output transfer,
+  /// each drawing from the attached injector (which must be enabled).
+  /// `input` and `output` are the sample's real payloads, its row of the
+  /// batch and of `compute_outputs` (both empty in timing-only mode), so the
+  /// frame checksums cover them; `sample` labels its trace spans. The
+  /// sample's charges are added to `stats`, which may already hold earlier
+  /// samples of the same invocation, and the device clock advances by what
+  /// they add to `stats.total()`. A fault throws a DeviceFault carrying
+  /// `stats` as charged up to it.
+  void invoke_sample(const CompiledModel& model, std::span<const float> input,
+                     std::span<const float> output, std::uint64_t sample,
+                     const InvokeOptions& options, const HostCostModel& host,
+                     ExecutionStats& stats);
+
   /// Timing-only fast path for paper-scale sample counts.
   ExecutionStats invoke_timing(const CompiledModel& model, std::uint64_t num_samples,
                                const InvokeOptions& options, const HostCostModel& host);
@@ -111,8 +134,8 @@ class EdgeTpuDevice {
   ExecutionStats sample_compute_cost(const CompiledModel& model,
                                      const HostCostModel& host) const;
 
-  /// Per-sample fault-aware execution: CRC-checked transfers, SRAM scrubbing
-  /// and detach checks against the device clock. Throws DeviceFault.
+  /// Fault-aware execution: one `compute_outputs` pass over the batch, then
+  /// `invoke_sample` per row. Throws DeviceFault.
   std::pair<lite::InferenceResult, ExecutionStats> invoke_with_faults(
       const CompiledModel& model, const tensor::MatrixF& inputs,
       const InvokeOptions& options, const HostCostModel& host);

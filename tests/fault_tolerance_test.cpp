@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "lite/builder.hpp"
 #include "lite/quantize.hpp"
 #include "nn/graph.hpp"
+#include "obs/request_trace.hpp"
 #include "platform/cpu_executor.hpp"
 #include "platform/profiles.hpp"
 #include "runtime/framework.hpp"
@@ -539,6 +541,277 @@ TEST_F(FaultInjectionTest, SameSeedReplaysIdenticalRunBitForBit) {
   EXPECT_EQ(a.report.device_stats.sram_scrubs, b.report.device_stats.sram_scrubs);
   EXPECT_EQ(a.report.device_stats.invoke_retries, b.report.device_stats.invoke_retries);
   EXPECT_EQ(a.report.cpu_samples, b.report.cpu_samples);
+}
+
+// ------------------------------------------- batched fault-path oracle ----
+
+/// The executor's request-chain appends for one device attempt, as the
+/// executor makes them.
+void append_attempt_spans(obs::RequestTrace& request, const tpu::ExecutionStats& stats,
+                          std::uint32_t sample, std::uint32_t attempt) {
+  using obs::Stage;
+  if (!stats.retry_backoff.is_zero()) {
+    request.append(Stage::kBackoff, stats.retry_backoff, sample, attempt);
+  }
+  if (!stats.pipelined_makespan.is_zero()) {
+    if (!stats.weight_upload.is_zero()) {
+      request.append(Stage::kTransfer, stats.weight_upload, sample, attempt);
+    }
+    request.append(Stage::kDevice, stats.pipelined_makespan, sample, attempt);
+    return;
+  }
+  if (!stats.transfer.is_zero()) {
+    request.append(Stage::kTransfer, stats.transfer, sample, attempt);
+  }
+  if (!stats.weight_upload.is_zero()) {
+    request.append(Stage::kTransfer, stats.weight_upload, sample, attempt);
+  }
+  if (!stats.device_compute.is_zero()) {
+    request.append(Stage::kDevice, stats.device_compute, sample, attempt);
+  }
+  if (!stats.host_compute.is_zero()) {
+    request.append(Stage::kDeviceHost, stats.host_compute, sample, attempt);
+  }
+}
+
+/// The reference for the executor's fault path: every device attempt is a
+/// 1-row `EdgeTpuDevice::invoke`, which runs the interpreter on that row
+/// alone, with the same retry, backoff, watchdog, circuit-breaker and CPU
+/// fallback rules. The executor instead computes the batch's outputs once and
+/// simulates each attempt through `invoke_sample`; both must agree exactly.
+ResilientExecutor::Outcome per_row_reference(tpu::EdgeTpuDevice& device,
+                                             const platform::CpuExecutor& cpu,
+                                             const RetryPolicy& policy,
+                                             const tpu::CompiledModel& compiled,
+                                             const lite::LiteModel& cpu_fallback,
+                                             const tensor::MatrixF& inputs,
+                                             const tpu::InvokeOptions& options,
+                                             obs::RequestTrace& request) {
+  const tpu::HostCostModel host = cpu.profile().host_cost_model();
+  const bool functional = options.mode == tpu::ExecutionMode::kFunctional;
+  ResilientExecutor::Outcome outcome;
+  std::vector<float> values;
+  std::vector<std::int32_t> classes;
+  std::size_t out_width = 0;
+  bool has_classes = false;
+  const auto append_rows = [&](const lite::InferenceResult& part) {
+    if (functional) {
+      out_width = part.values.cols();
+      has_classes = part.has_classes;
+      values.insert(values.end(), part.values.storage().begin(), part.values.storage().end());
+      classes.insert(classes.end(), part.classes.begin(), part.classes.end());
+    }
+  };
+  const auto run_on_cpu = [&](std::size_t begin, std::size_t count) {
+    tensor::MatrixF rows(count, inputs.cols());
+    std::copy_n(inputs.row(begin).data(), count * inputs.cols(), rows.data());
+    auto [result, time] = cpu.run(cpu_fallback, rows, options.mode);
+    append_rows(result);
+    request.append(obs::Stage::kHost, time, static_cast<std::uint32_t>(begin), 0);
+    outcome.report.cpu_fallback_time += time;
+    outcome.report.cpu_samples += count;
+    outcome.report.device_stats.fallback_samples += count;
+  };
+
+  std::uint32_t consecutive_failures = 0;
+  std::size_t row = 0;
+  for (; row < inputs.rows(); ++row) {
+    tensor::MatrixF one(1, inputs.cols());
+    std::copy_n(inputs.row(row).data(), inputs.cols(), one.data());
+    bool done = false;
+    SimDuration sample_spent;
+    SimDuration backoff = policy.initial_backoff;
+    for (std::uint32_t attempt = 0; attempt < policy.max_attempts && !done; ++attempt) {
+      if (attempt > 0) {
+        if (!policy.sample_deadline.is_zero() &&
+            sample_spent + backoff > policy.sample_deadline) {
+          outcome.report.device_stats.deadline_abandons += 1;
+          outcome.report.expired_samples += 1;
+          break;
+        }
+        outcome.report.device_stats.invoke_retries += 1;
+        outcome.report.device_stats.retry_backoff += backoff;
+        device.advance_clock(backoff);
+        request.append(obs::Stage::kBackoff, backoff, static_cast<std::uint32_t>(row), attempt);
+        sample_spent += backoff;
+        backoff = std::min(backoff * policy.backoff_multiplier, policy.max_backoff);
+      }
+      try {
+        auto [result, stats] = device.invoke(compiled, one, options, host);
+        outcome.report.device_stats += stats;
+        append_attempt_spans(request, stats, static_cast<std::uint32_t>(row), attempt);
+        append_rows(result);
+        outcome.report.tpu_samples += 1;
+        consecutive_failures = 0;
+        done = true;
+      } catch (const tpu::DeviceFault& fault) {
+        outcome.report.device_stats += fault.charged_stats();
+        append_attempt_spans(request, fault.charged_stats(), static_cast<std::uint32_t>(row),
+                             attempt);
+        sample_spent += fault.charged_stats().total();
+        if (++consecutive_failures >= policy.circuit_breaker_threshold) {
+          break;
+        }
+      }
+    }
+    if (done) {
+      continue;
+    }
+    if (consecutive_failures >= policy.circuit_breaker_threshold) {
+      outcome.report.circuit_opened = true;
+      break;
+    }
+    run_on_cpu(row, 1);
+  }
+  if (outcome.report.circuit_opened && row < inputs.rows()) {
+    run_on_cpu(row, inputs.rows() - row);
+  }
+  if (functional) {
+    outcome.result.values = tensor::MatrixF(inputs.rows(), out_width, std::move(values));
+    outcome.result.classes = std::move(classes);
+    outcome.result.has_classes = has_classes;
+  }
+  return outcome;
+}
+
+void expect_same_stats(const tpu::ExecutionStats& a, const tpu::ExecutionStats& b) {
+  EXPECT_EQ(a.device_compute.to_seconds(), b.device_compute.to_seconds());
+  EXPECT_EQ(a.host_compute.to_seconds(), b.host_compute.to_seconds());
+  EXPECT_EQ(a.transfer.to_seconds(), b.transfer.to_seconds());
+  EXPECT_EQ(a.weight_upload.to_seconds(), b.weight_upload.to_seconds());
+  EXPECT_EQ(a.pipelined_makespan.to_seconds(), b.pipelined_makespan.to_seconds());
+  EXPECT_EQ(a.retry_backoff.to_seconds(), b.retry_backoff.to_seconds());
+  EXPECT_EQ(a.invocations, b.invocations);
+  EXPECT_EQ(a.device_macs, b.device_macs);
+  EXPECT_EQ(a.host_element_ops, b.host_element_ops);
+  EXPECT_EQ(a.transfer_retries, b.transfer_retries);
+  EXPECT_EQ(a.nak_stalls, b.nak_stalls);
+  EXPECT_EQ(a.sram_scrubs, b.sram_scrubs);
+  EXPECT_EQ(a.device_detaches, b.device_detaches);
+  EXPECT_EQ(a.invoke_retries, b.invoke_retries);
+  EXPECT_EQ(a.fallback_samples, b.fallback_samples);
+  EXPECT_EQ(a.deadline_abandons, b.deadline_abandons);
+}
+
+struct FaultScenario {
+  const char* name;
+  tpu::FaultProfile profile;
+  RetryPolicy policy;
+  tpu::ExecutionMode mode = tpu::ExecutionMode::kFunctional;
+  // Paths the scenario must reach, so the comparison covers them.
+  bool retries = false;
+  bool fallback = false;
+  bool expiries = false;
+  bool breaker = false;
+};
+
+TEST_F(FaultInjectionTest, BatchedFaultPathEqualsPerRowInvokesExactly) {
+  const SimDuration clean_total = clean_invoke().second.total();
+
+  std::vector<FaultScenario> scenarios;
+  {
+    // Link errors that exhaust the CRC retries (TransferCorrupt), NAK stalls
+    // and SRAM flips: device retries with backoff and per-sample CPU
+    // fallback, never the breaker.
+    FaultScenario s{"retries_and_fallback", {}, {}};
+    s.profile.transfer_corrupt_prob = 0.45;
+    s.profile.max_transfer_attempts = 2;
+    s.profile.transfer_nak_prob = 0.2;
+    s.profile.sram_bitflip_per_byte = 2e-5;
+    s.profile.seed = 11;
+    s.policy.circuit_breaker_threshold = 100;
+    s.retries = true;
+    s.fallback = true;
+    scenarios.push_back(s);
+    // The same draws without computing outputs.
+    s.name = "timing_only";
+    s.mode = tpu::ExecutionMode::kTimingOnly;
+    scenarios.push_back(s);
+    // A per-sample deadline: the watchdog abandons some retry sequences.
+    s.name = "deadline_watchdog";
+    s.mode = tpu::ExecutionMode::kFunctional;
+    s.policy.sample_deadline = SimDuration::micros(300);
+    s.expiries = true;
+    scenarios.push_back(s);
+  }
+  {
+    // A detach that outlives the retries: the breaker opens and the tail
+    // finishes on the CPU in one batch.
+    FaultScenario s{"circuit_open", {}, {}};
+    s.profile.detach_at.push_back(clean_total * 0.4);
+    s.profile.transfer_nak_prob = 0.1;
+    s.profile.seed = 12;
+    s.fallback = true;
+    s.breaker = true;
+    scenarios.push_back(s);
+    // A detach the backoff outlasts: the device comes back mid-batch.
+    s.name = "reattach";
+    s.profile.reattach_after = SimDuration::micros(500);
+    s.policy.circuit_breaker_threshold = 20;
+    s.retries = true;
+    s.fallback = false;
+    s.breaker = false;
+    scenarios.push_back(s);
+  }
+
+  const platform::CpuExecutor cpu(platform::host_cpu_profile());
+  for (const FaultScenario& s : scenarios) {
+    SCOPED_TRACE(s.name);
+    tpu::InvokeOptions options = options_;
+    options.mode = s.mode;
+
+    tpu::EdgeTpuDevice ref_device;
+    ref_device.load(compiled_);
+    ref_device.set_fault_injector(tpu::FaultInjector(s.profile));
+    obs::RequestTrace ref_request;
+    ref_request.begin(1, SimDuration());
+    const auto ref = per_row_reference(ref_device, cpu, s.policy, compiled_, float_model_,
+                                       inputs_, options, ref_request);
+    ref_request.finalize(ref_request.cursor);
+
+    tpu::EdgeTpuDevice device;
+    device.load(compiled_);
+    device.set_fault_injector(tpu::FaultInjector(s.profile));
+    ResilientExecutor executor(&device, cpu, s.policy);
+    obs::RequestTrace request;
+    request.begin(1, SimDuration());
+    const auto got = executor.run(compiled_, float_model_, inputs_, options, &request);
+    request.finalize(request.cursor);
+
+    EXPECT_GT(got.report.tpu_samples, 0U);
+    EXPECT_TRUE(!s.retries || got.report.device_stats.invoke_retries > 0);
+    EXPECT_TRUE(!s.fallback || got.report.cpu_samples > 0);
+    EXPECT_TRUE(!s.expiries || got.report.expired_samples > 0);
+    EXPECT_TRUE(!s.breaker || got.report.circuit_opened);
+
+    EXPECT_EQ(got.result.classes, ref.result.classes);
+    EXPECT_EQ(got.result.values.storage(), ref.result.values.storage());
+    EXPECT_EQ(got.result.has_classes, ref.result.has_classes);
+    expect_same_stats(got.report.device_stats, ref.report.device_stats);
+    EXPECT_EQ(got.report.cpu_fallback_time.to_seconds(),
+              ref.report.cpu_fallback_time.to_seconds());
+    EXPECT_EQ(got.report.tpu_samples, ref.report.tpu_samples);
+    EXPECT_EQ(got.report.cpu_samples, ref.report.cpu_samples);
+    EXPECT_EQ(got.report.expired_samples, ref.report.expired_samples);
+    EXPECT_EQ(got.report.circuit_opened, ref.report.circuit_opened);
+    EXPECT_EQ(device.clock().to_seconds(), ref_device.clock().to_seconds());
+
+    ASSERT_EQ(request.spans.size(), ref_request.spans.size());
+    for (std::size_t i = 0; i < request.spans.size(); ++i) {
+      const obs::StageSpan& a = request.spans[i];
+      const obs::StageSpan& b = ref_request.spans[i];
+      EXPECT_EQ(a.stage, b.stage) << "span " << i;
+      EXPECT_EQ(a.start.to_seconds(), b.start.to_seconds()) << "span " << i;
+      EXPECT_EQ(a.duration.to_seconds(), b.duration.to_seconds()) << "span " << i;
+      EXPECT_EQ(a.sample, b.sample) << "span " << i;
+      EXPECT_EQ(a.attempt, b.attempt) << "span " << i;
+    }
+    for (std::size_t st = 0; st < obs::kNumStages; ++st) {
+      EXPECT_EQ(request.attribution.stages[st].to_seconds(),
+                ref_request.attribution.stages[st].to_seconds())
+          << obs::stage_name(static_cast<obs::Stage>(st));
+    }
+  }
 }
 
 TEST_F(FaultInjectionTest, RetryPolicyValidation) {

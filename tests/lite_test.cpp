@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
+#include "kernel_width.hpp"
 #include "lite/builder.hpp"
 #include "lite/interpreter.hpp"
 #include "lite/model.hpp"
@@ -299,6 +305,153 @@ TEST(PackedFcTest, ZeroPointOutsideInt8Rejected) {
   const auto packed = tensor::pack_weights_i8({w.data(), w.size()}, 4, 2);
   EXPECT_THROW(tensor::matmul_i8_packed(x, 128, packed), Error);
   EXPECT_THROW(tensor::matmul_i8_packed(x, -129, packed), Error);
+}
+
+// The packed int8 FC kernel of each instantiation, over the same extremes
+// as EqualsUnpackedLoopIncludingExtremeZeroPoints, in two row ranges.
+class PackedFcWidthTest : public tensor::KernelWidthTest {};
+
+TEST_P(PackedFcWidthTest, EqualsUnpackedLoopIncludingExtremeZeroPoints) {
+  const tensor::kernels::KernelSet& kernels = kernel_set();
+  for (const std::size_t k : {27U, 561U, 2048U}) {
+    for (const std::size_t rows : {1U, 3U, 4U, 9U}) {
+      for (const std::int32_t zero_point : {-128, 0, 127}) {
+        tensor::MatrixI8 x = random_i8(rows, k, k + rows);
+        tensor::MatrixI8 w = random_i8(k, 130, k * 3 + 1);
+        for (std::size_t i = 0; i < k; i += 5) {
+          x(0, i) = -128;
+          w(i, 0) = -128;
+          w(i, 129) = -128;
+        }
+        const auto packed =
+            tensor::pack_weights_i8({w.data(), w.size()}, w.rows(), w.cols());
+        tensor::MatrixI32 acc(rows, w.cols(), 0);
+        kernels.matmul_i8_packed_rows(x, zero_point, packed, acc, 0, 1);
+        kernels.matmul_i8_packed_rows(x, zero_point, packed, acc, 1, rows);
+        ASSERT_EQ(acc, unpacked_fc_i8(x, zero_point, w))
+            << "k=" << k << " rows=" << rows << " zp=" << zero_point;
+      }
+    }
+  }
+}
+
+TEST_P(PackedFcWidthTest, SaturatedInputsReachExactInt32Extremes) {
+  const tensor::MatrixI8 x(5, 2048, static_cast<std::int8_t>(-128));
+  const tensor::MatrixI8 w(2048, 3, static_cast<std::int8_t>(-128));
+  const auto packed = tensor::pack_weights_i8({w.data(), w.size()}, w.rows(), w.cols());
+  tensor::MatrixI32 acc(5, 3, 0);
+  kernel_set().matmul_i8_packed_rows(x, 127, packed, acc, 0, 5);
+  for (const std::int32_t v : acc.storage()) {
+    EXPECT_EQ(v, 2048 * 32640);
+  }
+}
+
+HDC_INSTANTIATE_KERNEL_WIDTHS(PackedFcWidthTest);
+
+/// The interpreter's requantisation before the vector kernel, kept as the
+/// reference: std::round of the double product, plus the zero point,
+/// clamped to int8.
+std::int8_t requantize_reference(std::int32_t acc, double multiplier, double scale,
+                                 std::int32_t zero_point) {
+  const double scaled = std::round(static_cast<double>(acc) * multiplier * scale) + zero_point;
+  return static_cast<std::int8_t>(std::clamp(scaled, -128.0, 127.0));
+}
+
+class RequantizeWidthTest : public tensor::KernelWidthTest {};
+
+// About 10M elements per instantiation: column scales 2^e * [1, 2) for every
+// e in [-30, 10], exact powers of two on every third column, five
+// multipliers and five zero points, against accumulators of four kinds —
+// the int32 extremes and their neighbours, uniform int32, values whose
+// product lands in [-600, 600] where rounding and clamping decide, and exact
+// halves k + 0.5 (with their +-1 neighbours) planted on the power-of-two
+// columns. 37 columns leave a scalar tail on every row.
+TEST_P(RequantizeWidthTest, EqualsStdRoundLoopOnEveryAccumulator) {
+  const tensor::kernels::KernelSet& kernels = kernel_set();
+  constexpr std::size_t kRows = 256;
+  constexpr std::size_t kCols = 37;
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  const std::int32_t extremes[] = {kMin, kMin + 1, kMin + 2, kMax, kMax - 1, kMax - 2,
+                                   0,    1,        -1,       2,    -2,       1 << 30};
+  Rng rng(21);
+  std::uint64_t cases = 0;
+  std::uint64_t mismatches = 0;
+  std::string first;
+  for (int e = -30; e <= 10; ++e) {
+    std::vector<double> scales(kCols);
+    for (std::size_t j = 0; j < kCols; ++j) {
+      scales[j] = std::ldexp(j % 3 == 0 ? 1.0 : 1.0 + rng.next_double(), e);
+    }
+    for (const double multiplier : {1.0, 0.5, 0.01 / 40.0, 0.3, 1.7e-3}) {
+      // Accumulators whose product lands near +-600 for this multiplier.
+      const auto near_range = [&](double scale) {
+        const double p = (rng.next_double() * 2.0 - 1.0) * 600.0 / (multiplier * scale);
+        return static_cast<std::int32_t>(std::clamp(p, -2147483648.0, 2147483647.0));
+      };
+      tensor::MatrixI32 acc(kRows, kCols);
+      for (std::size_t r = 0; r < kRows; ++r) {
+        for (std::size_t j = 0; j < kCols; ++j) {
+          std::int32_t& a = acc(r, j);
+          switch (r % 4) {
+            case 0:
+              a = extremes[(r / 4 + j) % std::size(extremes)];
+              break;
+            case 1:
+              a = static_cast<std::int32_t>(static_cast<std::uint32_t>(rng.next_below(1ULL << 32)));
+              break;
+            case 2:
+              a = near_range(scales[j]);
+              break;
+            default: {
+              // k + 0.5 = a * multiplier * 2^e exactly when multiplier is a
+              // power of two and the shift keeps `a` an int32 integer.
+              const int shift = -e + (multiplier == 0.5 ? 1 : 0);
+              if (j % 3 == 0 && (multiplier == 1.0 || multiplier == 0.5) && shift >= 1 &&
+                  shift <= 21) {
+                const auto half = static_cast<std::int64_t>(rng.next_below(601)) - 300;
+                const std::int64_t planted = (2 * half + 1) << (shift - 1);
+                a = static_cast<std::int32_t>(planted + static_cast<std::int64_t>(r % 3) - 1);
+              } else {
+                a = near_range(scales[j]);
+              }
+            }
+          }
+        }
+      }
+      for (const std::int32_t zero_point : {-128, 0, 127, -3, 42}) {
+        tensor::MatrixI8 out(kRows, kCols);
+        kernels.requantize_i8(acc, multiplier, scales, zero_point, out);
+        for (std::size_t r = 0; r < kRows; ++r) {
+          for (std::size_t j = 0; j < kCols; ++j) {
+            ++cases;
+            const std::int8_t want =
+                requantize_reference(acc(r, j), multiplier, scales[j], zero_point);
+            if (out(r, j) != want && mismatches++ == 0) {
+              first = "acc=" + std::to_string(acc(r, j)) + " multiplier=" +
+                      std::to_string(multiplier) + " scale=2^" + std::to_string(e) +
+                      " zp=" + std::to_string(zero_point);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0U) << "of " << cases << "; first: " << first;
+}
+
+HDC_INSTANTIATE_KERNEL_WIDTHS(RequantizeWidthTest);
+
+TEST(RequantizeTest, RejectsMismatchedShapesAndZeroPoints) {
+  const tensor::MatrixI32 acc(2, 3);
+  const std::vector<double> scales(3, 1.0);
+  tensor::MatrixI8 out(2, 3);
+  EXPECT_NO_THROW(tensor::requantize_i8(acc, 1.0, scales, 0, out));
+  EXPECT_THROW(tensor::requantize_i8(acc, 1.0, scales, 128, out), Error);
+  EXPECT_THROW(tensor::requantize_i8(acc, 1.0, scales, -129, out), Error);
+  EXPECT_THROW(tensor::requantize_i8(acc, 1.0, std::vector<double>(2, 1.0), 0, out), Error);
+  tensor::MatrixI8 wrong(3, 3);
+  EXPECT_THROW(tensor::requantize_i8(acc, 1.0, scales, 0, wrong), Error);
 }
 
 TEST(PackedFcTest, InterpreterMatchesRowByRowReferenceAtExtremes) {

@@ -12,6 +12,8 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "kernel_width.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
 
@@ -396,10 +398,12 @@ struct TanhMismatches {
   }
 };
 
-// Runs the float bit patterns in `patterns` through tanh_inplace in
-// kOddBlock blocks and compares each result with the scalar port, and the
-// scalar port with std::tanh when `with_libm`.
-TanhMismatches check_tanh(std::span<const std::uint32_t> patterns, bool with_libm) {
+// Runs the float bit patterns in `patterns` through `vector_tanh` (the
+// public tanh_inplace unless a test names one instantiation) in kOddBlock
+// blocks and compares each result with the scalar port, and the scalar port
+// with std::tanh when `with_libm`.
+TanhMismatches check_tanh(std::span<const std::uint32_t> patterns, bool with_libm,
+                          void (*vector_tanh)(std::span<float>) = tanh_inplace) {
   TanhMismatches out;
   std::vector<float> block(kOddBlock);
   for (std::size_t begin = 0; begin < patterns.size(); begin += kOddBlock) {
@@ -407,7 +411,7 @@ TanhMismatches check_tanh(std::span<const std::uint32_t> patterns, bool with_lib
     for (std::size_t i = 0; i < n; ++i) {
       block[i] = std::bit_cast<float>(patterns[begin + i]);
     }
-    tanh_inplace({block.data(), n});
+    vector_tanh({block.data(), n});
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t bits = patterns[begin + i];
       const float x = std::bit_cast<float>(bits);
@@ -471,9 +475,10 @@ TEST(TanhTest, ScalarPortIsOddSaturatesAndKeepsSpecials) {
   }
 }
 
-// Every float bit pattern (tier2: about 15 s on 4 threads). Ranges of
-// patterns run on the worker pool; each checks in kOddBlock blocks.
-TEST(TanhExhaustiveTest, EveryFloatMatchesScalarPortAndLibm) {
+// Every float bit pattern through one instantiation of the vector tanh
+// (tier2: about 15 s on 4 threads per instantiation). Ranges of patterns run
+// on the worker pool; each checks in kOddBlock blocks.
+TanhMismatches check_every_float(void (*vector_tanh)(std::span<float>), bool with_libm) {
   constexpr std::uint64_t kSlice = std::uint64_t{1} << 20;
   constexpr std::size_t kSlices = (std::uint64_t{1} << 32) / kSlice;
   std::vector<TanhMismatches> per_slice(kSlices);
@@ -483,15 +488,85 @@ TEST(TanhExhaustiveTest, EveryFloatMatchesScalarPortAndLibm) {
       for (std::uint64_t i = 0; i < kSlice; ++i) {
         patterns[i] = static_cast<std::uint32_t>(s * kSlice + i);
       }
-      per_slice[s] = check_tanh(patterns, kLibmTanhIsFdlibm);
+      per_slice[s] = check_tanh(patterns, with_libm, vector_tanh);
     }
   });
   TanhMismatches total;
   for (const TanhMismatches& m : per_slice) {
     total.add(m);
   }
+  return total;
+}
+
+// The portable instantiation, and the scalar port against the C library.
+TEST(TanhExhaustiveTest, EveryFloatMatchesScalarPortAndLibm) {
+  const TanhMismatches total =
+      check_every_float(kernels::portable().tanh_inplace, kLibmTanhIsFdlibm);
   EXPECT_EQ(total.vector, 0U) << "first at bits 0x" << std::hex << total.first_vector;
   EXPECT_EQ(total.libm, 0U) << "first at bits 0x" << std::hex << total.first_libm;
+}
+
+TEST(TanhExhaustiveTest, Avx2EveryFloatMatchesScalarPort) {
+  const kernels::KernelSet* avx2 = kernels::avx2();
+  if (avx2 == nullptr) {
+    GTEST_SKIP() << "no AVX2 on this CPU or build: only the portable tanh runs here";
+  }
+  const TanhMismatches total = check_every_float(avx2->tanh_inplace, false);
+  EXPECT_EQ(total.vector, 0U) << "first at bits 0x" << std::hex << total.first_vector;
+}
+
+// ------------------------------------------------------- kernel widths ----
+
+// Both compilations of the host kernels against the same references, so the
+// AVX2 instantiation equals the portable one bit for bit wherever both equal
+// the reference (fixture: kernel_width.hpp).
+
+// The shape set of TiledKernelEqualsKAscendingReferenceBitForBit, through
+// one instantiation's column kernel called on two ranges split at a 16-column
+// boundary (as the worker pool splits them), then its tanh row by row.
+TEST_P(KernelWidthTest, GemmAndTanhEqualKAscendingReferenceBitForBit) {
+  const kernels::KernelSet& k = kernel_set();
+  for (const std::size_t rows : {1U, 3U, 5U, 65U}) {
+    for (const std::size_t cols : {1U, 15U, 17U, 2048U}) {
+      for (const std::size_t depth : {1U, 27U, 127U, 129U, 561U}) {
+        if (rows * cols * depth > 20'000'000U) {
+          continue;  // the naive reference would dominate the suite
+        }
+        const MatrixF a = sparse_activations(rows, depth, rows * 1000 + depth);
+        const MatrixF b = random_matrix(depth, cols, cols * 7 + depth);
+        const MatrixF expected = k_ascending_matmul(a, b);
+        MatrixF c(rows, cols, 0.0F);
+        const std::size_t split = std::min<std::size_t>(16, cols);
+        k.matmul_cols(a, b, c, 0, split);
+        k.matmul_cols(a, b, c, split, cols);
+        ASSERT_EQ(c, expected) << rows << "x" << depth << " @ " << depth << "x" << cols;
+        for (std::size_t i = 0; i < rows; ++i) {
+          k.tanh_inplace(c.row(i));
+          for (std::size_t j = 0; j < cols; ++j) {
+            ASSERT_TRUE(same_tanh(c(i, j), tanh(expected(i, j))))
+                << rows << "x" << depth << " @ " << depth << "x" << cols << " (" << i << ", "
+                << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelWidthTest, TanhEqualsScalarPortAroundEveryBranch) {
+  std::vector<std::uint32_t> patterns = tanh_branch_windows();
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4099) {
+    patterns.push_back(static_cast<std::uint32_t>(b));
+  }
+  const TanhMismatches m = check_tanh(patterns, false, kernel_set().tanh_inplace);
+  EXPECT_EQ(m.vector, 0U) << "first at bits 0x" << std::hex << m.first_vector;
+}
+
+HDC_INSTANTIATE_KERNEL_WIDTHS(KernelWidthTest);
+
+TEST(KernelDispatchTest, ActiveIsAvx2ExactlyWhenAvailable) {
+  const kernels::KernelSet* avx2 = kernels::avx2();
+  EXPECT_EQ(&kernels::active(), avx2 != nullptr ? avx2 : &kernels::portable());
 }
 
 // ------------------------------------------------------------- reshape ----
