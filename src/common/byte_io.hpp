@@ -95,6 +95,20 @@ class ByteReader {
     return values;
   }
 
+  /// Checks that `count` serialized elements of at least `min_element_bytes`
+  /// each fit in the bytes left, so a corrupted count or size fails here
+  /// instead of sizing an allocation. Returns `count`.
+  std::uint64_t fits(std::uint64_t count, std::uint64_t min_element_bytes) const {
+    HDC_CHECK(count <= remaining() / min_element_bytes,
+              "serialized element count exceeds the bytes left");
+    return count;
+  }
+
+  /// Reads a u32 element count, checked with `fits`.
+  std::uint32_t read_count(std::uint64_t min_element_bytes) {
+    return static_cast<std::uint32_t>(fits(read<std::uint32_t>(), min_element_bytes));
+  }
+
   std::size_t cursor() const noexcept { return cursor_; }
   std::size_t remaining() const noexcept { return data_.size() - cursor_; }
   bool exhausted() const noexcept { return cursor_ == data_.size(); }

@@ -268,6 +268,8 @@ EnergyAccountant EnergyAccountant::deserialize(ByteReader& reader) {
   config.alarm_joules_per_inference = reader.read<double>();
   config.min_samples = reader.read<std::uint64_t>();
   config.ewma_tau_s = reader.read<double>();
+  // Bound the window by the bytes left before the constructor sizes it.
+  reader.fits(config.window.buckets, 2 * 8);
 
   EnergyAccountant accountant(config);
   accountant.window_.set_cursor(reader.read<std::uint64_t>());

@@ -541,6 +541,18 @@ ModelQualityStats ModelQualityStats::deserialize(ByteReader& reader) {
   config.alarm_confusion_pair = reader.read<double>();
   config.min_class_samples = reader.read<std::uint64_t>();
   config.saturation_band = reader.read<double>();
+  // Bound every shape by the bytes left before the constructor sizes it:
+  // the confusion matrix, each confusion-window bucket (a length plus the
+  // matrix), the calibration bins, and each dimension-window bucket.
+  const std::uint64_t matrix_cells =
+      reader.fits(std::uint64_t{config.num_classes} * config.num_classes, 8);
+  reader.fits(config.window.buckets, 8 * (1 + matrix_cells));
+  reader.fits(config.calibration_bins, 24);
+  if (config.dim > 0) {
+    const std::uint64_t dim_cells =
+        reader.fits(std::uint64_t{config.dim} * (config.num_classes + 2ULL), 8);
+    reader.fits(config.dim_buckets, 8 * (1 + dim_cells));
+  }
 
   ModelQualityStats stats(config);
   stats.window_confusion_.set_cursor(reader.read<std::uint64_t>());

@@ -634,7 +634,10 @@ void detail::write_alarm_events(ByteWriter& w, const std::vector<AlarmEvent>& ev
 }
 
 std::vector<AlarmEvent> detail::read_alarm_events(ByteReader& r) {
-  const auto count = r.read<std::uint32_t>();
+  // Smallest event on the wire: two empty strings (u32 lengths), the fired
+  // flag and four 8-byte scalars.
+  constexpr std::size_t kMinEventBytes = 2 * 4 + 1 + 4 * 8;
+  const auto count = r.read_count(kMinEventBytes);
   std::vector<AlarmEvent> events;
   events.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -796,6 +799,10 @@ ServingMonitor ServingMonitor::deserialize(ByteReader& reader) {
   config.alarm_drift_score = reader.read<double>();
   config.alarm_shed_rate = reader.read<double>();
   config.min_samples = reader.read<std::uint64_t>();
+  // Bound the window shape by the bytes left before the constructor sizes
+  // it: each class-count bucket is a length plus one count per class.
+  reader.fits(config.num_classes, 8);
+  reader.fits(config.window.buckets, 8 * (1 + std::uint64_t{config.num_classes}));
 
   ServingMonitor monitor(config);
   monitor.latency_.restore(reader);

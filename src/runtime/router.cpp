@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,67 +17,13 @@
 #include "data/stream.hpp"
 #include "platform/cpu_executor.hpp"
 #include "runtime/resilient.hpp"
+#include "runtime/shard.hpp"
 #include "tpu/device.hpp"
 #include "tpu/faults.hpp"
 
 namespace hdc::runtime {
 
 namespace {
-
-void write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  HDC_CHECK(out.good(), "cannot open '" + path + "' for writing");
-  out << content;
-  HDC_CHECK(out.good(), "failed writing '" + path + "'");
-}
-
-/// Feeds the router's simulated clock to the structured log for the lifetime
-/// of the session (same convention as the single-device serve loop).
-class LogClockScope {
- public:
-  explicit LogClockScope(const double* clock) {
-    log::set_time_provider([clock] { return *clock; });
-  }
-  ~LogClockScope() { log::set_time_provider(nullptr); }
-  LogClockScope(const LogClockScope&) = delete;
-  LogClockScope& operator=(const LogClockScope&) = delete;
-};
-
-/// A monitor admission record buffered until the (lazily sized) monitor
-/// exists; replayed in order at construction.
-struct AdmissionRecord {
-  SimDuration at;
-  std::uint64_t offered = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t degraded = 0;
-};
-
-/// A `ServingMonitor` whose window span / SLO target auto-size from the
-/// first served batch (the single-device serve loop's lazy convention, one
-/// instance per shard plus one fleet-wide aggregate).
-struct LazyMonitor {
-  std::optional<obs::ServingMonitor> monitor;
-  std::vector<AdmissionRecord> pending;
-
-  void record_admission(SimDuration at, std::uint64_t offered, std::uint64_t shed,
-                        std::uint64_t expired, std::uint64_t degraded) {
-    if (monitor.has_value()) {
-      monitor->record_admission(at, offered, shed, expired, degraded);
-    } else {
-      pending.push_back({at, offered, shed, expired, degraded});
-    }
-  }
-
-  void init(const obs::MonitorConfig& config) {
-    monitor.emplace(config);
-    for (const AdmissionRecord& rec : pending) {
-      monitor->record_admission(rec.at, rec.offered, rec.shed, rec.expired,
-                                rec.degraded);
-    }
-    pending.clear();
-  }
-};
 
 /// One tenant: its own drifting data distribution, its frozen scoring model
 /// (margins for the drift monitor) and its lowered deployment image.
@@ -91,55 +35,24 @@ struct Tenant {
   SimDuration nominal_host;    ///< float model per-sample cost on the CPU
 };
 
-/// One offered request: a chunk of one tenant's stream.
-struct FleetRequest {
-  std::uint64_t id = 0;
-  std::uint32_t tenant = 0;
-  SimDuration arrival;
-  data::Dataset data;
-};
-
 /// One device behind the router: a full simulated accelerator with its own
-/// fault stream, health state machine, bounded queue and SLO monitor.
+/// fault stream, and a shard engine (bounded queue, health state machine,
+/// SLO monitor) that also feeds the fleet-wide monitor.
 struct Shard {
-  Shard(const SystemConfig& system, const tpu::FaultProfile& faults,
-        const HealthConfig& health_config)
+  Shard(const SystemConfig& system, const tpu::FaultProfile& faults, const ServeConfig& config,
+        ServingSession& session)
       : device(system.systolic, system.link, system.sram_bytes),
-        health(health_config) {
+        engine(config, session, monitor, &session.monitor,
+               DeviceHealthTracker(config.health)) {
     device.set_fault_injector(tpu::FaultInjector(faults));
   }
 
   tpu::EdgeTpuDevice device;
-  DeviceHealthTracker health;
-  std::deque<FleetRequest> queue;
-  std::uint64_t queued_samples = 0;
-  SimDuration free_at;
   LazyMonitor monitor;
+  ShardEngine engine;
+  SimDuration free_at;
   FleetShardResult result;
 };
-
-/// Splits a member's pre-service wait into the device-busy portion
-/// (`kQueueWait`, the time the shard was still serving earlier batches) and
-/// the batching hold (`kBatchWait`, time spent waiting for the micro-batch
-/// to coalesce or age out). The two spans sum exactly to the wait.
-void append_wait_spans(obs::RequestTrace& rt, SimDuration arrival,
-                       SimDuration free_before, SimDuration dispatch) {
-  const SimDuration wait = dispatch - arrival;
-  if (wait.is_zero()) {
-    return;
-  }
-  SimDuration queue_wait;
-  if (free_before > arrival) {
-    queue_wait = std::min(wait, free_before - arrival);
-  }
-  const SimDuration batch_wait = wait - queue_wait;
-  if (!queue_wait.is_zero()) {
-    rt.append(obs::Stage::kQueueWait, queue_wait);
-  }
-  if (!batch_wait.is_zero()) {
-    rt.append(obs::Stage::kBatchWait, batch_wait);
-  }
-}
 
 /// Appends the batch's service-stage spans from the resilience report. The
 /// appended durations sum exactly to `report.total()`: pipelined batches
@@ -183,6 +96,26 @@ std::string shard_snapshot_path(const std::string& dir, std::uint32_t index) {
   return (std::filesystem::path(dir) / name).string();
 }
 
+/// Appends `"tenants":[{"tenant":t,<entry(t)>},...]` inside the JSON object
+/// `json` (which always ends in '}').
+template <typename Entry>
+std::string with_tenants(std::string json, std::uint32_t tenants, Entry&& entry) {
+  json.pop_back();
+  json += ",\"tenants\":[";
+  for (std::uint32_t t = 0; t < tenants; ++t) {
+    if (t > 0) {
+      json += ',';
+    }
+    json += "{\"tenant\":";
+    json += std::to_string(t);
+    json += ',';
+    json += entry(t);
+    json += '}';
+  }
+  json += "]}";
+  return json;
+}
+
 }  // namespace
 
 FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& config) {
@@ -201,6 +134,12 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   nominal_options.mode = tpu::ExecutionMode::kFunctional;
   nominal_options.interactive = true;
 
+  // The fleet-wide session: an aggregate monitor over every shard, and
+  // model quality over outcomes/calibration only (tenants encode with
+  // different seeds, so cross-tenant dimensions are not comparable and its
+  // dimension is 0).
+  ServingSession session(config, 0, SimDuration());
+
   // ---- shards: one full simulated accelerator per device -------------------
   // Each device draws faults from its own seed offset, so a flaky fleet does
   // not fail in lockstep; health/quarantine state is per shard.
@@ -209,7 +148,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   for (std::uint32_t d = 0; d < fleet.num_devices; ++d) {
     tpu::FaultProfile profile = config.faults;
     profile.seed += d;
-    auto shard = std::make_unique<Shard>(framework.config(), profile, config.health);
+    auto shard = std::make_unique<Shard>(framework.config(), profile, config, session);
     shard->result.device_index = d;
     shards.push_back(std::move(shard));
   }
@@ -272,86 +211,29 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
 
   FleetResult result;
   const std::uint64_t total_offered = config.serve_chunks;
-  std::vector<obs::RequestTrace> traces(total_offered);
   std::vector<std::vector<std::uint32_t>> preds(total_offered);
-  obs::ExemplarStore exemplar_store(config.exemplars);
-  LazyMonitor fleet_monitor;
-  // Model quality: one fleet-wide aggregate (outcomes/calibration only —
-  // tenants encode with different seeds, so cross-tenant dimensions are not
-  // comparable and `dim` stays 0) plus one full instance per tenant.
-  std::optional<obs::ModelQualityStats> fleet_stats;
+  // One full model-quality instance per tenant, sized with the session.
   std::vector<std::optional<obs::ModelQualityStats>> tenant_stats(fleet.num_tenants);
-  std::uint64_t correct_total = 0;
 
-  // Energy: one fleet-wide accountant (lazily sized off the fleet monitor's
-  // resolved window, pending records replayed in order) plus plain integer
-  // picojoule ledgers per shard and per tenant. The ledgers fold the *same*
-  // deterministic `attribute_energy` atoms the accountant records, so they
-  // sum bit-exactly to the fleet total on every outcome path.
-  std::optional<obs::EnergyAccountant> fleet_energy;
-  std::vector<obs::EnergyAccountant::Request> pending_energy;
+  // Energy: plain integer picojoule ledgers per shard and per tenant beside
+  // the session's accountant. The ledgers fold the *same* deterministic
+  // `attribute_energy` atoms the accountant records, so they sum
+  // bit-exactly to the fleet total on every outcome path.
   std::vector<std::int64_t> tenant_energy(fleet.num_tenants, 0);
-
-  double log_clock = 0.0;
-  LogClockScope log_scope(&log_clock);
-
-  /// Charges a finalized request's energy to its shard and tenant ledgers
-  /// and to the fleet accountant (or the pending buffer before lazy init).
-  /// Must run after `rt.finalize` and before `finish_request` moves `rt`.
-  const auto record_energy = [&](Shard& shard, std::uint32_t tenant_index,
-                                 const obs::RequestTrace& rt) {
-    obs::EnergyAccountant::Request ereq;
-    ereq.at = rt.end;
-    ereq.attribution = rt.attribution;
-    ereq.outcome = rt.outcome;
-    ereq.samples = rt.outcome == obs::RequestOutcome::kServed ? rt.samples : 0;
-    ereq.degraded = rt.tier != 0;
-    ereq.request_id = static_cast<std::int64_t>(rt.request_id);
+  const auto finish = [&](Shard& shard, std::uint32_t tenant_index, obs::RequestTrace&& rt,
+                          std::optional<obs::ExemplarReason> reason) {
     const std::int64_t pj =
         obs::attribute_energy(rt.attribution, config.energy.profile).total_pj();
     shard.result.energy_pj += pj;
     tenant_energy[tenant_index] += pj;
-    if (fleet_energy.has_value()) {
-      fleet_energy->record(ereq);
-    } else {
-      pending_energy.push_back(std::move(ereq));
-    }
+    session.finish(std::move(rt), reason);
   };
 
-  const auto finish_request = [&](obs::RequestTrace&& rt,
-                                  std::optional<obs::ExemplarReason> reason) {
-    result.attribution_total += rt.attribution;
-    ++result.requests_traced;
-    if (reason.has_value()) {
-      exemplar_store.offer(*reason, rt);
-    }
-    traces[rt.request_id] = std::move(rt);
-  };
-
-  const auto monitor_config = [&](SimDuration batch_total, SimDuration per_sample) {
-    obs::MonitorConfig mc = config.monitor;
-    mc.num_classes = spec.classes;
-    if (mc.window.span.is_zero()) {
-      mc.window.span = batch_total * 4.0;
-    }
-    if (mc.window.buckets == 0) {
-      mc.window.buckets = 16;
-    }
-    if (mc.slo_latency.is_zero()) {
-      mc.slo_latency = per_sample * 1.5;
-    }
-    return mc;
-  };
-
-  // Shares the fleet monitor's resolved window and lifecycle. Each tenant
-  // instance sees its own frozen scorer model once (frozen fleet = one
-  // observe_model each, no refreshes).
-  const auto init_model_stats = [&](const obs::WindowConfig& window) {
-    obs::ModelStatsConfig msc = config.model_stats;
-    msc.num_classes = spec.classes;
-    msc.window = window;
-    msc.dim = 0;
-    fleet_stats.emplace(msc);
+  // Each tenant instance shares the session's resolved window and sees its
+  // own frozen scorer model once (frozen fleet = one observe_model each, no
+  // refreshes).
+  const auto init_tenant_stats = [&]() {
+    obs::ModelStatsConfig msc = session.model->config();
     msc.dim = config.learner.dim;
     for (std::uint32_t t = 0; t < fleet.num_tenants; ++t) {
       tenant_stats[t].emplace(msc);
@@ -363,8 +245,8 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   const auto least_loaded = [&]() -> Shard& {
     Shard* best = shards.front().get();
     for (const auto& shard : shards) {
-      if (shard->queued_samples < best->queued_samples ||
-          (shard->queued_samples == best->queued_samples &&
+      if (shard->engine.queued_samples < best->engine.queued_samples ||
+          (shard->engine.queued_samples == best->engine.queued_samples &&
            shard->free_at < best->free_at)) {
         best = shard.get();
       }
@@ -385,7 +267,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     // with the tenant's weights warm" coincide). The uncounted residency
     // probe keeps placement from perturbing the cache hit/miss telemetry.
     for (const auto& shard : shards) {
-      if (shard->queue.size() < config.admission.queue_capacity &&
+      if (shard->engine.queue.size() < config.admission.queue_capacity &&
           shard->device.memory().is_resident(tenants[tenant].model.compiled.id)) {
         return *shard;
       }
@@ -400,14 +282,15 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   // different tenant is queued behind it, or no arrivals remain. Only a
   // growable run is held for `batch_max_age` past its head's arrival.
   const auto dispatch_at = [&](const Shard& shard) -> SimDuration {
-    const FleetRequest& head = shard.queue.front();
+    const std::deque<QueuedRequest>& queue = shard.engine.queue;
+    const QueuedRequest& head = queue.front();
     std::size_t run = 1;
-    while (run < shard.queue.size() && run < fleet.batch_max_chunks &&
-           shard.queue[run].tenant == head.tenant) {
+    while (run < queue.size() && run < fleet.batch_max_chunks &&
+           queue[run].tenant == head.tenant) {
       ++run;
     }
     const bool full = run >= fleet.batch_max_chunks;
-    const bool growable = run == shard.queue.size() && next_arrival < total_offered;
+    const bool growable = run == queue.size() && next_arrival < total_offered;
     if (full || !growable) {
       return std::max(shard.free_at, head.arrival);
     }
@@ -416,51 +299,34 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
 
   // ---- one micro-batch: coalesce, expire, swap, serve, account -------------
   const auto dispatch = [&](Shard& shard, SimDuration td) {
+    ShardEngine& engine = shard.engine;
     const SimDuration free_before = shard.free_at;
-    const std::uint32_t tenant_index = shard.queue.front().tenant;
+    const std::uint32_t tenant_index = engine.queue.front().tenant;
     Tenant& tenant = tenants[tenant_index];
-    std::vector<FleetRequest> batch;
-    while (!shard.queue.empty() && batch.size() < fleet.batch_max_chunks &&
-           shard.queue.front().tenant == tenant_index) {
-      shard.queued_samples -= shard.queue.front().data.num_samples();
-      batch.push_back(std::move(shard.queue.front()));
-      shard.queue.pop_front();
+    std::vector<QueuedRequest> batch;
+    while (!engine.queue.empty() && batch.size() < fleet.batch_max_chunks &&
+           engine.queue.front().tenant == tenant_index) {
+      batch.push_back(engine.pop());
     }
-    log_clock = td.to_seconds();
+    session.clock.set(td);
 
-    const ServeTier tier = shard.health.admit_tier(td, shard.queue.size(),
-                                                   config.admission.degrade_backlog);
-    if (shard.monitor.monitor.has_value()) {
-      shard.monitor.monitor->set_quarantined(
-          shard.health.state() == DeviceHealth::kQuarantined, td);
+    const ServeTier tier = engine.admit_tier(td);
+    if (shard.monitor.ready()) {
+      shard.monitor->set_quarantined(engine.health.state() == DeviceHealth::kQuarantined, td);
     }
 
     // Per-member deadline check (the batch dispatches together, but each
     // member's budget runs from its own arrival): members that cannot finish
     // even their first sample expire unserved, the rest still form a batch.
-    const SimDuration deadline = config.admission.deadline;
     const SimDuration nominal =
         tier == ServeTier::kHost ? tenant.nominal_host : tenant.nominal_device;
-    std::vector<FleetRequest> live;
+    std::vector<QueuedRequest> live;
     live.reserve(batch.size());
-    for (FleetRequest& req : batch) {
-      const SimDuration wait = td - req.arrival;
-      if (!deadline.is_zero() && wait + nominal > deadline) {
-        const std::uint64_t n = req.data.num_samples();
-        ++result.expired_requests;
-        result.expired_samples += n;
-        ++shard.result.expired_requests;
-        shard.monitor.record_admission(td, n, 0, n, 0);
-        fleet_monitor.record_admission(td, n, 0, n, 0);
-        obs::RequestTrace rt;
-        rt.begin(req.id, req.arrival);
-        rt.samples = n;
-        append_wait_spans(rt, req.arrival, free_before, td);
-        rt.outcome = obs::RequestOutcome::kExpired;
-        rt.tier = static_cast<std::uint8_t>(tier);
-        rt.finalize(td);
-        record_energy(shard, tenant_index, rt);
-        finish_request(std::move(rt), obs::ExemplarReason::kExpired);
+    for (QueuedRequest& req : batch) {
+      if (engine.expires(td - req.arrival, nominal)) {
+        obs::RequestTrace rt = begin_trace(req, free_before, td);
+        engine.expire(rt, td, tier);
+        finish(shard, tenant_index, std::move(rt), obs::ExemplarReason::kExpired);
       } else {
         live.push_back(std::move(req));
       }
@@ -472,24 +338,19 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     }
 
     std::uint64_t n_total = 0;
-    for (const FleetRequest& req : live) {
+    for (const QueuedRequest& req : live) {
       n_total += req.data.num_samples();
     }
     tensor::MatrixF inputs(static_cast<std::size_t>(n_total), spec.features);
     {
       std::size_t row = 0;
-      for (const FleetRequest& req : live) {
+      for (const QueuedRequest& req : live) {
         for (std::size_t j = 0; j < req.data.num_samples(); ++j, ++row) {
           const auto src = req.data.features.row(j);
           std::copy(src.begin(), src.end(), inputs.row(row).begin());
         }
       }
     }
-
-    // The oldest member has the least remaining budget; it bounds the whole
-    // batch's per-sample retry watchdog.
-    const SimDuration budget =
-        deadline.is_zero() ? SimDuration() : deadline - (td - live.front().arrival);
 
     SimDuration swap_upload;
     std::vector<std::uint32_t> predictions;
@@ -525,8 +386,10 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
         shard.device.advance_clock(swap_upload);
       }
 
+      // The oldest member has the least remaining budget; it bounds the
+      // whole batch's per-sample retry watchdog.
       RetryPolicy policy = config.retry;
-      policy.sample_deadline = budget;
+      policy.sample_deadline = engine.budget(td - live.front().arrival);
       ResilientExecutor executor(&shard.device, cpu, policy);
       tpu::InvokeOptions options;
       options.mode = tpu::ExecutionMode::kFunctional;
@@ -547,123 +410,45 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     const SimDuration end = service_start + service_total;
     const SimDuration per_sample =
         service_total * (1.0 / static_cast<double>(n_total));
-    const bool faulty = report.circuit_opened || report.cpu_samples > 0 ||
-                        report.device_stats.invoke_retries > 0;
-
-    if (tier != ServeTier::kHost) {
-      shard.health.on_batch(end, faulty, report.circuit_opened);
+    engine.feed_health(tier, end, report);
+    if (engine.start_telemetry(swap_upload + service_total, n_total)) {
+      init_tenant_stats();
     }
-
-    if (!shard.monitor.monitor.has_value()) {
-      shard.monitor.init(monitor_config(swap_upload + service_total,
-                                        (swap_upload + service_total) *
-                                            (1.0 / static_cast<double>(n_total))));
-    }
-    if (!fleet_monitor.monitor.has_value()) {
-      const obs::MonitorConfig mc =
-          monitor_config(swap_upload + service_total,
-                         (swap_upload + service_total) *
-                             (1.0 / static_cast<double>(n_total)));
-      fleet_monitor.init(mc);
-      init_model_stats(mc.window);
-      obs::EnergyConfig ec = config.energy;
-      ec.window = mc.window;
-      fleet_energy.emplace(ec);
-      for (const obs::EnergyAccountant::Request& req : pending_energy) {
-        fleet_energy->record(req);
-      }
-      pending_energy.clear();
-    }
-    shard.monitor.monitor->set_quarantined(
-        shard.health.state() == DeviceHealth::kQuarantined, end);
+    shard.monitor->set_quarantined(engine.health.state() == DeviceHealth::kQuarantined, end);
 
     // ---- per-member accounting: traces, monitor samples, predictions ----
     std::size_t g = 0;
-    for (const FleetRequest& req : live) {
+    for (const QueuedRequest& req : live) {
       const std::uint64_t n = req.data.num_samples();
-      obs::RequestTrace rt;
-      rt.begin(req.id, req.arrival);
-      rt.samples = n;
-      append_wait_spans(rt, req.arrival, free_before, td);
+      obs::RequestTrace rt = begin_trace(req, free_before, td);
       if (!swap_upload.is_zero()) {
         rt.append(obs::Stage::kSwap, swap_upload);
       }
       append_service_spans(rt, report);
-      rt.outcome = obs::RequestOutcome::kServed;
-      rt.tier = static_cast<std::uint8_t>(tier);
-      rt.faulty = faulty;
-      rt.finalize(end);
 
       const SimDuration member_latency_base = (td - req.arrival) + swap_upload;
-      std::uint64_t member_correct = 0;
       preds[req.id].reserve(static_cast<std::size_t>(n));
       // One batch encode per request; the decision and the dimension window
       // read its rows.
       const tensor::MatrixF encoded = tenant.scorer.encoder().encode_batch(req.data.features);
+      obs::ModelQualityStats& tstats = *tenant_stats[tenant_index];
       for (std::size_t j = 0; j < n; ++j, ++g) {
         const std::uint32_t predicted = predictions[g];
         const std::uint32_t label = req.data.labels[j];
-        const core::OnlineLearner::Decision decision =
-            tenant.scorer.decide_encoded(encoded.row(j));
-        obs::ServingMonitor::Sample sample;
-        sample.at = service_start + per_sample * static_cast<double>(g + 1);
-        sample.latency = member_latency_base + per_sample;
-        sample.request_id = static_cast<std::int64_t>(req.id);
-        sample.predicted = predicted;
-        sample.correct = predicted == label;
-        sample.margin = decision.margin();
-        log_clock = sample.at.to_seconds();
-        shard.monitor.monitor->record(sample);
-        fleet_monitor.monitor->record(sample);
-
-        // Served samples only, into both the aggregate and this tenant's
-        // instance; dimensions go to the tenant alone (its own encoder).
-        obs::ModelQualityStats::Sample msample;
-        msample.at = sample.at;
-        msample.predicted = predicted;
-        msample.label = label;
-        msample.top1 = static_cast<double>(decision.top1);
-        msample.request_id = static_cast<std::int64_t>(req.id);
-        fleet_stats->record(msample);
-        obs::ModelQualityStats& tstats = *tenant_stats[tenant_index];
-        tstats.record(msample);
-        tstats.record_dimensions(sample.at, label, encoded.row(j));
-
-        member_correct += predicted == label ? 1 : 0;
+        const SimDuration at = service_start + per_sample * static_cast<double>(g + 1);
+        // The aggregate records outcomes; this tenant's instance also takes
+        // the dimensions (its own encoder).
+        tstats.record(engine.record_sample(at, member_latency_base + per_sample, req.id,
+                                           predicted, label,
+                                           tenant.scorer.decide_encoded(encoded.row(j))));
+        tstats.record_dimensions(at, label, encoded.row(j));
         preds[req.id].push_back(predicted);
       }
-      correct_total += member_correct;
-      result.samples_served += n;
-      ++result.served_requests;
-      ++shard.result.requests_served;
-      shard.result.samples_served += n;
-      if (tier != ServeTier::kFull) {
-        ++shard.result.degraded_requests;
-        result.degraded_samples += n;
-      }
-
-      shard.monitor.monitor->record_attribution(end, rt.attribution);
-      fleet_monitor.monitor->record_attribution(end, rt.attribution);
-
-      std::optional<obs::ExemplarReason> reason;
-      if (tier != ServeTier::kFull || report.cpu_samples > 0) {
-        reason = obs::ExemplarReason::kTierFallback;
-      } else if (member_latency_base + per_sample >=
-                 shard.monitor.monitor->latency_quantile(end, 0.99)) {
-        reason = obs::ExemplarReason::kTailLatency;
-      }
-      record_energy(shard, tenant_index, rt);
-      finish_request(std::move(rt), reason);
+      const std::optional<obs::ExemplarReason> reason =
+          engine.finish_served(rt, end, tier, report, member_latency_base + per_sample);
+      finish(shard, tenant_index, std::move(rt), reason);
     }
-
-    log_clock = end.to_seconds();
-    shard.monitor.monitor->record_transport(end, n_total, report.cpu_samples,
-                                            report.device_stats.invoke_retries);
-    fleet_monitor.monitor->record_transport(end, n_total, report.cpu_samples,
-                                            report.device_stats.invoke_retries);
-    const std::uint64_t degraded = tier != ServeTier::kFull ? n_total : 0;
-    shard.monitor.record_admission(end, n_total, 0, 0, degraded);
-    fleet_monitor.record_admission(end, n_total, 0, 0, degraded);
+    engine.record_batch(end, n_total, tier, report);
 
     ++shard.result.batches;
     shard.result.busy += end - td;
@@ -679,7 +464,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     Shard* ready = nullptr;
     SimDuration ready_at;
     for (const auto& shard : shards) {
-      if (shard->queue.empty()) {
+      if (shard->engine.queue.empty()) {
         continue;
       }
       const SimDuration at = dispatch_at(*shard);
@@ -702,103 +487,62 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     const std::uint32_t tenant = draw_tenant();
     data::Dataset chunk = tenants[tenant].stream.next_chunk();
     const std::uint64_t id = next_arrival++;
-    const std::uint64_t n = chunk.num_samples();
     ++result.offered_requests;
-    result.offered_samples += n;
-    log_clock = arrival.to_seconds();
+    result.offered_samples += chunk.num_samples();
+    session.clock.set(arrival);
 
     Shard& shard = place(id, tenant);
-    if (shard.queue.size() >= config.admission.queue_capacity) {
-      if (config.admission.policy == ShedPolicy::kRejectNewest) {
-        ++result.shed_requests;
-        result.shed_samples += n;
-        ++shard.result.shed_requests;
-        shard.monitor.record_admission(arrival, n, n, 0, 0);
-        fleet_monitor.record_admission(arrival, n, n, 0, 0);
-        obs::RequestTrace rt;
-        rt.begin(id, arrival);
-        rt.samples = n;
-        rt.outcome = obs::RequestOutcome::kShed;
-        rt.finalize(arrival);  // refused on arrival: zero latency
-        record_energy(shard, tenant, rt);
-        finish_request(std::move(rt), obs::ExemplarReason::kShed);
-        continue;
-      }
-      // kDropOldest: the stalest request queued on this shard makes room.
-      FleetRequest dropped = std::move(shard.queue.front());
-      shard.queue.pop_front();
-      const std::uint64_t dn = dropped.data.num_samples();
-      shard.queued_samples -= dn;
-      ++result.shed_requests;
-      result.shed_samples += dn;
-      ++shard.result.shed_requests;
-      shard.monitor.record_admission(arrival, dn, dn, 0, 0);
-      fleet_monitor.record_admission(arrival, dn, dn, 0, 0);
-      obs::RequestTrace rt;
-      rt.begin(dropped.id, dropped.arrival);
-      rt.samples = dn;
-      rt.outcome = obs::RequestOutcome::kShed;
-      if (arrival > dropped.arrival) {
-        rt.append(obs::Stage::kQueueWait, arrival - dropped.arrival);
-      }
-      rt.finalize(arrival);
-      record_energy(shard, dropped.tenant, rt);
-      finish_request(std::move(rt), obs::ExemplarReason::kShed);
+    std::optional<ShedRequest> shed =
+        shard.engine.admit(QueuedRequest{id, tenant, arrival, std::move(chunk)});
+    if (shed.has_value()) {
+      finish(shard, shed->tenant, std::move(shed->trace), obs::ExemplarReason::kShed);
     }
-    shard.queued_samples += n;
-    shard.queue.push_back(FleetRequest{id, tenant, arrival, std::move(chunk)});
   }
 
   // ---- finalize ------------------------------------------------------------
-  const auto degenerate_config = [&]() {
-    obs::MonitorConfig mc = config.monitor;
-    mc.num_classes = spec.classes;
-    if (mc.window.span.is_zero()) {
-      mc.window.span = SimDuration::millis(1);
-    }
-    if (mc.window.buckets == 0) {
-      mc.window.buckets = 16;
-    }
-    if (mc.slo_latency.is_zero()) {
-      mc.slo_latency = SimDuration::micros(100);
-    }
-    return mc;
-  };
-  if (!fleet_monitor.monitor.has_value()) {
-    fleet_monitor.init(degenerate_config());
-  }
-  if (!fleet_stats.has_value()) {
-    init_model_stats(degenerate_config().window);
-  }
-  if (!fleet_energy.has_value()) {
-    obs::EnergyConfig ec = config.energy;
-    ec.window = degenerate_config().window;
-    fleet_energy.emplace(ec);
-    for (const obs::EnergyAccountant::Request& req : pending_energy) {
-      fleet_energy->record(req);
-    }
-    pending_energy.clear();
+  // A session that never served a batch takes the fallback sizing.
+  const obs::MonitorConfig fallback = resolve_monitor_config(config, SimDuration(), 0);
+  if (!session.ready()) {
+    session.monitor.init(fallback);
+    session.init(fallback.window);
+    init_tenant_stats();
   }
 
   SimDuration t_end;
+  std::uint64_t correct_total = 0;
   for (const auto& shard : shards) {
     t_end = std::max(t_end, shard->result.t_end);
+    correct_total += shard->engine.counters.correct_samples;
   }
   result.t_end = t_end;
 
   for (auto& shard : shards) {
-    if (!shard->monitor.monitor.has_value()) {
-      shard->monitor.init(degenerate_config());
+    if (!shard->monitor.ready()) {
+      shard->monitor.init(fallback);
     }
-    shard->result.final_health = shard->health.state();
-    shard->result.quarantines = shard->health.quarantines();
-    shard->result.probes = shard->health.probes_attempted();
-    shard->result.final_snapshot = shard->monitor.monitor->snapshot(t_end);
-    result.batches += shard->result.batches;
-    result.cache_lookups += shard->result.cache_lookups;
-    result.cache_hits += shard->result.cache_hits;
-    result.swaps += shard->result.swaps;
-    result.shards.push_back(std::move(shard->result));
+    const ShardCounters& c = shard->engine.counters;
+    FleetShardResult& r = shard->result;
+    r.requests_served = c.served_requests;
+    r.samples_served = c.served_samples;
+    r.shed_requests = c.shed_requests;
+    r.expired_requests = c.expired_requests;
+    r.degraded_requests = c.degraded_requests;
+    r.final_health = shard->engine.health.state();
+    r.quarantines = shard->engine.health.quarantines();
+    r.probes = shard->engine.health.probes_attempted();
+    r.final_snapshot = shard->monitor->snapshot(t_end);
+    result.served_requests += c.served_requests;
+    result.samples_served += c.served_samples;
+    result.shed_requests += c.shed_requests;
+    result.shed_samples += c.shed_samples;
+    result.expired_requests += c.expired_requests;
+    result.expired_samples += c.expired_samples;
+    result.degraded_samples += c.degraded_samples;
+    result.batches += r.batches;
+    result.cache_lookups += r.cache_lookups;
+    result.cache_hits += r.cache_hits;
+    result.swaps += r.swaps;
+    result.shards.push_back(std::move(r));
   }
   HDC_CHECK(result.cache_hits + result.swaps == result.cache_lookups,
             "cache telemetry must balance: hits + swaps == lookups");
@@ -824,11 +568,11 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
           : static_cast<double>(correct_total) /
                 static_cast<double>(result.samples_served);
 
-  result.fleet_snapshot = fleet_monitor.monitor->snapshot(t_end);
-  result.events = fleet_monitor.monitor->events();
+  result.fleet_snapshot = session.monitor->snapshot(t_end);
+  result.events = session.monitor->events();
 
-  result.fleet_model = fleet_stats->snapshot(t_end);
-  result.model_events = fleet_stats->events();
+  result.fleet_model = session.model->snapshot(t_end);
+  result.model_events = session.model->events();
   result.tenant_models.reserve(fleet.num_tenants);
   std::uint64_t tenant_sample_sum = 0;
   for (std::uint32_t t = 0; t < fleet.num_tenants; ++t) {
@@ -840,8 +584,8 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   HDC_CHECK(tenant_sample_sum == result.samples_served,
             "model-quality conservation violated: tenant samples don't sum to served");
 
-  result.fleet_energy = fleet_energy->snapshot(t_end);
-  result.energy_events = fleet_energy->events();
+  result.fleet_energy = session.energy->snapshot(t_end);
+  result.energy_events = session.energy->events();
   result.tenant_energy_pj = std::move(tenant_energy);
   std::int64_t shard_energy_sum = 0;
   for (const FleetShardResult& shard : result.shards) {
@@ -856,59 +600,35 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   HDC_CHECK(tenant_energy_sum == result.fleet_energy.total_pj,
             "energy conservation violated: tenant ledgers don't sum to fleet total");
 
-  // The fleet snapshot's `model` object is the aggregate with the per-tenant
-  // views spliced in as a `tenants` array (the aggregate to_json always ends
-  // in '}'); gates and Prometheus carry the aggregate only.
-  {
-    std::string model_json = result.fleet_model.to_json();
-    model_json.pop_back();
-    model_json += ",\"tenants\":[";
-    for (std::uint32_t t = 0; t < fleet.num_tenants; ++t) {
-      if (t > 0) {
-        model_json += ',';
-      }
-      model_json += "{\"tenant\":";
-      model_json += std::to_string(t);
-      model_json += ",\"model\":";
-      model_json += result.tenant_models[t].to_json();
-      model_json += '}';
-    }
-    model_json += "]}";
-    result.fleet_snapshot.model_json = std::move(model_json);
-    result.fleet_snapshot.model_metrics_json = result.fleet_model.metrics_json();
-    result.fleet_snapshot.model_prometheus = result.fleet_model.to_prometheus();
-  }
-
-  // Same splice shape for energy: the aggregate ledger with the per-tenant
-  // picojoule totals appended as a `tenants` array.
-  {
-    std::string energy_json = result.fleet_energy.to_json();
-    energy_json.pop_back();
-    energy_json += ",\"tenants\":[";
-    for (std::uint32_t t = 0; t < fleet.num_tenants; ++t) {
-      if (t > 0) {
-        energy_json += ',';
-      }
-      energy_json += "{\"tenant\":";
-      energy_json += std::to_string(t);
-      energy_json += ",\"total_pj\":";
-      energy_json += std::to_string(result.tenant_energy_pj[t]);
-      energy_json += '}';
-    }
-    energy_json += "]}";
-    result.fleet_snapshot.energy_json = std::move(energy_json);
-    result.fleet_snapshot.energy_metrics_json = result.fleet_energy.metrics_json();
-    result.fleet_snapshot.energy_prometheus = result.fleet_energy.to_prometheus();
-  }
+  // The fleet snapshot's `model` and `energy` objects are the aggregates
+  // with the per-tenant views spliced in as a `tenants` array; gates and
+  // Prometheus carry the aggregates only.
+  splice_sections(
+      result.fleet_snapshot, result.fleet_model,
+      with_tenants(result.fleet_model.to_json(), fleet.num_tenants,
+                   [&](std::uint32_t t) {
+                     return "\"model\":" + result.tenant_models[t].to_json();
+                   }),
+      result.fleet_energy,
+      with_tenants(result.fleet_energy.to_json(), fleet.num_tenants, [&](std::uint32_t t) {
+        return "\"total_pj\":" + std::to_string(result.tenant_energy_pj[t]);
+      }));
 
   result.predictions.reserve(static_cast<std::size_t>(result.samples_served));
   for (const auto& chunk_preds : preds) {
     result.predictions.insert(result.predictions.end(), chunk_preds.begin(),
                               chunk_preds.end());
   }
-  result.requests = std::move(traces);
-  result.exemplar_records.assign(exemplar_store.exemplars().begin(),
-                                 exemplar_store.exemplars().end());
+  // Requests finish out of offered order (shedding, batching, expiry);
+  // results list them by offered index.
+  result.requests.resize(total_offered);
+  for (obs::RequestTrace& rt : session.requests) {
+    result.requests[rt.request_id] = std::move(rt);
+  }
+  result.attribution_total = session.attribution_total;
+  result.requests_traced = session.requests_traced;
+  result.exemplar_records.assign(session.exemplars.exemplars().begin(),
+                                 session.exemplars.exemplars().end());
 
   if (!config.snapshot_dir.empty()) {
     std::filesystem::create_directories(config.snapshot_dir);
@@ -921,16 +641,9 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
                       shard.final_snapshot.to_json());
     }
   }
-  std::string exemplar_path = config.exemplar_path;
-  if (exemplar_path.empty() && !config.snapshot_dir.empty()) {
-    exemplar_path =
-        (std::filesystem::path(config.snapshot_dir) / "exemplars.jsonl").string();
-  }
-  if (!exemplar_path.empty()) {
-    write_text_file(exemplar_path, exemplar_store.to_jsonl());
-  }
+  session.write_exemplars();
 
-  log_clock = t_end.to_seconds();
+  session.clock.set(t_end);
   HDC_LOG_INFO << "serve_fleet: " << result.samples_served << " samples over "
                << result.t_end.to_string() << " simulated on " << fleet.num_devices
                << " devices / " << fleet.num_tenants << " tenants ("

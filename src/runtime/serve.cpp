@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
-#include <fstream>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -19,53 +16,17 @@
 #include "core/serialize.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "runtime/shard.hpp"
 
 namespace hdc::runtime {
 
 namespace {
-
-void write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  HDC_CHECK(out.good(), "cannot open '" + path + "' for writing");
-  out << content;
-  HDC_CHECK(out.good(), "failed writing '" + path + "'");
-}
 
 std::string snapshot_path(const std::string& dir, std::uint32_t index) {
   char name[48];
   std::snprintf(name, sizeof(name), "monitor_snapshot_%04u.json", index);
   return (std::filesystem::path(dir) / name).string();
 }
-
-/// Feeds the serving loop's simulated clock to the structured log for the
-/// lifetime of the session, so JSONL records (alarm edges in particular)
-/// carry `t_s` in simulated seconds.
-class LogClockScope {
- public:
-  explicit LogClockScope(const double* clock) {
-    log::set_time_provider([clock] { return *clock; });
-  }
-  ~LogClockScope() { log::set_time_provider(nullptr); }
-  LogClockScope(const LogClockScope&) = delete;
-  LogClockScope& operator=(const LogClockScope&) = delete;
-};
-
-/// A chunk admitted to the serving queue but not yet served.
-struct PendingChunk {
-  std::uint32_t index = 0;  ///< offered-chunk index
-  SimDuration arrival;
-  data::Dataset data;
-};
-
-/// A monitor admission record buffered until the (lazily sized) monitor
-/// exists; replayed in order at construction.
-struct AdmissionRecord {
-  SimDuration at;
-  std::uint64_t offered = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t degraded = 0;
-};
 
 // ---- serve checkpoint ("HDSV") ---------------------------------------------
 //
@@ -101,7 +62,6 @@ struct RestoredState {
   std::uint32_t next_arrival = 0;
   SimDuration now;
   double warmup_accuracy = 0.0;
-  std::uint32_t served_count = 0;
   std::optional<core::OnlineLearner> full;
   std::optional<core::OnlineLearner> reduced;
   /// The classifiers actually deployed on the endpoint (frozen at the last
@@ -112,89 +72,24 @@ struct RestoredState {
   Rng::State rng{};
   std::vector<std::pair<std::uint32_t, SimDuration>> queue;  ///< (index, arrival)
 
-  std::vector<std::uint32_t> predictions;
-  std::vector<ServeResult::ChunkStats> chunks;
-  std::array<ServeResult::TierStats, 3> tiers{};
-  std::uint64_t shed_samples = 0;
-  std::uint64_t expired_samples = 0;
-  std::uint64_t degraded_samples = 0;
-  std::uint32_t shed_chunks = 0;
-  std::uint32_t expired_chunks = 0;
-  std::uint64_t correct_total = 0;
-  std::uint64_t samples_served = 0;
-  std::uint32_t snapshots_written = 0;
-  std::uint32_t checkpoints_written = 0;
-  obs::RequestAttribution attribution_total;
-  std::uint64_t requests_traced = 0;
-  /// The serving monitor exactly as it was at checkpoint time (absent when
-  /// the interrupted run never served a chunk, so no monitor existed yet).
+  /// The checkpointed part of the result: warmup accuracy, predictions,
+  /// chunks, tiers, snapshot/checkpoint counts and attribution totals.
+  ServeResult result;
+  /// Served/shed/expired/degraded counts (degraded requests are not kept:
+  /// single-device serving reports degraded samples only).
+  ShardCounters counters;
+  /// The serving monitor, model-quality stats and energy accountant exactly
+  /// as they were at checkpoint time. All three or none: they are sized
+  /// together at the first served chunk.
   std::optional<obs::ServingMonitor> monitor;
-  /// Model-quality monitor state (same lazy lifecycle as `monitor`).
   std::optional<obs::ModelQualityStats> model_stats;
-  /// Energy accountant state (same lazy lifecycle as `monitor`).
   std::optional<obs::EnergyAccountant> energy;
 };
 
-void write_fingerprint(ByteWriter& w, const ServeConfig& config) {
-  const data::SyntheticSpec& spec = config.stream.spec;
-  w.write<std::uint32_t>(spec.features);
-  w.write<std::uint32_t>(spec.classes);
-  w.write<std::uint32_t>(spec.samples);
-  w.write<std::uint32_t>(spec.latent_dim);
-  w.write<std::uint64_t>(spec.seed);
-  w.write<float>(spec.class_separation);
-  w.write<float>(spec.noise_sigma);
-  w.write<float>(spec.warp_strength);
-  w.write<std::uint32_t>(config.stream.chunk_size);
-  w.write<std::uint32_t>(config.stream.drift_start_chunk);
-  w.write<std::uint32_t>(config.stream.drift_duration_chunks);
-  w.write<std::uint32_t>(config.stream.drift_swap_a);
-  w.write<std::uint32_t>(config.stream.drift_swap_b);
-  w.write<std::uint32_t>(config.learner.dim);
-  w.write<std::uint64_t>(config.learner.seed);
-  w.write<float>(config.learner.learning_rate);
-  w.write<std::uint8_t>(static_cast<std::uint8_t>(config.learner.similarity));
-  w.write<std::uint32_t>(config.learner.error_window);
-  w.write<std::uint32_t>(config.warmup_chunks);
-  w.write<std::uint32_t>(config.serve_chunks);
-  w.write<std::uint8_t>(config.online_updates ? 1 : 0);
-  w.write<std::uint32_t>(config.model_refresh_chunks);
-  w.write<std::uint32_t>(config.effective_reduced_dim());
-  w.write<double>(config.admission.offered_load);
-  w.write<std::uint32_t>(config.admission.queue_capacity);
-  w.write<std::uint8_t>(static_cast<std::uint8_t>(config.admission.policy));
-  w.write<double>(config.admission.deadline.to_seconds());
-  w.write<std::uint32_t>(config.admission.degrade_backlog);
-  w.write<std::uint32_t>(config.health.degrade_after_faults);
-  w.write<std::uint32_t>(config.health.quarantine_after_faults);
-  w.write<std::uint32_t>(config.health.recover_after_successes);
-  w.write<double>(config.health.probe_interval.to_seconds());
-  w.write<std::uint32_t>(config.health.probe_successes);
-}
-
-template <typename T>
-void check_fingerprint_field(T got, T expected, const char* field) {
-  HDC_CHECK(got == expected,
-            std::string("checkpoint does not match this serving config: '") + field +
-                "' was " + std::to_string(got) + " when the checkpoint was written but "
-                "is " + std::to_string(expected) + " now; resume with the original "
-                "stream/learner/admission configuration");
-}
-
-/// Traverses the fingerprint. Strict mode (config != nullptr) matches every
-/// field against the resuming config; relaxed mode (nullptr, used by
-/// `checkpoint_model_stats_json`) reads and discards — every field is a
-/// fixed-size scalar, so the traversal needs no configuration.
-void read_fingerprint(ByteReader& r, const ServeConfig* maybe_config) {
-  const ServeConfig defaults;
-  const ServeConfig& config = maybe_config != nullptr ? *maybe_config : defaults;
-  const bool strict = maybe_config != nullptr;
-  const auto field = [&](auto expected, const char* name) {
-    const auto got = r.read<decltype(expected)>();
-    if (strict) {
-      check_fingerprint_field(got, expected, name);
-    }
-  };
+/// The configuration fields a checkpoint is bound to, in wire order: each is
+/// written when the checkpoint is saved and matched when it is resumed.
+template <typename Field>
+void fingerprint_fields(const ServeConfig& config, Field&& field) {
   const data::SyntheticSpec& spec = config.stream.spec;
   field(spec.features, "features");
   field(spec.classes, "classes");
@@ -231,6 +126,29 @@ void read_fingerprint(ByteReader& r, const ServeConfig* maybe_config) {
   field(config.health.probe_successes, "probe_successes");
 }
 
+void write_fingerprint(ByteWriter& w, const ServeConfig& config) {
+  fingerprint_fields(config, [&w](auto value, const char*) { w.write(value); });
+}
+
+/// Traverses the fingerprint. Strict mode (config != nullptr) matches every
+/// field against the resuming config; relaxed mode (nullptr, used by the
+/// inspection readers) reads and discards — every field is a fixed-size
+/// scalar, so the traversal needs no configuration.
+void read_fingerprint(ByteReader& r, const ServeConfig* maybe_config) {
+  const ServeConfig defaults;
+  const auto field = [&](auto expected, const char* name) {
+    const auto got = r.read<decltype(expected)>();
+    if (maybe_config != nullptr) {
+      HDC_CHECK(got == expected,
+                std::string("checkpoint does not match this serving config: '") + name +
+                    "' was " + std::to_string(got) + " when the checkpoint was written "
+                    "but is " + std::to_string(expected) + " now; resume with the "
+                    "original stream/learner/admission configuration");
+    }
+  };
+  fingerprint_fields(maybe_config != nullptr ? *maybe_config : defaults, field);
+}
+
 void write_chunk_stats(ByteWriter& w, const ServeResult::ChunkStats& c) {
   w.write<std::uint32_t>(c.index);
   w.write<double>(c.t_end.to_seconds());
@@ -244,6 +162,9 @@ void write_chunk_stats(ByteWriter& w, const ServeResult::ChunkStats& c) {
   w.write<double>(c.queue_wait.to_seconds());
   w.write<std::uint8_t>(static_cast<std::uint8_t>(c.health));
 }
+
+/// Wire size of one `ChunkStats` record.
+constexpr std::size_t kChunkStatsBytes = 4 + 6 * 8 + 2 + 8 + 1;
 
 ServeResult::ChunkStats read_chunk_stats(ByteReader& r) {
   ServeResult::ChunkStats c;
@@ -292,8 +213,8 @@ RestoredState read_checkpoint(const std::string& path, const ServeConfig* config
   RestoredState state;
   state.next_arrival = r.read<std::uint32_t>();
   state.now = SimDuration::seconds(r.read<double>());
-  state.warmup_accuracy = r.read<double>();
-  state.served_count = r.read<std::uint32_t>();
+  state.result.warmup_accuracy = r.read<double>();
+  state.counters.served_requests = r.read<std::uint32_t>();
   state.full = core::OnlineLearner::deserialize(r);
   state.reduced = core::OnlineLearner::deserialize(r);
   state.deployed_full = core::deserialize_classifier(r.read_vector<std::uint8_t>());
@@ -306,42 +227,44 @@ RestoredState read_checkpoint(const std::string& path, const ServeConfig* config
   state.rng.has_spare_gaussian = r.read<std::uint8_t>() != 0;
   state.rng.spare_gaussian = r.read<float>();
 
-  const auto queued = r.read<std::uint32_t>();
+  const auto queued = r.read_count(sizeof(std::uint32_t) + sizeof(double));
   HDC_CHECK(config == nullptr || queued <= config->admission.queue_capacity,
             "serve checkpoint queue exceeds the configured capacity");
   for (std::uint32_t i = 0; i < queued; ++i) {
     const auto index = r.read<std::uint32_t>();
     const SimDuration arrival = SimDuration::seconds(r.read<double>());
-    HDC_CHECK(index < state.next_arrival, "serve checkpoint queue index out of range");
+    HDC_CHECK(index < state.next_arrival &&
+                  (state.queue.empty() || index > state.queue.back().first),
+              "serve checkpoint queue index out of range or order");
     state.queue.emplace_back(index, arrival);
   }
 
-  state.predictions = r.read_vector<std::uint32_t>();
-  const auto chunk_count = r.read<std::uint32_t>();
+  state.result.predictions = r.read_vector<std::uint32_t>();
+  const auto chunk_count = r.read_count(kChunkStatsBytes);
   HDC_CHECK(config == nullptr || chunk_count <= config->serve_chunks,
             "serve checkpoint has too many chunks");
-  state.chunks.reserve(chunk_count);
+  state.result.chunks.reserve(chunk_count);
   for (std::uint32_t i = 0; i < chunk_count; ++i) {
-    state.chunks.push_back(read_chunk_stats(r));
+    state.result.chunks.push_back(read_chunk_stats(r));
   }
-  for (auto& tier : state.tiers) {
+  for (auto& tier : state.result.tiers) {
     tier.samples = r.read<std::uint64_t>();
     tier.errors = r.read<std::uint64_t>();
     tier.service_time = SimDuration::seconds(r.read<double>());
   }
-  state.shed_samples = r.read<std::uint64_t>();
-  state.expired_samples = r.read<std::uint64_t>();
-  state.degraded_samples = r.read<std::uint64_t>();
-  state.shed_chunks = r.read<std::uint32_t>();
-  state.expired_chunks = r.read<std::uint32_t>();
-  state.correct_total = r.read<std::uint64_t>();
-  state.samples_served = r.read<std::uint64_t>();
-  state.snapshots_written = r.read<std::uint32_t>();
-  state.checkpoints_written = r.read<std::uint32_t>();
-  for (auto& stage : state.attribution_total.stages) {
+  state.counters.shed_samples = r.read<std::uint64_t>();
+  state.counters.expired_samples = r.read<std::uint64_t>();
+  state.counters.degraded_samples = r.read<std::uint64_t>();
+  state.counters.shed_requests = r.read<std::uint32_t>();
+  state.counters.expired_requests = r.read<std::uint32_t>();
+  state.counters.correct_samples = r.read<std::uint64_t>();
+  state.counters.served_samples = r.read<std::uint64_t>();
+  state.result.snapshots_written = r.read<std::uint32_t>();
+  state.result.checkpoints_written = r.read<std::uint32_t>();
+  for (auto& stage : state.result.attribution_total.stages) {
     stage = SimDuration::seconds(r.read<double>());
   }
-  state.requests_traced = r.read<std::uint64_t>();
+  state.result.requests_traced = r.read<std::uint64_t>();
   if (r.read<std::uint8_t>() != 0) {
     state.monitor = obs::ServingMonitor::deserialize(r);
   }
@@ -352,6 +275,9 @@ RestoredState read_checkpoint(const std::string& path, const ServeConfig* config
     state.energy = obs::EnergyAccountant::deserialize(r);
   }
   HDC_CHECK(r.exhausted(), "trailing bytes after serve checkpoint payload");
+  HDC_CHECK(state.monitor.has_value() == state.model_stats.has_value() &&
+                state.monitor.has_value() == state.energy.has_value(),
+            "serve checkpoint carries only part of its telemetry state");
   return state;
 }
 
@@ -436,26 +362,11 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     }
   }
 
-  std::deque<PendingChunk> queue;
   std::uint32_t next_arrival = 0;
   if (restored.has_value()) {
     learner = std::move(*restored->full);
     reduced_learner = std::move(*restored->reduced);
     next_arrival = restored->next_arrival;
-    // Replay the offered chunks the interrupted session already generated:
-    // the stream is deterministic, so the queued chunks' data is re-derived
-    // by index (shed/served chunks are consumed and discarded).
-    std::map<std::uint32_t, SimDuration> queued;
-    for (const auto& [index, arrival] : restored->queue) {
-      queued.emplace(index, arrival);
-    }
-    for (std::uint32_t k = 0; k < next_arrival; ++k) {
-      data::Dataset chunk = stream.next_chunk();
-      const auto it = queued.find(k);
-      if (it != queued.end()) {
-        queue.push_back(PendingChunk{k, it->second, std::move(chunk)});
-      }
-    }
   }
 
   // The deployed classifiers lag the live learners between refreshes, so they
@@ -472,8 +383,6 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   endpoint.deploy(ServeTier::kFull, deployed_full, representative);
   endpoint.deploy(ServeTier::kReduced, deployed_reduced, representative);
 
-  DeviceHealthTracker health = restored.has_value() ? std::move(*restored->health)
-                                                    : DeviceHealthTracker(config.health);
   if (restored.has_value()) {
     tpu::FaultInjector* injector = endpoint.device().fault_injector();
     if (injector != nullptr) {
@@ -481,63 +390,48 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     }
   }
 
-  ServeResult result;
-  result.warmup_accuracy =
-      fresh ? warmup_accuracy_sum / config.warmup_chunks : restored->warmup_accuracy;
-
-  std::uint64_t correct_total = 0;
-  std::uint64_t samples_served = 0;
-  std::uint32_t served_count = 0;
-  SimDuration now;
-  if (restored.has_value()) {
-    result.predictions = std::move(restored->predictions);
-    result.chunks = std::move(restored->chunks);
-    result.tiers = restored->tiers;
-    result.shed_samples = restored->shed_samples;
-    result.expired_samples = restored->expired_samples;
-    result.degraded_samples = restored->degraded_samples;
-    result.shed_chunks = restored->shed_chunks;
-    result.expired_chunks = restored->expired_chunks;
-    result.snapshots_written = restored->snapshots_written;
-    result.checkpoints_written = restored->checkpoints_written;
-    result.attribution_total = restored->attribution_total;
-    result.requests_traced = restored->requests_traced;
-    correct_total = restored->correct_total;
-    samples_served = restored->samples_served;
-    served_count = restored->served_count;
-    now = restored->now;
+  ServeResult result = fresh ? ServeResult() : std::move(restored->result);
+  if (fresh) {
+    result.warmup_accuracy = warmup_accuracy_sum / config.warmup_chunks;
   }
+  SimDuration now = fresh ? SimDuration() : restored->now;
 
   if (!config.snapshot_dir.empty()) {
     std::filesystem::create_directories(config.snapshot_dir);
   }
 
-  // Constructed after the first served chunk when the window span or the SLO
-  // target is auto-sized (both derive from simulated chunk timings, so the
-  // monitor stays deterministic). Admission events that happen earlier are
-  // buffered and replayed in order at construction.
-  std::optional<obs::ServingMonitor> monitor;
-  std::optional<obs::ModelQualityStats> model_stats;
-  std::optional<obs::EnergyAccountant> energy;
-  std::vector<AdmissionRecord> pending_admission;
-  std::vector<obs::EnergyAccountant::Request> pending_energy;
-  if (restored.has_value() && restored->monitor.has_value()) {
-    // Resume with the interrupted run's monitor exactly as checkpointed —
-    // windows, EWMAs, alarm edge states, event history, quarantine gate —
-    // so subsequent alarm lines and snapshots are byte-identical to the
-    // uninterrupted run's. The lazy auto-sizing path below is skipped
-    // because the monitor already exists.
-    monitor.emplace(std::move(*restored->monitor));
+  // The session's monitor, model-quality stats and energy accountant are
+  // sized after the first served chunk (window span and SLO target derive
+  // from its simulated timings, so they stay deterministic). A resumed
+  // session adopts the interrupted run's telemetry exactly as checkpointed —
+  // windows, EWMAs, alarm edge states, event history, quarantine gate — so
+  // subsequent alarm lines and snapshots are byte-identical to the
+  // uninterrupted run's.
+  ServingSession session(config, config.learner.dim, now);
+  ShardEngine shard(config, session, session.monitor, nullptr,
+                    restored.has_value() ? std::move(*restored->health)
+                                         : DeviceHealthTracker(config.health));
+  if (restored.has_value()) {
+    shard.counters = restored->counters;
+    session.attribution_total = result.attribution_total;
+    session.requests_traced = result.requests_traced;
+    if (restored->monitor.has_value()) {
+      session.monitor.restore(std::move(*restored->monitor));
+      session.model.emplace(std::move(*restored->model_stats));
+      session.energy.emplace(std::move(*restored->energy));
+    }
+    // Replay the offered chunks the interrupted session already generated:
+    // the stream is deterministic, so the queued chunks' data is re-derived
+    // by index (shed/served chunks are consumed and discarded).
+    auto queued = restored->queue.begin();
+    for (std::uint32_t k = 0; k < next_arrival; ++k) {
+      data::Dataset chunk = stream.next_chunk();
+      if (queued != restored->queue.end() && queued->first == k) {
+        shard.admit(QueuedRequest{k, 0, queued->second, std::move(chunk)});
+        ++queued;
+      }
+    }
   }
-  if (restored.has_value() && restored->model_stats.has_value()) {
-    model_stats.emplace(std::move(*restored->model_stats));
-  }
-  if (restored.has_value() && restored->energy.has_value()) {
-    energy.emplace(std::move(*restored->energy));
-  }
-
-  double log_clock = now.to_seconds();
-  LogClockScope log_scope(&log_clock);
 
   const bool open_loop = config.admission.offered_load > 0.0;
   SimDuration arrival_period;
@@ -549,50 +443,25 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
         (static_cast<double>(config.stream.chunk_size) / config.admission.offered_load);
   }
 
-  const auto record_admission = [&](SimDuration at, std::uint64_t offered,
-                                    std::uint64_t shed, std::uint64_t expired,
-                                    std::uint64_t degraded) {
-    if (monitor.has_value()) {
-      log_clock = at.to_seconds();
-      monitor->record_admission(at, offered, shed, expired, degraded);
-    } else {
-      pending_admission.push_back({at, offered, shed, expired, degraded});
-    }
-  };
-
+  // Quarantine gates every telemetry object of the session (the three are
+  // sized together, so one presence check covers them).
   const auto sync_quarantine = [&](SimDuration at) {
-    const bool quarantined = health.state() == DeviceHealth::kQuarantined;
-    if (monitor.has_value()) {
-      log_clock = at.to_seconds();
-      monitor->set_quarantined(quarantined, at);
-    }
-    if (model_stats.has_value()) {
-      log_clock = at.to_seconds();
-      model_stats->set_quarantined(quarantined, at);
-    }
-    if (energy.has_value()) {
-      log_clock = at.to_seconds();
-      energy->set_quarantined(quarantined, at);
+    if (session.monitor.ready()) {
+      const bool quarantined = shard.health.state() == DeviceHealth::kQuarantined;
+      session.clock.set(at);
+      session.monitor->set_quarantined(quarantined, at);
+      session.model->set_quarantined(quarantined, at);
+      session.energy->set_quarantined(quarantined, at);
     }
   };
 
-  /// Monitor snapshot with the model-quality section spliced in: the
-  /// `model` object, the flat `model.*` gate entries and the `hdc_model_*`
-  /// Prometheus families all ride inside the one hdc-monitor-v1 document.
+  /// Monitor snapshot with the model-quality and energy sections spliced in:
+  /// they all ride inside the one hdc-monitor-v1 document.
   const auto take_snapshot = [&](SimDuration at) {
-    obs::MonitorSnapshot snap = monitor->snapshot(at);
-    if (model_stats.has_value()) {
-      const obs::ModelStatsSnapshot ms = model_stats->snapshot(at);
-      snap.model_json = ms.to_json();
-      snap.model_metrics_json = ms.metrics_json();
-      snap.model_prometheus = ms.to_prometheus();
-    }
-    if (energy.has_value()) {
-      const obs::EnergySnapshot es = energy->snapshot(at);
-      snap.energy_json = es.to_json();
-      snap.energy_metrics_json = es.metrics_json();
-      snap.energy_prometheus = es.to_prometheus();
-    }
+    obs::MonitorSnapshot snap = session.monitor->snapshot(at);
+    const obs::ModelStatsSnapshot ms = session.model->snapshot(at);
+    const obs::EnergySnapshot es = session.energy->snapshot(at);
+    splice_sections(snap, ms, ms.to_json(), es, es.to_json());
     return snap;
   };
 
@@ -603,33 +472,9 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   // path already computed and never move `now`, so attaching them cannot
   // change predictions, timings, or checkpoint bytes (beyond the two
   // checkpointed attribution accumulators, which are themselves derived).
-  obs::ExemplarStore exemplar_store(config.exemplars);
   obs::TraceContext* const trace = framework.trace_context();
-
-  const auto finish_request = [&](obs::RequestTrace&& rt,
-                                  std::optional<obs::ExemplarReason> reason) {
-    result.attribution_total += rt.attribution;
-    ++result.requests_traced;
-    // Energy rides the finalized attribution on every outcome path — shed and
-    // expired requests burned real (queue-wait) joules too. Buffered until
-    // the lazily sized accountant exists, like admission records.
-    obs::EnergyAccountant::Request ereq;
-    ereq.at = rt.end;
-    ereq.attribution = rt.attribution;
-    ereq.outcome = rt.outcome;
-    ereq.samples = rt.outcome == obs::RequestOutcome::kServed ? rt.samples : 0;
-    ereq.degraded = rt.tier != 0;
-    ereq.request_id = static_cast<std::int64_t>(rt.request_id);
-    if (energy.has_value()) {
-      log_clock = rt.end.to_seconds();
-      energy->record(ereq);
-    } else {
-      pending_energy.push_back(ereq);
-    }
-    if (reason.has_value()) {
-      exemplar_store.offer(*reason, rt);
-    }
-    result.requests.push_back(std::move(rt));
+  const auto finish = [&](obs::RequestTrace&& rt, std::optional<obs::ExemplarReason> reason) {
+    session.finish(std::move(rt), reason);
     if (trace != nullptr) {
       trace->end_request();
     }
@@ -643,12 +488,12 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     w.write<std::uint32_t>(next_arrival);
     w.write<double>(now.to_seconds());
     w.write<double>(result.warmup_accuracy);
-    w.write<std::uint32_t>(served_count);
+    w.write<std::uint32_t>(static_cast<std::uint32_t>(shard.counters.served_requests));
     learner.serialize(w);
     reduced_learner.serialize(w);
     w.write_vector(core::serialize_classifier(deployed_full));
     w.write_vector(core::serialize_classifier(deployed_reduced));
-    health.serialize(w);
+    shard.health.serialize(w);
     Rng::State rng{};
     if (const tpu::FaultInjector* injector = endpoint.device().fault_injector()) {
       rng = injector->rng_state();
@@ -658,9 +503,9 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     }
     w.write<std::uint8_t>(rng.has_spare_gaussian ? 1 : 0);
     w.write<float>(rng.spare_gaussian);
-    w.write<std::uint32_t>(static_cast<std::uint32_t>(queue.size()));
-    for (const PendingChunk& item : queue) {
-      w.write<std::uint32_t>(item.index);
+    w.write<std::uint32_t>(static_cast<std::uint32_t>(shard.queue.size()));
+    for (const QueuedRequest& item : shard.queue) {
+      w.write<std::uint32_t>(static_cast<std::uint32_t>(item.id));
       w.write<double>(item.arrival.to_seconds());
     }
     w.write_vector(result.predictions);
@@ -673,144 +518,86 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
       w.write<std::uint64_t>(tier.errors);
       w.write<double>(tier.service_time.to_seconds());
     }
-    w.write<std::uint64_t>(result.shed_samples);
-    w.write<std::uint64_t>(result.expired_samples);
-    w.write<std::uint64_t>(result.degraded_samples);
-    w.write<std::uint32_t>(result.shed_chunks);
-    w.write<std::uint32_t>(result.expired_chunks);
-    w.write<std::uint64_t>(correct_total);
-    w.write<std::uint64_t>(samples_served);
+    const ShardCounters& c = shard.counters;
+    w.write<std::uint64_t>(c.shed_samples);
+    w.write<std::uint64_t>(c.expired_samples);
+    w.write<std::uint64_t>(c.degraded_samples);
+    w.write<std::uint32_t>(static_cast<std::uint32_t>(c.shed_requests));
+    w.write<std::uint32_t>(static_cast<std::uint32_t>(c.expired_requests));
+    w.write<std::uint64_t>(c.correct_samples);
+    w.write<std::uint64_t>(c.served_samples);
     w.write<std::uint32_t>(result.snapshots_written);
     w.write<std::uint32_t>(result.checkpoints_written + 1);
-    for (const SimDuration& stage : result.attribution_total.stages) {
+    for (const SimDuration& stage : session.attribution_total.stages) {
       w.write<double>(stage.to_seconds());
     }
-    w.write<std::uint64_t>(result.requests_traced);
-    w.write<std::uint8_t>(monitor.has_value() ? 1 : 0);
-    if (monitor.has_value()) {
-      monitor->serialize(w);
+    w.write<std::uint64_t>(session.requests_traced);
+    w.write<std::uint8_t>(session.monitor.ready() ? 1 : 0);
+    if (session.monitor.ready()) {
+      session.monitor->serialize(w);
     }
-    w.write<std::uint8_t>(model_stats.has_value() ? 1 : 0);
-    if (model_stats.has_value()) {
-      model_stats->serialize(w);
+    w.write<std::uint8_t>(session.model.has_value() ? 1 : 0);
+    if (session.model.has_value()) {
+      session.model->serialize(w);
     }
-    w.write<std::uint8_t>(energy.has_value() ? 1 : 0);
-    if (energy.has_value()) {
-      energy->serialize(w);
+    w.write<std::uint8_t>(session.energy.has_value() ? 1 : 0);
+    if (session.energy.has_value()) {
+      session.energy->serialize(w);
     }
     const std::uint32_t checksum = crc32(w.bytes().data(), w.size());
     w.write<std::uint32_t>(checksum);
     return w.take();
   };
 
-  const auto serve_one = [&](PendingChunk&& item) {
+  const auto serve_one = [&](QueuedRequest&& item) {
     const SimDuration start = std::max(now, item.arrival);
     const SimDuration wait = start - item.arrival;
     const std::size_t n = item.data.num_samples();
 
-    obs::RequestTrace rt;
-    rt.begin(item.index, item.arrival);
-    rt.samples = n;
-    if (!wait.is_zero()) {
-      rt.append(obs::Stage::kQueueWait, wait);
-    }
+    obs::RequestTrace rt = begin_trace(item, now, start);
     if (trace != nullptr) {
       // Open the causal scope for this request: every span the executor /
       // device / link layers emit below is stamped with this id.
       trace->set_now(item.arrival);
-      trace->begin_request(item.index);
+      trace->begin_request(item.id);
       if (!wait.is_zero()) {
         trace->span(obs::Track::kExecutor, "serve.queue_wait", wait,
                     {{"samples", n}});
       }
     }
 
-    // Pick the ladder tier: device health first, then backlog pressure. A
-    // quarantined device whose probe interval elapsed flips to probing here.
-    const ServeTier tier =
-        health.admit_tier(start, queue.size(), config.admission.degrade_backlog);
+    const ServeTier tier = shard.admit_tier(start);
     sync_quarantine(start);
     if (trace != nullptr) {
       trace->instant_at(obs::Track::kExecutor, "serve.admit_tier", start,
                         {{"tier", tier_name(tier)},
-                         {"queue_depth", queue.size()}});
+                         {"queue_depth", shard.queue.size()}});
     }
 
+    // The deadline check itself is admission bookkeeping and costs no
+    // simulated time.
     const SimDuration deadline = config.admission.deadline;
-    if (!deadline.is_zero()) {
-      // Expire unserved when even the first sample cannot complete within
-      // its remaining budget (the deadline is measured from chunk arrival).
-      // The check itself is admission bookkeeping and costs no simulated time.
-      const SimDuration nominal = endpoint.nominal_per_sample(tier);
-      if (wait + nominal > deadline) {
-        result.expired_samples += n;
-        ++result.expired_chunks;
-        record_admission(start, n, 0, n, 0);
-        rt.outcome = obs::RequestOutcome::kExpired;
-        rt.tier = static_cast<std::uint8_t>(tier);
-        rt.finalize(start);
-        if (trace != nullptr) {
-          trace->instant_at(obs::Track::kExecutor, "serve.expired", start,
-                            {{"wait_us", wait.to_seconds() * 1e6},
-                             {"deadline_us", deadline.to_seconds() * 1e6}});
-        }
-        finish_request(std::move(rt), obs::ExemplarReason::kExpired);
-        return;
+    const SimDuration nominal =
+        deadline.is_zero() ? SimDuration() : endpoint.nominal_per_sample(tier);
+    if (shard.expires(wait, nominal)) {
+      shard.expire(rt, start, tier);
+      if (trace != nullptr) {
+        trace->instant_at(obs::Track::kExecutor, "serve.expired", start,
+                          {{"wait_us", wait.to_seconds() * 1e6},
+                           {"deadline_us", deadline.to_seconds() * 1e6}});
       }
+      finish(std::move(rt), obs::ExemplarReason::kExpired);
+      return;
     }
-    const SimDuration budget = deadline.is_zero() ? SimDuration() : deadline - wait;
 
     ServingEndpoint::BatchOutcome outcome =
-        endpoint.infer(tier, item.data.features, start, budget, &rt);
+        endpoint.infer(tier, item.data.features, start, shard.budget(wait), &rt);
     const SimDuration per_sample = outcome.total * (1.0 / static_cast<double>(n));
     SimDuration chunk_end = start + outcome.total;
-
-    if (tier != ServeTier::kHost) {
-      // Any retry, fallback sample or circuit trip marks the batch faulty
-      // for the health machine; the monitor never feeds back into this.
-      const bool faulty = outcome.report.circuit_opened || outcome.report.cpu_samples > 0 ||
-                          outcome.report.device_stats.invoke_retries > 0;
-      health.on_batch(chunk_end, faulty, outcome.report.circuit_opened);
-    }
-
-    if (!monitor.has_value()) {
-      obs::MonitorConfig mc = config.monitor;
-      mc.num_classes = spec.classes;
-      if (mc.window.span.is_zero()) {
-        mc.window.span = outcome.total * 4.0;
-      }
-      if (mc.window.buckets == 0) {
-        mc.window.buckets = 16;
-      }
-      if (mc.slo_latency.is_zero()) {
-        mc.slo_latency = per_sample * 1.5;
-      }
-      monitor.emplace(mc);
-      for (const AdmissionRecord& rec : pending_admission) {
-        monitor->record_admission(rec.at, rec.offered, rec.shed, rec.expired, rec.degraded);
-      }
-      pending_admission.clear();
-
-      // The model-quality monitor shares the serving monitor's lifecycle and
-      // (resolved) window, and sees the classifier actually deployed on the
-      // endpoint first.
-      obs::ModelStatsConfig msc = config.model_stats;
-      msc.num_classes = spec.classes;
-      msc.dim = config.learner.dim;
-      msc.window = mc.window;
-      model_stats.emplace(msc);
-      model_stats->observe_model(deployed_full.model.class_hypervectors());
-
-      // The energy accountant shares the resolved monitor window; requests
-      // finished before this point (shed/expired ahead of the first served
-      // chunk) are replayed in order.
-      obs::EnergyConfig ec = config.energy;
-      ec.window = mc.window;
-      energy.emplace(ec);
-      for (const obs::EnergyAccountant::Request& req : pending_energy) {
-        energy->record(req);
-      }
-      pending_energy.clear();
+    shard.feed_health(tier, chunk_end, outcome.report);
+    if (shard.start_telemetry(outcome.total, n)) {
+      // The model-quality stats see the classifier deployed on the endpoint.
+      session.model->observe_model(deployed_full.model.class_hypervectors());
     }
     sync_quarantine(chunk_end);
 
@@ -832,28 +619,10 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
       for (std::size_t j = 0; j < n; ++j) {
         const std::uint32_t predicted = outcome.predictions[j];
         const std::uint32_t label = item.data.labels[j];
-        const core::OnlineLearner::Decision decision = learner.decide_encoded(encoded.row(j));
-
-        obs::ServingMonitor::Sample sample;
-        sample.at = start + per_sample * static_cast<double>(j + 1);
-        sample.latency = wait + per_sample;
-        sample.request_id = static_cast<std::int64_t>(item.index);
-        sample.predicted = predicted;
-        sample.correct = predicted == label;
-        sample.margin = decision.margin();
-        log_clock = sample.at.to_seconds();
-        monitor->record(sample);
-
-        // Served samples only — shed/expired chunks never reach this loop, so
-        // confusion row sums stay exactly equal to per-class served counts.
-        obs::ModelQualityStats::Sample msample;
-        msample.at = sample.at;
-        msample.predicted = predicted;
-        msample.label = label;
-        msample.top1 = static_cast<double>(decision.top1);
-        msample.request_id = static_cast<std::int64_t>(item.index);
-        model_stats->record(msample);
-        model_stats->record_dimensions(sample.at, label, encoded.row(j));
+        const SimDuration at = start + per_sample * static_cast<double>(j + 1);
+        shard.record_sample(at, wait + per_sample, item.id, predicted, label,
+                            learner.decide_encoded(encoded.row(j)));
+        session.model->record_dimensions(at, label, encoded.row(j));
 
         if (config.online_updates) {
           if (learner.learn_encoded(encoded.row(j), label) != label) {
@@ -869,11 +638,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
         chunk_correct += predicted == label ? 1 : 0;
       }
     }
-
-    log_clock = chunk_end.to_seconds();
-    monitor->record_transport(chunk_end, n, outcome.report.cpu_samples,
-                              outcome.report.device_stats.invoke_retries);
-    record_admission(chunk_end, n, 0, 0, tier != ServeTier::kFull ? n : 0);
+    shard.record_batch(chunk_end, n, tier, outcome.report);
 
     // Host-side class-hypervector updates are real simulated work; price
     // them with the same cost machinery the trainers use. Monitoring itself
@@ -896,36 +661,16 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
                        update_cost, {{"samples", n}});
       }
     }
-    rt.outcome = obs::RequestOutcome::kServed;
-    rt.tier = static_cast<std::uint8_t>(tier);
-    rt.faulty = outcome.report.circuit_opened || outcome.report.cpu_samples > 0 ||
-                outcome.report.device_stats.invoke_retries > 0;
-    rt.finalize(now);
-    monitor->record_attribution(now, rt.attribution);
-
-    // Tail-based retention: keep the full chain only when this request left
-    // the full tier (or spilled samples to the host) or its per-sample
-    // latency reaches the windowed p99 at its own completion time. The
-    // slowest request in any window always qualifies, so alarm exemplar ids
-    // resolve to retained chains (barring later eviction under the bound).
-    std::optional<obs::ExemplarReason> reason;
-    if (tier != ServeTier::kFull || outcome.report.cpu_samples > 0) {
-      reason = obs::ExemplarReason::kTierFallback;
-    } else if (wait + per_sample >= monitor->latency_quantile(now, 0.99)) {
-      reason = obs::ExemplarReason::kTailLatency;
-    }
-    finish_request(std::move(rt), reason);
+    const std::optional<obs::ExemplarReason> reason =
+        shard.finish_served(rt, now, tier, outcome.report, wait + per_sample);
+    session.clock.set(now);
+    finish(std::move(rt), reason);
 
     auto& tier_stats = result.tiers[static_cast<std::size_t>(tier)];
     tier_stats.samples += n;
     tier_stats.errors += n - chunk_correct;
     tier_stats.service_time += outcome.total;
-    if (tier != ServeTier::kFull) {
-      result.degraded_samples += n;
-    }
-    correct_total += chunk_correct;
-    samples_served += n;
-    ++served_count;
+    const std::uint64_t served_count = shard.counters.served_requests;
 
     if (config.online_updates && config.model_refresh_chunks > 0 &&
         served_count % config.model_refresh_chunks == 0) {
@@ -940,24 +685,24 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
                 "model refresh changed the full-tier class count mid-stream");
       HDC_CHECK(deployed_reduced.num_classes() == spec.classes,
                 "model refresh changed the reduced-tier class count mid-stream");
-      model_stats->observe_model(deployed_full.model.class_hypervectors());
+      session.model->observe_model(deployed_full.model.class_hypervectors());
       endpoint.deploy(ServeTier::kFull, deployed_full, representative);
       endpoint.deploy(ServeTier::kReduced, deployed_reduced, representative);
     }
 
     ServeResult::ChunkStats stats;
-    stats.index = item.index;
+    stats.index = static_cast<std::uint32_t>(item.id);
     stats.t_end = now;
     stats.samples = n;
     stats.chunk_accuracy =
         n == 0 ? 0.0 : static_cast<double>(chunk_correct) / static_cast<double>(n);
-    stats.windowed_accuracy = monitor->windowed_accuracy(now);
-    stats.drift_score = monitor->drift_score();
+    stats.windowed_accuracy = session.monitor->windowed_accuracy(now);
+    stats.drift_score = session.monitor->drift_score();
     stats.fallback_samples = outcome.report.cpu_samples;
     stats.circuit_opened = outcome.report.circuit_opened;
     stats.tier = tier;
     stats.queue_wait = wait;
-    stats.health = health.state();
+    stats.health = shard.health.state();
     result.chunks.push_back(stats);
 
     const bool interval_due = config.snapshot_every_chunks > 0 &&
@@ -982,7 +727,8 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
       const std::vector<std::uint8_t> bytes = build_checkpoint();
       write_file(config.checkpoint_path, bytes);
       char suffix[16];
-      std::snprintf(suffix, sizeof(suffix), ".%04u", served_count);
+      std::snprintf(suffix, sizeof(suffix), ".%04u",
+                    static_cast<unsigned>(served_count));
       write_file(config.checkpoint_path + suffix, bytes);
       ++result.checkpoints_written;
     }
@@ -994,140 +740,80 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     while (next_arrival < config.serve_chunks) {
       data::Dataset chunk = stream.next_chunk();
       const std::uint32_t index = next_arrival++;
-      serve_one(PendingChunk{index, now, std::move(chunk)});
+      serve_one(QueuedRequest{index, 0, now, std::move(chunk)});
     }
   } else {
     // Open loop: arrivals on a fixed schedule, a bounded queue in front of
     // the endpoint, deterministic shedding when it overflows. Arrivals due
     // at or before the next service start are admitted first, so queue
     // occupancy (and shedding) is an exact function of simulated time.
-    while (next_arrival < config.serve_chunks || !queue.empty()) {
+    while (next_arrival < config.serve_chunks || !shard.queue.empty()) {
       bool admit = false;
       if (next_arrival < config.serve_chunks) {
-        if (queue.empty()) {
+        if (shard.queue.empty()) {
           admit = true;
         } else {
           const SimDuration next_at =
               arrival_period * static_cast<double>(next_arrival);
-          const SimDuration service_start = std::max(now, queue.front().arrival);
+          const SimDuration service_start = std::max(now, shard.queue.front().arrival);
           admit = next_at <= service_start;
         }
       }
-      if (admit) {
-        const SimDuration arrival = arrival_period * static_cast<double>(next_arrival);
-        data::Dataset chunk = stream.next_chunk();
-        const std::uint32_t index = next_arrival++;
-        if (queue.size() >= config.admission.queue_capacity) {
-          if (config.admission.policy == ShedPolicy::kRejectNewest) {
-            result.shed_samples += chunk.num_samples();
-            ++result.shed_chunks;
-            record_admission(arrival, chunk.num_samples(), chunk.num_samples(), 0, 0);
-            obs::RequestTrace rt;
-            rt.begin(index, arrival);
-            rt.samples = chunk.num_samples();
-            rt.outcome = obs::RequestOutcome::kShed;
-            rt.finalize(arrival);  // refused on arrival: zero latency
-            if (trace != nullptr) {
-              trace->begin_request(index);
-              trace->instant_at(obs::Track::kExecutor, "serve.shed", arrival,
-                                {{"policy", "reject_newest"},
-                                 {"queue_depth", queue.size()}});
-            }
-            finish_request(std::move(rt), obs::ExemplarReason::kShed);
-            continue;  // the arriving chunk is refused
-          }
-          // kDropOldest: the stalest queued chunk makes room.
-          PendingChunk dropped = std::move(queue.front());
-          queue.pop_front();
-          result.shed_samples += dropped.data.num_samples();
-          ++result.shed_chunks;
-          record_admission(arrival, dropped.data.num_samples(),
-                           dropped.data.num_samples(), 0, 0);
-          obs::RequestTrace rt;
-          rt.begin(dropped.index, dropped.arrival);
-          rt.samples = dropped.data.num_samples();
-          rt.outcome = obs::RequestOutcome::kShed;
-          if (arrival > dropped.arrival) {
-            // Time the victim sat queued before being dropped.
-            rt.append(obs::Stage::kQueueWait, arrival - dropped.arrival);
-          }
-          rt.finalize(arrival);
-          if (trace != nullptr) {
-            trace->begin_request(dropped.index);
-            trace->instant_at(obs::Track::kExecutor, "serve.shed", arrival,
-                              {{"policy", "drop_oldest"},
-                               {"queue_depth", queue.size()}});
-          }
-          finish_request(std::move(rt), obs::ExemplarReason::kShed);
+      if (!admit) {
+        serve_one(shard.pop());
+        continue;
+      }
+      const SimDuration arrival = arrival_period * static_cast<double>(next_arrival);
+      data::Dataset chunk = stream.next_chunk();
+      const std::uint32_t index = next_arrival++;
+      std::optional<ShedRequest> shed =
+          shard.admit(QueuedRequest{index, 0, arrival, std::move(chunk)});
+      if (shed.has_value()) {
+        if (trace != nullptr) {
+          trace->begin_request(shed->trace.request_id);
+          trace->instant_at(obs::Track::kExecutor, "serve.shed", arrival,
+                            {{"policy", config.admission.policy == ShedPolicy::kDropOldest
+                                            ? "drop_oldest"
+                                            : "reject_newest"},
+                             {"queue_depth", shed->queue_depth}});
         }
-        queue.push_back(PendingChunk{index, arrival, std::move(chunk)});
-      } else {
-        PendingChunk item = std::move(queue.front());
-        queue.pop_front();
-        serve_one(std::move(item));
+        finish(std::move(shed->trace), obs::ExemplarReason::kShed);
       }
     }
   }
 
-  if (!monitor.has_value()) {
-    // Degenerate session: every offered chunk was shed or expired before a
-    // single one was served, so the auto-sizing never saw a chunk timing.
-    obs::MonitorConfig mc = config.monitor;
-    mc.num_classes = spec.classes;
-    if (mc.window.span.is_zero()) {
-      mc.window.span = SimDuration::millis(1);
-    }
-    if (mc.window.buckets == 0) {
-      mc.window.buckets = 16;
-    }
-    if (mc.slo_latency.is_zero()) {
-      mc.slo_latency = SimDuration::micros(100);
-    }
-    monitor.emplace(mc);
-    for (const AdmissionRecord& rec : pending_admission) {
-      monitor->record_admission(rec.at, rec.offered, rec.shed, rec.expired, rec.degraded);
-    }
-    pending_admission.clear();
-
-    obs::ModelStatsConfig msc = config.model_stats;
-    msc.num_classes = spec.classes;
-    msc.dim = config.learner.dim;
-    msc.window = mc.window;
-    model_stats.emplace(msc);
-    model_stats->observe_model(deployed_full.model.class_hypervectors());
-
-    obs::EnergyConfig ec = config.energy;
-    ec.window = mc.window;
-    energy.emplace(ec);
-    for (const obs::EnergyAccountant::Request& req : pending_energy) {
-      energy->record(req);
-    }
-    pending_energy.clear();
+  // A degenerate session shed or expired every chunk before serving one, so
+  // the telemetry never saw a chunk timing and takes the fallback sizing.
+  if (shard.start_telemetry(SimDuration(), 0)) {
+    session.model->observe_model(deployed_full.model.class_hypervectors());
   }
 
   result.final_snapshot = take_snapshot(now);
-  result.events = monitor->events();
-  if (model_stats.has_value()) {
-    result.final_model = model_stats->snapshot(now);
-    result.model_events = model_stats->events();
-  }
-  if (energy.has_value()) {
-    result.final_energy = energy->snapshot(now);
-    result.energy_events = energy->events();
-  }
+  result.events = session.monitor->events();
+  result.final_model = session.model->snapshot(now);
+  result.model_events = session.model->events();
+  result.final_energy = session.energy->snapshot(now);
+  result.energy_events = session.energy->events();
   result.t_end = now;
   // Lifetime totals come from the serve accumulators; the monitor (restored
   // warm from the checkpoint since HDSV v3) agrees, but the accumulators are
   // the source of truth for results.
-  result.samples_served = samples_served;
+  const ShardCounters& counters = shard.counters;
+  result.samples_served = counters.served_samples;
   result.lifetime_accuracy =
-      samples_served == 0
+      counters.served_samples == 0
           ? 0.0
-          : static_cast<double>(correct_total) / static_cast<double>(samples_served);
-  result.final_health = health.state();
-  result.health_transitions = health.transitions();
-  result.quarantines = health.quarantines();
-  result.probes = health.probes_attempted();
+          : static_cast<double>(counters.correct_samples) /
+                static_cast<double>(counters.served_samples);
+  result.shed_samples = counters.shed_samples;
+  result.expired_samples = counters.expired_samples;
+  result.degraded_samples = counters.degraded_samples;
+  result.shed_chunks = static_cast<std::uint32_t>(counters.shed_requests);
+  result.expired_chunks = static_cast<std::uint32_t>(counters.expired_requests);
+  result.final_health = shard.health.state();
+  result.health_transitions = shard.health.transitions();
+  result.quarantines = shard.health.quarantines();
+  result.probes = shard.health.probes_attempted();
 
   if (!config.snapshot_dir.empty()) {
     ++result.snapshots_written;
@@ -1144,25 +830,21 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     ++result.checkpoints_written;
   }
 
-  result.exemplar_records.assign(exemplar_store.exemplars().begin(),
-                                 exemplar_store.exemplars().end());
-  result.exemplar_bytes = exemplar_store.approx_bytes();
-  result.exemplar_bytes_peak = exemplar_store.peak_bytes();
-  result.exemplars_evicted = exemplar_store.evicted();
+  result.requests = std::move(session.requests);
+  result.attribution_total = session.attribution_total;
+  result.requests_traced = session.requests_traced;
+  result.exemplar_records.assign(session.exemplars.exemplars().begin(),
+                                 session.exemplars.exemplars().end());
+  result.exemplar_bytes = session.exemplars.approx_bytes();
+  result.exemplar_bytes_peak = session.exemplars.peak_bytes();
+  result.exemplars_evicted = session.exemplars.evicted();
   if (trace != nullptr) {
     result.trace_events = trace->size();
     result.trace_dropped = trace->dropped();
   }
-  std::string exemplar_path = config.exemplar_path;
-  if (exemplar_path.empty() && !config.snapshot_dir.empty()) {
-    exemplar_path =
-        (std::filesystem::path(config.snapshot_dir) / "exemplars.jsonl").string();
-  }
-  if (!exemplar_path.empty()) {
-    write_text_file(exemplar_path, exemplar_store.to_jsonl());
-  }
+  session.write_exemplars();
 
-  log_clock = now.to_seconds();
+  session.clock.set(now);
   HDC_LOG_INFO << "serve: " << result.samples_served << " samples over "
                << result.t_end.to_string() << " simulated, lifetime accuracy "
                << result.lifetime_accuracy << ", final device health "
@@ -1177,38 +859,46 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   return result;
 }
 
-std::string checkpoint_model_stats_json(const std::string& path) {
+namespace {
+
+/// `{"schema":...,"t_s":...,"lifetime":{"samples":N},"<key>":{...}}`: one
+/// telemetry section of an HDSV checkpoint at its simulated time, read
+/// without the original `ServeConfig`.
+template <typename Section>
+std::string checkpoint_section_json(const std::string& path,
+                                    std::optional<Section> RestoredState::*member,
+                                    const char* what, const char* schema, const char* key) {
   RestoredState state = read_checkpoint(path, nullptr);
-  HDC_CHECK(state.model_stats.has_value(),
-            "checkpoint '" + path +
-                "' carries no model-quality state (the interrupted run never "
-                "served a chunk)");
-  const obs::ModelStatsSnapshot snap = state.model_stats->snapshot(state.now);
-  std::string out = "{\"schema\":\"hdc-modelstats-v1\",\"t_s\":";
+  std::optional<Section>& section = state.*member;
+  HDC_CHECK(section.has_value(),
+            "checkpoint '" + path + "' carries no " + what +
+                " state (the interrupted run never served a chunk)");
+  std::string out = std::string("{\"schema\":\"") + schema + "\",\"t_s\":";
   obs::detail::append_json_number(out, state.now.to_seconds());
   out += ",\"lifetime\":{\"samples\":";
-  out += std::to_string(state.samples_served);
-  out += "},\"model\":";
-  out += snap.to_json();
+  out += std::to_string(state.counters.served_samples);
+  out += "},\"";
+  out += key;
+  out += "\":";
+  out += section->snapshot(state.now).to_json();
   out += "}";
   return out;
 }
 
+}  // namespace
+
+void verify_checkpoint(const std::string& path, const ServeConfig& config) {
+  read_checkpoint(path, &config);
+}
+
+std::string checkpoint_model_stats_json(const std::string& path) {
+  return checkpoint_section_json(path, &RestoredState::model_stats, "model-quality",
+                                 "hdc-modelstats-v1", "model");
+}
+
 std::string checkpoint_energy_json(const std::string& path) {
-  RestoredState state = read_checkpoint(path, nullptr);
-  HDC_CHECK(state.energy.has_value(),
-            "checkpoint '" + path +
-                "' carries no energy state (the interrupted run never served "
-                "a chunk)");
-  const obs::EnergySnapshot snap = state.energy->snapshot(state.now);
-  std::string out = "{\"schema\":\"hdc-energystats-v1\",\"t_s\":";
-  obs::detail::append_json_number(out, state.now.to_seconds());
-  out += ",\"lifetime\":{\"samples\":";
-  out += std::to_string(state.samples_served);
-  out += "},\"energy\":";
-  out += snap.to_json();
-  out += "}";
-  return out;
+  return checkpoint_section_json(path, &RestoredState::energy, "energy",
+                                 "hdc-energystats-v1", "energy");
 }
 
 }  // namespace hdc::runtime

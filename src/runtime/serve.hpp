@@ -164,6 +164,11 @@ struct ServeConfig {
   void validate() const;
 };
 
+/// Where a session writes its retained exemplars: `exemplar_path`, else
+/// `<snapshot_dir>/exemplars.jsonl` when a snapshot dir is set, else nowhere
+/// (empty).
+std::string exemplar_output_path(const ServeConfig& config);
+
 /// What one serving session produced. `predictions` and `t_end` depend only
 /// on the stream/learner/fault/admission configuration — never on monitor
 /// thresholds, window sizing, or exporters (result-invariance, pinned by
@@ -264,6 +269,12 @@ struct ServeResult {
 /// snapshot/checkpoint bytes. Resuming from a mid-stream checkpoint yields
 /// the same bytes as the uninterrupted run.
 ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config);
+
+/// Parses an HDSV checkpoint the way resuming `config` from it does (magic,
+/// version, CRC, fingerprint match, queue and chunk bounds, exact payload
+/// traversal) without serving. Throws `hdc::Error` wherever `serve` would
+/// refuse to resume from it.
+void verify_checkpoint(const std::string& path, const ServeConfig& config);
 
 /// Reads the model-quality section out of an HDSV checkpoint without the
 /// original `ServeConfig` (magic/version/CRC still verified; the config

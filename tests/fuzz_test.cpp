@@ -3,15 +3,30 @@
 // silently load — every malformed input has to surface as hdc::Error.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
+#include <exception>
+#include <filesystem>
+#include <string>
+
+#include "common/byte_io.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/serialize.hpp"
 #include "core/trainer.hpp"
 #include "lite/builder.hpp"
 #include "lite/quantize.hpp"
+#include "data/synthetic.hpp"
 #include "lite/serialize.hpp"
 #include "nn/graph.hpp"
+#include "obs/energy.hpp"
+#include "obs/model_stats.hpp"
+#include "obs/monitor.hpp"
+#include "runtime/framework.hpp"
+#include "runtime/serve.hpp"
 
 namespace hdc {
 namespace {
@@ -127,6 +142,190 @@ TEST(FuzzLiteTest, RoundTripSurvivesManyModels) {
       EXPECT_EQ(restored.tensors[t].data, model.tensors[t].data);
     }
   }
+}
+
+// ---- HDSV serve checkpoints --------------------------------------------------
+//
+// A small open-loop session with online updates, checkpointed mid-run (so
+// the admission queue, the learners and all three telemetry sections are
+// populated), read back by the inspection readers (relaxed: no config) and
+// by the resume path (strict: fingerprint and bounds matched).
+
+runtime::ServeConfig checkpoint_config() {
+  runtime::ServeConfig config;
+  config.stream.spec = data::paper_dataset("PAMAP2");
+  config.stream.spec.seed = 0xC4EC;
+  config.stream.chunk_size = 16;
+  config.learner.dim = 64;
+  config.warmup_chunks = 1;
+  config.serve_chunks = 6;
+  config.online_updates = true;
+  config.model_refresh_chunks = 2;
+  config.admission.offered_load = 2.0;
+  config.admission.queue_capacity = 2;
+  config.checkpoint_every_chunks = 2;
+  return config;
+}
+
+/// A scratch file under the temp directory, removed with the fixture.
+class CheckpointFuzz : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("hdc_fuzz_hdsv_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+    config_ = checkpoint_config();
+    config_.checkpoint_path = (dir_ / "serve.ck").string();
+    runtime::serve(runtime::CoDesignFramework(), config_);
+    original_ = read_file(config_.checkpoint_path + ".0002");
+    ASSERT_GT(original_.size(), 64U);
+    path_ = (dir_ / "fuzzed.ck").string();
+  }
+  void TearDown() override {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
+
+  /// The three readers of one byte image.
+  void model_json(const std::vector<std::uint8_t>& bytes) {
+    write_file(path_, bytes);
+    runtime::checkpoint_model_stats_json(path_);
+  }
+  void energy_json(const std::vector<std::uint8_t>& bytes) {
+    write_file(path_, bytes);
+    runtime::checkpoint_energy_json(path_);
+  }
+  void strict(const std::vector<std::uint8_t>& bytes) {
+    write_file(path_, bytes);
+    runtime::verify_checkpoint(path_, config_);
+  }
+
+  template <typename Reader>
+  void for_each_reader(Reader&& reader) {
+    reader([this](const auto& b) { model_json(b); });
+    reader([this](const auto& b) { energy_json(b); });
+    reader([this](const auto& b) { strict(b); });
+  }
+
+  std::filesystem::path dir_;
+  runtime::ServeConfig config_;
+  std::vector<std::uint8_t> original_;
+  std::string path_;
+};
+
+TEST_F(CheckpointFuzz, OriginalParsesUnderEveryReader) {
+  for_each_reader([this](auto&& load) { EXPECT_NO_THROW(load(original_)); });
+}
+
+TEST_F(CheckpointFuzz, BitFlipsAlwaysDetected) {
+  for_each_reader([this](auto&& load) { fuzz_bitflips(original_, load, 64); });
+}
+
+TEST_F(CheckpointFuzz, TruncationsAlwaysDetected) {
+  for_each_reader([this](auto&& load) { fuzz_truncations(original_, load); });
+}
+
+TEST_F(CheckpointFuzz, GarbageAlwaysRejected) {
+  for_each_reader([](auto&& load) { fuzz_garbage(load); });
+}
+
+TEST_F(CheckpointFuzz, HugeChunkCountIsAnErrorNotAnAllocation) {
+  // The chunk count follows the predictions vector (u64 length + u32 each);
+  // the checkpoint was cut after two served chunks of 16 samples.
+  const runtime::ServeResult run = [this] {
+    runtime::ServeConfig config = config_;
+    config.checkpoint_path.clear();
+    config.checkpoint_every_chunks = 0;
+    config.serve_chunks = 2;
+    return runtime::serve(runtime::CoDesignFramework(), config);
+  }();
+  ByteWriter pattern;
+  pattern.write_vector(run.predictions);
+  pattern.write<std::uint32_t>(2);
+  const auto at = std::search(original_.begin(), original_.end(), pattern.bytes().begin(),
+                              pattern.bytes().end());
+  ASSERT_NE(at, original_.end()) << "chunk count not found in the checkpoint";
+  auto crafted = original_;
+  const std::size_t count_at =
+      static_cast<std::size_t>(at - original_.begin()) + pattern.size() - 4;
+  const std::uint32_t huge = 0xFFFFFFF0U;
+  std::memcpy(crafted.data() + count_at, &huge, sizeof(huge));
+  const std::size_t payload = crafted.size() - sizeof(std::uint32_t);
+  const std::uint32_t checksum = crc32(crafted.data(), payload);
+  std::memcpy(crafted.data() + payload, &checksum, sizeof(checksum));
+  for_each_reader([&](auto&& load) { EXPECT_THROW(load(crafted), Error); });
+}
+
+TEST(FuzzAlarmEventsTest, HugeEventCountIsAnErrorNotAnAllocation) {
+  ByteWriter w;
+  w.write<std::uint32_t>(0xFFFFFFF0U);
+  w.write<std::uint64_t>(0);
+  ByteReader r(std::span<const std::uint8_t>(w.bytes().data(), w.size()));
+  EXPECT_THROW(obs::detail::read_alarm_events(r), Error);
+}
+
+/// Serializes `object`, overwrites the `T` at `offset` with `value`, and
+/// returns the deserializer's verdict on the patched bytes.
+template <typename Object, typename T>
+void expect_rejected_shape(const Object& object, std::size_t offset, T value) {
+  ByteWriter w;
+  object.serialize(w);
+  std::vector<std::uint8_t> bytes = w.take();
+  ASSERT_LE(offset + sizeof(T), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+  ByteReader r(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+  EXPECT_THROW(Object::deserialize(r), Error) << "patched offset " << offset;
+}
+
+TEST(FuzzTelemetryStateTest, HugeWindowShapesAreErrorsNotAllocations) {
+  // Each offset is a shape field of the wire layout: class count, window
+  // buckets, dimension count/buckets, calibration bins.
+  obs::MonitorConfig mc;
+  mc.num_classes = 4;
+  const obs::ServingMonitor monitor(mc);
+  expect_rejected_shape(monitor, 0, std::uint32_t{0xFFFFFFFFU});
+  expect_rejected_shape(monitor, 12, std::uint64_t{1} << 40);
+
+  obs::ModelStatsConfig msc;
+  msc.num_classes = 4;
+  msc.dim = 32;
+  const obs::ModelQualityStats stats(msc);
+  expect_rejected_shape(stats, 0, std::uint32_t{0xFFFFFFFFU});
+  expect_rejected_shape(stats, 4, std::uint32_t{0xFFFFFFFFU});
+  expect_rejected_shape(stats, 16, std::uint64_t{1} << 40);
+  expect_rejected_shape(stats, 24, std::uint64_t{1} << 40);
+  expect_rejected_shape(stats, 32, std::uint64_t{1} << 40);
+
+  const obs::EnergyAccountant energy{obs::EnergyConfig{}};
+  expect_rejected_shape(energy, 7 * 8, std::uint64_t{1} << 40);
+}
+
+TEST_F(CheckpointFuzz, ResealedPayloadMutationsParseOrThrowError) {
+  // Flip 1-4 payload bits and recompute the CRC trailer, so the damage gets
+  // past the checksum into the parsers: each reader must then either parse
+  // or throw hdc::Error — never crash, and never fail some other way (an
+  // unchecked count sizing a huge allocation surfaces as std::bad_alloc).
+  const std::size_t payload = original_.size() - sizeof(std::uint32_t);
+  for_each_reader([&](auto&& load) {
+    Rng rng(0x5EA1);
+    for (int i = 0; i < 256; ++i) {
+      auto mutated = original_;
+      const int flips = 1 + static_cast<int>(rng.next_below(4));
+      for (int f = 0; f < flips; ++f) {
+        mutated[rng.next_below(payload)] ^=
+            static_cast<std::uint8_t>(1U << rng.next_below(8));
+      }
+      const std::uint32_t checksum = crc32(mutated.data(), payload);
+      std::memcpy(mutated.data() + payload, &checksum, sizeof(checksum));
+      try {
+        load(mutated);
+      } catch (const Error&) {
+        // Rejected cleanly.
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "resealed mutation " << i << " escaped as " << e.what();
+      }
+    }
+  });
 }
 
 }  // namespace

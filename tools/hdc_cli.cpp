@@ -434,6 +434,37 @@ int cmd_autotune(int argc, char** argv) {
   return 0;
 }
 
+/// The serve report's energy summary line.
+void print_energy(const obs::EnergySnapshot& energy) {
+  std::printf("energy=%.6gJ joules_per_inference=%.6g watts_ewma=%.6g budget_fired=%llu\n",
+              energy.total_joules(), energy.window_joules_per_inference, energy.watts_ewma,
+              static_cast<unsigned long long>(energy.energy_budget.fired_total));
+}
+
+/// The serve report's per-stage latency attribution line (none when no
+/// request was traced).
+void print_attribution(const obs::RequestAttribution& total, std::uint64_t requests) {
+  if (requests == 0) {
+    return;
+  }
+  std::printf("latency attribution over %llu requests:",
+              static_cast<unsigned long long>(requests));
+  for (std::size_t s = 0; s < obs::kNumStages; ++s) {
+    const auto stage = static_cast<obs::Stage>(s);
+    std::printf(" %s %.1f%%", obs::stage_name(stage), 100.0 * total.fraction(stage));
+  }
+  std::printf("\n");
+}
+
+/// One report line per serving-monitor alarm.
+void print_alarms(const obs::MonitorSnapshot& snap) {
+  for (const auto& alarm : snap.alarms) {
+    std::printf("alarm %-12s fired %llux%s\n", alarm.name.c_str(),
+                static_cast<unsigned long long>(alarm.fired_total),
+                alarm.firing ? " (still firing)" : "");
+  }
+}
+
 int cmd_serve(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
@@ -680,28 +711,9 @@ int cmd_serve(int argc, char** argv) {
                 SimDuration::seconds(snap.latency_p95_s).to_string().c_str(),
                 SimDuration::seconds(snap.latency_p99_s).to_string().c_str(),
                 snap.slo_burn_rate);
-    std::printf("energy=%.6gJ joules_per_inference=%.6g watts_ewma=%.6g "
-                "budget_fired=%llu\n",
-                result.fleet_energy.total_joules(),
-                result.fleet_energy.window_joules_per_inference,
-                result.fleet_energy.watts_ewma,
-                static_cast<unsigned long long>(
-                    result.fleet_energy.energy_budget.fired_total));
-    if (result.requests_traced > 0) {
-      std::printf("latency attribution over %llu requests:",
-                  static_cast<unsigned long long>(result.requests_traced));
-      for (std::size_t s = 0; s < obs::kNumStages; ++s) {
-        const auto stage = static_cast<obs::Stage>(s);
-        std::printf(" %s %.1f%%", obs::stage_name(stage),
-                    100.0 * result.attribution_total.fraction(stage));
-      }
-      std::printf("\n");
-    }
-    for (const auto& alarm : snap.alarms) {
-      std::printf("alarm %-12s fired %llux%s\n", alarm.name.c_str(),
-                  static_cast<unsigned long long>(alarm.fired_total),
-                  alarm.firing ? " (still firing)" : "");
-    }
+    print_energy(result.fleet_energy);
+    print_attribution(result.attribution_total, result.requests_traced);
+    print_alarms(snap);
     const char* requests_path = arg_value(argc, argv, "--requests", nullptr);
     if (requests_path != nullptr) {
       // Every offered request's causal chain as hdc-request-trace-v1 JSONL
@@ -751,13 +763,7 @@ int cmd_serve(int argc, char** argv) {
               SimDuration::seconds(snap.latency_p99_s).to_string().c_str());
   std::printf("SLO burn rate %.2f, drift score %.3f\n", snap.slo_burn_rate,
               snap.drift_score);
-  std::printf("energy=%.6gJ joules_per_inference=%.6g watts_ewma=%.6g "
-              "budget_fired=%llu\n",
-              result.final_energy.total_joules(),
-              result.final_energy.window_joules_per_inference,
-              result.final_energy.watts_ewma,
-              static_cast<unsigned long long>(
-                  result.final_energy.energy_budget.fired_total));
+  print_energy(result.final_energy);
   std::printf("admission: %u shed + %u expired chunks (%llu + %llu samples), "
               "%llu degraded samples\n",
               result.shed_chunks, result.expired_chunks,
@@ -778,29 +784,14 @@ int cmd_serve(int argc, char** argv) {
               runtime::health_name(result.final_health),
               static_cast<unsigned long long>(result.quarantines),
               static_cast<unsigned long long>(result.probes));
-  if (result.requests_traced > 0) {
-    std::printf("latency attribution over %llu requests:",
-                static_cast<unsigned long long>(result.requests_traced));
-    for (std::size_t s = 0; s < obs::kNumStages; ++s) {
-      const auto stage = static_cast<obs::Stage>(s);
-      std::printf(" %s %.1f%%", obs::stage_name(stage),
-                  100.0 * result.attribution_total.fraction(stage));
-    }
-    std::printf("\n");
-  }
+  print_attribution(result.attribution_total, result.requests_traced);
   std::printf("exemplars: %zu retained (%zu bytes, peak %zu), %llu evicted",
               result.exemplar_records.size(), result.exemplar_bytes,
               result.exemplar_bytes_peak,
               static_cast<unsigned long long>(result.exemplars_evicted));
-  {
-    std::string exemplar_out = config.exemplar_path;
-    if (exemplar_out.empty() && !config.snapshot_dir.empty()) {
-      exemplar_out =
-          (std::filesystem::path(config.snapshot_dir) / "exemplars.jsonl").string();
-    }
-    if (!exemplar_out.empty()) {
-      std::printf(" -> %s", exemplar_out.c_str());
-    }
+  const std::string exemplar_out = runtime::exemplar_output_path(config);
+  if (!exemplar_out.empty()) {
+    std::printf(" -> %s", exemplar_out.c_str());
   }
   std::printf("\n");
   if (session.trace() != nullptr) {
@@ -814,11 +805,7 @@ int cmd_serve(int argc, char** argv) {
     std::printf("wrote %u serve checkpoints to %s\n", result.checkpoints_written,
                 config.checkpoint_path.c_str());
   }
-  for (const auto& alarm : snap.alarms) {
-    std::printf("alarm %-12s fired %llux%s\n", alarm.name.c_str(),
-                static_cast<unsigned long long>(alarm.fired_total),
-                alarm.firing ? " (still firing)" : "");
-  }
+  print_alarms(snap);
   if (result.snapshots_written > 0) {
     std::printf("wrote %u monitor snapshots to %s\n", result.snapshots_written,
                 config.snapshot_dir.c_str());
