@@ -311,9 +311,9 @@ void append_field(std::string& out, const char* key, double value, bool leading_
 }
 
 /// Picojoule ledgers render as exact integers (no float formatting) so
-/// `hdc_energyq --assert-conservation` re-verifies sums without parsing slop;
-/// |pj| stays far below 2^53, so a double-based JSON parser recovers the
-/// integer exactly.
+/// `hdc energy inspect --assert-conservation` re-verifies sums without
+/// parsing slop; |pj| stays far below 2^53, so a double-based JSON parser
+/// recovers the integer exactly.
 void append_pj(std::string& out, const char* key, std::int64_t pj, bool leading_comma) {
   if (leading_comma) {
     out.push_back(',');

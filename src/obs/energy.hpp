@@ -142,7 +142,7 @@ struct EnergySnapshot {
   SimDuration at;
   PowerProfile profile;
 
-  // Lifetime conservation ledgers (pinned by `hdc_energyq
+  // Lifetime conservation ledgers (pinned by `hdc energy inspect
   // --assert-conservation`): stage_pj and component_pj are partitions of
   // total_pj; served + shed + expired == total; degraded is an overlay on
   // served (degraded requests were served).

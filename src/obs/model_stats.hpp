@@ -54,7 +54,7 @@ struct ModelStatsSnapshot {
   std::uint32_t num_classes = 0;
   std::uint32_t dim = 0;
 
-  // Lifetime conservation triple (pinned by `hdc_modelq
+  // Lifetime conservation triple (pinned by `hdc model inspect
   // --assert-conservation`): confusion row sums == class_served entries ==
   // per-class served samples, and both sum to samples_total exactly.
   std::uint64_t samples_total = 0;

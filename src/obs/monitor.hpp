@@ -214,7 +214,7 @@ struct AlarmEvent {
   /// Request id of the slowest sample in the window when the edge was
   /// produced (-1 when the window was empty). Exemplar capture retains the
   /// full span chain for tail requests, so this id links the alarm line
-  /// directly to a concrete causal trace (`hdc_traceq --req <id>`).
+  /// directly to a concrete causal trace (`hdc trace analyze --req <id>`).
   std::int64_t exemplar_request_id = -1;
   /// Free-form culprit tag ("class=3", "pair=2->5"); empty for alarms whose
   /// signal has no per-entity argmax. Appended to the structured log line as
@@ -449,7 +449,8 @@ struct MonitorSnapshot {
   double attribution_total_s = 0.0;  ///< windowed sum of attributed seconds
   std::array<double, kNumStages> attribution_fractions{};
   /// Request id of the slowest sample in the window (-1 = empty window);
-  /// resolvable to a full span chain via the exemplar store / hdc_traceq.
+  /// resolvable to a full span chain via the exemplar store /
+  /// `hdc trace analyze`.
   std::int64_t exemplar_request_id = -1;
 
   std::vector<std::uint64_t> class_counts;  ///< windowed predictions per class

@@ -43,6 +43,7 @@ enum class Stage : std::uint8_t {
 };
 
 inline constexpr std::size_t kNumStages = 10;
+static_assert(kNumStages == static_cast<std::size_t>(Stage::kOther) + 1);
 
 const char* stage_name(Stage stage) noexcept;
 
@@ -163,7 +164,7 @@ class ExemplarStore {
   std::uint64_t retained() const { return static_cast<std::uint64_t>(exemplars_.size()); }
   std::uint64_t evicted() const { return evicted_; }
 
-  /// One `hdc-request-trace-v1` JSON object per line (consumed by hdc_traceq).
+  /// One `hdc-request-trace-v1` JSON object per line (consumed by `hdc trace analyze`).
   std::string to_jsonl() const;
 
  private:

@@ -280,16 +280,16 @@ void verify_checkpoint(const std::string& path, const ServeConfig& config);
 /// original `ServeConfig` (magic/version/CRC still verified; the config
 /// fingerprint is skipped instead of matched). Returns a deterministic
 /// `{"schema":"hdc-modelstats-v1",...}` JSON document with the embedded
-/// `model` object at the checkpoint's simulated time — what `hdc_modelq`
-/// and `hdc model inspect` consume. Throws `hdc::Error` if the checkpoint
+/// `model` object at the checkpoint's simulated time — what
+/// `hdc model inspect` consumes. Throws `hdc::Error` if the checkpoint
 /// predates model stats (HDSV < 4) or carries none.
 std::string checkpoint_model_stats_json(const std::string& path);
 
 /// Reads the energy section out of an HDSV checkpoint without the original
 /// `ServeConfig` (magic/version/CRC still verified). Returns a deterministic
 /// `{"schema":"hdc-energystats-v1",...}` JSON document with the embedded
-/// `energy` object at the checkpoint's simulated time — what `hdc_energyq`
-/// and `hdc energy inspect` consume. Throws `hdc::Error` if the checkpoint
+/// `energy` object at the checkpoint's simulated time — what
+/// `hdc energy inspect` consumes. Throws `hdc::Error` if the checkpoint
 /// predates energy accounting (HDSV < 5) or carries none.
 std::string checkpoint_energy_json(const std::string& path);
 

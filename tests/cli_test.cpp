@@ -12,27 +12,14 @@
 
 #include <unistd.h>
 
+#include "tool_run.hpp"
+
 namespace {
 
 namespace fs = std::filesystem;
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;
-};
-
-RunResult run_cli(const std::string& args) {
-  const std::string command = std::string(HDC_CLI_PATH) + " " + args + " 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  EXPECT_NE(pipe, nullptr);
-  RunResult result;
-  char buffer[512];
-  while (fgets(buffer, sizeof(buffer), pipe) != nullptr) {
-    result.output += buffer;
-  }
-  const int status = pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
+hdc_test::RunResult run_cli(const std::string& args) {
+  return hdc_test::run_tool(HDC_CLI_PATH, args);
 }
 
 class CliTest : public ::testing::Test {

@@ -1,6 +1,8 @@
 // Robustness fuzzing for the serialized formats: random bit flips,
 // truncations and garbage buffers must NEVER crash, corrupt memory or
-// silently load — every malformed input has to surface as hdc::Error.
+// silently load — every malformed input has to surface as hdc::Error. The
+// offline tools' JSON reader (tools/json_min.hpp) is held to the same bar:
+// every input parses or returns nullopt.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -10,6 +12,9 @@
 #include <exception>
 #include <filesystem>
 #include <string>
+#include <string_view>
+
+#include "../tools/json_min.hpp"
 
 #include "common/byte_io.hpp"
 #include "common/crc32.hpp"
@@ -326,6 +331,77 @@ TEST_F(CheckpointFuzz, ResealedPayloadMutationsParseOrThrowError) {
       }
     }
   });
+}
+
+// ---- tools/json_min.hpp ----------------------------------------------------
+
+bool json_parses(std::string_view text) {
+  return tools::JsonParser(text).parse().has_value();
+}
+
+/// A real model-quality document: every JSON value kind, nested objects.
+std::string model_stats_json() {
+  obs::ModelStatsConfig config;
+  config.num_classes = 4;
+  config.dim = 32;
+  obs::ModelQualityStats stats(config);
+  return stats.snapshot(SimDuration()).to_json();
+}
+
+TEST(FuzzJsonTest, NestingPastTheCapIsRejectedNotRecursed) {
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto objects = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) {
+      text += "{\"k\":";
+    }
+    return text + "0" + std::string(depth, '}');
+  };
+  const std::size_t cap = tools::JsonParser::kMaxDepth;
+  EXPECT_TRUE(json_parses(arrays(cap)));
+  EXPECT_FALSE(json_parses(arrays(cap + 1)));
+  EXPECT_TRUE(json_parses(objects(cap)));
+  EXPECT_FALSE(json_parses(objects(cap + 1)));
+  // Far deeper than the call stack holds: must return, not overflow.
+  EXPECT_FALSE(json_parses(arrays(200000)));
+  EXPECT_FALSE(json_parses(std::string(200000, '[')));
+  EXPECT_FALSE(json_parses(objects(200000)));
+}
+
+TEST(FuzzJsonTest, TruncationsAreRejected) {
+  const std::string doc = model_stats_json();
+  ASSERT_TRUE(json_parses(doc));
+  for (std::size_t size = 0; size < doc.size(); ++size) {
+    EXPECT_FALSE(json_parses(std::string_view(doc).substr(0, size)))
+        << "truncation to " << size;
+  }
+}
+
+TEST(FuzzJsonTest, MutationsAndGarbageParseOrReject) {
+  // Parsing may succeed or return nullopt; it must not throw or crash.
+  const std::string doc = model_stats_json();
+  const std::string_view alphabet = "{}[]\",:-+.0123456789eEtrufalsn\\ \n";
+  Rng rng(0x15011);
+  for (int i = 0; i < 512; ++i) {
+    std::string mutated = doc;
+    const int edits = 1 + static_cast<int>(rng.next_below(4));
+    for (int e = 0; e < edits; ++e) {
+      mutated[rng.next_below(mutated.size())] =
+          i % 2 == 0 ? alphabet[rng.next_below(alphabet.size())]
+                     : static_cast<char>(rng.next_u64());
+    }
+    EXPECT_NO_THROW(json_parses(mutated)) << "mutation " << i;
+  }
+  for (int i = 0; i < 256; ++i) {
+    std::string garbage(rng.next_below(4096), '\0');
+    for (char& c : garbage) {
+      c = i % 2 == 0 ? alphabet[rng.next_below(alphabet.size())]
+                     : static_cast<char>(rng.next_u64());
+    }
+    EXPECT_NO_THROW(json_parses(garbage)) << "garbage " << i;
+  }
 }
 
 }  // namespace

@@ -6,13 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -30,163 +27,14 @@
 #include "obs/trace.hpp"
 #include "runtime/framework.hpp"
 #include "runtime/report.hpp"
+#include "tool_run.hpp"
 #include "tpu/stats.hpp"
 
 namespace {
 
 using namespace hdc;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser, enough to validate the
-// exporter's output without third-party dependencies.
-// ---------------------------------------------------------------------------
-
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Json> array;
-  std::map<std::string, Json> object;
-
-  bool has(const std::string& key) const { return object.count(key) > 0; }
-  const Json& at(const std::string& key) const { return object.at(key); }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Json parse() {
-    Json value = parse_value();
-    skip_ws();
-    EXPECT_EQ(pos_, text_.size()) << "trailing garbage after JSON document";
-    return value;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    EXPECT_LT(pos_, text_.size()) << "unexpected end of JSON";
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  void expect(char c) {
-    EXPECT_EQ(peek(), c) << "at offset " << pos_;
-    ++pos_;
-  }
-
-  Json parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return parse_string();
-      case 't': pos_ += 4; return make_bool(true);
-      case 'f': pos_ += 5; return make_bool(false);
-      case 'n': pos_ += 4; return Json{};
-      default: return parse_number();
-    }
-  }
-
-  static Json make_bool(bool b) {
-    Json v;
-    v.type = Json::Type::kBool;
-    v.boolean = b;
-    return v;
-  }
-
-  Json parse_object() {
-    expect('{');
-    Json v;
-    v.type = Json::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      Json key = parse_string();
-      expect(':');
-      v.object.emplace(key.string, parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Json parse_array() {
-    expect('[');
-    Json v;
-    v.type = Json::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  Json parse_string() {
-    expect('"');
-    Json v;
-    v.type = Json::Type::kString;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u': {
-            // Only \u00XX control-char escapes are emitted by the writer.
-            const std::string hex = text_.substr(pos_, 4);
-            pos_ += 4;
-            c = static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
-            break;
-          }
-          default: c = esc; break;
-        }
-      }
-      v.string += c;
-    }
-    expect('"');
-    return v;
-  }
-
-  Json parse_number() {
-    skip_ws();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    Json v;
-    v.type = Json::Type::kNumber;
-    v.number = std::strtod(begin, &end);
-    EXPECT_NE(begin, end) << "not a number at offset " << pos_;
-    pos_ += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+using tools::Json;
+using tools::JsonParser;
 
 // ---------------------------------------------------------------------------
 // TraceContext
@@ -238,9 +86,10 @@ TEST(TraceContextTest, EventCapDropsAndExportNotesTruncation) {
   const std::string json = trace.chrome_trace_json();
   EXPECT_NE(json.find("trace.truncated"), std::string::npos);
 
-  Json doc = JsonParser(json).parse();
+  const std::optional<Json> doc = JsonParser(json).parse();
+  ASSERT_TRUE(doc.has_value());
   bool found = false;
-  for (const auto& event : doc.at("traceEvents").array) {
+  for (const auto& event : doc->at("traceEvents").array) {
     if (event.has("name") && event.at("name").string == "trace.truncated") {
       found = true;
       EXPECT_EQ(event.at("args").at("dropped_events").number, 3.0);
@@ -255,9 +104,10 @@ TEST(TraceContextTest, ChromeTraceExportIsValidAndComplete) {
              {{"bytes", 1024}, {"ratio", 0.5}, {"mode", "bulk"}});
   trace.instant(obs::Track::kExecutor, "resilient.retry", {{"attempt", 1}});
 
-  Json doc = JsonParser(trace.chrome_trace_json()).parse();
-  EXPECT_EQ(doc.at("displayTimeUnit").string, "ms");
-  const auto& events = doc.at("traceEvents").array;
+  const std::optional<Json> doc = JsonParser(trace.chrome_trace_json()).parse();
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->at("displayTimeUnit").string, "ms");
+  const auto& events = doc->at("traceEvents").array;
 
   // One process_name metadata record per track, plus the two real events.
   int metadata = 0, spans = 0, instants = 0;
@@ -289,9 +139,10 @@ TEST(TraceContextTest, JsonStringEscaping) {
   obs::TraceContext trace;
   trace.instant(obs::Track::kHost, "weird \"name\"\\with\nstuff",
                 {{"key", std::string("a\tb\x01c")}});
-  Json doc = JsonParser(trace.chrome_trace_json()).parse();
+  const std::optional<Json> doc = JsonParser(trace.chrome_trace_json()).parse();
+  ASSERT_TRUE(doc.has_value());
   bool found = false;
-  for (const auto& event : doc.at("traceEvents").array) {
+  for (const auto& event : doc->at("traceEvents").array) {
     if (event.at("ph").string == "i") {
       found = true;
       EXPECT_EQ(event.at("name").string, "weird \"name\"\\with\nstuff");
@@ -318,10 +169,12 @@ TEST(TraceContextTest, RequestScopeStampsEventsAndExportsReqArg) {
   EXPECT_EQ(trace.active_request(), -1);
 
   // The export stamps a "req" arg on exactly the scoped events, so request
-  // chains can be reassembled from the Chrome trace (hdc_traceq does).
-  Json doc = JsonParser(trace.chrome_trace_json()).parse();
+  // chains can be reassembled from the Chrome trace (`hdc trace analyze`
+  // does).
+  const std::optional<Json> doc = JsonParser(trace.chrome_trace_json()).parse();
+  ASSERT_TRUE(doc.has_value());
   int with_req = 0, without_req = 0;
-  for (const auto& event : doc.at("traceEvents").array) {
+  for (const auto& event : doc->at("traceEvents").array) {
     const std::string& ph = event.at("ph").string;
     if (ph != "X" && ph != "i") {
       continue;
@@ -380,8 +233,7 @@ TEST(TraceContextTest, HostileNamesRoundTripThroughToolsParser) {
              {{hostile, hostile}});
   trace.end_request();
 
-  const std::optional<tools::Json> doc =
-      tools::JsonParser(trace.chrome_trace_json()).parse();
+  const std::optional<Json> doc = JsonParser(trace.chrome_trace_json()).parse();
   ASSERT_TRUE(doc.has_value());
   bool found = false;
   for (const auto& event : doc->at("traceEvents").array) {
@@ -421,12 +273,12 @@ TEST(RequestTraceTest, FinalizeMakesStagesSumExactlyToLatency) {
   // The JSONL record re-verifies downstream: %.17g survives the round trip,
   // so the parsed stage values still sum exactly to the parsed latency when
   // replayed in the canonical stage order.
-  const std::optional<tools::Json> doc =
-      tools::JsonParser(obs::request_trace_json(request, "tail_latency")).parse();
+  const std::optional<Json> doc =
+      JsonParser(obs::request_trace_json(request, "tail_latency")).parse();
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->str_or("schema", ""), "hdc-request-trace-v1");
   EXPECT_EQ(doc->num_or("request_id", -1.0), 42.0);
-  const tools::Json& attribution = doc->at("attribution");
+  const Json& attribution = doc->at("attribution");
   double replayed = 0.0;
   for (std::size_t i = 0; i < obs::kNumStages; ++i) {
     replayed += attribution.num_or(obs::stage_name(static_cast<obs::Stage>(i)), 0.0);
@@ -485,7 +337,7 @@ TEST(ExemplarStoreTest, EnforcesByteBoundAndPerReasonCap) {
   std::string line;
   std::size_t records = 0;
   while (std::getline(lines, line)) {
-    const std::optional<tools::Json> doc = tools::JsonParser(line).parse();
+    const std::optional<Json> doc = JsonParser(line).parse();
     ASSERT_TRUE(doc.has_value()) << line;
     EXPECT_EQ(doc->str_or("schema", ""), "hdc-request-trace-v1");
     ++records;
@@ -567,11 +419,12 @@ TEST(MetricsTest, JsonExportParsesAndRoundTrips) {
   metrics.gauge("train.total_s").set(1.5);
   metrics.histogram("tpu.sample_latency").observe(SimDuration::micros(3));
 
-  Json doc = JsonParser(metrics.to_json()).parse();
-  EXPECT_EQ(doc.at("counters").at("tpu.invocations").number, 42.0);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("train.total_s").at("value").number, 1.5);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("train.total_s").at("max").number, 1.5);
-  const Json& h = doc.at("histograms").at("tpu.sample_latency");
+  const std::optional<Json> doc = JsonParser(metrics.to_json()).parse();
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->at("counters").at("tpu.invocations").number, 42.0);
+  EXPECT_DOUBLE_EQ(doc->at("gauges").at("train.total_s").at("value").number, 1.5);
+  EXPECT_DOUBLE_EQ(doc->at("gauges").at("train.total_s").at("max").number, 1.5);
+  const Json& h = doc->at("histograms").at("tpu.sample_latency");
   EXPECT_EQ(h.at("count").number, 1.0);
   EXPECT_NEAR(h.at("sum_s").number, 3e-6, 1e-12);
   // 13 finite log-scale buckets + the overflow bucket.
@@ -604,9 +457,10 @@ TEST(MetricsTest, GaugeTracksMaxWatermark) {
   EXPECT_DOUBLE_EQ(g.value(), 1000.0);
   EXPECT_DOUBLE_EQ(g.max(), 3000.0);
 
-  Json doc = JsonParser(metrics.to_json()).parse();
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("sram.used_bytes").at("value").number, 1000.0);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("sram.used_bytes").at("max").number, 3000.0);
+  const std::optional<Json> doc = JsonParser(metrics.to_json()).parse();
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_DOUBLE_EQ(doc->at("gauges").at("sram.used_bytes").at("value").number, 1000.0);
+  EXPECT_DOUBLE_EQ(doc->at("gauges").at("sram.used_bytes").at("max").number, 3000.0);
 }
 
 TEST(MetricsTest, HistogramQuantilesInterpolateAndClamp) {
@@ -644,8 +498,9 @@ TEST(MetricsTest, EmptyHistogramExportsNullStats) {
   obs::MetricsRegistry metrics;
   metrics.histogram("never.observed");
 
-  Json doc = JsonParser(metrics.to_json()).parse();
-  const Json& h = doc.at("histograms").at("never.observed");
+  const std::optional<Json> doc = JsonParser(metrics.to_json()).parse();
+  ASSERT_TRUE(doc.has_value());
+  const Json& h = doc->at("histograms").at("never.observed");
   EXPECT_EQ(h.at("count").number, 0.0);
   // No observations -> no min/max/quantiles, exported as null rather than a
   // misleading default-constructed duration.
@@ -664,8 +519,9 @@ TEST(MetricsTest, HistogramJsonExportsQuantiles) {
   for (int i = 1; i <= 50; ++i) {
     h.observe(SimDuration::micros(2 * i));
   }
-  Json doc = JsonParser(metrics.to_json()).parse();
-  const Json& exported = doc.at("histograms").at("latency");
+  const std::optional<Json> doc = JsonParser(metrics.to_json()).parse();
+  ASSERT_TRUE(doc.has_value());
+  const Json& exported = doc->at("histograms").at("latency");
   EXPECT_DOUBLE_EQ(exported.at("p50_s").number, h.quantile(0.5).to_seconds());
   EXPECT_DOUBLE_EQ(exported.at("p95_s").number, h.quantile(0.95).to_seconds());
   EXPECT_DOUBLE_EQ(exported.at("p99_s").number, h.quantile(0.99).to_seconds());
@@ -943,19 +799,20 @@ TEST_F(ProfileTest, JsonExportParsesWithAllSections) {
   const obs::ProfileReport profile =
       obs::compute_profile(t.trace, t.metrics, &pool, 4);
 
-  Json doc = JsonParser(profile.to_json()).parse();
-  EXPECT_GT(doc.at("interval_s").number, 0.0);
+  const std::optional<Json> doc = JsonParser(profile.to_json()).parse();
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_GT(doc->at("interval_s").number, 0.0);
   for (const char* section : {"trace", "mxu", "link", "host", "cache", "pool",
                               "executor"}) {
-    EXPECT_TRUE(doc.has(section)) << section;
+    EXPECT_TRUE(doc->has(section)) << section;
   }
   // JSON serializes doubles to limited significant digits, so compare with a
   // matching relative tolerance rather than bit-exactly.
-  EXPECT_NEAR(doc.at("mxu").at("occupancy").number, profile.mxu_occupancy,
+  EXPECT_NEAR(doc->at("mxu").at("occupancy").number, profile.mxu_occupancy,
               1e-8 * std::max(1.0, std::fabs(profile.mxu_occupancy)));
-  EXPECT_NEAR(doc.at("cache").at("hit_rate").number, profile.cache_hit_rate, 1e-8);
-  EXPECT_DOUBLE_EQ(doc.at("pool").at("speedup").number, 3.0);
-  EXPECT_DOUBLE_EQ(doc.at("pool").at("busy_fraction").number, 0.75);
+  EXPECT_NEAR(doc->at("cache").at("hit_rate").number, profile.cache_hit_rate, 1e-8);
+  EXPECT_DOUBLE_EQ(doc->at("pool").at("speedup").number, 3.0);
+  EXPECT_DOUBLE_EQ(doc->at("pool").at("busy_fraction").number, 0.75);
 
   const std::string table = profile.to_table();
   EXPECT_NE(table.find("mxu"), std::string::npos);
@@ -971,8 +828,9 @@ TEST_F(ProfileTest, EmptyStreamsProduceZeroedReport) {
   EXPECT_EQ(profile.mxu_occupancy, 0.0);
   EXPECT_EQ(profile.cache_lookups, 0u);
   // Exports still work on the all-zero report.
-  Json doc = JsonParser(profile.to_json()).parse();
-  EXPECT_EQ(doc.at("interval_s").number, 0.0);
+  const std::optional<Json> doc = JsonParser(profile.to_json()).parse();
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->at("interval_s").number, 0.0);
   EXPECT_FALSE(profile.to_table().empty());
 }
 
@@ -983,30 +841,12 @@ TEST_F(ProfileTest, EmptyStreamsProduceZeroedReport) {
 
 namespace fs = std::filesystem;
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;
-};
-
-RunResult run_cli(const std::string& args) {
-  const std::string command = std::string(HDC_CLI_PATH) + " " + args + " 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  EXPECT_NE(pipe, nullptr);
-  RunResult result;
-  char buffer[512];
-  while (fgets(buffer, sizeof(buffer), pipe) != nullptr) {
-    result.output += buffer;
-  }
-  const int status = pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
+hdc_test::RunResult run_cli(const std::string& args) {
+  return hdc_test::run_tool(HDC_CLI_PATH, args);
 }
 
 std::string slurp(const fs::path& path) {
-  std::ifstream in(path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  return tools::read_file(path.string()).value_or("");
 }
 
 class ObsCliTest : public ::testing::Test {
@@ -1050,9 +890,10 @@ TEST_F(ObsCliTest, InferTraceProducesValidChromeTraceThatReconciles) {
   ASSERT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("wrote"), std::string::npos);
 
-  Json doc = JsonParser(slurp(*dir_ / "out.trace.json")).parse();
-  EXPECT_EQ(doc.at("displayTimeUnit").string, "ms");
-  const auto& events = doc.at("traceEvents").array;
+  const std::optional<Json> doc = JsonParser(slurp(*dir_ / "out.trace.json")).parse();
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->at("displayTimeUnit").string, "ms");
+  const auto& events = doc->at("traceEvents").array;
   ASSERT_FALSE(events.empty());
 
   double transfer_us = 0.0, device_us = 0.0, host_us = 0.0, envelope_us = 0.0;
@@ -1089,10 +930,12 @@ TEST_F(ObsCliTest, InferTraceProducesValidChromeTraceThatReconciles) {
   EXPECT_NEAR(phase_us, envelope_us, 1e-2 + 1e-6 * envelope_us);
 
   // The reported total in the metrics file matches the span sum too.
-  Json metrics = JsonParser(slurp(*dir_ / "out.metrics.json")).parse();
-  const double total_s = metrics.at("gauges").at("infer.total_s").at("value").number;
+  const std::optional<Json> metrics =
+      JsonParser(slurp(*dir_ / "out.metrics.json")).parse();
+  ASSERT_TRUE(metrics.has_value());
+  const double total_s = metrics->at("gauges").at("infer.total_s").at("value").number;
   EXPECT_NEAR(phase_us * 1e-6, total_s, 1e-8 + 1e-6 * total_s);
-  EXPECT_EQ(metrics.at("counters").at("infer.samples").number, 240.0);
+  EXPECT_EQ(metrics->at("counters").at("infer.samples").number, 240.0);
 }
 
 TEST_F(ObsCliTest, TraceCapTruncatesWithWarning) {
@@ -1102,10 +945,11 @@ TEST_F(ObsCliTest, TraceCapTruncatesWithWarning) {
   ASSERT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("truncated"), std::string::npos) << result.output;
 
-  Json doc = JsonParser(slurp(*dir_ / "capped.trace.json")).parse();
+  const std::optional<Json> doc = JsonParser(slurp(*dir_ / "capped.trace.json")).parse();
+  ASSERT_TRUE(doc.has_value());
   bool truncated_marker = false;
   std::size_t real_events = 0;
-  for (const auto& event : doc.at("traceEvents").array) {
+  for (const auto& event : doc->at("traceEvents").array) {
     if (event.at("ph").string == "M") {
       continue;
     }
@@ -1124,9 +968,11 @@ TEST_F(ObsCliTest, CpuInferWithMetricsOnly) {
       run_cli("infer " + path("data.csv") + " --model " + path("model.hdcm") +
               " --metrics " + path("cpu.metrics.json"));
   ASSERT_EQ(result.exit_code, 0) << result.output;
-  Json metrics = JsonParser(slurp(*dir_ / "cpu.metrics.json")).parse();
-  EXPECT_EQ(metrics.at("counters").at("host.samples").number, 240.0);
-  EXPECT_TRUE(metrics.at("gauges").has("infer.accuracy"));
+  const std::optional<Json> metrics =
+      JsonParser(slurp(*dir_ / "cpu.metrics.json")).parse();
+  ASSERT_TRUE(metrics.has_value());
+  EXPECT_EQ(metrics->at("counters").at("host.samples").number, 240.0);
+  EXPECT_TRUE(metrics->at("gauges").has("infer.accuracy"));
 }
 
 // Extracts the deterministic result lines (`accuracy: ...` and
@@ -1164,11 +1010,13 @@ TEST_F(ObsCliTest, ProfileFlagWritesReconcilingProfileWithoutChangingResults) {
   EXPECT_NE(profiled.output.find("link utilization"), std::string::npos);
   EXPECT_NE(profiled.output.find("param cache"), std::string::npos);
 
-  Json profile = JsonParser(slurp(*dir_ / "out.profile.json")).parse();
-  EXPECT_GT(profile.at("interval_s").number, 0.0);
-  const double occupancy = profile.at("mxu").at("occupancy").number;
-  const double link_util = profile.at("link").at("utilization").number;
-  const double hit_rate = profile.at("cache").at("hit_rate").number;
+  const std::optional<Json> profile =
+      JsonParser(slurp(*dir_ / "out.profile.json")).parse();
+  ASSERT_TRUE(profile.has_value());
+  EXPECT_GT(profile->at("interval_s").number, 0.0);
+  const double occupancy = profile->at("mxu").at("occupancy").number;
+  const double link_util = profile->at("link").at("utilization").number;
+  const double hit_rate = profile->at("cache").at("hit_rate").number;
   for (const double fraction : {occupancy, link_util, hit_rate}) {
     EXPECT_GE(fraction, 0.0);
     EXPECT_LE(fraction, 1.0);
@@ -1177,16 +1025,16 @@ TEST_F(ObsCliTest, ProfileFlagWritesReconcilingProfileWithoutChangingResults) {
   EXPECT_GT(link_util, 0.0);
 
   // Counter reconciliation straight off the exported JSON.
-  const double lookups = profile.at("cache").at("lookups").number;
-  const double hits = profile.at("cache").at("hits").number;
-  const double misses = profile.at("cache").at("misses").number;
+  const double lookups = profile->at("cache").at("lookups").number;
+  const double hits = profile->at("cache").at("hits").number;
+  const double misses = profile->at("cache").at("misses").number;
   EXPECT_EQ(hits + misses, lookups);
 
   // Busy time fits the interval for every component section.
-  const double interval_s = profile.at("interval_s").number;
-  EXPECT_LE(profile.at("mxu").at("busy_s").number, interval_s);
-  EXPECT_LE(profile.at("link").at("busy_s").number, interval_s);
-  EXPECT_LE(profile.at("host").at("busy_s").number, interval_s);
+  const double interval_s = profile->at("interval_s").number;
+  EXPECT_LE(profile->at("mxu").at("busy_s").number, interval_s);
+  EXPECT_LE(profile->at("link").at("busy_s").number, interval_s);
+  EXPECT_LE(profile->at("host").at("busy_s").number, interval_s);
 }
 
 TEST_F(ObsCliTest, MalformedTraceCapWarnsAndKeepsDefault) {

@@ -11,27 +11,16 @@
 #include <fstream>
 #include <string>
 
+#include "tool_run.hpp"
+
 namespace {
 
 namespace fs = std::filesystem;
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;
-};
+using hdc_test::RunResult;
 
 RunResult run_perfdiff(const std::string& args) {
-  const std::string command = std::string(HDC_PERFDIFF_PATH) + " " + args + " 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  EXPECT_NE(pipe, nullptr);
-  RunResult result;
-  char buffer[512];
-  while (fgets(buffer, sizeof(buffer), pipe) != nullptr) {
-    result.output += buffer;
-  }
-  const int status = pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
+  return hdc_test::run_tool(HDC_PERFDIFF_PATH, args);
 }
 
 // A minimal hdc-bench-v1 document with one metric of each gating class.
@@ -51,26 +40,7 @@ std::string bench_json(double sim_lower, double sim_higher, double wall) {
   return std::string(buf) + "\n";
 }
 
-class PerfdiffTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("hdc_perfdiff_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string write(const char* name, const std::string& content) {
-    const fs::path path = dir_ / name;
-    std::ofstream out(path);
-    out << content;
-    return path.string();
-  }
-
-  fs::path dir_;
-};
+using PerfdiffTest = hdc_test::TempDirTest;
 
 TEST_F(PerfdiffTest, IdenticalFilesPass) {
   const auto base = write("base.json", bench_json(1.0, 0.9, 5.0));
@@ -263,6 +233,16 @@ TEST_F(PerfdiffTest, MalformedInputsExitWithUsageError) {
 
   EXPECT_EQ(run_perfdiff(good + " " + dir_.string() + "/does_not_exist.json").exit_code,
             2);
+}
+
+TEST_F(PerfdiffTest, DeeplyNestedJsonExitsWithUsageError) {
+  // Deeper than any parser stack: a depth-capped reader rejects it.
+  const auto good = write("good.json", bench_json(1.0, 0.9, 5.0));
+  const auto deep =
+      write("deep.json", std::string(200000, '[') + std::string(200000, ']'));
+  const RunResult result = run_perfdiff(good + " " + deep);
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("is not valid JSON"), std::string::npos) << result.output;
 }
 
 }  // namespace

@@ -248,7 +248,7 @@ TEST(FleetServeTest, AttributionSumsBitExactlyThroughRouterStages) {
   ASSERT_EQ(result.requests.size(), result.offered_requests);
   std::uint64_t served = 0, shed = 0, expired = 0;
   for (const obs::RequestTrace& rt : result.requests) {
-    // The invariant the hdc_traceq --assert-attribution gate checks: summing
+    // The invariant `hdc trace analyze --assert-attribution` checks: summing
     // the stage ledger in fixed order reproduces the latency bit-exactly,
     // including the kBatchWait and kSwap stages only the router emits.
     EXPECT_EQ(rt.attribution.total(), rt.latency());
@@ -304,8 +304,8 @@ TEST(FleetServeTest, TenantModelStatsSumExactlyToTheFleetAggregate) {
   const FleetResult result = serve_fleet(framework, config);
 
   // The fleet aggregate counts every served sample, and the per-tenant
-  // monitors partition it exactly — same conservation triple hdc_modelq
-  // gates on the emitted snapshot.
+  // monitors partition it exactly — same conservation triple
+  // `hdc model inspect` gates on the emitted snapshot.
   EXPECT_EQ(result.fleet_model.samples_total, result.samples_served);
   EXPECT_EQ(result.fleet_model.dim, 0U);  // cross-tenant dims are meaningless
   ASSERT_EQ(result.tenant_models.size(), config.fleet.num_tenants);

@@ -76,8 +76,7 @@
 #include "runtime/router.hpp"
 #include "runtime/serve.hpp"
 #include "tpu/compiler.hpp"
-#include "energyq_lib.hpp"
-#include "modelq_lib.hpp"
+#include "inspect_lib.hpp"
 #include "traceq_lib.hpp"
 
 namespace {
@@ -717,7 +716,8 @@ int cmd_serve(int argc, char** argv) {
     const char* requests_path = arg_value(argc, argv, "--requests", nullptr);
     if (requests_path != nullptr) {
       // Every offered request's causal chain as hdc-request-trace-v1 JSONL
-      // (feed to `hdc_traceq --assert-attribution` to audit exactness).
+      // (feed to `hdc trace analyze --assert-attribution` to audit
+      // exactness).
       std::ofstream out(requests_path, std::ios::binary | std::ios::trunc);
       HDC_CHECK(out.good(), std::string("cannot open '") + requests_path + "'");
       for (const auto& rt : result.requests) {
@@ -820,40 +820,31 @@ int cmd_serve(int argc, char** argv) {
   return session.finish() ? 0 : 1;
 }
 
-/// `hdc model inspect <file> [options]` — the hdc_modelq analysis inline.
-int cmd_model(int argc, char** argv) {
-  if (argc < 3 || std::string(argv[2]) != "inspect") {
-    std::fprintf(stderr,
-                 "usage: hdc model inspect <snapshot.json|checkpoint> [--tenant N]\n"
-                 "           [--assert-conservation]\n");
-    return 2;
-  }
-  const std::vector<std::string> args(argv + 3, argv + argc);
-  return tools::modelq::run(args, "hdc model inspect");
-}
+/// The offline inspection tools: `hdc <command> <verb> <file> [options]`.
+struct Inspector {
+  const char* command;
+  const char* verb;
+  int (*run)(const std::vector<std::string>& args, const char* invocation);
+};
 
-/// `hdc energy inspect <file> [options]` — the hdc_energyq analysis inline.
-int cmd_energy(int argc, char** argv) {
-  if (argc < 3 || std::string(argv[2]) != "inspect") {
-    std::fprintf(stderr,
-                 "usage: hdc energy inspect <snapshot.json|checkpoint> [--tenant N]\n"
-                 "           [--assert-conservation]\n");
-    return 2;
-  }
-  const std::vector<std::string> args(argv + 3, argv + argc);
-  return tools::energyq::run(args, "hdc energy inspect");
-}
+constexpr Inspector kInspectors[] = {
+    {"trace", "analyze", tools::traceq::run},
+    {"model", "inspect",
+     [](const std::vector<std::string>& args, const char* invocation) {
+       return tools::inspect::run(tools::inspect::kModel, args, invocation);
+     }},
+    {"energy", "inspect",
+     [](const std::vector<std::string>& args, const char* invocation) {
+       return tools::inspect::run(tools::inspect::kEnergy, args, invocation);
+     }},
+};
 
-/// `hdc trace analyze <file> [options]` — the hdc_traceq analysis inline.
-int cmd_trace(int argc, char** argv) {
-  if (argc < 3 || std::string(argv[2]) != "analyze") {
-    std::fprintf(stderr,
-                 "usage: hdc trace analyze <trace.json|exemplars.jsonl> [--top N]\n"
-                 "           [--req ID] [--assert-attribution]\n");
-    return 2;
+int cmd_inspect(const Inspector& tool, int argc, char** argv) {
+  const std::string invocation = std::string("hdc ") + tool.command + " " + tool.verb;
+  if (argc < 3 || std::string(argv[2]) != tool.verb) {
+    return tool.run({}, invocation.c_str());  // no input: usage on stderr, exit 2
   }
-  const std::vector<std::string> args(argv + 3, argv + argc);
-  return tools::traceq::run(args, "hdc trace analyze");
+  return tool.run(std::vector<std::string>(argv + 3, argv + argc), invocation.c_str());
 }
 
 int cmd_datasets() {
@@ -905,14 +896,10 @@ int main(int argc, char** argv) {
     if (command == "serve") {
       return cmd_serve(argc, argv);
     }
-    if (command == "trace") {
-      return cmd_trace(argc, argv);
-    }
-    if (command == "model") {
-      return cmd_model(argc, argv);
-    }
-    if (command == "energy") {
-      return cmd_energy(argc, argv);
+    for (const Inspector& tool : kInspectors) {
+      if (command == tool.command) {
+        return cmd_inspect(tool, argc, argv);
+      }
     }
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
     return 2;

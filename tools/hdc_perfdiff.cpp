@@ -23,10 +23,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,15 +50,12 @@ struct BenchFile {
 };
 
 std::optional<BenchFile> load_bench_json(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = hdc::tools::read_file(path);
+  if (!text) {
     std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
     return std::nullopt;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::optional<Json> doc = JsonParser(text).parse();
+  const std::optional<Json> doc = JsonParser(*text).parse();
   if (!doc || doc->type != Json::Type::kObject) {
     std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
     return std::nullopt;

@@ -1,16 +1,21 @@
 // Minimal recursive-descent JSON parser shared by the offline tools
-// (hdc_perfdiff, hdc_traceq). Parses objects/arrays/strings/numbers/bools/
-// null into a plain value tree; no external dependencies, no exceptions
-// escape (failures return nullopt). This deliberately lives in tools/ —
-// the simulator itself only *writes* JSON (src/obs/json.hpp) and must not
-// grow a parser dependency.
+// (hdc_perfdiff and the `hdc` inspection subcommands). Parses objects/arrays/
+// strings/numbers/bools/null into a plain value tree; no external
+// dependencies, no exceptions escape (failures, including nesting deeper
+// than JsonParser::kMaxDepth, return nullopt), plus `read_file`, the tools'
+// one way to load an input. This deliberately lives in tools/ — the
+// simulator itself only *writes* JSON (src/obs/json.hpp) and must not grow a
+// parser dependency.
 
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,10 +44,38 @@ struct Json {
     return it != object.end() && it->second.type == Type::kString ? it->second.string
                                                                   : fallback;
   }
+  /// This number truncated to an integer, or `fallback` for a non-number or
+  /// |number| >= 2^53. Every count and picojoule ledger the simulator writes
+  /// is far below 2^53, where doubles hold integers exactly; outside that
+  /// range a cast would be undefined.
+  long long as_int(long long fallback = 0) const {
+    return type == Type::kNumber && std::fabs(number) < 0x1p53
+               ? static_cast<long long>(number)
+               : fallback;
+  }
+  long long int_or(const std::string& key, long long fallback = 0) const {
+    const auto it = object.find(key);
+    return it != object.end() ? it->second.as_int(fallback) : fallback;
+  }
 };
+
+/// The whole file at `path`, or nullopt when it cannot be opened.
+inline std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return std::nullopt;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
 class JsonParser {
  public:
+  /// Deepest array/object nesting accepted. The simulator's documents nest
+  /// fewer than 10 levels; the cap keeps hostile input off the stack.
+  static constexpr int kMaxDepth = 64;
+
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   std::optional<Json> parse() {
@@ -88,11 +121,14 @@ class JsonParser {
       return std::nullopt;
     }
     const char c = text_[pos_];
-    if (c == '{') {
-      return parse_object();
-    }
-    if (c == '[') {
-      return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        return std::nullopt;
+      }
+      ++depth_;
+      std::optional<Json> value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
     }
     if (c == '"') {
       return parse_string();
@@ -270,6 +306,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace hdc::tools

@@ -1,6 +1,5 @@
-// Trace-query library shared by the standalone `hdc_traceq` binary and the
-// `hdc trace analyze` subcommand. Reads either of the two trace formats the
-// simulator emits:
+// Trace-query library behind the `hdc trace analyze` subcommand. Reads
+// either of the two trace formats the simulator emits:
 //
 //   * Chrome trace-event JSON (`--trace` output, `{"traceEvents": [...]}`):
 //     request chains are reassembled from the `"req"` arg stamped on every
@@ -21,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -62,32 +60,48 @@ struct TraceFile {
   std::vector<RequestRec> requests;
 };
 
-/// Canonical stage order of the attribution record (matches
-/// `obs::Stage`). Exactness (`stage sums == latency`) holds when the sum is
-/// replayed in this order — floating-point addition is order-sensitive, and
-/// the writer computes the residual `other` stage against exactly this
-/// prefix order.
-inline const std::vector<std::string>& canonical_stage_order() {
-  static const std::vector<std::string> kOrder = {
-      "queue_wait", "batch_wait", "backoff", "swap", "transfer",
-      "device",     "device_host", "host",   "update", "other"};
-  return kOrder;
+/// The `obs::Stage` an attribution entry names, if any (Chrome span labels
+/// name none).
+inline std::optional<obs::Stage> stage_named(const std::string& name) {
+  for (std::size_t i = 0; i < obs::kNumStages; ++i) {
+    const auto stage = static_cast<obs::Stage>(i);
+    if (name == obs::stage_name(stage)) {
+      return stage;
+    }
+  }
+  return std::nullopt;
 }
 
 /// Watts drawn in a named attribution stage at the *default*
-/// `obs::PowerProfile` (canonical names map onto `obs::Stage` by position;
-/// unknown names — Chrome span labels — price at idle watts). The derived
+/// `obs::PowerProfile` (unknown names price at idle watts). The derived
 /// joules columns are informational estimates; the exact integer-picojoule
 /// contract lives in the serving path's `EnergyAccountant`.
-inline double stage_watts_by_name(const std::string& stage) {
+inline double stage_watts_by_name(const std::string& name) {
   const obs::PowerProfile profile;
-  const std::vector<std::string>& order = canonical_stage_order();
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (order[i] == stage) {
-      return profile.stage_watts(static_cast<obs::Stage>(i));
+  const std::optional<obs::Stage> stage = stage_named(name);
+  return stage ? profile.stage_watts(*stage) : profile.idle_watts;
+}
+
+/// Attribution entries in `obs::Stage` order, then any extras (Chrome span
+/// names) in map order. Exactness (`stage sums == latency`) holds when the
+/// sum is replayed in this order: floating-point addition is
+/// order-sensitive, and the writer computes the residual `other` stage
+/// against exactly this prefix order.
+inline std::vector<std::pair<std::string, double>> ordered_attribution(
+    const std::map<std::string, double>& attribution) {
+  std::vector<std::pair<std::string, double>> out;
+  for (std::size_t i = 0; i < obs::kNumStages; ++i) {
+    const auto it = attribution.find(obs::stage_name(static_cast<obs::Stage>(i)));
+    if (it != attribution.end()) {
+      out.emplace_back(it->first, it->second);
     }
   }
-  return profile.idle_watts;
+  for (const auto& [stage, seconds] : attribution) {
+    if (!stage_named(stage)) {
+      out.emplace_back(stage, seconds);
+    }
+  }
+  return out;
 }
 
 /// A request's total attributed energy at the default power profile.
@@ -99,21 +113,11 @@ inline double request_energy_joules(const RequestRec& rec) {
   return joules;
 }
 
-/// Sums a request's attribution in canonical stage order (unknown stages
-/// appended afterwards in map order, for Chrome-derived records).
+/// Sums a request's attribution in `ordered_attribution` order.
 inline double attribution_sum(const RequestRec& rec) {
   double sum = 0.0;
-  for (const std::string& stage : canonical_stage_order()) {
-    const auto it = rec.attribution.find(stage);
-    if (it != rec.attribution.end()) {
-      sum += it->second;
-    }
-  }
-  for (const auto& [stage, seconds] : rec.attribution) {
-    if (std::find(canonical_stage_order().begin(), canonical_stage_order().end(),
-                  stage) == canonical_stage_order().end()) {
-      sum += seconds;
-    }
+  for (const auto& [stage, seconds] : ordered_attribution(rec.attribution)) {
+    sum += seconds;
   }
   return sum;
 }
@@ -126,11 +130,11 @@ inline std::optional<RequestRec> parse_request_line(const Json& doc) {
     return std::nullopt;
   }
   RequestRec rec;
-  rec.id = static_cast<long long>(doc.num_or("request_id", -1.0));
+  rec.id = doc.int_or("request_id", -1);
   rec.outcome = doc.str_or("outcome", "");
   rec.reason = doc.str_or("reason", "");
-  rec.tier = static_cast<long long>(doc.num_or("tier", -1.0));
-  rec.samples = static_cast<unsigned long long>(doc.num_or("samples", 0.0));
+  rec.tier = doc.int_or("tier", -1);
+  rec.samples = static_cast<unsigned long long>(doc.int_or("samples"));
   const auto faulty = doc.object.find("faulty");
   rec.faulty = faulty != doc.object.end() && faulty->second.boolean;
   rec.arrival_s = doc.num_or("arrival_s", 0.0);
@@ -152,8 +156,8 @@ inline std::optional<RequestRec> parse_request_line(const Json& doc) {
       s.name = span.str_or("stage", "?");
       s.start_s = span.num_or("start_s", 0.0);
       s.dur_s = span.num_or("dur_s", 0.0);
-      s.sample = static_cast<long long>(span.num_or("sample", 0.0));
-      s.attempt = static_cast<long long>(span.num_or("attempt", 0.0));
+      s.sample = span.int_or("sample");
+      s.attempt = span.int_or("attempt");
       rec.spans.push_back(std::move(s));
     }
   }
@@ -180,7 +184,7 @@ inline std::optional<TraceFile> load_chrome(const Json& doc) {
     if (!args.has("req") || args.at("req").type != Json::Type::kNumber) {
       continue;
     }
-    const long long id = static_cast<long long>(args.at("req").number);
+    const long long id = args.at("req").as_int(-1);
     RequestRec& rec = by_id[id];
     rec.id = id;
     SpanRec s;
@@ -212,17 +216,14 @@ inline std::optional<TraceFile> load_chrome(const Json& doc) {
 /// Loads a trace file, sniffing the format. Returns nullopt (with a message
 /// on stderr) when the file is unreadable or neither format parses.
 inline std::optional<TraceFile> load_trace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) {
     std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
     return std::nullopt;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
 
   // Whole-file JSON object with "traceEvents" => Chrome trace.
-  if (std::optional<Json> doc = JsonParser(text).parse();
+  if (std::optional<Json> doc = JsonParser(*text).parse();
       doc && doc->type == Json::Type::kObject && doc->has("traceEvents")) {
     if (std::optional<TraceFile> file = load_chrome(*doc)) {
       return file;
@@ -232,7 +233,7 @@ inline std::optional<TraceFile> load_trace(const std::string& path) {
   // Otherwise: hdc-request-trace-v1 JSONL, one object per line.
   TraceFile file;
   file.format = "jsonl";
-  std::istringstream lines(text);
+  std::istringstream lines(*text);
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(lines, line)) {
@@ -335,26 +336,6 @@ inline std::string format_us(double seconds) {
   return buf;
 }
 
-/// Attribution entries in canonical pipeline order, then any extras (Chrome
-/// span names) in map order.
-inline std::vector<std::pair<std::string, double>> ordered_attribution(
-    const std::map<std::string, double>& attribution) {
-  std::vector<std::pair<std::string, double>> out;
-  for (const std::string& stage : canonical_stage_order()) {
-    const auto it = attribution.find(stage);
-    if (it != attribution.end()) {
-      out.emplace_back(it->first, it->second);
-    }
-  }
-  for (const auto& [stage, seconds] : attribution) {
-    if (std::find(canonical_stage_order().begin(), canonical_stage_order().end(),
-                  stage) == canonical_stage_order().end()) {
-      out.emplace_back(stage, seconds);
-    }
-  }
-  return out;
-}
-
 inline void print_waterfall(const RequestRec& rec, std::FILE* out) {
   // One bar per attribution stage, widths proportional to the stage's share
   // of the request latency; stages under half a cell still show one cell.
@@ -390,7 +371,7 @@ inline void print_chain(const RequestRec& rec, std::FILE* out) {
   }
 }
 
-// ---- entry point (shared by hdc_traceq and `hdc trace analyze`) ------------
+// ---- entry point -----------------------------------------------------------
 
 inline void usage(std::FILE* out, const char* invocation) {
   std::fprintf(out,
