@@ -1,6 +1,8 @@
 #include "runtime/framework.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 #include "common/error.hpp"
 #include "lite/builder.hpp"
@@ -366,100 +368,104 @@ void ServingEndpoint::deploy(ServeTier tier, const core::TrainedClassifier& clas
   HDC_CHECK(tier != ServeTier::kHost,
             "the host tier shares the reduced tier's model; deploy kReduced instead");
   const char* name = tier == ServeTier::kFull ? "serve_full" : "serve_reduced";
-  CoDesignFramework::LoweredModel lowered =
-      framework_.lower_classifier(classifier, representative, name);
+  Model lowered = framework_.lower_classifier(classifier, representative, name);
   // Upload rides the one-time-load convention (uncharged, like infer_tpu's).
   device_.load(lowered.compiled);
   tiers_[static_cast<std::size_t>(tier)] = std::move(lowered);
 }
 
-bool ServingEndpoint::deployed(ServeTier tier) const noexcept {
-  const std::size_t slot = tier == ServeTier::kFull ? 0 : 1;
-  return tiers_[slot].has_value();
+const ServingEndpoint::Model& ServingEndpoint::model(ServeTier tier) const {
+  const std::optional<Model>& slot = tiers_[tier == ServeTier::kFull ? 0 : 1];
+  HDC_CHECK(slot.has_value(), "serving tier has no deployed model");
+  return *slot;
 }
 
-ServingEndpoint::BatchOutcome ServingEndpoint::infer(ServeTier tier,
+void ServingEndpoint::activate(ServeTier tier) {
+  if (tier == ServeTier::kHost) {
+    return;
+  }
+  // Residency tracks the active tier; the result of load is discarded. The
+  // upload span is recorded outside the request scope with the cursor
+  // pinned: an uncharged switch is endpoint state management, not part of
+  // the request's causal chain, and advancing the cursor would misplace the
+  // charged spans that follow (a resumed session redoes the switch a warm
+  // one already did).
+  const tpu::CompiledModel& compiled = model(tier).compiled;
+  obs::TraceContext* trace = framework_.trace_context();
+  if (trace == nullptr) {
+    device_.load(compiled);
+    return;
+  }
+  const std::int64_t active = trace->active_request();
+  const SimDuration cursor = trace->now();
+  trace->end_request();
+  device_.load(compiled);
+  trace->set_now(cursor);
+  if (active >= 0) {
+    trace->begin_request(static_cast<std::uint64_t>(active));
+  }
+}
+
+void ServingEndpoint::sync_clock(SimDuration at) {
+  if (device_.clock() < at) {
+    device_.advance_clock(at - device_.clock());
+  }
+}
+
+SimDuration ServingEndpoint::swap(const Model& model, SimDuration at) {
+  sync_clock(at);
+  const SimDuration upload = device_.load(model.compiled).weight_upload;
+  device_.advance_clock(upload);
+  return upload;
+}
+
+ServingEndpoint::BatchOutcome ServingEndpoint::infer(const Model& model, ServeTier tier,
+                                                     const tpu::InvokeOptions& options,
                                                      const tensor::MatrixF& inputs,
                                                      SimDuration start,
                                                      SimDuration sample_deadline,
                                                      obs::RequestTrace* request) {
-  const std::size_t slot = tier == ServeTier::kFull ? 0 : 1;
-  HDC_CHECK(tiers_[slot].has_value(), "serving tier has no deployed model");
-  const CoDesignFramework::LoweredModel& model = *tiers_[slot];
-
   if (request != nullptr) {
     // Service spans start at the admission decision, after any queue wait.
     request->cursor = start;
   }
   BatchOutcome outcome;
+  lite::InferenceResult result;
   if (tier == ServeTier::kHost) {
-    // Host tier: the reduced float model on the CPU. The device is not
-    // touched — its clock, SRAM and detach schedule sit idle until a probe.
-    auto [result, time] = cpu_.run(model.float_model, inputs, tpu::ExecutionMode::kFunctional,
-                                   framework_.trace_context());
-    HDC_CHECK(result.has_classes, "inference model must end in ARG_MAX");
-    outcome.predictions.assign(result.classes.begin(), result.classes.end());
+    // The float model on the CPU. The device is not touched: its clock, SRAM
+    // and detach schedule sit idle until a probe.
+    SimDuration time;
+    std::tie(result, time) =
+        cpu_.run(model.float_model, inputs, options.mode, framework_.trace_context());
     if (request != nullptr) {
-      request->append(obs::Stage::kHost, time);
+      append_stage_spans(*request, {}, time);
     }
     outcome.report.cpu_fallback_time = time;
     outcome.report.cpu_samples = inputs.rows();
-    outcome.total = time;
-    return outcome;
-  }
-
-  // Sync the device clock forward to the service start: idle gaps between
-  // chunks are real simulated time the detach/reattach schedule sees.
-  if (device_.clock() < start) {
-    device_.advance_clock(start - device_.clock());
-  }
-  // Residency tracks the active tier; swaps are uncharged by the deploy
-  // convention (the result of load is discarded). The upload span is
-  // recorded outside the request scope with the cursor pinned: an uncharged
-  // swap is endpoint state management, not part of this request's causal
-  // chain, and advancing the cursor would misplace the charged spans that
-  // follow (a resumed session redoes the swap a warm one already did).
-  if (obs::TraceContext* trace = framework_.trace_context()) {
-    const std::int64_t active = trace->active_request();
-    const SimDuration cursor = trace->now();
-    trace->end_request();
-    device_.load(model.compiled);
-    trace->set_now(cursor);
-    if (active >= 0) {
-      trace->begin_request(static_cast<std::uint64_t>(active));
-    }
   } else {
-    device_.load(model.compiled);
+    sync_clock(start);
+    RetryPolicy policy = policy_;
+    policy.sample_deadline = sample_deadline;
+    ResilientExecutor executor(&device_, cpu_, policy);
+    executor.set_trace(framework_.trace_context());
+    ResilientExecutor::Outcome run =
+        executor.run(model.compiled, model.float_model, inputs, options, request);
+    result = std::move(run.result);
+    outcome.report = run.report;
   }
-
-  RetryPolicy policy = policy_;
-  policy.sample_deadline = sample_deadline;
-  ResilientExecutor executor(&device_, cpu_, policy);
-  executor.set_trace(framework_.trace_context());
-  tpu::InvokeOptions options;
-  options.mode = tpu::ExecutionMode::kFunctional;
-  options.interactive = true;
-  ResilientExecutor::Outcome run = executor.run(model.compiled, model.float_model, inputs,
-                                                options, request);
-  HDC_CHECK(run.result.has_classes, "inference model must end in ARG_MAX");
-  outcome.predictions.assign(run.result.classes.begin(), run.result.classes.end());
-  outcome.report = run.report;
-  outcome.total = run.report.total();
+  HDC_CHECK(result.has_classes, "inference model must end in ARG_MAX");
+  outcome.predictions.assign(result.classes.begin(), result.classes.end());
+  outcome.total = outcome.report.total();
   return outcome;
 }
 
-SimDuration ServingEndpoint::nominal_per_sample(ServeTier tier) const {
-  const std::size_t slot = tier == ServeTier::kFull ? 0 : 1;
-  HDC_CHECK(tiers_[slot].has_value(), "serving tier has no deployed model");
-  const CoDesignFramework::LoweredModel& model = *tiers_[slot];
+SimDuration ServingEndpoint::nominal_per_sample(const Model& model, ServeTier tier) const {
   if (tier == ServeTier::kHost) {
     return cpu_.per_sample_time(model.float_model);
   }
-  tpu::InvokeOptions options;
-  options.mode = tpu::ExecutionMode::kFunctional;
-  options.interactive = true;
   return device_
-      .per_sample_cost(model.compiled, options, framework_.config().host.host_cost_model())
+      .per_sample_cost(model.compiled, tpu::InvokeOptions{.interactive = true},
+                       framework_.config().host.host_cost_model())
       .total();
 }
 
@@ -468,42 +474,26 @@ CoDesignFramework::InferOutcome CoDesignFramework::infer_tpu_resilient(
     const data::Dataset& representative, const tpu::FaultProfile& faults,
     const RetryPolicy& policy, ResilienceReport* report) const {
   test.validate();
-  faults.validate();
-  const nn::Graph graph = nn::build_inference_graph(classifier);
-  const lite::LiteModel float_model = lite::build_float_model(graph);
-  const lite::LiteModel quantized = lite::quantize_model(
-      float_model, representative_rows(representative), config_.quantize);
-
-  const tpu::EdgeTpuCompiler compiler(config_.systolic, config_.sram_bytes);
-  const tpu::CompiledModel compiled = compiler.compile(quantized);
-
-  tpu::EdgeTpuDevice device(config_.systolic, config_.link, config_.sram_bytes);
-  device.set_trace(trace_);
-  device.load(compiled);  // one-time clean upload, excluded like infer_tpu's
-  device.set_fault_injector(tpu::FaultInjector(faults));
-
-  ResilientExecutor executor(&device, platform::CpuExecutor(config_.host), policy);
-  executor.set_trace(trace_);
-  tpu::InvokeOptions options;
-  options.mode = tpu::ExecutionMode::kFunctional;
-  options.interactive = true;
+  ServingEndpoint endpoint(*this, faults, policy);
+  const LoweredModel model = lower_classifier(classifier, representative);
+  endpoint.device().load(model.compiled);  // one-time clean upload, excluded like infer_tpu's
   const SimDuration infer_start = trace_ != nullptr ? trace_->now() : SimDuration();
   // The CPU fallback runs the float model — the exact model `infer_cpu`
   // executes, so fallback predictions match the all-CPU path sample for
   // sample.
-  ResilientExecutor::Outcome outcome =
-      executor.run(compiled, float_model, test.features, options);
-  HDC_CHECK(outcome.result.has_classes, "inference model must end in ARG_MAX");
+  ServingEndpoint::BatchOutcome outcome =
+      endpoint.infer(model, ServeTier::kFull, tpu::InvokeOptions{.interactive = true},
+                     test.features, SimDuration(), policy.sample_deadline);
 
   InferOutcome infer;
-  infer.predictions.assign(outcome.result.classes.begin(), outcome.result.classes.end());
+  infer.predictions = std::move(outcome.predictions);
   infer.accuracy = data::accuracy(infer.predictions, test.labels);
   // Steady-state weights are resident before the run, so device_stats'
   // weight_upload is purely fault-induced re-upload traffic and is charged.
-  infer.timings.total = outcome.report.total();
+  infer.timings.total = outcome.total;
   infer.timings.per_sample =
       infer.timings.total * (1.0 / static_cast<double>(test.num_samples()));
-  infer.compile_report = compiled.report;
+  infer.compile_report = model.compiled.report;
   if (trace_ != nullptr) {
     trace_->span_at(obs::Track::kExecutor, "infer.tpu_resilient", infer_start,
                     trace_->now() - infer_start,

@@ -107,9 +107,9 @@ class CoDesignFramework {
 
   /// A classifier lowered through the deployment pipeline: the float wide-NN
   /// model (the exact CPU-fallback model) plus its quantized, compiled
-  /// accelerator image. The same lowering sequence `infer_tpu` /
-  /// `infer_tpu_resilient` perform inline, exposed so a long-lived serving
-  /// endpoint can lower once and re-deploy across model refreshes.
+  /// accelerator image. The same lowering sequence `infer_tpu` performs
+  /// inline, exposed so a long-lived serving endpoint can lower once and
+  /// re-deploy across model refreshes.
   struct LoweredModel {
     lite::LiteModel float_model;
     tpu::CompiledModel compiled;
@@ -122,8 +122,9 @@ class CoDesignFramework {
                                 const std::string& name = "hdc_inference") const;
 
   /// Fault-tolerant TPU inference: same model pipeline as `infer_tpu`, but
-  /// the device draws faults from `faults` and the batch is driven by a
-  /// `ResilientExecutor` (bounded retry, exponential backoff, CPU fallback).
+  /// the device draws faults from `faults` and the batch is served through a
+  /// one-shot `ServingEndpoint`, the serving loops' device path
+  /// (`ResilientExecutor`: bounded retry, exponential backoff, CPU fallback).
   /// With a fault-free profile, predictions and timings are identical to
   /// `infer_tpu`. `report` (optional) receives the fault/fallback breakdown;
   /// `timings.total` includes retry, backoff, re-upload and fallback time.
@@ -150,22 +151,31 @@ class CoDesignFramework {
   obs::TraceContext* trace_ = nullptr;
 };
 
-/// A long-lived serving endpoint: one persistent accelerator device shared
-/// across every chunk of a serving session, with a *tiered* model ladder
-/// deployed on it.
+/// One simulated accelerator behind a serving loop, and the one device path
+/// both loops serve through: `serve` drives one endpoint, `serve_fleet` one
+/// per device (and `infer_tpu_resilient` a one-shot one).
 ///
-///   kFull     full-dimension model on the accelerator
-///   kReduced  reduced-dimension (LDC-style) model on the accelerator
-///   kHost     reduced float model on the host CPU (device not touched)
-///
-/// Keeping the device alive across chunks is what makes device health
+/// Keeping the device alive across batches is what makes device health
 /// meaningful: detach schedules, SRAM state and the fault injector's RNG
 /// stream persist, so a quarantined device really is the *same* device the
-/// probe later re-tries. Model deploys/swaps ride the one-time-upload
-/// convention of `infer_tpu` — never charged to serving time — so tier
-/// switches change *which* model runs, not the cost of loading it.
+/// probe later re-tries.
+///
+/// Inside the endpoint the loops differ only in how a model becomes
+/// resident, and on purpose:
+/// - `serve` keeps a tiered model ladder (`deploy`, `activate`):
+///     kFull     full-dimension model on the accelerator
+///     kReduced  reduced-dimension (LDC-style) model on the accelerator
+///     kHost     reduced float model on the host CPU (device not touched)
+///   Its deploys and tier switches ride the one-time-upload convention of
+///   `infer_tpu` and are never charged: a tier switch changes *which* model
+///   runs, not the cost of loading it.
+/// - `serve_fleet` swaps tenant models with `swap`, a *charged* upload the
+///   router counts: multi-tenancy pays for cache misses, which is what
+///   cache-aware placement amortizes.
 class ServingEndpoint {
  public:
+  using Model = CoDesignFramework::LoweredModel;
+
   ServingEndpoint(const CoDesignFramework& framework, const tpu::FaultProfile& faults,
                   RetryPolicy policy);
 
@@ -174,7 +184,17 @@ class ServingEndpoint {
   void deploy(ServeTier tier, const core::TrainedClassifier& classifier,
               const data::Dataset& representative);
 
-  bool deployed(ServeTier tier) const noexcept;
+  /// The model deployed for `tier` (kHost: kReduced's).
+  const Model& model(ServeTier tier) const;
+
+  /// Makes `tier`'s model resident for the next `infer`, uncharged (a no-op
+  /// for kHost, which never touches the device).
+  void activate(ServeTier tier);
+
+  /// Makes `model` resident as a charged upload at `at`: the device clock
+  /// syncs forward to `at`, then pays the upload. Returns the upload time,
+  /// zero when the weights were already resident.
+  SimDuration swap(const Model& model, SimDuration at);
 
   struct BatchOutcome {
     std::vector<std::uint32_t> predictions;
@@ -182,31 +202,38 @@ class ServingEndpoint {
     ResilienceReport report;
   };
 
-  /// Serves one chunk on `tier` starting at simulated time `start` (the
-  /// device clock is synced forward to it — idle gaps between chunks are
-  /// real time the detach schedule sees). `sample_deadline` bounds each
-  /// sample's retry loop (zero = unbounded); host-tier batches never touch
-  /// the device and cannot fault. When `request` is non-null the batch's
-  /// stage spans (transfer / MXU / backoff / host) are appended to its
-  /// causal chain — purely observational, never feeds back into timings.
-  BatchOutcome infer(ServeTier tier, const tensor::MatrixF& inputs, SimDuration start,
+  /// Serves `inputs` with `model` on `tier`, starting at simulated time
+  /// `start`. The host tier runs the float model on the CPU; the device
+  /// tiers sync the device clock forward to `start` and run the resident
+  /// compiled model under a `ResilientExecutor` with `options`.
+  /// `sample_deadline` bounds each sample's retry loop (zero = unbounded).
+  /// When `request` is non-null the stage spans are appended to its causal
+  /// chain per sample and attempt — purely observational, never feeds back
+  /// into timings.
+  BatchOutcome infer(const Model& model, ServeTier tier, const tpu::InvokeOptions& options,
+                     const tensor::MatrixF& inputs, SimDuration start,
                      SimDuration sample_deadline, obs::RequestTrace* request = nullptr);
 
-  /// Nominal fault-free per-sample service time for a tier (the admission
-  /// deadline check prices queued work with this).
-  SimDuration nominal_per_sample(ServeTier tier) const;
+  /// Nominal fault-free per-sample service time of `model` on `tier`, with
+  /// the interactive invoke (admission deadline checks and the open-loop
+  /// arrival rate price work with it).
+  SimDuration nominal_per_sample(const Model& model, ServeTier tier) const;
 
   tpu::EdgeTpuDevice& device() noexcept { return device_; }
   const tpu::EdgeTpuDevice& device() const noexcept { return device_; }
 
  private:
+  /// Moves the device clock forward to `at`: idle gaps between batches are
+  /// real simulated time the detach/reattach schedule sees.
+  void sync_clock(SimDuration at);
+
   const CoDesignFramework& framework_;
   RetryPolicy policy_;
   tpu::EdgeTpuDevice device_;
   platform::CpuExecutor cpu_;
   /// Lowered models for the device tiers (kHost reuses kReduced's float
   /// model on the CPU).
-  std::array<std::optional<CoDesignFramework::LoweredModel>, 2> tiers_;
+  std::array<std::optional<Model>, 2> tiers_;
 };
 
 }  // namespace hdc::runtime

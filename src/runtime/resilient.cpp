@@ -13,17 +13,10 @@
 #include "tpu/faults.hpp"
 
 namespace hdc::runtime {
-namespace {
 
-/// Copies one invoke's stage durations into a request's causal chain. The
-/// per-invoke `retry_backoff` is always zero here (backoff is charged — and
-/// appended — by the retry loop itself), but is forwarded defensively.
-void append_stats_spans(obs::RequestTrace& request, const tpu::ExecutionStats& stats,
-                        std::uint32_t sample, std::uint32_t attempt) {
+void append_stage_spans(obs::RequestTrace& request, const tpu::ExecutionStats& stats,
+                        SimDuration host, std::uint32_t sample, std::uint32_t attempt) {
   using obs::Stage;
-  if (!stats.retry_backoff.is_zero()) {
-    request.append(Stage::kBackoff, stats.retry_backoff, sample, attempt);
-  }
   if (!stats.pipelined_makespan.is_zero()) {
     // Overlapped streaming: the per-stage fields double-count overlapped
     // work, so attribute the makespan (compute-bound by construction) to the
@@ -32,23 +25,30 @@ void append_stats_spans(obs::RequestTrace& request, const tpu::ExecutionStats& s
       request.append(Stage::kTransfer, stats.weight_upload, sample, attempt);
     }
     request.append(Stage::kDevice, stats.pipelined_makespan, sample, attempt);
-    return;
+    if (!stats.retry_backoff.is_zero()) {
+      request.append(Stage::kBackoff, stats.retry_backoff, sample, attempt);
+    }
+  } else {
+    if (!stats.retry_backoff.is_zero()) {
+      request.append(Stage::kBackoff, stats.retry_backoff, sample, attempt);
+    }
+    if (!stats.transfer.is_zero()) {
+      request.append(Stage::kTransfer, stats.transfer, sample, attempt);
+    }
+    if (!stats.weight_upload.is_zero()) {
+      request.append(Stage::kTransfer, stats.weight_upload, sample, attempt);
+    }
+    if (!stats.device_compute.is_zero()) {
+      request.append(Stage::kDevice, stats.device_compute, sample, attempt);
+    }
+    if (!stats.host_compute.is_zero()) {
+      request.append(Stage::kDeviceHost, stats.host_compute, sample, attempt);
+    }
   }
-  if (!stats.transfer.is_zero()) {
-    request.append(Stage::kTransfer, stats.transfer, sample, attempt);
-  }
-  if (!stats.weight_upload.is_zero()) {
-    request.append(Stage::kTransfer, stats.weight_upload, sample, attempt);
-  }
-  if (!stats.device_compute.is_zero()) {
-    request.append(Stage::kDevice, stats.device_compute, sample, attempt);
-  }
-  if (!stats.host_compute.is_zero()) {
-    request.append(Stage::kDeviceHost, stats.host_compute, sample, attempt);
+  if (!host.is_zero()) {
+    request.append(Stage::kHost, host, sample, attempt);
   }
 }
-
-}  // namespace
 
 void RetryPolicy::validate() const {
   HDC_CHECK(max_attempts >= 1, "at least one device attempt per sample is required");
@@ -101,7 +101,7 @@ ResilientExecutor::Outcome ResilientExecutor::run(const tpu::CompiledModel& comp
     outcome.report.device_stats = stats;
     outcome.report.tpu_samples = num_samples;
     if (request != nullptr) {
-      append_stats_spans(*request, stats, 0, 0);
+      append_stage_spans(*request, stats);
     }
     return outcome;
   }
@@ -149,7 +149,7 @@ ResilientExecutor::Outcome ResilientExecutor::run(const tpu::CompiledModel& comp
     auto [result, time] = cpu_.run(cpu_fallback, rows, options.mode, trace_);
     append_rows(result, 0, count);
     if (request != nullptr) {
-      request->append(obs::Stage::kHost, time, static_cast<std::uint32_t>(begin), 0);
+      append_stage_spans(*request, {}, time, static_cast<std::uint32_t>(begin));
     }
     outcome.report.cpu_fallback_time += time;
     outcome.report.cpu_samples += count;
@@ -217,7 +217,7 @@ ResilientExecutor::Outcome ResilientExecutor::run(const tpu::CompiledModel& comp
             host, stats);
         outcome.report.device_stats += stats;
         if (request != nullptr) {
-          append_stats_spans(*request, stats, static_cast<std::uint32_t>(row), attempt);
+          append_stage_spans(*request, stats, {}, static_cast<std::uint32_t>(row), attempt);
         }
         append_rows(device_outputs, row, 1);
         outcome.report.tpu_samples += 1;
@@ -226,7 +226,7 @@ ResilientExecutor::Outcome ResilientExecutor::run(const tpu::CompiledModel& comp
       } catch (const tpu::DeviceFault& fault) {
         outcome.report.device_stats += fault.charged_stats();
         if (request != nullptr) {
-          append_stats_spans(*request, fault.charged_stats(),
+          append_stage_spans(*request, fault.charged_stats(), {},
                              static_cast<std::uint32_t>(row), attempt);
         }
         sample_spent += fault.charged_stats().total();

@@ -60,6 +60,20 @@ struct ResilienceReport {
   ResilienceReport& operator+=(const ResilienceReport& other);
 };
 
+/// Appends one service's stage spans to a request's causal chain: the device
+/// work in `stats` (backoff, transfer, MXU, in-pipeline host ops), then
+/// `host` as CPU time. Zero stages are skipped, so the appended durations
+/// sum exactly to `stats.total() + host`. A pipelined invoke reports its
+/// makespan as device time and only the serial weight upload as transfer,
+/// because its per-stage fields double-count overlapped work. The one
+/// appender of every serving path: the executor calls it per sample and
+/// attempt, the fleet once per batch with the batch's summed stats. Only
+/// summed stats carry `retry_backoff` (the retry loop appends each sleep of
+/// a single sample itself); a pipelined batch lists it after the makespan.
+void append_stage_spans(obs::RequestTrace& request, const tpu::ExecutionStats& stats,
+                        SimDuration host = {}, std::uint32_t sample = 0,
+                        std::uint32_t attempt = 0);
+
 /// Fault-tolerant invoke path: computes the batch's device outputs once
 /// (`EdgeTpuDevice::compute_outputs`), then drives the (fault-injectable)
 /// Edge TPU device sample by sample (`EdgeTpuDevice::invoke_sample`) with

@@ -15,7 +15,6 @@
 #include "common/rng.hpp"
 #include "core/online.hpp"
 #include "data/stream.hpp"
-#include "platform/cpu_executor.hpp"
 #include "runtime/resilient.hpp"
 #include "runtime/shard.hpp"
 #include "tpu/device.hpp"
@@ -29,66 +28,26 @@ namespace {
 /// (margins for the drift monitor) and its lowered deployment image.
 struct Tenant {
   core::OnlineLearner scorer;
-  CoDesignFramework::LoweredModel model;
+  ServingEndpoint::Model model;
   data::DriftStream stream;
-  SimDuration nominal_device;  ///< fault-free interactive per-sample cost
-  SimDuration nominal_host;    ///< float model per-sample cost on the CPU
 };
 
-/// One device behind the router: a full simulated accelerator with its own
-/// fault stream, and a shard engine (bounded queue, health state machine,
-/// SLO monitor) that also feeds the fleet-wide monitor.
+/// One device behind the router: a serving endpoint (a full simulated
+/// accelerator with its own fault stream) and a shard engine (bounded queue,
+/// health state machine, SLO monitor) that also feeds the fleet-wide monitor.
 struct Shard {
-  Shard(const SystemConfig& system, const tpu::FaultProfile& faults, const ServeConfig& config,
-        ServingSession& session)
-      : device(system.systolic, system.link, system.sram_bytes),
+  Shard(const CoDesignFramework& framework, const tpu::FaultProfile& faults,
+        const ServeConfig& config, ServingSession& session)
+      : endpoint(framework, faults, config.retry),
         engine(config, session, monitor, &session.monitor,
-               DeviceHealthTracker(config.health)) {
-    device.set_fault_injector(tpu::FaultInjector(faults));
-  }
+               DeviceHealthTracker(config.health)) {}
 
-  tpu::EdgeTpuDevice device;
+  ServingEndpoint endpoint;
   LazyMonitor monitor;
   ShardEngine engine;
   SimDuration free_at;
   FleetShardResult result;
 };
-
-/// Appends the batch's service-stage spans from the resilience report. The
-/// appended durations sum exactly to `report.total()`: pipelined batches
-/// report `weight_upload + pipelined_makespan + retry_backoff`, serial ones
-/// the plain stage sum (mirrors the resilient executor's own span shapes).
-void append_service_spans(obs::RequestTrace& rt, const ResilienceReport& report) {
-  const tpu::ExecutionStats& d = report.device_stats;
-  if (!d.pipelined_makespan.is_zero()) {
-    if (!d.weight_upload.is_zero()) {
-      rt.append(obs::Stage::kTransfer, d.weight_upload);
-    }
-    rt.append(obs::Stage::kDevice, d.pipelined_makespan);
-    if (!d.retry_backoff.is_zero()) {
-      rt.append(obs::Stage::kBackoff, d.retry_backoff);
-    }
-  } else {
-    if (!d.retry_backoff.is_zero()) {
-      rt.append(obs::Stage::kBackoff, d.retry_backoff);
-    }
-    if (!d.transfer.is_zero()) {
-      rt.append(obs::Stage::kTransfer, d.transfer);
-    }
-    if (!d.weight_upload.is_zero()) {
-      rt.append(obs::Stage::kTransfer, d.weight_upload);
-    }
-    if (!d.device_compute.is_zero()) {
-      rt.append(obs::Stage::kDevice, d.device_compute);
-    }
-    if (!d.host_compute.is_zero()) {
-      rt.append(obs::Stage::kDeviceHost, d.host_compute);
-    }
-  }
-  if (!report.cpu_fallback_time.is_zero()) {
-    rt.append(obs::Stage::kHost, report.cpu_fallback_time);
-  }
-}
 
 std::string shard_snapshot_path(const std::string& dir, std::uint32_t index) {
   char name[48];
@@ -128,11 +87,11 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
             "the fleet serves frozen per-tenant models (no online updates)");
   HDC_CHECK(config.checkpoint_path.empty() && config.resume_from.empty(),
             "fleet serving does not checkpoint");
-
-  const platform::CpuExecutor cpu(framework.config().host);
-  tpu::InvokeOptions nominal_options;
-  nominal_options.mode = tpu::ExecutionMode::kFunctional;
-  nominal_options.interactive = true;
+  HDC_CHECK(config.snapshot_every_chunks == 0,
+            "fleet serving writes final snapshots only (no periodic snapshots)");
+  HDC_CHECK(framework.trace_context() == nullptr,
+            "fleet serving records no trace, metrics or profile (per-device trace "
+            "tracks do not exist yet); use single-device serving for them");
 
   // The fleet-wide session: an aggregate monitor over every shard, and
   // model quality over outcomes/calibration only (tenants encode with
@@ -148,7 +107,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   for (std::uint32_t d = 0; d < fleet.num_devices; ++d) {
     tpu::FaultProfile profile = config.faults;
     profile.seed += d;
-    auto shard = std::make_unique<Shard>(framework.config(), profile, config, session);
+    auto shard = std::make_unique<Shard>(framework, profile, config, session);
     shard->result.device_index = d;
     shards.push_back(std::move(shard));
   }
@@ -171,17 +130,9 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
         representative = std::move(chunk);
       }
     }
-    CoDesignFramework::LoweredModel lowered = framework.lower_classifier(
+    ServingEndpoint::Model lowered = framework.lower_classifier(
         learner.freeze(), representative, "tenant_" + std::to_string(t));
-    const SimDuration nominal_device =
-        shards.front()
-            ->device
-            .per_sample_cost(lowered.compiled, nominal_options,
-                             framework.config().host.host_cost_model())
-            .total();
-    const SimDuration nominal_host = cpu.per_sample_time(lowered.float_model);
-    tenants.push_back(Tenant{std::move(learner), std::move(lowered), std::move(stream),
-                             nominal_device, nominal_host});
+    tenants.push_back(Tenant{std::move(learner), std::move(lowered), std::move(stream)});
   }
 
   // Offered load stays in single-device full-tier service-rate units (tenant
@@ -189,7 +140,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   // which is what makes "batched 4-device at load L" and "unbatched 1-device
   // at load L" the same offered stream.
   const SimDuration arrival_period =
-      tenants.front().nominal_device *
+      shards.front()->endpoint.nominal_per_sample(tenants.front().model, ServeTier::kFull) *
       (static_cast<double>(config.stream.chunk_size) / config.admission.offered_load);
 
   // Zipf(skew) tenant popularity; skew 0 degenerates to uniform.
@@ -268,7 +219,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     // probe keeps placement from perturbing the cache hit/miss telemetry.
     for (const auto& shard : shards) {
       if (shard->engine.queue.size() < config.admission.queue_capacity &&
-          shard->device.memory().is_resident(tenants[tenant].model.compiled.id)) {
+          shard->endpoint.device().memory().is_resident(tenants[tenant].model.compiled.id)) {
         return *shard;
       }
     }
@@ -318,8 +269,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     // Per-member deadline check (the batch dispatches together, but each
     // member's budget runs from its own arrival): members that cannot finish
     // even their first sample expire unserved, the rest still form a batch.
-    const SimDuration nominal =
-        tier == ServeTier::kHost ? tenant.nominal_host : tenant.nominal_device;
+    const SimDuration nominal = shard.endpoint.nominal_per_sample(tenant.model, tier);
     std::vector<QueuedRequest> live;
     live.reserve(batch.size());
     for (QueuedRequest& req : batch) {
@@ -352,61 +302,34 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
       }
     }
 
+    // A tenant swap is a charged, counted upload, unlike single-device
+    // serving's uncharged tier switches (see ServingEndpoint). Host-tier
+    // batches never touch the device's cache.
     SimDuration swap_upload;
-    std::vector<std::uint32_t> predictions;
-    ResilienceReport report;
-    SimDuration service_total;
-    if (tier == ServeTier::kHost) {
-      // Quarantined (or probing-denied) shard: the tenant's float model on
-      // the CPU; the device clock, SRAM and fault schedule sit idle.
-      auto [res, time] =
-          cpu.run(tenant.model.float_model, inputs, tpu::ExecutionMode::kFunctional);
-      HDC_CHECK(res.has_classes, "inference model must end in ARG_MAX");
-      predictions.assign(res.classes.begin(), res.classes.end());
-      report.cpu_fallback_time = time;
-      report.cpu_samples = n_total;
-      service_total = time;
-    } else {
-      // Sync the device clock forward to the dispatch: idle gaps are real
-      // simulated time the detach schedule sees.
-      if (shard.device.clock() < td) {
-        shard.device.advance_clock(td - shard.device.clock());
-      }
-      // The tenant swap is a *charged* weight upload (unlike single-device
-      // serving's uncharged deploys): multi-tenancy pays for cache misses,
-      // which is exactly what cache-aware placement amortizes.
-      const tpu::ExecutionStats swap_stats = shard.device.load(tenant.model.compiled);
-      swap_upload = swap_stats.weight_upload;
+    if (tier != ServeTier::kHost) {
+      swap_upload = shard.endpoint.swap(tenant.model, td);
       ++shard.result.cache_lookups;
       if (swap_upload.is_zero()) {
         ++shard.result.cache_hits;
       } else {
         ++shard.result.swaps;
         shard.result.swap_time += swap_upload;
-        shard.device.advance_clock(swap_upload);
       }
-
-      // The oldest member has the least remaining budget; it bounds the
-      // whole batch's per-sample retry watchdog.
-      RetryPolicy policy = config.retry;
-      policy.sample_deadline = engine.budget(td - live.front().arrival);
-      ResilientExecutor executor(&shard.device, cpu, policy);
-      tpu::InvokeOptions options;
-      options.mode = tpu::ExecutionMode::kFunctional;
-      // Batched fleets stream the whole micro-batch through the pipelined
-      // (double-buffered) path, amortizing the per-invoke USB overhead;
-      // unbatched fleets keep single-device serving's interactive invoke.
-      options.interactive = fleet.batch_max_chunks == 1;
-      options.pipelined = fleet.batch_max_chunks > 1;
-      ResilientExecutor::Outcome run = executor.run(
-          tenant.model.compiled, tenant.model.float_model, inputs, options, nullptr);
-      HDC_CHECK(run.result.has_classes, "inference model must end in ARG_MAX");
-      predictions.assign(run.result.classes.begin(), run.result.classes.end());
-      report = run.report;
-      service_total = report.total();
     }
-
+    // Batched fleets stream the whole micro-batch through the pipelined
+    // (double-buffered) path, amortizing the per-invoke USB overhead;
+    // unbatched fleets keep single-device serving's interactive invoke. The
+    // oldest member has the least remaining budget; it bounds the whole
+    // batch's per-sample retry watchdog.
+    const tpu::InvokeOptions options{.interactive = fleet.batch_max_chunks == 1,
+                                     .pipelined = fleet.batch_max_chunks > 1};
     const SimDuration service_start = td + swap_upload;
+    const ServingEndpoint::BatchOutcome outcome =
+        shard.endpoint.infer(tenant.model, tier, options, inputs, service_start,
+                             engine.budget(td - live.front().arrival));
+    const std::vector<std::uint32_t>& predictions = outcome.predictions;
+    const ResilienceReport& report = outcome.report;
+    const SimDuration service_total = outcome.total;
     const SimDuration end = service_start + service_total;
     const SimDuration per_sample =
         service_total * (1.0 / static_cast<double>(n_total));
@@ -420,11 +343,14 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     std::size_t g = 0;
     for (const QueuedRequest& req : live) {
       const std::uint64_t n = req.data.num_samples();
+      // One batch serves several requests, so each member's chain carries
+      // the batch's summed service spans (serve keeps one per sample and
+      // attempt instead).
       obs::RequestTrace rt = begin_trace(req, free_before, td);
       if (!swap_upload.is_zero()) {
         rt.append(obs::Stage::kSwap, swap_upload);
       }
-      append_service_spans(rt, report);
+      append_stage_spans(rt, report.device_stats, report.cpu_fallback_time);
 
       const SimDuration member_latency_base = (td - req.arrival) + swap_upload;
       preds[req.id].reserve(static_cast<std::size_t>(n));
@@ -640,6 +566,9 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
       write_text_file(shard_snapshot_path(config.snapshot_dir, shard.device_index),
                       shard.final_snapshot.to_json());
     }
+  }
+  if (!config.prometheus_path.empty()) {
+    write_text_file(config.prometheus_path, result.fleet_snapshot.to_prometheus());
   }
   session.write_exemplars();
 

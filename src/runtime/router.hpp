@@ -16,15 +16,22 @@ namespace hdc::runtime {
 /// across N simulated Edge TPUs (`ServeConfig::fleet`).
 ///
 /// Each tenant owns an independent drifting stream and a model trained on
-/// its own warmup prefix; each device is a full simulated accelerator (MXU +
-/// USB link + parameter SRAM + fault injector + health state machine) with a
-/// bounded admission queue in front of it. The router places every arriving
-/// chunk on a device (`PlacementPolicy`), coalesces queued same-tenant
-/// chunks into dynamic micro-batches (up to `batch_max_chunks`, held at most
-/// `batch_max_age` past the head's arrival), and pays the tenant-model swap
-/// — a charged weight upload, unlike single-device serving's uncharged
-/// deploys — exactly when a batch lands on a device whose SRAM holds a
-/// different tenant's parameters.
+/// its own warmup prefix; each device is a `ServingEndpoint` (a full
+/// simulated accelerator: MXU + USB link + parameter SRAM + fault injector)
+/// with a health state machine and a bounded admission queue in front of
+/// it. The router places every arriving chunk on a device
+/// (`PlacementPolicy`), coalesces queued same-tenant chunks into dynamic
+/// micro-batches (up to `batch_max_chunks`, held at most `batch_max_age`
+/// past the head's arrival), and serves each batch through
+/// `ServingEndpoint::infer`, the device path single-device serving uses.
+///
+/// Two differences from single-device serving stay on purpose. The
+/// tenant-model swap (`ServingEndpoint::swap`) is a charged, counted weight
+/// upload, paid exactly when a batch lands on a device whose SRAM holds a
+/// different tenant's parameters; serve's tier switches are uncharged. And
+/// since one batch serves several requests, each member's span chain
+/// carries the batch's summed service spans, where serve keeps one chain
+/// per sample and attempt.
 ///
 /// Batched invocations run the pipelined streaming path (double-buffered
 /// link/compute overlap, no per-sample interactive round trip), which is
@@ -37,7 +44,8 @@ namespace hdc::runtime {
 /// Determinism: a fixed `ServeConfig` reproduces bit-identical placements,
 /// batch compositions, predictions, simulated timings, health transitions
 /// and alarm edges. The fleet layer serves frozen per-tenant models (no
-/// online updates) and does not checkpoint.
+/// online updates), does not checkpoint, writes no periodic snapshots, and
+/// refuses a framework with a trace attached (no per-device trace tracks).
 ///
 /// The degradation ladder collapses to device/host in fleet mode: only one
 /// model per tenant is lowered, so a `kReduced` admission verdict runs the

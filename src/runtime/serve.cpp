@@ -439,7 +439,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     // Offered load is a multiple of the full-tier service rate: load L means
     // chunks arrive L times faster than the fault-free full model serves them.
     arrival_period =
-        endpoint.nominal_per_sample(ServeTier::kFull) *
+        endpoint.nominal_per_sample(endpoint.model(ServeTier::kFull), ServeTier::kFull) *
         (static_cast<double>(config.stream.chunk_size) / config.admission.offered_load);
   }
 
@@ -577,8 +577,9 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     // The deadline check itself is admission bookkeeping and costs no
     // simulated time.
     const SimDuration deadline = config.admission.deadline;
+    const ServingEndpoint::Model& model = endpoint.model(tier);
     const SimDuration nominal =
-        deadline.is_zero() ? SimDuration() : endpoint.nominal_per_sample(tier);
+        deadline.is_zero() ? SimDuration() : endpoint.nominal_per_sample(model, tier);
     if (shard.expires(wait, nominal)) {
       shard.expire(rt, start, tier);
       if (trace != nullptr) {
@@ -590,8 +591,13 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
       return;
     }
 
+    // The tier switch is uncharged (the fleet's tenant swaps are not), and
+    // one batch is one request here, so its chain is kept per sample and
+    // attempt (the fleet's is per batch).
+    endpoint.activate(tier);
     ServingEndpoint::BatchOutcome outcome =
-        endpoint.infer(tier, item.data.features, start, shard.budget(wait), &rt);
+        endpoint.infer(model, tier, tpu::InvokeOptions{.interactive = true},
+                       item.data.features, start, shard.budget(wait), &rt);
     const SimDuration per_sample = outcome.total * (1.0 / static_cast<double>(n));
     SimDuration chunk_end = start + outcome.total;
     shard.feed_health(tier, chunk_end, outcome.report);

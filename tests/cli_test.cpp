@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <unistd.h>
@@ -171,6 +172,50 @@ TEST_F(CliTest, ServeOverloadSmokeReportsAdmissionAndHealth) {
   EXPECT_NE(result.output.find("final device health: healthy"), std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find("tier "), std::string::npos) << result.output;
+}
+
+// --requests and --prom work in both modes: one hdc-request-trace-v1 line
+// per offered chunk (served, shed and expired alike), whose stages the trace
+// tool re-sums exactly, and the final Prometheus exposition. Fleet mode
+// refuses --trace (and --metrics/--profile) instead of writing an empty
+// trace.
+TEST_F(CliTest, ServeWritesRequestsAndPrometheusInBothModes) {
+  const std::string base =
+      "serve PAMAP2 --chunks 6 --chunk-size 16 --dim 128 --warmup 1 --offered-load 2 "
+      "--queue-chunks 2 --fault-profile corrupt=0.3,seed=3 ";
+  const std::string fleet = "--devices 2 --tenants 2 ";
+  for (const std::string& mode : {std::string(), fleet}) {
+    SCOPED_TRACE(mode);
+    const std::string requests = path("requests.jsonl");
+    const std::string prom = path("serve.prom");
+    fs::remove(requests);
+    fs::remove(prom);
+    const auto served = run_cli(base + mode + "--requests " + requests + " --prom " + prom);
+    ASSERT_EQ(served.exit_code, 0) << served.output;
+    EXPECT_NE(served.output.find("wrote 6 request traces"), std::string::npos)
+        << served.output;
+    EXPECT_NE(served.output.find("wrote Prometheus exposition"), std::string::npos)
+        << served.output;
+    std::ifstream in(requests);
+    std::string line;
+    int lines = 0;
+    while (std::getline(in, line)) {
+      ++lines;
+    }
+    EXPECT_EQ(lines, 6);
+    const auto audit = run_cli("trace analyze " + requests + " --assert-attribution");
+    EXPECT_EQ(audit.exit_code, 0) << audit.output;
+    std::ifstream prom_in(prom);
+    const std::string text((std::istreambuf_iterator<char>(prom_in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("\nhdc_"), std::string::npos) << text;
+  }
+
+  const std::string trace = path("fleet.trace.json");
+  const auto refused = run_cli(base + fleet + "--trace " + trace);
+  EXPECT_EQ(refused.exit_code, 1) << refused.output;
+  EXPECT_NE(refused.output.find("single-device"), std::string::npos) << refused.output;
+  EXPECT_FALSE(fs::exists(trace));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "common/sim_time.hpp"
 #include "data/synthetic.hpp"
 #include "obs/request_trace.hpp"
+#include "obs/trace.hpp"
 #include "runtime/framework.hpp"
 #include "runtime/router.hpp"
 #include "runtime/serve.hpp"
@@ -334,6 +335,70 @@ TEST(FleetServeTest, TenantModelStatsSumExactlyToTheFleetAggregate) {
   EXPECT_NE(json.find("\"model.accuracy\":{"), std::string::npos);
 }
 
+// A fleet of one device, one tenant and no batching is `serve` with frozen
+// models: the same stream, learner, arrival schedule, interactive invoke and
+// device path. The one difference is the load: serve's first tier switch is
+// uncharged, the fleet's first swap is a charged upload. The offered loads
+// stay below 1 because at higher loads serve's ladder drops to the reduced
+// tier, which the fleet does not have.
+TEST(FleetServeTest, FleetOfOneMatchesServe) {
+  const CoDesignFramework framework;
+  for (const double load : {0.5, 0.9}) {
+    SCOPED_TRACE(load);
+    ServeConfig config;
+    config.stream.spec = data::paper_dataset("PAMAP2");
+    config.stream.chunk_size = 32;
+    config.learner.dim = 512;
+    config.warmup_chunks = 2;
+    config.serve_chunks = 24;
+    config.admission.offered_load = load;
+    config.fleet.num_devices = 1;
+    config.fleet.num_tenants = 1;
+    config.fleet.batch_max_chunks = 1;
+    const ServeResult single = serve(framework, config);
+    const FleetResult fleet = serve_fleet(framework, config);
+
+    ASSERT_EQ(single.predictions.size(), 24U * 32U);
+    EXPECT_EQ(fleet.predictions, single.predictions);
+    EXPECT_EQ(fleet.swaps, 1U);
+    ASSERT_EQ(single.requests.size(), 24U);
+    ASSERT_EQ(fleet.requests.size(), 24U);
+    std::vector<const obs::RequestTrace*> by_id(24, nullptr);
+    for (const obs::RequestTrace& rt : single.requests) {
+      by_id.at(rt.request_id) = &rt;
+    }
+    std::size_t swap_spans = 0;
+    for (const obs::RequestTrace& got : fleet.requests) {
+      SCOPED_TRACE(got.request_id);
+      const obs::RequestTrace& want = *by_id.at(got.request_id);
+      EXPECT_EQ(got.outcome, want.outcome);
+      std::vector<obs::StageSpan> spans = got.spans;
+      const auto swap = std::find_if(spans.begin(), spans.end(), [](const obs::StageSpan& s) {
+        return s.stage == obs::Stage::kSwap;
+      });
+      const bool swapped = swap != spans.end();
+      if (swapped) {
+        ++swap_spans;
+        spans.erase(swap);
+      }
+      ASSERT_EQ(spans.size(), want.spans.size());
+      for (std::size_t i = 0; i < spans.size(); ++i) {
+        EXPECT_EQ(spans[i].stage, want.spans[i].stage);
+        EXPECT_EQ(spans[i].duration, want.spans[i].duration);
+        EXPECT_EQ(spans[i].sample, want.spans[i].sample);
+        EXPECT_EQ(spans[i].attempt, want.spans[i].attempt);
+        if (!swapped) {
+          EXPECT_EQ(spans[i].start, want.spans[i].start);
+        }
+      }
+      if (!swapped) {
+        EXPECT_EQ(got.latency(), want.latency());
+      }
+    }
+    EXPECT_EQ(swap_spans, 1U);
+  }
+}
+
 TEST(FleetConfigTest, ValidationRejectsDegenerateShapes) {
   FleetConfig fleet;
   fleet.num_devices = 0;
@@ -369,6 +434,16 @@ TEST(FleetConfigTest, ValidationRejectsDegenerateShapes) {
   ServeConfig ckpt = fleet_config();
   ckpt.checkpoint_path = "fleet.hdsv";
   EXPECT_THROW(serve_fleet(framework, ckpt), Error);
+  // Nor does it write periodic snapshots, or record a trace, metrics or a
+  // profile (the single-device loop does).
+  ServeConfig periodic = fleet_config();
+  periodic.snapshot_every_chunks = 2;
+  EXPECT_THROW(serve_fleet(framework, periodic), Error);
+  obs::TraceContext trace;
+  CoDesignFramework traced;
+  traced.set_trace(&trace);
+  EXPECT_THROW(serve_fleet(traced, fleet_config()), Error);
+  EXPECT_EQ(trace.size(), 0U);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 //             [--alarm-drift F] [--alarm-error F] [--alarm-burn F]
 //             [--snapshot-dir DIR] [--snapshot-every N] [--prom FILE]
 //             [--log-json FILE] [--trace FILE] [--exemplars FILE]
+//             [--requests FILE] [--devices N] [--tenants N] [--batch-max N]
 //   hdc trace analyze <trace.json|exemplars.jsonl> [--top N] [--req ID]
 //             [--assert-attribution]
 //   hdc model inspect <snapshot.json|checkpoint> [--tenant N]
@@ -54,6 +55,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -464,6 +466,22 @@ void print_alarms(const obs::MonitorSnapshot& snap) {
   }
 }
 
+/// Writes every offered request's causal chain to `--requests FILE`, when
+/// given, as hdc-request-trace-v1 JSONL (feed it to `hdc trace analyze
+/// --assert-attribution` to audit exactness).
+void write_requests(int argc, char** argv, const std::vector<obs::RequestTrace>& requests) {
+  const char* path = arg_value(argc, argv, "--requests", nullptr);
+  if (path == nullptr) {
+    return;
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  HDC_CHECK(out.good(), std::string("cannot open '") + path + "'");
+  for (const auto& rt : requests) {
+    out << obs::request_trace_json(rt, nullptr) << '\n';
+  }
+  std::printf("wrote %zu request traces to %s\n", requests.size(), path);
+}
+
 int cmd_serve(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
@@ -481,12 +499,12 @@ int cmd_serve(int argc, char** argv) {
                  "           [--snapshot-dir DIR] [--snapshot-every N] [--prom FILE]\n"
                  "           [--log-json FILE] [--trace FILE] [--trace-cap N]\n"
                  "           [--metrics FILE] [--profile FILE]\n"
-                 "           [--exemplars FILE] [--exemplar-bytes N]\n"
-                 "       fleet mode (requires --offered-load > 0):\n"
+                 "           [--exemplars FILE] [--exemplar-bytes N] [--requests FILE]\n"
+                 "       fleet mode (requires --offered-load > 0; no --trace, --metrics,\n"
+                 "       --profile, --checkpoint or --snapshot-every):\n"
                  "           [--devices N] [--tenants N] [--skew F]\n"
                  "           [--batch-max N] [--batch-age-us US]\n"
-                 "           [--placement cache-aware|round-robin|least-loaded]\n"
-                 "           [--requests FILE]\n");
+                 "           [--placement cache-aware|round-robin|least-loaded]\n");
     return 2;
   }
 
@@ -713,22 +731,13 @@ int cmd_serve(int argc, char** argv) {
     print_energy(result.fleet_energy);
     print_attribution(result.attribution_total, result.requests_traced);
     print_alarms(snap);
-    const char* requests_path = arg_value(argc, argv, "--requests", nullptr);
-    if (requests_path != nullptr) {
-      // Every offered request's causal chain as hdc-request-trace-v1 JSONL
-      // (feed to `hdc trace analyze --assert-attribution` to audit
-      // exactness).
-      std::ofstream out(requests_path, std::ios::binary | std::ios::trunc);
-      HDC_CHECK(out.good(), std::string("cannot open '") + requests_path + "'");
-      for (const auto& rt : result.requests) {
-        out << obs::request_trace_json(rt, nullptr) << '\n';
-      }
-      std::printf("wrote %zu request traces to %s\n", result.requests.size(),
-                  requests_path);
-    }
+    write_requests(argc, argv, result.requests);
     if (!config.snapshot_dir.empty()) {
       std::printf("wrote fleet + %zu shard snapshots to %s\n", result.shards.size(),
                   config.snapshot_dir.c_str());
+    }
+    if (!config.prometheus_path.empty()) {
+      std::printf("wrote Prometheus exposition to %s\n", config.prometheus_path.c_str());
     }
     if (log_json != nullptr) {
       log::close_json_sink();
@@ -806,6 +815,7 @@ int cmd_serve(int argc, char** argv) {
                 config.checkpoint_path.c_str());
   }
   print_alarms(snap);
+  write_requests(argc, argv, result.requests);
   if (result.snapshots_written > 0) {
     std::printf("wrote %u monitor snapshots to %s\n", result.snapshots_written,
                 config.snapshot_dir.c_str());
