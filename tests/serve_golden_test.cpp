@@ -27,6 +27,8 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "core/serialize.hpp"
+#include "lite/serialize.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/trace.hpp"
 #include "runtime/framework.hpp"
@@ -231,6 +233,10 @@ constexpr Golden kGolden[] = {
     {"fleet_least_loaded", "tenant_energy", 0xADE2B185276D68F6ULL},
     {"fleet_least_loaded", "log", 0x0D4D5159FA9A0A7FULL},
     {"fleet_least_loaded", "exemplars_file", 0xCB69E5389CE5E976ULL},
+    // The persisted formats, over hand-built inputs (exact binary fractions,
+    // no RNG and no libm), so these two hold on any little-endian host.
+    {"hdcm", "classifier", 0x37F395E947FB5C93ULL},
+    {"hdlt", "model", 0xC2DC0F5C213BDEEEULL},
 };
 
 void expect_golden(const std::string& run, const Artefacts& got) {
@@ -608,6 +614,64 @@ TEST(FleetGoldenTest, LeastLoadedDropOldest) {
   Artefacts artefacts = fleet_artefacts(result, dir);
   artefacts.emplace_back("exemplars_file", text_digest(read_text(config.exemplar_path)));
   expect_golden("fleet_least_loaded", artefacts);
+}
+
+// ---- persisted formats ---------------------------------------------------------
+//
+// HDSV bytes are pinned above through the checkpoint files (latest, history
+// copies and resume). These pin HDCM and HDLT: a change to either layout must
+// bump that format's version and re-record its digest here.
+
+std::uint64_t bytes_digest(const std::vector<std::uint8_t>& bytes) {
+  Digest d;
+  d.pod<std::uint64_t>(bytes.size());
+  return d.bytes(bytes.data(), bytes.size()).value();
+}
+
+/// A rows x cols matrix of exact binary fractions (k/8 - rows).
+tensor::MatrixF fraction_matrix(std::size_t rows, std::size_t cols) {
+  tensor::MatrixF m(rows, cols);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = static_cast<float>(i) * 0.125F - static_cast<float>(rows);
+  }
+  return m;
+}
+
+TEST(FormatGoldenTest, ClassifierBytes) {
+  const core::TrainedClassifier classifier{core::Encoder(fraction_matrix(3, 8)),
+                                           core::HdModel(fraction_matrix(2, 8))};
+  expect_golden("hdcm", {{"classifier", bytes_digest(core::serialize_classifier(classifier))}});
+}
+
+TEST(FormatGoldenTest, LiteModelBytes) {
+  // float input -> quantize -> int8 FC (per-channel) -> tanh -> dequantize
+  // -> argmax: every dtype, both quantization modes and every opcode.
+  using lite::DType;
+  using lite::OpCode;
+  lite::LiteModel model;
+  model.name = "golden";
+  const auto tensor = [&model](std::string name, DType dtype, std::vector<std::uint32_t> shape,
+                               lite::Quantization quant) {
+    model.tensors.push_back(
+        lite::LiteTensor{std::move(name), dtype, std::move(shape), quant, {}, {}});
+  };
+  tensor("input", DType::kFloat32, {4}, {});
+  tensor("input_q", DType::kInt8, {4}, {0.5F, 0});
+  tensor("weights", DType::kInt8, {4, 3}, {});
+  tensor("hidden", DType::kInt8, {3}, {0.0625F, -1});
+  tensor("activated", DType::kInt8, {3}, {0.0078125F, 0});
+  tensor("scores", DType::kFloat32, {3}, {});
+  tensor("label", DType::kInt32, {1}, {});
+  model.tensors[2].channel_scales = {0.25F, 0.5F, 0.125F};
+  for (int i = 0; i < 12; ++i) {
+    model.tensors[2].data.push_back(static_cast<std::uint8_t>(i * 37 - 100));
+  }
+  model.ops = {{OpCode::kQuantize, {0}, {1}},   {OpCode::kFullyConnected, {1, 2}, {3}},
+               {OpCode::kTanh, {3}, {4}},       {OpCode::kDequantize, {4}, {5}},
+               {OpCode::kArgMax, {5}, {6}}};
+  model.input = 0;
+  model.output = 6;
+  expect_golden("hdlt", {{"model", bytes_digest(lite::serialize_model(model))}});
 }
 
 }  // namespace
