@@ -33,37 +33,54 @@ void WindowedRate::reset() {
   head_ = 0;
 }
 
-void WindowedRate::serialize(ByteWriter& writer) const {
-  writer.write_vector(ring_);
-  writer.write<std::uint64_t>(filled_);
-  writer.write<std::uint64_t>(sum_);
-  writer.write<std::uint64_t>(head_);
+template <typename Self, typename Io>
+void WindowedRate::state_fields(Self& self, Io& io) {
+  io.vec(self.ring_, 1ULL << 24);
+  io.pod(self.filled_);
+  io.pod(self.sum_);
+  io.pod(self.head_);
 }
 
+void WindowedRate::serialize(ByteWriter& writer) const { state_fields(*this, writer); }
+
 WindowedRate WindowedRate::deserialize(ByteReader& reader) {
-  std::vector<std::uint8_t> ring = reader.read_vector<std::uint8_t>(1ULL << 24);
-  HDC_CHECK(!ring.empty(), "serialized windowed rate has an empty ring");
-  WindowedRate rate(static_cast<std::uint32_t>(ring.size()));
-  rate.ring_ = std::move(ring);
-  rate.filled_ = reader.read<std::uint64_t>();
-  rate.sum_ = reader.read<std::uint64_t>();
-  rate.head_ = static_cast<std::size_t>(reader.read<std::uint64_t>());
+  WindowedRate rate(1);
+  state_fields(rate, reader);
+  HDC_CHECK(!rate.ring_.empty(), "serialized windowed rate has an empty ring");
   HDC_CHECK(rate.filled_ <= rate.ring_.size() && rate.head_ < rate.ring_.size(),
             "serialized windowed rate counters out of range");
   return rate;
 }
 
-void OnlineStats::serialize(ByteWriter& writer) const {
-  writer.write<std::uint64_t>(samples_seen);
-  writer.write<std::uint64_t>(errors);
-  recent.serialize(writer);
+namespace {
+
+template <typename Stats, typename Io>
+void stats_fields(Stats& stats, Io& io) {
+  io.pod(stats.samples_seen);
+  io.pod(stats.errors);
+  io.object(stats.recent);
 }
+
+/// The learner's checkpoint: its config, the classifier pair, then the
+/// prequential counters.
+template <typename Config, typename Matrix, typename Stats, typename Io>
+void learner_fields(Config& config, Matrix& base, Matrix& class_hvs, Stats& stats, Io& io) {
+  io.pod(config.dim);
+  io.pod(config.seed);
+  io.pod(config.learning_rate);
+  io.enumeration(config.similarity, Similarity::kCosine);
+  io.pod(config.error_window);
+  classifier_fields(base, class_hvs, io);
+  io.object(stats);
+}
+
+}  // namespace
+
+void OnlineStats::serialize(ByteWriter& writer) const { stats_fields(*this, writer); }
 
 OnlineStats OnlineStats::deserialize(ByteReader& reader) {
   OnlineStats stats;
-  stats.samples_seen = reader.read<std::uint64_t>();
-  stats.errors = reader.read<std::uint64_t>();
-  stats.recent = WindowedRate::deserialize(reader);
+  stats_fields(stats, reader);
   return stats;
 }
 
@@ -159,26 +176,6 @@ TrainedClassifier OnlineLearner::freeze() const {
 
 void OnlineLearner::reset_stats() { stats_ = OnlineStats(config_.error_window); }
 
-namespace {
-
-void write_matrix(ByteWriter& writer, const tensor::MatrixF& m) {
-  writer.write<std::uint64_t>(m.rows());
-  writer.write<std::uint64_t>(m.cols());
-  writer.write_vector(m.storage());
-}
-
-tensor::MatrixF read_matrix(ByteReader& reader) {
-  const auto rows = reader.read<std::uint64_t>();
-  const auto cols = reader.read<std::uint64_t>();
-  HDC_CHECK(rows > 0 && cols > 0, "serialized matrix has an empty dimension");
-  HDC_CHECK(rows * cols <= (1ULL << 31), "serialized matrix exceeds sanity bound");
-  std::vector<float> data = reader.read_vector<float>();
-  HDC_CHECK(data.size() == rows * cols, "serialized matrix payload size mismatch");
-  return tensor::MatrixF(rows, cols, std::move(data));
-}
-
-}  // namespace
-
 OnlineLearner::OnlineLearner(OnlineConfig config, Encoder encoder, HdModel model,
                              OnlineStats stats)
     : config_(config),
@@ -187,31 +184,15 @@ OnlineLearner::OnlineLearner(OnlineConfig config, Encoder encoder, HdModel model
       stats_(std::move(stats)) {}
 
 void OnlineLearner::serialize(ByteWriter& writer) const {
-  writer.write<std::uint32_t>(config_.dim);
-  writer.write<std::uint64_t>(config_.seed);
-  writer.write<float>(config_.learning_rate);
-  writer.write<std::uint8_t>(static_cast<std::uint8_t>(config_.similarity));
-  writer.write<std::uint32_t>(config_.error_window);
-  write_matrix(writer, encoder_.base());
-  write_matrix(writer, model_.class_hypervectors());
-  stats_.serialize(writer);
+  learner_fields(config_, encoder_.base(), model_.class_hypervectors(), stats_, writer);
 }
 
 OnlineLearner OnlineLearner::deserialize(ByteReader& reader) {
   OnlineConfig config;
-  config.dim = reader.read<std::uint32_t>();
-  config.seed = reader.read<std::uint64_t>();
-  config.learning_rate = reader.read<float>();
-  const auto similarity = reader.read<std::uint8_t>();
-  HDC_CHECK(similarity <= static_cast<std::uint8_t>(Similarity::kCosine),
-            "serialized similarity metric out of range");
-  config.similarity = static_cast<Similarity>(similarity);
-  config.error_window = reader.read<std::uint32_t>();
-  tensor::MatrixF base = read_matrix(reader);
-  tensor::MatrixF class_hvs = read_matrix(reader);
-  HDC_CHECK(base.cols() == class_hvs.cols(),
-            "serialized learner encoder and model widths disagree");
-  OnlineStats stats = OnlineStats::deserialize(reader);
+  tensor::MatrixF base;
+  tensor::MatrixF class_hvs;
+  OnlineStats stats;
+  learner_fields(config, base, class_hvs, stats, reader);
   return OnlineLearner(config, Encoder(std::move(base)), HdModel(std::move(class_hvs)),
                        std::move(stats));
 }

@@ -42,6 +42,9 @@ class WindowedRate {
   static WindowedRate deserialize(ByteReader& reader);
 
  private:
+  template <typename Self, typename Io>
+  static void state_fields(Self& self, Io& io);
+
   std::vector<std::uint8_t> ring_;
   std::uint64_t filled_ = 0;   ///< min(samples added, capacity)
   std::uint64_t sum_ = 0;      ///< true outcomes currently in the ring

@@ -1,8 +1,6 @@
 #include "core/serialize.hpp"
 
 #include "common/byte_io.hpp"
-#include "common/crc32.hpp"
-#include "common/error.hpp"
 
 namespace hdc::core {
 namespace {
@@ -10,57 +8,19 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4D434448;  // "HDCM" little-endian
 constexpr std::uint32_t kVersion = 1;
 
-void write_matrix(ByteWriter& writer, const tensor::MatrixF& m) {
-  writer.write<std::uint64_t>(m.rows());
-  writer.write<std::uint64_t>(m.cols());
-  writer.write_vector(m.storage());
-}
-
-tensor::MatrixF read_matrix(ByteReader& reader) {
-  const auto rows = reader.read<std::uint64_t>();
-  const auto cols = reader.read<std::uint64_t>();
-  HDC_CHECK(rows > 0 && cols > 0, "serialized matrix has an empty dimension");
-  HDC_CHECK(rows * cols <= (1ULL << 31), "serialized matrix exceeds sanity bound");
-  std::vector<float> data = reader.read_vector<float>();
-  HDC_CHECK(data.size() == rows * cols, "serialized matrix payload size mismatch");
-  return tensor::MatrixF(rows, cols, std::move(data));
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> serialize_classifier(const TrainedClassifier& classifier) {
-  HDC_CHECK(classifier.encoder.dim() == classifier.model.dim(),
-            "encoder and model widths disagree");
-  ByteWriter writer;
-  writer.write<std::uint32_t>(kMagic);
-  writer.write<std::uint32_t>(kVersion);
-  write_matrix(writer, classifier.encoder.base());
-  write_matrix(writer, classifier.model.class_hypervectors());
-
-  const std::uint32_t checksum = crc32(writer.bytes().data(), writer.size());
-  writer.write<std::uint32_t>(checksum);
-  return writer.take();
+  return seal(kMagic, kVersion, [&](ByteWriter& writer) {
+    classifier_fields(classifier.encoder.base(), classifier.model.class_hypervectors(), writer);
+  });
 }
 
 TrainedClassifier deserialize_classifier(std::span<const std::uint8_t> bytes) {
-  HDC_CHECK(bytes.size() > sizeof(std::uint32_t) * 3, "classifier buffer too small");
-
-  const std::size_t payload_size = bytes.size() - sizeof(std::uint32_t);
-  std::uint32_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, bytes.data() + payload_size, sizeof(stored_checksum));
-  HDC_CHECK(crc32(bytes.data(), payload_size) == stored_checksum,
-            "classifier buffer failed its checksum (corrupted or truncated)");
-
-  ByteReader reader(bytes.subspan(0, payload_size));
-  HDC_CHECK(reader.read<std::uint32_t>() == kMagic, "not an HDCM classifier buffer");
-  HDC_CHECK(reader.read<std::uint32_t>() == kVersion, "unsupported HDCM version");
-
-  tensor::MatrixF base = read_matrix(reader);
-  tensor::MatrixF class_hvs = read_matrix(reader);
-  HDC_CHECK(reader.exhausted(), "trailing bytes after classifier payload");
-  HDC_CHECK(base.cols() == class_hvs.cols(),
-            "serialized encoder and model widths disagree");
-
+  tensor::MatrixF base;
+  tensor::MatrixF class_hvs;
+  open_sealed(bytes, kMagic, kVersion, "classifier buffer",
+              [&](ByteReader& reader) { classifier_fields(base, class_hvs, reader); });
   return TrainedClassifier{Encoder(std::move(base)), HdModel(std::move(class_hvs))};
 }
 

@@ -1,10 +1,6 @@
 #include "lite/serialize.hpp"
 
-#include <cstring>
-
 #include "common/byte_io.hpp"
-#include "common/crc32.hpp"
-#include "common/error.hpp"
 
 namespace hdc::lite {
 namespace {
@@ -12,99 +8,42 @@ namespace {
 constexpr std::uint32_t kMagic = 0x544C4448;  // "HDLT" little-endian
 constexpr std::uint32_t kVersion = 1;
 
-void write_tensor(ByteWriter& writer, const LiteTensor& t) {
-  writer.write_string(t.name);
-  writer.write<std::uint8_t>(static_cast<std::uint8_t>(t.dtype));
-  writer.write_vector(t.shape);
-  writer.write<float>(t.quant.scale);
-  writer.write<std::int32_t>(t.quant.zero_point);
-  writer.write_vector(t.channel_scales);
-  writer.write_vector(t.data);
-}
+// Smallest tensor and op on the wire: empty name and vectors.
+constexpr std::uint64_t kMinTensorBytes = 4 + 1 + 8 + 4 + 4 + 8 + 8;
+constexpr std::uint64_t kMinOpBytes = 1 + 8 + 8;
 
-LiteTensor read_tensor(ByteReader& reader) {
-  LiteTensor t;
-  t.name = reader.read_string();
-  const auto dtype_raw = reader.read<std::uint8_t>();
-  HDC_CHECK(dtype_raw <= static_cast<std::uint8_t>(DType::kInt32),
-            "unknown dtype in serialized tensor");
-  t.dtype = static_cast<DType>(dtype_raw);
-  t.shape = reader.read_vector<std::uint32_t>(16);
-  t.quant.scale = reader.read<float>();
-  t.quant.zero_point = reader.read<std::int32_t>();
-  t.channel_scales = reader.read_vector<float>(1ULL << 24);
-  t.data = reader.read_vector<std::uint8_t>(1ULL << 31);
-  return t;
+template <typename Model, typename Io>
+void model_fields(Model& model, Io& io) {
+  io.str(model.name);
+  io.pod(model.input);
+  io.pod(model.output);
+  io.seq(model.tensors, std::uint32_t{4096}, kMinTensorBytes, [&](auto& t) {
+    io.str(t.name);
+    io.enumeration(t.dtype, DType::kInt32);
+    io.vec(t.shape, 16);
+    io.pod(t.quant.scale);
+    io.pod(t.quant.zero_point);
+    io.vec(t.channel_scales, 1ULL << 24);
+    io.vec(t.data, 1ULL << 31);
+  });
+  io.seq(model.ops, std::uint32_t{4096}, kMinOpBytes, [&](auto& op) {
+    io.enumeration(op.code, OpCode::kArgMax);
+    io.vec(op.inputs, 16);
+    io.vec(op.outputs, 16);
+  });
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> serialize_model(const LiteModel& model) {
   model.validate();
-  ByteWriter writer;
-  writer.write<std::uint32_t>(kMagic);
-  writer.write<std::uint32_t>(kVersion);
-  writer.write_string(model.name);
-  writer.write<std::uint32_t>(model.input);
-  writer.write<std::uint32_t>(model.output);
-
-  writer.write<std::uint32_t>(static_cast<std::uint32_t>(model.tensors.size()));
-  for (const auto& t : model.tensors) {
-    write_tensor(writer, t);
-  }
-
-  writer.write<std::uint32_t>(static_cast<std::uint32_t>(model.ops.size()));
-  for (const auto& op : model.ops) {
-    writer.write<std::uint8_t>(static_cast<std::uint8_t>(op.code));
-    writer.write_vector(op.inputs);
-    writer.write_vector(op.outputs);
-  }
-
-  const std::uint32_t checksum = crc32(writer.bytes().data(), writer.size());
-  writer.write<std::uint32_t>(checksum);
-  return writer.take();
+  return seal(kMagic, kVersion, [&](ByteWriter& writer) { model_fields(model, writer); });
 }
 
 LiteModel deserialize_model(std::span<const std::uint8_t> bytes) {
-  HDC_CHECK(bytes.size() > sizeof(std::uint32_t) * 3, "model buffer too small");
-
-  const std::size_t payload_size = bytes.size() - sizeof(std::uint32_t);
-  std::uint32_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, bytes.data() + payload_size, sizeof(stored_checksum));
-  HDC_CHECK(crc32(bytes.data(), payload_size) == stored_checksum,
-            "model buffer failed its checksum (corrupted or truncated)");
-
-  ByteReader reader(bytes.subspan(0, payload_size));
-  HDC_CHECK(reader.read<std::uint32_t>() == kMagic, "not an HDLT model buffer");
-  HDC_CHECK(reader.read<std::uint32_t>() == kVersion, "unsupported HDLT version");
-
   LiteModel model;
-  model.name = reader.read_string();
-  model.input = reader.read<std::uint32_t>();
-  model.output = reader.read<std::uint32_t>();
-
-  const auto tensor_count = reader.read<std::uint32_t>();
-  HDC_CHECK(tensor_count <= 4096, "implausible tensor count");
-  model.tensors.reserve(tensor_count);
-  for (std::uint32_t i = 0; i < tensor_count; ++i) {
-    model.tensors.push_back(read_tensor(reader));
-  }
-
-  const auto op_count = reader.read<std::uint32_t>();
-  HDC_CHECK(op_count <= 4096, "implausible op count");
-  model.ops.reserve(op_count);
-  for (std::uint32_t i = 0; i < op_count; ++i) {
-    LiteOp op;
-    const auto code_raw = reader.read<std::uint8_t>();
-    HDC_CHECK(code_raw <= static_cast<std::uint8_t>(OpCode::kArgMax),
-              "unknown opcode in serialized model");
-    op.code = static_cast<OpCode>(code_raw);
-    op.inputs = reader.read_vector<std::uint32_t>(16);
-    op.outputs = reader.read_vector<std::uint32_t>(16);
-    model.ops.push_back(std::move(op));
-  }
-
-  HDC_CHECK(reader.exhausted(), "trailing bytes after model payload");
+  open_sealed(bytes, kMagic, kVersion, "model buffer",
+              [&](ByteReader& reader) { model_fields(model, reader); });
   model.validate();
   return model;
 }

@@ -188,112 +188,57 @@ EnergySnapshot EnergyAccountant::snapshot(SimDuration now) {
 
 namespace {
 
-void write_alarm_state(ByteWriter& w, const ThresholdAlarm& alarm) {
-  w.write<std::uint8_t>(alarm.firing() ? 1 : 0);
-  w.write<double>(alarm.last_value());
-  w.write<std::uint64_t>(alarm.fired_total());
-}
-
-void read_alarm_state(ByteReader& r, ThresholdAlarm& alarm) {
-  const bool firing = r.read<std::uint8_t>() != 0;
-  const double last_value = r.read<double>();
-  const auto fired_total = r.read<std::uint64_t>();
-  alarm.restore(firing, last_value, fired_total);
-}
-
-void write_ewma(ByteWriter& w, const Ewma& ewma) {
-  const Ewma::State state = ewma.state();
-  w.write<double>(state.value);
-  w.write<double>(state.last.to_seconds());
-  w.write<std::uint8_t>(state.seeded ? 1 : 0);
-}
-
-void read_ewma(ByteReader& r, Ewma& ewma) {
-  Ewma::State state;
-  state.value = r.read<double>();
-  state.last = SimDuration::seconds(r.read<double>());
-  state.seeded = r.read<std::uint8_t>() != 0;
-  ewma.set_state(state);
+template <typename Config, typename Io>
+void energy_config_fields(Config& config, Io& io) {
+  io.pod(config.profile.idle_watts);
+  io.pod(config.profile.mxu_active_watts);
+  io.pod(config.profile.link_watts);
+  io.pod(config.profile.sram_write_watts);
+  io.pod(config.profile.host_busy_watts);
+  io.pod(config.profile.backoff_watts);
+  io.duration(config.window.span);
+  io.pod(config.window.buckets);
+  io.pod(config.alarm_joules_per_inference);
+  io.pod(config.min_samples);
+  io.pod(config.ewma_tau_s);
 }
 
 }  // namespace
 
+template <typename Self, typename Io>
+void EnergyAccountant::state_fields(Self& self, Io& io) {
+  detail::ring_fields(self.window_, io, [&](auto& slot) {
+    io.pod(slot.pj);
+    io.pod(slot.samples);
+  });
+  io.pod(self.total_pj_);
+  io.raw(self.stage_pj_);
+  io.pod(self.served_pj_);
+  io.pod(self.shed_pj_);
+  io.pod(self.expired_pj_);
+  io.pod(self.degraded_pj_);
+  io.pod(self.requests_total_);
+  io.pod(self.samples_served_);
+
+  io.object(self.watts_ewma_);
+  io.object(self.budget_alarm_);
+  io.str(self.budget_detail_);
+  detail::alarm_events(self.events_, io);
+  io.object(self.gate_);
+}
+
 void EnergyAccountant::serialize(ByteWriter& writer) const {
-  writer.write<double>(config_.profile.idle_watts);
-  writer.write<double>(config_.profile.mxu_active_watts);
-  writer.write<double>(config_.profile.link_watts);
-  writer.write<double>(config_.profile.sram_write_watts);
-  writer.write<double>(config_.profile.host_busy_watts);
-  writer.write<double>(config_.profile.backoff_watts);
-  writer.write<double>(config_.window.span.to_seconds());
-  writer.write<std::uint64_t>(static_cast<std::uint64_t>(config_.window.buckets));
-  writer.write<double>(config_.alarm_joules_per_inference);
-  writer.write<std::uint64_t>(config_.min_samples);
-  writer.write<double>(config_.ewma_tau_s);
-
-  writer.write<std::uint64_t>(window_.cursor());
-  for (const WindowSlot& slot : window_.slots()) {
-    writer.write<std::int64_t>(slot.pj);
-    writer.write<std::uint64_t>(slot.samples);
-  }
-
-  writer.write<std::int64_t>(total_pj_);
-  for (const std::int64_t pj : stage_pj_) {
-    writer.write<std::int64_t>(pj);
-  }
-  writer.write<std::int64_t>(served_pj_);
-  writer.write<std::int64_t>(shed_pj_);
-  writer.write<std::int64_t>(expired_pj_);
-  writer.write<std::int64_t>(degraded_pj_);
-  writer.write<std::uint64_t>(requests_total_);
-  writer.write<std::uint64_t>(samples_served_);
-
-  write_ewma(writer, watts_ewma_);
-  write_alarm_state(writer, budget_alarm_);
-  writer.write_string(budget_detail_);
-  detail::write_alarm_events(writer, events_);
-  gate_.serialize(writer);
+  energy_config_fields(config_, writer);
+  state_fields(*this, writer);
 }
 
 EnergyAccountant EnergyAccountant::deserialize(ByteReader& reader) {
   EnergyConfig config;
-  config.profile.idle_watts = reader.read<double>();
-  config.profile.mxu_active_watts = reader.read<double>();
-  config.profile.link_watts = reader.read<double>();
-  config.profile.sram_write_watts = reader.read<double>();
-  config.profile.host_busy_watts = reader.read<double>();
-  config.profile.backoff_watts = reader.read<double>();
-  config.window.span = SimDuration::seconds(reader.read<double>());
-  config.window.buckets = static_cast<std::size_t>(reader.read<std::uint64_t>());
-  config.alarm_joules_per_inference = reader.read<double>();
-  config.min_samples = reader.read<std::uint64_t>();
-  config.ewma_tau_s = reader.read<double>();
+  energy_config_fields(config, reader);
   // Bound the window by the bytes left before the constructor sizes it.
   reader.fits(config.window.buckets, 2 * 8);
-
   EnergyAccountant accountant(config);
-  accountant.window_.set_cursor(reader.read<std::uint64_t>());
-  for (WindowSlot& slot : accountant.window_.slots_mutable()) {
-    slot.pj = reader.read<std::int64_t>();
-    slot.samples = reader.read<std::uint64_t>();
-  }
-
-  accountant.total_pj_ = reader.read<std::int64_t>();
-  for (std::int64_t& pj : accountant.stage_pj_) {
-    pj = reader.read<std::int64_t>();
-  }
-  accountant.served_pj_ = reader.read<std::int64_t>();
-  accountant.shed_pj_ = reader.read<std::int64_t>();
-  accountant.expired_pj_ = reader.read<std::int64_t>();
-  accountant.degraded_pj_ = reader.read<std::int64_t>();
-  accountant.requests_total_ = reader.read<std::uint64_t>();
-  accountant.samples_served_ = reader.read<std::uint64_t>();
-
-  read_ewma(reader, accountant.watts_ewma_);
-  read_alarm_state(reader, accountant.budget_alarm_);
-  accountant.budget_detail_ = reader.read_string();
-  accountant.events_ = detail::read_alarm_events(reader);
-  accountant.gate_.restore(reader);
+  state_fields(accountant, reader);
   return accountant;
 }
 

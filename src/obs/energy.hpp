@@ -238,6 +238,9 @@ class EnergyAccountant {
   static EnergyAccountant deserialize(ByteReader& reader);
 
  private:
+  template <typename Self, typename Io>
+  static void state_fields(Self& self, Io& io);
+
   struct WindowSlot {
     std::int64_t pj = 0;          ///< all outcomes — waste counts
     std::uint64_t samples = 0;    ///< served samples only

@@ -454,93 +454,68 @@ ModelStatsSnapshot ModelQualityStats::snapshot(SimDuration now) {
 
 namespace {
 
-void write_alarm_state(ByteWriter& w, const ThresholdAlarm& alarm) {
-  w.write<std::uint8_t>(alarm.firing() ? 1 : 0);
-  w.write<double>(alarm.last_value());
-  w.write<std::uint64_t>(alarm.fired_total());
-}
-
-void read_alarm_state(ByteReader& r, ThresholdAlarm& alarm) {
-  const bool firing = r.read<std::uint8_t>() != 0;
-  const double last_value = r.read<double>();
-  const auto fired_total = r.read<std::uint64_t>();
-  alarm.restore(firing, last_value, fired_total);
+template <typename Config, typename Io>
+void model_stats_config_fields(Config& config, Io& io) {
+  io.pod(config.num_classes);
+  io.pod(config.dim);
+  io.duration(config.window.span);
+  io.pod(config.window.buckets);
+  io.pod(config.dim_buckets);
+  io.pod(config.calibration_bins);
+  io.pod(config.top_pairs);
+  io.pod(config.bottom_dims);
+  io.pod(config.alarm_class_error_rate);
+  io.pod(config.alarm_confusion_pair);
+  io.pod(config.min_class_samples);
+  io.pod(config.saturation_band);
 }
 
 }  // namespace
 
+template <typename Self, typename Io>
+void ModelQualityStats::state_fields(Self& self, Io& io) {
+  detail::ring_fields(self.window_confusion_, io, [&](auto& slot) { io.fixed(slot); });
+  if (self.dims_.has_value()) {
+    detail::ring_fields(*self.dims_, io, [&](auto& slot) {
+      io.raw(slot.class_sums);
+      io.raw(slot.sums);
+      io.raw(slot.sumsq);
+      io.fixed(slot.counts);
+    });
+  }
+
+  io.fixed(self.confusion_);
+  io.fixed(self.class_served_);
+  for (auto& bin : self.calibration_) {
+    io.pod(bin.count);
+    io.pod(bin.correct);
+    io.pod(bin.confidence_sum);
+  }
+  io.pod(self.samples_total_);
+
+  io.pod(self.norm_min_);
+  io.pod(self.norm_mean_);
+  io.pod(self.saturation_);
+  io.pod(self.separation_min_);
+  io.pod(self.separation_mean_);
+  io.pod(self.model_refreshes_);
+
+  io.object(self.alarm_class_error_);
+  io.object(self.alarm_pair_);
+  io.str(self.class_error_detail_);
+  io.str(self.pair_detail_);
+  detail::alarm_events(self.events_, io);
+  io.object(self.gate_);
+}
+
 void ModelQualityStats::serialize(ByteWriter& writer) const {
-  writer.write<std::uint32_t>(config_.num_classes);
-  writer.write<std::uint32_t>(config_.dim);
-  writer.write<double>(config_.window.span.to_seconds());
-  writer.write<std::uint64_t>(static_cast<std::uint64_t>(config_.window.buckets));
-  writer.write<std::uint64_t>(static_cast<std::uint64_t>(config_.dim_buckets));
-  writer.write<std::uint64_t>(static_cast<std::uint64_t>(config_.calibration_bins));
-  writer.write<std::uint64_t>(static_cast<std::uint64_t>(config_.top_pairs));
-  writer.write<std::uint64_t>(static_cast<std::uint64_t>(config_.bottom_dims));
-  writer.write<double>(config_.alarm_class_error_rate);
-  writer.write<double>(config_.alarm_confusion_pair);
-  writer.write<std::uint64_t>(config_.min_class_samples);
-  writer.write<double>(config_.saturation_band);
-
-  writer.write<std::uint64_t>(window_confusion_.cursor());
-  for (const std::vector<std::uint64_t>& slot : window_confusion_.slots()) {
-    writer.write_vector(slot);
-  }
-  if (dims_.has_value()) {
-    writer.write<std::uint64_t>(dims_->cursor());
-    for (const DimSlot& slot : dims_->slots()) {
-      for (const double v : slot.class_sums) {
-        writer.write<double>(v);
-      }
-      for (const double v : slot.sums) {
-        writer.write<double>(v);
-      }
-      for (const double v : slot.sumsq) {
-        writer.write<double>(v);
-      }
-      writer.write_vector(slot.counts);
-    }
-  }
-
-  writer.write_vector(confusion_);
-  writer.write_vector(class_served_);
-  for (const ModelStatsSnapshot::CalibrationBin& bin : calibration_) {
-    writer.write<std::uint64_t>(bin.count);
-    writer.write<std::uint64_t>(bin.correct);
-    writer.write<double>(bin.confidence_sum);
-  }
-  writer.write<std::uint64_t>(samples_total_);
-
-  writer.write<double>(norm_min_);
-  writer.write<double>(norm_mean_);
-  writer.write<double>(saturation_);
-  writer.write<double>(separation_min_);
-  writer.write<double>(separation_mean_);
-  writer.write<std::uint64_t>(model_refreshes_);
-
-  write_alarm_state(writer, alarm_class_error_);
-  write_alarm_state(writer, alarm_pair_);
-  writer.write_string(class_error_detail_);
-  writer.write_string(pair_detail_);
-  detail::write_alarm_events(writer, events_);
-  gate_.serialize(writer);
+  model_stats_config_fields(config_, writer);
+  state_fields(*this, writer);
 }
 
 ModelQualityStats ModelQualityStats::deserialize(ByteReader& reader) {
   ModelStatsConfig config;
-  config.num_classes = reader.read<std::uint32_t>();
-  config.dim = reader.read<std::uint32_t>();
-  config.window.span = SimDuration::seconds(reader.read<double>());
-  config.window.buckets = static_cast<std::size_t>(reader.read<std::uint64_t>());
-  config.dim_buckets = static_cast<std::size_t>(reader.read<std::uint64_t>());
-  config.calibration_bins = static_cast<std::size_t>(reader.read<std::uint64_t>());
-  config.top_pairs = static_cast<std::size_t>(reader.read<std::uint64_t>());
-  config.bottom_dims = static_cast<std::size_t>(reader.read<std::uint64_t>());
-  config.alarm_class_error_rate = reader.read<double>();
-  config.alarm_confusion_pair = reader.read<double>();
-  config.min_class_samples = reader.read<std::uint64_t>();
-  config.saturation_band = reader.read<double>();
+  model_stats_config_fields(config, reader);
   // Bound every shape by the bytes left before the constructor sizes it:
   // the confusion matrix, each confusion-window bucket (a length plus the
   // matrix), the calibration bins, and each dimension-window bucket.
@@ -553,62 +528,8 @@ ModelQualityStats ModelQualityStats::deserialize(ByteReader& reader) {
         reader.fits(std::uint64_t{config.dim} * (config.num_classes + 2ULL), 8);
     reader.fits(config.dim_buckets, 8 * (1 + dim_cells));
   }
-
   ModelQualityStats stats(config);
-  stats.window_confusion_.set_cursor(reader.read<std::uint64_t>());
-  for (std::vector<std::uint64_t>& slot : stats.window_confusion_.slots_mutable()) {
-    std::vector<std::uint64_t> cells = reader.read_vector<std::uint64_t>();
-    HDC_CHECK(cells.size() == slot.size(),
-              "serialized confusion window does not match num_classes");
-    slot = std::move(cells);
-  }
-  if (stats.dims_.has_value()) {
-    stats.dims_->set_cursor(reader.read<std::uint64_t>());
-    for (DimSlot& slot : stats.dims_->slots_mutable()) {
-      for (double& v : slot.class_sums) {
-        v = reader.read<double>();
-      }
-      for (double& v : slot.sums) {
-        v = reader.read<double>();
-      }
-      for (double& v : slot.sumsq) {
-        v = reader.read<double>();
-      }
-      std::vector<std::uint64_t> counts = reader.read_vector<std::uint64_t>();
-      HDC_CHECK(counts.size() == slot.counts.size(),
-                "serialized dim window does not match num_classes");
-      slot.counts = std::move(counts);
-    }
-  }
-
-  std::vector<std::uint64_t> confusion = reader.read_vector<std::uint64_t>();
-  HDC_CHECK(confusion.size() == stats.confusion_.size(),
-            "serialized confusion matrix does not match num_classes");
-  stats.confusion_ = std::move(confusion);
-  std::vector<std::uint64_t> served = reader.read_vector<std::uint64_t>();
-  HDC_CHECK(served.size() == stats.class_served_.size(),
-            "serialized class-served counts do not match num_classes");
-  stats.class_served_ = std::move(served);
-  for (ModelStatsSnapshot::CalibrationBin& bin : stats.calibration_) {
-    bin.count = reader.read<std::uint64_t>();
-    bin.correct = reader.read<std::uint64_t>();
-    bin.confidence_sum = reader.read<double>();
-  }
-  stats.samples_total_ = reader.read<std::uint64_t>();
-
-  stats.norm_min_ = reader.read<double>();
-  stats.norm_mean_ = reader.read<double>();
-  stats.saturation_ = reader.read<double>();
-  stats.separation_min_ = reader.read<double>();
-  stats.separation_mean_ = reader.read<double>();
-  stats.model_refreshes_ = reader.read<std::uint64_t>();
-
-  read_alarm_state(reader, stats.alarm_class_error_);
-  read_alarm_state(reader, stats.alarm_pair_);
-  stats.class_error_detail_ = reader.read_string();
-  stats.pair_detail_ = reader.read_string();
-  stats.events_ = detail::read_alarm_events(reader);
-  stats.gate_.restore(reader);
+  state_fields(stats, reader);
   return stats;
 }
 

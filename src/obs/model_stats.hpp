@@ -193,6 +193,9 @@ class ModelQualityStats {
   static ModelQualityStats deserialize(ByteReader& reader);
 
  private:
+  template <typename Self, typename Io>
+  static void state_fields(Self& self, Io& io);
+
   /// Per-slot sufficient statistics for the discriminability ratio: per-class
   /// and overall sums plus per-dim sum of squares over the slot's samples.
   struct DimSlot {

@@ -567,295 +567,109 @@ MonitorSnapshot ServingMonitor::snapshot(SimDuration now) {
 // so a restored monitor's subsequent windows, EWMAs, alarm edges and
 // snapshots are byte-identical to a monitor that was never serialized.
 
+template <typename Self, typename Io>
+void SlidingCounter::fields(Self& self, Io& io) {
+  io.pod(self.ring_.cursor());
+  io.fixed(self.ring_.slots());
+}
+
+template <typename Self, typename Io>
+void SlidingMean::fields(Self& self, Io& io) {
+  detail::ring_fields(self.ring_, io, [&](auto& slot) {
+    io.pod(slot.sum);
+    io.pod(slot.count);
+  });
+}
+
+template <typename Self, typename Io>
+void SlidingHistogram::fields(Self& self, Io& io) {
+  detail::ring_fields(self.ring_, io, [&](auto& slot) {
+    io.raw(slot.bins);
+    io.pod(slot.count);
+    io.pod(slot.sum_s);
+    io.pod(slot.min_s);
+    io.pod(slot.max_s);
+  });
+}
+
 namespace {
 
-void write_duration(ByteWriter& w, SimDuration d) { w.write<double>(d.to_seconds()); }
-SimDuration read_duration(ByteReader& r) {
-  return SimDuration::seconds(r.read<double>());
-}
-
-void write_ewma(ByteWriter& w, const Ewma& ewma) {
-  const Ewma::State state = ewma.state();
-  w.write<double>(state.value);
-  write_duration(w, state.last);
-  w.write<std::uint8_t>(state.seeded ? 1 : 0);
-}
-
-void read_ewma(ByteReader& r, Ewma& ewma) {
-  Ewma::State state;
-  state.value = r.read<double>();
-  state.last = read_duration(r);
-  state.seeded = r.read<std::uint8_t>() != 0;
-  ewma.set_state(state);
-}
-
-void write_alarm(ByteWriter& w, const ThresholdAlarm& alarm) {
-  w.write<std::uint8_t>(alarm.firing() ? 1 : 0);
-  w.write<double>(alarm.last_value());
-  w.write<std::uint64_t>(alarm.fired_total());
-}
-
-void read_alarm(ByteReader& r, ThresholdAlarm& alarm) {
-  const bool firing = r.read<std::uint8_t>() != 0;
-  const double last_value = r.read<double>();
-  const auto fired_total = r.read<std::uint64_t>();
-  alarm.restore(firing, last_value, fired_total);
+/// The resolved config comes first: deserialize reconstructs the monitor
+/// from it, so auto-sized windows and SLOs round-trip without re-deriving.
+template <typename Config, typename Io>
+void monitor_config_fields(Config& config, Io& io) {
+  io.pod(config.num_classes);
+  io.duration(config.window.span);
+  io.pod(config.window.buckets);
+  io.pod(config.ewma_tau_short_s);
+  io.pod(config.ewma_tau_long_s);
+  io.duration(config.slo_latency);
+  io.pod(config.slo_error_budget);
+  io.pod(config.alarm_burn_rate);
+  io.pod(config.alarm_error_rate);
+  io.pod(config.alarm_fallback_rate);
+  io.pod(config.alarm_drift_score);
+  io.pod(config.alarm_shed_rate);
+  io.pod(config.min_samples);
 }
 
 }  // namespace
 
-void detail::write_alarm_event(ByteWriter& w, const AlarmEvent& event) {
-  w.write_string(event.alarm);
-  w.write<std::uint8_t>(event.fired ? 1 : 0);
-  write_duration(w, event.at);
-  w.write<double>(event.value);
-  w.write<double>(event.threshold);
-  w.write<std::int64_t>(event.exemplar_request_id);
-  w.write_string(event.detail);
-}
+template <typename Self, typename Io>
+void ServingMonitor::state_fields(Self& self, Io& io) {
+  io.object(self.latency_);
+  io.object(self.samples_);
+  io.object(self.errors_);
+  io.object(self.slo_violations_);
+  io.object(self.transport_samples_);
+  io.object(self.fallback_samples_);
+  io.object(self.retries_);
+  io.object(self.offered_);
+  io.object(self.shed_);
+  io.object(self.expired_);
+  io.object(self.degraded_);
+  io.object(self.margin_);
+  detail::ring_fields(self.class_counts_, io, [&](auto& slot) { io.fixed(slot); });
+  detail::ring_fields(self.slowest_, io, [&](auto& slot) {
+    io.pod(slot.latency_s);
+    io.pod(slot.request_id);
+  });
+  detail::ring_fields(self.attribution_, io, [&](auto& slot) { io.raw(slot); });
 
-AlarmEvent detail::read_alarm_event(ByteReader& r) {
-  AlarmEvent event;
-  event.alarm = r.read_string();
-  event.fired = r.read<std::uint8_t>() != 0;
-  event.at = read_duration(r);
-  event.value = r.read<double>();
-  event.threshold = r.read<double>();
-  event.exemplar_request_id = r.read<std::int64_t>();
-  event.detail = r.read_string();
-  return event;
-}
+  io.object(self.ewma_latency_);
+  io.object(self.ewma_margin_);
+  io.object(self.ewma_accuracy_);
+  io.object(self.margin_reference_);
 
-void detail::write_alarm_events(ByteWriter& w, const std::vector<AlarmEvent>& events) {
-  w.write<std::uint32_t>(static_cast<std::uint32_t>(events.size()));
-  for (const AlarmEvent& event : events) {
-    write_alarm_event(w, event);
-  }
-}
+  io.object(self.alarm_latency_);
+  io.object(self.alarm_error_);
+  io.object(self.alarm_fallback_);
+  io.object(self.alarm_drift_);
+  io.object(self.alarm_shed_);
+  detail::alarm_events(self.events_, io);
+  io.object(self.gate_);
 
-std::vector<AlarmEvent> detail::read_alarm_events(ByteReader& r) {
-  // Smallest event on the wire: two empty strings (u32 lengths), the fired
-  // flag and four 8-byte scalars.
-  constexpr std::size_t kMinEventBytes = 2 * 4 + 1 + 4 * 8;
-  const auto count = r.read_count(kMinEventBytes);
-  std::vector<AlarmEvent> events;
-  events.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    events.push_back(read_alarm_event(r));
-  }
-  return events;
-}
-
-// ------------------------------------------------------- QuarantineGate ----
-
-void QuarantineGate::serialize(ByteWriter& writer) const {
-  writer.write<std::uint8_t>(quarantined_ ? 1 : 0);
-  detail::write_alarm_events(writer, pending_fires_);
-  writer.write<std::uint64_t>(suppressed_total_);
-  writer.write<std::uint64_t>(suppressed_this_quarantine_);
-}
-
-void QuarantineGate::restore(ByteReader& reader) {
-  quarantined_ = reader.read<std::uint8_t>() != 0;
-  pending_fires_ = detail::read_alarm_events(reader);
-  suppressed_total_ = reader.read<std::uint64_t>();
-  suppressed_this_quarantine_ = reader.read<std::uint64_t>();
-}
-
-void SlidingCounter::serialize(ByteWriter& writer) const {
-  writer.write<std::uint64_t>(ring_.cursor());
-  writer.write_vector(ring_.slots());
-}
-
-void SlidingCounter::restore(ByteReader& reader) {
-  ring_.set_cursor(reader.read<std::uint64_t>());
-  std::vector<std::uint64_t> slots = reader.read_vector<std::uint64_t>();
-  HDC_CHECK(slots.size() == ring_.slots().size(),
-            "serialized sliding-counter window shape does not match the config");
-  ring_.slots_mutable() = std::move(slots);
-}
-
-void SlidingMean::serialize(ByteWriter& writer) const {
-  writer.write<std::uint64_t>(ring_.cursor());
-  for (const Slot& slot : ring_.slots()) {
-    writer.write<double>(slot.sum);
-    writer.write<std::uint64_t>(slot.count);
-  }
-}
-
-void SlidingMean::restore(ByteReader& reader) {
-  ring_.set_cursor(reader.read<std::uint64_t>());
-  for (Slot& slot : ring_.slots_mutable()) {
-    slot.sum = reader.read<double>();
-    slot.count = reader.read<std::uint64_t>();
-  }
-}
-
-void SlidingHistogram::serialize(ByteWriter& writer) const {
-  writer.write<std::uint64_t>(ring_.cursor());
-  for (const Slot& slot : ring_.slots()) {
-    for (const std::uint64_t bin : slot.bins) {
-      writer.write<std::uint64_t>(bin);
-    }
-    writer.write<std::uint64_t>(slot.count);
-    writer.write<double>(slot.sum_s);
-    writer.write<double>(slot.min_s);
-    writer.write<double>(slot.max_s);
-  }
-}
-
-void SlidingHistogram::restore(ByteReader& reader) {
-  ring_.set_cursor(reader.read<std::uint64_t>());
-  for (Slot& slot : ring_.slots_mutable()) {
-    for (std::uint64_t& bin : slot.bins) {
-      bin = reader.read<std::uint64_t>();
-    }
-    slot.count = reader.read<std::uint64_t>();
-    slot.sum_s = reader.read<double>();
-    slot.min_s = reader.read<double>();
-    slot.max_s = reader.read<double>();
-  }
+  io.pod(self.samples_total_);
+  io.pod(self.errors_total_);
+  io.pod(self.shed_total_);
+  io.pod(self.expired_total_);
+  io.pod(self.degraded_total_);
 }
 
 void ServingMonitor::serialize(ByteWriter& writer) const {
-  // Resolved config first: deserialize reconstructs the monitor from it, so
-  // auto-sized windows/SLOs round-trip without re-deriving them.
-  writer.write<std::uint32_t>(config_.num_classes);
-  write_duration(writer, config_.window.span);
-  writer.write<std::uint64_t>(static_cast<std::uint64_t>(config_.window.buckets));
-  writer.write<double>(config_.ewma_tau_short_s);
-  writer.write<double>(config_.ewma_tau_long_s);
-  write_duration(writer, config_.slo_latency);
-  writer.write<double>(config_.slo_error_budget);
-  writer.write<double>(config_.alarm_burn_rate);
-  writer.write<double>(config_.alarm_error_rate);
-  writer.write<double>(config_.alarm_fallback_rate);
-  writer.write<double>(config_.alarm_drift_score);
-  writer.write<double>(config_.alarm_shed_rate);
-  writer.write<std::uint64_t>(config_.min_samples);
-
-  latency_.serialize(writer);
-  samples_.serialize(writer);
-  errors_.serialize(writer);
-  slo_violations_.serialize(writer);
-  transport_samples_.serialize(writer);
-  fallback_samples_.serialize(writer);
-  retries_.serialize(writer);
-  offered_.serialize(writer);
-  shed_.serialize(writer);
-  expired_.serialize(writer);
-  degraded_.serialize(writer);
-  margin_.serialize(writer);
-
-  writer.write<std::uint64_t>(class_counts_.cursor());
-  for (const std::vector<std::uint64_t>& slot : class_counts_.slots()) {
-    writer.write_vector(slot);
-  }
-  writer.write<std::uint64_t>(slowest_.cursor());
-  for (const SlowestSlot& slot : slowest_.slots()) {
-    writer.write<double>(slot.latency_s);
-    writer.write<std::int64_t>(slot.request_id);
-  }
-  writer.write<std::uint64_t>(attribution_.cursor());
-  for (const auto& slot : attribution_.slots()) {
-    for (const double stage_s : slot) {
-      writer.write<double>(stage_s);
-    }
-  }
-
-  write_ewma(writer, ewma_latency_);
-  write_ewma(writer, ewma_margin_);
-  write_ewma(writer, ewma_accuracy_);
-  write_ewma(writer, margin_reference_);
-
-  write_alarm(writer, alarm_latency_);
-  write_alarm(writer, alarm_error_);
-  write_alarm(writer, alarm_fallback_);
-  write_alarm(writer, alarm_drift_);
-  write_alarm(writer, alarm_shed_);
-  detail::write_alarm_events(writer, events_);
-
-  gate_.serialize(writer);
-
-  writer.write<std::uint64_t>(samples_total_);
-  writer.write<std::uint64_t>(errors_total_);
-  writer.write<std::uint64_t>(shed_total_);
-  writer.write<std::uint64_t>(expired_total_);
-  writer.write<std::uint64_t>(degraded_total_);
+  monitor_config_fields(config_, writer);
+  state_fields(*this, writer);
 }
 
 ServingMonitor ServingMonitor::deserialize(ByteReader& reader) {
   MonitorConfig config;
-  config.num_classes = reader.read<std::uint32_t>();
-  config.window.span = read_duration(reader);
-  config.window.buckets = static_cast<std::size_t>(reader.read<std::uint64_t>());
-  config.ewma_tau_short_s = reader.read<double>();
-  config.ewma_tau_long_s = reader.read<double>();
-  config.slo_latency = read_duration(reader);
-  config.slo_error_budget = reader.read<double>();
-  config.alarm_burn_rate = reader.read<double>();
-  config.alarm_error_rate = reader.read<double>();
-  config.alarm_fallback_rate = reader.read<double>();
-  config.alarm_drift_score = reader.read<double>();
-  config.alarm_shed_rate = reader.read<double>();
-  config.min_samples = reader.read<std::uint64_t>();
+  monitor_config_fields(config, reader);
   // Bound the window shape by the bytes left before the constructor sizes
   // it: each class-count bucket is a length plus one count per class.
   reader.fits(config.num_classes, 8);
   reader.fits(config.window.buckets, 8 * (1 + std::uint64_t{config.num_classes}));
-
   ServingMonitor monitor(config);
-  monitor.latency_.restore(reader);
-  monitor.samples_.restore(reader);
-  monitor.errors_.restore(reader);
-  monitor.slo_violations_.restore(reader);
-  monitor.transport_samples_.restore(reader);
-  monitor.fallback_samples_.restore(reader);
-  monitor.retries_.restore(reader);
-  monitor.offered_.restore(reader);
-  monitor.shed_.restore(reader);
-  monitor.expired_.restore(reader);
-  monitor.degraded_.restore(reader);
-  monitor.margin_.restore(reader);
-
-  monitor.class_counts_.set_cursor(reader.read<std::uint64_t>());
-  for (std::vector<std::uint64_t>& slot : monitor.class_counts_.slots_mutable()) {
-    std::vector<std::uint64_t> counts = reader.read_vector<std::uint64_t>();
-    HDC_CHECK(counts.size() == slot.size(),
-              "serialized class-count window does not match num_classes");
-    slot = std::move(counts);
-  }
-  monitor.slowest_.set_cursor(reader.read<std::uint64_t>());
-  for (SlowestSlot& slot : monitor.slowest_.slots_mutable()) {
-    slot.latency_s = reader.read<double>();
-    slot.request_id = reader.read<std::int64_t>();
-  }
-  monitor.attribution_.set_cursor(reader.read<std::uint64_t>());
-  for (auto& slot : monitor.attribution_.slots_mutable()) {
-    for (double& stage_s : slot) {
-      stage_s = reader.read<double>();
-    }
-  }
-
-  read_ewma(reader, monitor.ewma_latency_);
-  read_ewma(reader, monitor.ewma_margin_);
-  read_ewma(reader, monitor.ewma_accuracy_);
-  read_ewma(reader, monitor.margin_reference_);
-
-  read_alarm(reader, monitor.alarm_latency_);
-  read_alarm(reader, monitor.alarm_error_);
-  read_alarm(reader, monitor.alarm_fallback_);
-  read_alarm(reader, monitor.alarm_drift_);
-  read_alarm(reader, monitor.alarm_shed_);
-  monitor.events_ = detail::read_alarm_events(reader);
-
-  monitor.gate_.restore(reader);
-
-  monitor.samples_total_ = reader.read<std::uint64_t>();
-  monitor.errors_total_ = reader.read<std::uint64_t>();
-  monitor.shed_total_ = reader.read<std::uint64_t>();
-  monitor.expired_total_ = reader.read<std::uint64_t>();
-  monitor.degraded_total_ = reader.read<std::uint64_t>();
+  state_fields(monitor, reader);
   return monitor;
 }
 

@@ -65,12 +65,12 @@ class BucketRing {
 
   const std::vector<Slot>& slots() const noexcept { return slots_; }
 
-  // ---- exact-state round-trip hooks (serve checkpoint) ----
+  // ---- checkpoint access (see `ring_fields`) ----
   std::uint64_t cursor() const noexcept { return cursor_; }
-  void set_cursor(std::uint64_t cursor) noexcept { cursor_ = cursor; }
-  /// Mutable slot access for checkpoint restore; the caller must preserve
-  /// the slot count (the window shape is part of the monitor config).
-  std::vector<Slot>& slots_mutable() noexcept { return slots_; }
+  std::uint64_t& cursor() noexcept { return cursor_; }
+  /// Mutable slots: the caller must preserve the slot count (the window
+  /// shape is part of the owner's config).
+  std::vector<Slot>& slots() noexcept { return slots_; }
 
  private:
   std::uint64_t absolute_bucket(SimDuration t) const {
@@ -85,6 +85,16 @@ class BucketRing {
   std::uint64_t cursor_ = 0;
 };
 
+/// A ring's checkpoint fields: the cursor, then `slot(s)` for every slot in
+/// storage order. The slot count comes from the config, so it is not stored.
+template <typename Ring, typename Io, typename SlotFields>
+void ring_fields(Ring& ring, Io& io, SlotFields&& slot) {
+  io.pod(ring.cursor());
+  for (auto& s : ring.slots()) {
+    slot(s);
+  }
+}
+
 }  // namespace detail
 
 /// Windowed event count (and rate over the window span).
@@ -97,8 +107,9 @@ class SlidingCounter {
   /// Events per simulated second over the window span.
   double rate(SimDuration now) { return static_cast<double>(sum(now)) / span_.to_seconds(); }
 
-  void serialize(ByteWriter& writer) const;
-  void restore(ByteReader& reader);
+  /// Checkpoint field list (window contents; the shape is the owner's config).
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io);
 
  private:
   detail::BucketRing<std::uint64_t> ring_;
@@ -119,8 +130,8 @@ class SlidingMean {
   /// Windowed mean; 0 when the window is empty.
   double mean(SimDuration now);
 
-  void serialize(ByteWriter& writer) const;
-  void restore(ByteReader& reader);
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io);
 
  private:
   struct Slot {
@@ -153,8 +164,8 @@ class SlidingHistogram {
   /// observed per-window [min, max]. Zero when the window is empty.
   SimDuration quantile(SimDuration now, double q);
 
-  void serialize(ByteWriter& writer) const;
-  void restore(ByteReader& reader);
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io);
 
  private:
   struct Slot {
@@ -182,18 +193,13 @@ class Ewma {
   bool empty() const noexcept { return !seeded_; }
   double value() const noexcept { return value_; }
 
-  /// Exact-state round-trip (value, last observation time, seeded flag) for
-  /// the serve checkpoint; tau comes from the reconstructed config.
-  struct State {
-    double value = 0.0;
-    SimDuration last;
-    bool seeded = false;
-  };
-  State state() const noexcept { return State{value_, last_, seeded_}; }
-  void set_state(const State& state) noexcept {
-    value_ = state.value;
-    last_ = state.last;
-    seeded_ = state.seeded;
+  /// Checkpoint field list (value, last observation time, seeded flag); tau
+  /// comes from the owner's config. The one EWMA layout.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io) {
+    io.pod(self.value_);
+    io.duration(self.last_);
+    io.flag(self.seeded_);
   }
 
  private:
@@ -244,12 +250,13 @@ class ThresholdAlarm {
   double last_value() const noexcept { return last_value_; }
   std::uint64_t fired_total() const noexcept { return fired_total_; }
 
-  /// Exact-state restore (serve checkpoint); name/threshold come from the
-  /// reconstructed config.
-  void restore(bool firing, double last_value, std::uint64_t fired_total) noexcept {
-    firing_ = firing;
-    last_value_ = last_value;
-    fired_total_ = fired_total;
+  /// Checkpoint field list; name and threshold come from the owner's config.
+  /// The one alarm-state layout.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io) {
+    io.flag(self.firing_);
+    io.pod(self.last_value_);
+    io.pod(self.fired_total_);
   }
 
  private:
@@ -261,12 +268,24 @@ class ThresholdAlarm {
 };
 
 namespace detail {
-/// Alarm-event wire format shared by ServingMonitor, ModelQualityStats and
-/// the quarantine gate (serve checkpoint).
-void write_alarm_event(ByteWriter& writer, const AlarmEvent& event);
-AlarmEvent read_alarm_event(ByteReader& reader);
-void write_alarm_events(ByteWriter& writer, const std::vector<AlarmEvent>& events);
-std::vector<AlarmEvent> read_alarm_events(ByteReader& reader);
+/// The alarm-event list layout shared by ServingMonitor, ModelQualityStats,
+/// EnergyAccountant and the quarantine gate (serve checkpoint): a u32 count,
+/// then each event.
+template <typename Events, typename Io>
+void alarm_events(Events& events, Io& io) {
+  // Smallest event on the wire: two empty strings (u32 lengths), the fired
+  // flag and four 8-byte scalars.
+  constexpr std::uint64_t kMinEventBytes = 2 * 4 + 1 + 4 * 8;
+  io.seq(events, kAnyCount, kMinEventBytes, [&](auto& event) {
+    io.str(event.alarm);
+    io.flag(event.fired);
+    io.duration(event.at);
+    io.pod(event.value);
+    io.pod(event.threshold);
+    io.pod(event.exemplar_request_id);
+    io.str(event.detail);
+  });
+}
 /// The `alarm=quarantine event=summary ...` WARN emitted on recovery.
 void log_quarantine_summary(std::uint64_t suppressed, std::uint64_t replayed, SimDuration at);
 }  // namespace detail
@@ -351,11 +370,14 @@ class QuarantineGate {
     suppressed_this_quarantine_ = 0;
   }
 
-  /// Exact-state round-trip (serve checkpoint). Byte layout is the historic
-  /// ServingMonitor quarantine block: quarantined u8, pending fire events,
-  /// suppressed_total u64, suppressed_this_quarantine u64.
-  void serialize(ByteWriter& writer) const;
-  void restore(ByteReader& reader);
+  /// Checkpoint field list: the historic ServingMonitor quarantine block.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io) {
+    io.flag(self.quarantined_);
+    detail::alarm_events(self.pending_fires_, io);
+    io.pod(self.suppressed_total_);
+    io.pod(self.suppressed_this_quarantine_);
+  }
 
  private:
   bool quarantined_ = false;
@@ -591,6 +613,9 @@ class ServingMonitor {
   static ServingMonitor deserialize(ByteReader& reader);
 
  private:
+  template <typename Self, typename Io>
+  static void state_fields(Self& self, Io& io);
+
   void evaluate_alarms(SimDuration now);
   void push_event(const AlarmEvent& event);
   /// Routes an alarm edge through the quarantine gate (see set_quarantined).

@@ -161,51 +161,4 @@ void DeviceHealthTracker::on_batch(SimDuration at, bool faulty, bool circuit_ope
   }
 }
 
-void DeviceHealthTracker::serialize(ByteWriter& writer) const {
-  writer.write<std::uint8_t>(static_cast<std::uint8_t>(state_));
-  writer.write<double>(entered_at_.to_seconds());
-  writer.write<std::uint32_t>(consecutive_faults_);
-  writer.write<std::uint32_t>(consecutive_successes_);
-  writer.write<std::uint32_t>(probe_clean_);
-  writer.write<std::uint64_t>(quarantines_);
-  writer.write<std::uint64_t>(probes_);
-  writer.write<std::uint64_t>(transitions_.size());
-  for (const Transition& t : transitions_) {
-    writer.write<std::uint8_t>(static_cast<std::uint8_t>(t.from));
-    writer.write<std::uint8_t>(static_cast<std::uint8_t>(t.to));
-    writer.write<double>(t.at.to_seconds());
-  }
-}
-
-DeviceHealthTracker DeviceHealthTracker::deserialize(ByteReader& reader,
-                                                     const HealthConfig& config) {
-  DeviceHealthTracker tracker(config);
-  const auto state = reader.read<std::uint8_t>();
-  HDC_CHECK(state <= static_cast<std::uint8_t>(DeviceHealth::kProbing),
-            "serialized device health state out of range");
-  tracker.state_ = static_cast<DeviceHealth>(state);
-  tracker.entered_at_ = SimDuration::seconds(reader.read<double>());
-  tracker.consecutive_faults_ = reader.read<std::uint32_t>();
-  tracker.consecutive_successes_ = reader.read<std::uint32_t>();
-  tracker.probe_clean_ = reader.read<std::uint32_t>();
-  tracker.quarantines_ = reader.read<std::uint64_t>();
-  tracker.probes_ = reader.read<std::uint64_t>();
-  const auto count = reader.read<std::uint64_t>();
-  HDC_CHECK(count <= (1ULL << 20), "serialized transition log exceeds sanity bound");
-  tracker.transitions_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Transition t;
-    const auto from = reader.read<std::uint8_t>();
-    const auto to = reader.read<std::uint8_t>();
-    HDC_CHECK(from <= static_cast<std::uint8_t>(DeviceHealth::kProbing) &&
-                  to <= static_cast<std::uint8_t>(DeviceHealth::kProbing),
-              "serialized transition state out of range");
-    t.from = static_cast<DeviceHealth>(from);
-    t.to = static_cast<DeviceHealth>(to);
-    t.at = SimDuration::seconds(reader.read<double>());
-    tracker.transitions_.push_back(t);
-  }
-  return tracker;
-}
-
 }  // namespace hdc::runtime

@@ -120,8 +120,29 @@ class DeviceHealthTracker {
   /// No-op while quarantined (host-served batches never touch the device).
   void on_batch(SimDuration at, bool faulty, bool circuit_opened);
 
-  void serialize(ByteWriter& writer) const;
-  static DeviceHealthTracker deserialize(ByteReader& reader, const HealthConfig& config);
+  /// Checkpoint field list: the state machine and its transition log. The
+  /// config is not stored: the owner constructs the tracker from its own.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io) {
+    io.enumeration(self.state_, DeviceHealth::kProbing);
+    io.duration(self.entered_at_);
+    io.pod(self.consecutive_faults_);
+    io.pod(self.consecutive_successes_);
+    io.pod(self.probe_clean_);
+    io.pod(self.quarantines_);
+    io.pod(self.probes_);
+    io.seq(self.transitions_, std::uint64_t{1} << 20, 2 + 8, [&](auto& t) {
+      io.enumeration(t.from, DeviceHealth::kProbing);
+      io.enumeration(t.to, DeviceHealth::kProbing);
+      io.duration(t.at);
+    });
+  }
+  void serialize(ByteWriter& writer) const { fields(*this, writer); }
+  static DeviceHealthTracker deserialize(ByteReader& reader, const HealthConfig& config) {
+    DeviceHealthTracker tracker(config);
+    fields(tracker, reader);
+    return tracker;
+  }
 
  private:
   void enter(DeviceHealth to, SimDuration at);

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "common/byte_io.hpp"
-#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -57,33 +55,23 @@ constexpr std::uint32_t kServeMagic = 0x56534448;  // "HDSV" little-endian
 // appended after the model-quality monitor, with the same u8 presence flag.
 constexpr std::uint32_t kServeVersion = 5;
 
-/// Everything a resumed session restores before re-entering the loop.
-struct RestoredState {
-  std::uint32_t next_arrival = 0;
-  SimDuration now;
-  double warmup_accuracy = 0.0;
-  std::optional<core::OnlineLearner> full;
-  std::optional<core::OnlineLearner> reduced;
-  /// The classifiers actually deployed on the endpoint (frozen at the last
-  /// refresh — generally *behind* the live learners).
-  std::optional<core::TrainedClassifier> deployed_full;
-  std::optional<core::TrainedClassifier> deployed_reduced;
-  std::optional<DeviceHealthTracker> health;
-  Rng::State rng{};
-  std::vector<std::pair<std::uint32_t, SimDuration>> queue;  ///< (index, arrival)
-
-  /// The checkpointed part of the result: warmup accuracy, predictions,
-  /// chunks, tiers, snapshot/checkpoint counts and attribution totals.
-  ServeResult result;
-  /// Served/shed/expired/degraded counts (degraded requests are not kept:
-  /// single-device serving reports degraded samples only).
-  ShardCounters counters;
-  /// The serving monitor, model-quality stats and energy accountant exactly
-  /// as they were at checkpoint time. All three or none: they are sized
-  /// together at the first served chunk.
-  std::optional<obs::ServingMonitor> monitor;
-  std::optional<obs::ModelQualityStats> model_stats;
-  std::optional<obs::EnergyAccountant> energy;
+/// The live session's side of `checkpoint_fields`: ServeCheckpoint's
+/// members, by reference.
+struct SavedState {
+  const std::uint32_t& next_arrival;
+  const SimDuration& now;
+  const core::OnlineLearner& full;
+  const core::OnlineLearner& reduced;
+  const core::TrainedClassifier& deployed_full;
+  const core::TrainedClassifier& deployed_reduced;
+  const DeviceHealthTracker& health;
+  Rng::State rng;
+  const std::deque<QueuedRequest>& queue;
+  const ServeResult& result;
+  const ShardCounters& counters;
+  const std::optional<obs::ServingMonitor>& monitor;
+  const std::optional<obs::ModelQualityStats>& model_stats;
+  const std::optional<obs::EnergyAccountant>& energy;
 };
 
 /// The configuration fields a checkpoint is bound to, in wire order: each is
@@ -149,43 +137,69 @@ void read_fingerprint(ByteReader& r, const ServeConfig* maybe_config) {
   fingerprint_fields(maybe_config != nullptr ? *maybe_config : defaults, field);
 }
 
-void write_chunk_stats(ByteWriter& w, const ServeResult::ChunkStats& c) {
-  w.write<std::uint32_t>(c.index);
-  w.write<double>(c.t_end.to_seconds());
-  w.write<std::uint64_t>(c.samples);
-  w.write<double>(c.chunk_accuracy);
-  w.write<double>(c.windowed_accuracy);
-  w.write<double>(c.drift_score);
-  w.write<std::uint64_t>(c.fallback_samples);
-  w.write<std::uint8_t>(c.circuit_opened ? 1 : 0);
-  w.write<std::uint8_t>(static_cast<std::uint8_t>(c.tier));
-  w.write<double>(c.queue_wait.to_seconds());
-  w.write<std::uint8_t>(static_cast<std::uint8_t>(c.health));
-}
-
 /// Wire size of one `ChunkStats` record.
 constexpr std::size_t kChunkStatsBytes = 4 + 6 * 8 + 2 + 8 + 1;
 
-ServeResult::ChunkStats read_chunk_stats(ByteReader& r) {
-  ServeResult::ChunkStats c;
-  c.index = r.read<std::uint32_t>();
-  c.t_end = SimDuration::seconds(r.read<double>());
-  c.samples = r.read<std::uint64_t>();
-  c.chunk_accuracy = r.read<double>();
-  c.windowed_accuracy = r.read<double>();
-  c.drift_score = r.read<double>();
-  c.fallback_samples = r.read<std::uint64_t>();
-  c.circuit_opened = r.read<std::uint8_t>() != 0;
-  const auto tier = r.read<std::uint8_t>();
-  HDC_CHECK(tier <= static_cast<std::uint8_t>(ServeTier::kHost),
-            "serialized serve tier out of range");
-  c.tier = static_cast<ServeTier>(tier);
-  c.queue_wait = SimDuration::seconds(r.read<double>());
-  const auto health = r.read<std::uint8_t>();
-  HDC_CHECK(health <= static_cast<std::uint8_t>(DeviceHealth::kProbing),
-            "serialized device health out of range");
-  c.health = static_cast<DeviceHealth>(health);
-  return c;
+/// The HDSV payload after the fingerprint, in wire order: a SavedState when
+/// saving, a ServeCheckpoint when loading. A resuming `config` also bounds the
+/// queue by its capacity and the chunk records by `serve_chunks`.
+template <typename State, typename Io>
+void checkpoint_fields(State& s, Io& io, const ServeConfig* config) {
+  io.pod(s.next_arrival);
+  io.duration(s.now);
+  io.pod(s.result.warmup_accuracy);
+  io.pod(s.counters.served_requests, as<std::uint32_t>);
+  io.object(s.full);
+  io.object(s.reduced);
+  io.blob(s.deployed_full, core::serialize_classifier, core::deserialize_classifier);
+  io.blob(s.deployed_reduced, core::serialize_classifier, core::deserialize_classifier);
+  io.object(s.health);
+  for (auto& word : s.rng.s) {
+    io.pod(word);
+  }
+  io.flag(s.rng.has_spare_gaussian);
+  io.pod(s.rng.spare_gaussian);
+  io.seq(s.queue, config != nullptr ? config->admission.queue_capacity : kAnyCount,
+         sizeof(std::uint32_t) + sizeof(double), [&](auto& item) {
+           io.pod(item.id, as<std::uint32_t>);
+           io.duration(item.arrival);
+         });
+  io.vec(s.result.predictions);
+  io.seq(s.result.chunks, config != nullptr ? config->serve_chunks : kAnyCount,
+         kChunkStatsBytes, [&](auto& c) {
+           io.pod(c.index);
+           io.duration(c.t_end);
+           io.pod(c.samples);
+           io.pod(c.chunk_accuracy);
+           io.pod(c.windowed_accuracy);
+           io.pod(c.drift_score);
+           io.pod(c.fallback_samples);
+           io.flag(c.circuit_opened);
+           io.enumeration(c.tier, ServeTier::kHost);
+           io.duration(c.queue_wait);
+           io.enumeration(c.health, DeviceHealth::kProbing);
+         });
+  for (auto& tier : s.result.tiers) {
+    io.pod(tier.samples);
+    io.pod(tier.errors);
+    io.duration(tier.service_time);
+  }
+  io.pod(s.counters.shed_samples);
+  io.pod(s.counters.expired_samples);
+  io.pod(s.counters.degraded_samples);
+  io.pod(s.counters.shed_requests, as<std::uint32_t>);
+  io.pod(s.counters.expired_requests, as<std::uint32_t>);
+  io.pod(s.counters.correct_samples);
+  io.pod(s.counters.served_samples);
+  io.pod(s.result.snapshots_written);
+  io.pod(s.result.checkpoints_written);
+  for (auto& stage : s.result.attribution_total.stages) {
+    io.duration(stage);
+  }
+  io.pod(s.result.requests_traced);
+  io.maybe(s.monitor);
+  io.maybe(s.model_stats);
+  io.maybe(s.energy);
 }
 
 /// Parses an HDSV checkpoint. Strict mode (config != nullptr, the resume
@@ -193,88 +207,18 @@ ServeResult::ChunkStats read_chunk_stats(ByteReader& r) {
 /// against the configuration; relaxed mode (nullptr) only verifies the
 /// structural invariants (magic, version, CRC, exact payload traversal) —
 /// enough for inspection tools that have no ServeConfig in hand.
-RestoredState read_checkpoint(const std::string& path, const ServeConfig* config) {
-  const std::vector<std::uint8_t> bytes = read_file(path);
-  HDC_CHECK(bytes.size() > sizeof(std::uint32_t) * 3,
-            "serve checkpoint '" + path + "' is too small to be valid");
-  const std::size_t payload_size = bytes.size() - sizeof(std::uint32_t);
-  std::uint32_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, bytes.data() + payload_size, sizeof(stored_checksum));
-  HDC_CHECK(crc32(bytes.data(), payload_size) == stored_checksum,
-            "serve checkpoint '" + path + "' failed its checksum (corrupted or truncated)");
-
-  ByteReader r(std::span<const std::uint8_t>(bytes.data(), payload_size));
-  HDC_CHECK(r.read<std::uint32_t>() == kServeMagic,
-            "'" + path + "' is not an HDSV serve checkpoint");
-  HDC_CHECK(r.read<std::uint32_t>() == kServeVersion,
-            "unsupported serve checkpoint version in '" + path + "'");
-  read_fingerprint(r, config);
-
-  RestoredState state;
-  state.next_arrival = r.read<std::uint32_t>();
-  state.now = SimDuration::seconds(r.read<double>());
-  state.result.warmup_accuracy = r.read<double>();
-  state.counters.served_requests = r.read<std::uint32_t>();
-  state.full = core::OnlineLearner::deserialize(r);
-  state.reduced = core::OnlineLearner::deserialize(r);
-  state.deployed_full = core::deserialize_classifier(r.read_vector<std::uint8_t>());
-  state.deployed_reduced = core::deserialize_classifier(r.read_vector<std::uint8_t>());
-  state.health = DeviceHealthTracker::deserialize(
-      r, config != nullptr ? config->health : HealthConfig{});
-  for (auto& word : state.rng.s) {
-    word = r.read<std::uint64_t>();
-  }
-  state.rng.has_spare_gaussian = r.read<std::uint8_t>() != 0;
-  state.rng.spare_gaussian = r.read<float>();
-
-  const auto queued = r.read_count(sizeof(std::uint32_t) + sizeof(double));
-  HDC_CHECK(config == nullptr || queued <= config->admission.queue_capacity,
-            "serve checkpoint queue exceeds the configured capacity");
-  for (std::uint32_t i = 0; i < queued; ++i) {
-    const auto index = r.read<std::uint32_t>();
-    const SimDuration arrival = SimDuration::seconds(r.read<double>());
-    HDC_CHECK(index < state.next_arrival &&
-                  (state.queue.empty() || index > state.queue.back().first),
+ServeCheckpoint read_checkpoint(const std::string& path, const ServeConfig* config) {
+  ServeCheckpoint state(config != nullptr ? config->health : HealthConfig{});
+  open_sealed(read_file(path), kServeMagic, kServeVersion, "serve checkpoint '" + path + "'",
+              [&](ByteReader& r) {
+                read_fingerprint(r, config);
+                checkpoint_fields(state, r, config);
+              });
+  for (std::size_t i = 0; i < state.queue.size(); ++i) {
+    HDC_CHECK(state.queue[i].id < state.next_arrival &&
+                  (i == 0 || state.queue[i].id > state.queue[i - 1].id),
               "serve checkpoint queue index out of range or order");
-    state.queue.emplace_back(index, arrival);
   }
-
-  state.result.predictions = r.read_vector<std::uint32_t>();
-  const auto chunk_count = r.read_count(kChunkStatsBytes);
-  HDC_CHECK(config == nullptr || chunk_count <= config->serve_chunks,
-            "serve checkpoint has too many chunks");
-  state.result.chunks.reserve(chunk_count);
-  for (std::uint32_t i = 0; i < chunk_count; ++i) {
-    state.result.chunks.push_back(read_chunk_stats(r));
-  }
-  for (auto& tier : state.result.tiers) {
-    tier.samples = r.read<std::uint64_t>();
-    tier.errors = r.read<std::uint64_t>();
-    tier.service_time = SimDuration::seconds(r.read<double>());
-  }
-  state.counters.shed_samples = r.read<std::uint64_t>();
-  state.counters.expired_samples = r.read<std::uint64_t>();
-  state.counters.degraded_samples = r.read<std::uint64_t>();
-  state.counters.shed_requests = r.read<std::uint32_t>();
-  state.counters.expired_requests = r.read<std::uint32_t>();
-  state.counters.correct_samples = r.read<std::uint64_t>();
-  state.counters.served_samples = r.read<std::uint64_t>();
-  state.result.snapshots_written = r.read<std::uint32_t>();
-  state.result.checkpoints_written = r.read<std::uint32_t>();
-  for (auto& stage : state.result.attribution_total.stages) {
-    stage = SimDuration::seconds(r.read<double>());
-  }
-  state.result.requests_traced = r.read<std::uint64_t>();
-  if (r.read<std::uint8_t>() != 0) {
-    state.monitor = obs::ServingMonitor::deserialize(r);
-  }
-  if (r.read<std::uint8_t>() != 0) {
-    state.model_stats = obs::ModelQualityStats::deserialize(r);
-  }
-  if (r.read<std::uint8_t>() != 0) {
-    state.energy = obs::EnergyAccountant::deserialize(r);
-  }
-  HDC_CHECK(r.exhausted(), "trailing bytes after serve checkpoint payload");
   HDC_CHECK(state.monitor.has_value() == state.model_stats.has_value() &&
                 state.monitor.has_value() == state.energy.has_value(),
             "serve checkpoint carries only part of its telemetry state");
@@ -334,7 +278,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   config.validate();
   const data::SyntheticSpec& spec = config.stream.spec;
 
-  std::optional<RestoredState> restored;
+  std::optional<ServeCheckpoint> restored;
   if (!config.resume_from.empty()) {
     restored = read_checkpoint(config.resume_from, &config);
   }
@@ -409,7 +353,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   // uninterrupted run's.
   ServingSession session(config, config.learner.dim, now);
   ShardEngine shard(config, session, session.monitor, nullptr,
-                    restored.has_value() ? std::move(*restored->health)
+                    restored.has_value() ? std::move(restored->health)
                                          : DeviceHealthTracker(config.health));
   if (restored.has_value()) {
     shard.counters = restored->counters;
@@ -426,8 +370,8 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     auto queued = restored->queue.begin();
     for (std::uint32_t k = 0; k < next_arrival; ++k) {
       data::Dataset chunk = stream.next_chunk();
-      if (queued != restored->queue.end() && queued->first == k) {
-        shard.admit(QueuedRequest{k, 0, queued->second, std::move(chunk)});
+      if (queued != restored->queue.end() && queued->id == k) {
+        shard.admit(QueuedRequest{k, 0, queued->arrival, std::move(chunk)});
         ++queued;
       }
     }
@@ -481,72 +425,30 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   };
 
   const auto build_checkpoint = [&]() {
-    ByteWriter w;
-    w.write<std::uint32_t>(kServeMagic);
-    w.write<std::uint32_t>(kServeVersion);
-    write_fingerprint(w, config);
-    w.write<std::uint32_t>(next_arrival);
-    w.write<double>(now.to_seconds());
-    w.write<double>(result.warmup_accuracy);
-    w.write<std::uint32_t>(static_cast<std::uint32_t>(shard.counters.served_requests));
-    learner.serialize(w);
-    reduced_learner.serialize(w);
-    w.write_vector(core::serialize_classifier(deployed_full));
-    w.write_vector(core::serialize_classifier(deployed_reduced));
-    shard.health.serialize(w);
-    Rng::State rng{};
-    if (const tpu::FaultInjector* injector = endpoint.device().fault_injector()) {
-      rng = injector->rng_state();
-    }
-    for (const std::uint64_t word : rng.s) {
-      w.write<std::uint64_t>(word);
-    }
-    w.write<std::uint8_t>(rng.has_spare_gaussian ? 1 : 0);
-    w.write<float>(rng.spare_gaussian);
-    w.write<std::uint32_t>(static_cast<std::uint32_t>(shard.queue.size()));
-    for (const QueuedRequest& item : shard.queue) {
-      w.write<std::uint32_t>(static_cast<std::uint32_t>(item.id));
-      w.write<double>(item.arrival.to_seconds());
-    }
-    w.write_vector(result.predictions);
-    w.write<std::uint32_t>(static_cast<std::uint32_t>(result.chunks.size()));
-    for (const auto& chunk : result.chunks) {
-      write_chunk_stats(w, chunk);
-    }
-    for (const auto& tier : result.tiers) {
-      w.write<std::uint64_t>(tier.samples);
-      w.write<std::uint64_t>(tier.errors);
-      w.write<double>(tier.service_time.to_seconds());
-    }
-    const ShardCounters& c = shard.counters;
-    w.write<std::uint64_t>(c.shed_samples);
-    w.write<std::uint64_t>(c.expired_samples);
-    w.write<std::uint64_t>(c.degraded_samples);
-    w.write<std::uint32_t>(static_cast<std::uint32_t>(c.shed_requests));
-    w.write<std::uint32_t>(static_cast<std::uint32_t>(c.expired_requests));
-    w.write<std::uint64_t>(c.correct_samples);
-    w.write<std::uint64_t>(c.served_samples);
-    w.write<std::uint32_t>(result.snapshots_written);
-    w.write<std::uint32_t>(result.checkpoints_written + 1);
-    for (const SimDuration& stage : session.attribution_total.stages) {
-      w.write<double>(stage.to_seconds());
-    }
-    w.write<std::uint64_t>(session.requests_traced);
-    w.write<std::uint8_t>(session.monitor.ready() ? 1 : 0);
-    if (session.monitor.ready()) {
-      session.monitor->serialize(w);
-    }
-    w.write<std::uint8_t>(session.model.has_value() ? 1 : 0);
-    if (session.model.has_value()) {
-      session.model->serialize(w);
-    }
-    w.write<std::uint8_t>(session.energy.has_value() ? 1 : 0);
-    if (session.energy.has_value()) {
-      session.energy->serialize(w);
-    }
-    const std::uint32_t checksum = crc32(w.bytes().data(), w.size());
-    w.write<std::uint32_t>(checksum);
-    return w.take();
+    // The result carries the session's attribution accumulators, and the
+    // checkpoint counts itself as written.
+    result.attribution_total = session.attribution_total;
+    result.requests_traced = session.requests_traced;
+    ++result.checkpoints_written;
+    const tpu::FaultInjector* injector = endpoint.device().fault_injector();
+    const SavedState saved{next_arrival,
+                           now,
+                           learner,
+                           reduced_learner,
+                           deployed_full,
+                           deployed_reduced,
+                           shard.health,
+                           injector != nullptr ? injector->rng_state() : Rng::State{},
+                           shard.queue,
+                           result,
+                           shard.counters,
+                           session.monitor.state(),
+                           session.model,
+                           session.energy};
+    return seal(kServeMagic, kServeVersion, [&](ByteWriter& w) {
+      write_fingerprint(w, config);
+      checkpoint_fields(saved, w, nullptr);
+    });
   };
 
   const auto serve_one = [&](QueuedRequest&& item) {
@@ -736,7 +638,6 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
       std::snprintf(suffix, sizeof(suffix), ".%04u",
                     static_cast<unsigned>(served_count));
       write_file(config.checkpoint_path + suffix, bytes);
-      ++result.checkpoints_written;
     }
   };
 
@@ -833,7 +734,6 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   }
   if (!config.checkpoint_path.empty()) {
     write_file(config.checkpoint_path, build_checkpoint());
-    ++result.checkpoints_written;
   }
 
   result.requests = std::move(session.requests);
@@ -872,9 +772,9 @@ namespace {
 /// without the original `ServeConfig`.
 template <typename Section>
 std::string checkpoint_section_json(const std::string& path,
-                                    std::optional<Section> RestoredState::*member,
+                                    std::optional<Section> ServeCheckpoint::*member,
                                     const char* what, const char* schema, const char* key) {
-  RestoredState state = read_checkpoint(path, nullptr);
+  ServeCheckpoint state = read_checkpoint(path, nullptr);
   std::optional<Section>& section = state.*member;
   HDC_CHECK(section.has_value(),
             "checkpoint '" + path + "' carries no " + what +
@@ -893,17 +793,17 @@ std::string checkpoint_section_json(const std::string& path,
 
 }  // namespace
 
-void verify_checkpoint(const std::string& path, const ServeConfig& config) {
-  read_checkpoint(path, &config);
+ServeCheckpoint verify_checkpoint(const std::string& path, const ServeConfig& config) {
+  return read_checkpoint(path, &config);
 }
 
 std::string checkpoint_model_stats_json(const std::string& path) {
-  return checkpoint_section_json(path, &RestoredState::model_stats, "model-quality",
+  return checkpoint_section_json(path, &ServeCheckpoint::model_stats, "model-quality",
                                  "hdc-modelstats-v1", "model");
 }
 
 std::string checkpoint_energy_json(const std::string& path) {
-  return checkpoint_section_json(path, &RestoredState::energy, "energy",
+  return checkpoint_section_json(path, &ServeCheckpoint::energy, "energy",
                                  "hdc-energystats-v1", "energy");
 }
 

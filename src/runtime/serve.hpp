@@ -2,9 +2,11 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/sim_time.hpp"
 #include "data/stream.hpp"
 #include "core/online.hpp"
@@ -270,11 +272,61 @@ struct ServeResult {
 /// the same bytes as the uninterrupted run.
 ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config);
 
+/// Outcome counters of one shard.
+struct ShardCounters {
+  std::uint64_t served_requests = 0;
+  std::uint64_t served_samples = 0;
+  std::uint64_t correct_samples = 0;  ///< served samples predicted right
+  std::uint64_t shed_requests = 0;
+  std::uint64_t shed_samples = 0;
+  std::uint64_t expired_requests = 0;
+  std::uint64_t expired_samples = 0;
+  std::uint64_t degraded_requests = 0;
+  std::uint64_t degraded_samples = 0;
+};
+
+/// What an HDSV checkpoint holds: everything a resumed session restores
+/// before re-entering the loop.
+struct ServeCheckpoint {
+  explicit ServeCheckpoint(const HealthConfig& health_config) : health(health_config) {}
+
+  std::uint32_t next_arrival = 0;
+  SimDuration now;
+  std::optional<core::OnlineLearner> full;
+  std::optional<core::OnlineLearner> reduced;
+  /// The classifiers actually deployed on the endpoint (frozen at the last
+  /// refresh — generally *behind* the live learners).
+  std::optional<core::TrainedClassifier> deployed_full;
+  std::optional<core::TrainedClassifier> deployed_reduced;
+  DeviceHealthTracker health;
+  Rng::State rng{};
+  /// Queued requests by offered-chunk index; their data is re-derived by
+  /// replaying the deterministic stream.
+  struct Queued {
+    std::uint64_t id = 0;
+    SimDuration arrival;
+  };
+  std::vector<Queued> queue;
+
+  /// The checkpointed part of the result: warmup accuracy, predictions,
+  /// chunks, tiers, snapshot/checkpoint counts and attribution totals.
+  ServeResult result;
+  /// Served/shed/expired/degraded counts (degraded requests are not kept:
+  /// single-device serving reports degraded samples only).
+  ShardCounters counters;
+  /// The serving monitor, model-quality stats and energy accountant exactly
+  /// as they were at checkpoint time. All three or none: they are sized
+  /// together at the first served chunk.
+  std::optional<obs::ServingMonitor> monitor;
+  std::optional<obs::ModelQualityStats> model_stats;
+  std::optional<obs::EnergyAccountant> energy;
+};
+
 /// Parses an HDSV checkpoint the way resuming `config` from it does (magic,
 /// version, CRC, fingerprint match, queue and chunk bounds, exact payload
-/// traversal) without serving. Throws `hdc::Error` wherever `serve` would
-/// refuse to resume from it.
-void verify_checkpoint(const std::string& path, const ServeConfig& config);
+/// traversal) without serving, and returns what it restores. Throws
+/// `hdc::Error` wherever `serve` would refuse to resume from it.
+ServeCheckpoint verify_checkpoint(const std::string& path, const ServeConfig& config);
 
 /// Reads the model-quality section out of an HDSV checkpoint without the
 /// original `ServeConfig` (magic/version/CRC still verified; the config

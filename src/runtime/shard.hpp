@@ -72,6 +72,8 @@ class LazyMonitor {
  public:
   bool ready() const { return monitor_.has_value(); }
   obs::ServingMonitor* operator->() { return &*monitor_; }
+  /// The monitor once built (checkpoints save it as it stands).
+  const std::optional<obs::ServingMonitor>& state() const { return monitor_; }
 
   void init(const obs::MonitorConfig& config);
   /// Adopts a monitor restored from a checkpoint, exactly as it was.
@@ -137,19 +139,6 @@ struct ShedRequest {
   obs::RequestTrace trace;
   std::uint32_t tenant = 0;
   std::size_t queue_depth = 0;
-};
-
-/// Outcome counters of one shard.
-struct ShardCounters {
-  std::uint64_t served_requests = 0;
-  std::uint64_t served_samples = 0;
-  std::uint64_t correct_samples = 0;  ///< served samples predicted right
-  std::uint64_t shed_requests = 0;
-  std::uint64_t shed_samples = 0;
-  std::uint64_t expired_requests = 0;
-  std::uint64_t expired_samples = 0;
-  std::uint64_t degraded_requests = 0;
-  std::uint64_t degraded_samples = 0;
 };
 
 /// A request's trace opened at dispatch. Its wait splits into the

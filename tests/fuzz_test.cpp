@@ -20,6 +20,7 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/online.hpp"
 #include "core/serialize.hpp"
 #include "core/trainer.hpp"
 #include "lite/builder.hpp"
@@ -32,6 +33,7 @@
 #include "obs/monitor.hpp"
 #include "runtime/framework.hpp"
 #include "runtime/serve.hpp"
+#include "tpu/faults.hpp"
 
 namespace hdc {
 namespace {
@@ -96,6 +98,42 @@ void fuzz_garbage(LoadFn&& load) {
   }
 }
 
+/// Recomputes the CRC32 trailer, so damage to the payload gets past the
+/// checksum into the parser.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  const std::size_t payload = bytes.size() - sizeof(std::uint32_t);
+  const std::uint32_t checksum = crc32(bytes.data(), payload);
+  std::memcpy(bytes.data() + payload, &checksum, sizeof(checksum));
+}
+
+/// Flips 1-4 random bits, `iterations` times; each mutation must parse or
+/// throw hdc::Error — never crash, and never fail some other way (an
+/// unchecked count sizing a huge allocation surfaces as std::bad_alloc). A
+/// `sealed` buffer keeps its CRC32 trailer out of the flips and is resealed.
+template <typename LoadFn>
+void expect_parse_or_error(const std::vector<std::uint8_t>& original, bool sealed,
+                           LoadFn&& load, int iterations = 256) {
+  const std::size_t span = original.size() - (sealed ? sizeof(std::uint32_t) : 0);
+  Rng rng(0x5EA1);
+  for (int i = 0; i < iterations; ++i) {
+    auto mutated = original;
+    const int flips = 1 + static_cast<int>(rng.next_below(4));
+    for (int f = 0; f < flips; ++f) {
+      mutated[rng.next_below(span)] ^= static_cast<std::uint8_t>(1U << rng.next_below(8));
+    }
+    if (sealed) {
+      reseal(mutated);
+    }
+    try {
+      load(mutated);
+    } catch (const Error&) {
+      // Rejected cleanly.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " escaped as " << e.what();
+    }
+  }
+}
+
 TEST(FuzzClassifierTest, BitFlipsAlwaysDetected) {
   const auto bytes = classifier_bytes();
   fuzz_bitflips(bytes, [](const auto& b) { return core::deserialize_classifier(b); }, 256);
@@ -108,6 +146,39 @@ TEST(FuzzClassifierTest, TruncationsAlwaysDetected) {
 
 TEST(FuzzClassifierTest, GarbageAlwaysRejected) {
   fuzz_garbage([](const auto& b) { return core::deserialize_classifier(b); });
+}
+
+TEST(FuzzClassifierTest, WrappingMatrixShapeIsRejected) {
+  // A 3 x 2 encoder base, then class hypervectors whose header reads
+  // (2^63 + 1) x 2: the cell count wraps to 2 in 64 bits, so a 2-float
+  // payload once passed for it (and `hdc infer` then crashed).
+  ByteWriter w;
+  w.write<std::uint32_t>(0x4D434448);  // "HDCM"
+  w.write<std::uint32_t>(1);
+  for (const std::uint64_t rows : {std::uint64_t{3}, (std::uint64_t{1} << 63) + 1}) {
+    w.write<std::uint64_t>(rows);
+    w.write<std::uint64_t>(2);
+    w.write_vector(std::vector<float>(rows * 2, 0.5F));  // rows x 2 cells, mod 2^64
+  }
+  w.write<std::uint32_t>(0);
+  std::vector<std::uint8_t> bytes = w.take();
+  reseal(bytes);
+  EXPECT_THROW(core::deserialize_classifier(bytes), Error);
+}
+
+TEST(FuzzOnlineLearnerTest, WrappingMatrixShapeIsRejected) {
+  // The learner's base matrix (5 x 2) follows its config: u32 dim, u64 seed,
+  // f32 rate, u8 metric, u32 window. As (2^63 + 5) x 2 its cell count wraps
+  // back to 10, the payload's length.
+  core::OnlineConfig config;
+  config.dim = 2;
+  ByteWriter w;
+  core::OnlineLearner(5, 3, config).serialize(w);
+  std::vector<std::uint8_t> bytes = w.take();
+  const std::uint64_t rows = (std::uint64_t{1} << 63) + 5;
+  std::memcpy(bytes.data() + 21, &rows, sizeof(rows));
+  ByteReader r(bytes);
+  EXPECT_THROW(core::OnlineLearner::deserialize(r), Error);
 }
 
 TEST(FuzzLiteTest, BitFlipsAlwaysDetected) {
@@ -255,9 +326,7 @@ TEST_F(CheckpointFuzz, HugeChunkCountIsAnErrorNotAnAllocation) {
       static_cast<std::size_t>(at - original_.begin()) + pattern.size() - 4;
   const std::uint32_t huge = 0xFFFFFFF0U;
   std::memcpy(crafted.data() + count_at, &huge, sizeof(huge));
-  const std::size_t payload = crafted.size() - sizeof(std::uint32_t);
-  const std::uint32_t checksum = crc32(crafted.data(), payload);
-  std::memcpy(crafted.data() + payload, &checksum, sizeof(checksum));
+  reseal(crafted);
   for_each_reader([&](auto&& load) { EXPECT_THROW(load(crafted), Error); });
 }
 
@@ -266,7 +335,8 @@ TEST(FuzzAlarmEventsTest, HugeEventCountIsAnErrorNotAnAllocation) {
   w.write<std::uint32_t>(0xFFFFFFF0U);
   w.write<std::uint64_t>(0);
   ByteReader r(std::span<const std::uint8_t>(w.bytes().data(), w.size()));
-  EXPECT_THROW(obs::detail::read_alarm_events(r), Error);
+  std::vector<obs::AlarmEvent> events;
+  EXPECT_THROW(obs::detail::alarm_events(events, r), Error);
 }
 
 /// Serializes `object`, overwrites the `T` at `offset` with `value`, and
@@ -306,31 +376,69 @@ TEST(FuzzTelemetryStateTest, HugeWindowShapesAreErrorsNotAllocations) {
 }
 
 TEST_F(CheckpointFuzz, ResealedPayloadMutationsParseOrThrowError) {
-  // Flip 1-4 payload bits and recompute the CRC trailer, so the damage gets
-  // past the checksum into the parsers: each reader must then either parse
-  // or throw hdc::Error — never crash, and never fail some other way (an
-  // unchecked count sizing a huge allocation surfaces as std::bad_alloc).
-  const std::size_t payload = original_.size() - sizeof(std::uint32_t);
-  for_each_reader([&](auto&& load) {
-    Rng rng(0x5EA1);
-    for (int i = 0; i < 256; ++i) {
-      auto mutated = original_;
-      const int flips = 1 + static_cast<int>(rng.next_below(4));
-      for (int f = 0; f < flips; ++f) {
-        mutated[rng.next_below(payload)] ^=
-            static_cast<std::uint8_t>(1U << rng.next_below(8));
-      }
-      const std::uint32_t checksum = crc32(mutated.data(), payload);
-      std::memcpy(mutated.data() + payload, &checksum, sizeof(checksum));
-      try {
-        load(mutated);
-      } catch (const Error&) {
-        // Rejected cleanly.
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << "resealed mutation " << i << " escaped as " << e.what();
-      }
-    }
+  for_each_reader([this](auto&& load) { expect_parse_or_error(original_, true, load); });
+}
+
+// ---- one faulty, overloaded session's objects, each on its own --------------
+//
+// Flips in a whole HDSV file mostly land in the learners. Here every object
+// the checkpoint restores is serialized alone, so every flip lands in that
+// object's bytes: the serving monitor, the model-quality stats (with the
+// per-dimension window), the energy accountant, the device health tracker
+// and a learner.
+
+TEST(FuzzSessionStateTest, MutatedObjectsParseOrThrowError) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("hdc_fuzz_session_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  runtime::ServeConfig config;
+  config.stream.spec = data::paper_dataset("PAMAP2");
+  config.stream.chunk_size = 48;
+  config.learner.dim = 256;
+  config.warmup_chunks = 2;
+  config.serve_chunks = 16;
+  config.online_updates = true;
+  config.model_refresh_chunks = 4;
+  config.faults = tpu::parse_fault_profile("detach=0.03,reattach=0.02,seed=7");
+  config.admission.offered_load = 2.0;
+  config.admission.queue_capacity = 3;
+  config.admission.deadline = SimDuration::micros(34082);
+  config.health.probe_interval = SimDuration::micros(30000);
+  config.checkpoint_path = (dir / "serve.ck").string();
+  const runtime::ServeResult run = runtime::serve(runtime::CoDesignFramework(), config);
+  const runtime::ServeCheckpoint state = runtime::verify_checkpoint(config.checkpoint_path, config);
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+
+  // The session went through quarantine, the host tier, shedding and expiry.
+  ASSERT_GE(run.quarantines, 1U);
+  ASSERT_GT(run.tiers[static_cast<std::size_t>(runtime::ServeTier::kHost)].samples, 0U);
+  ASSERT_GT(run.shed_chunks, 0U);
+  ASSERT_GT(run.expired_chunks, 0U);
+  ASSERT_TRUE(state.monitor.has_value() && state.model_stats.has_value() &&
+              state.energy.has_value());
+  ASSERT_GT(state.model_stats->config().dim, 0U);
+
+  const auto bytes_of = [](const auto& object) {
+    ByteWriter w;
+    object.serialize(w);
+    return w.take();
+  };
+  const auto fuzz = [](const std::vector<std::uint8_t>& bytes, auto&& deserialize) {
+    ByteReader intact(bytes);
+    ASSERT_NO_THROW(deserialize(intact));
+    expect_parse_or_error(bytes, false, [&](const std::vector<std::uint8_t>& mutated) {
+      ByteReader r(mutated);
+      deserialize(r);
+    }, 300);
+  };
+  fuzz(bytes_of(*state.monitor), obs::ServingMonitor::deserialize);
+  fuzz(bytes_of(*state.model_stats), obs::ModelQualityStats::deserialize);
+  fuzz(bytes_of(*state.energy), obs::EnergyAccountant::deserialize);
+  fuzz(bytes_of(state.health), [&](ByteReader& r) {
+    return runtime::DeviceHealthTracker::deserialize(r, config.health);
   });
+  fuzz(bytes_of(*state.reduced), core::OnlineLearner::deserialize);
 }
 
 // ---- tools/json_min.hpp ----------------------------------------------------
