@@ -61,11 +61,14 @@ LiteInterpreter::LiteInterpreter(const LiteModel& model) {
   const LiteTensor& input_tensor = model.tensor(model.input);
   input_width_ = input_tensor.num_elements();
   input_dtype_ = input_tensor.dtype;
-  const LiteTensor& output_tensor = model.tensor(model.output);
-  output_dtype_ = output_tensor.dtype;
-  output_quant_ = output_tensor.quant;
   ends_argmax_ = !model.ops.empty() && model.ops.back().code == OpCode::kArgMax;
-  output_width_ = ends_argmax_ ? 1 : output_tensor.num_elements();
+  // An ARG_MAX-terminated model returns the row ARG_MAX read (the class
+  // scores) beside the class it picked.
+  values_ = ends_argmax_ ? model.ops.back().inputs[0] : model.output;
+  const LiteTensor& values_tensor = model.tensor(values_);
+  values_dtype_ = values_tensor.dtype;
+  values_quant_ = values_tensor.quant;
+  values_width_ = values_tensor.num_elements();
   quantized_ = model.is_quantized();
 
   steps_.reserve(model.ops.size());
@@ -231,7 +234,7 @@ InferenceResult LiteInterpreter::run(const tensor::MatrixF& inputs,
 
   InferenceResult result;
   result.has_classes = ends_argmax_;
-  result.values = tensor::MatrixF(inputs.rows(), output_width_);
+  result.values = tensor::MatrixF(inputs.rows(), values_width_);
   if (ends_argmax_) {
     result.classes.resize(inputs.rows());
   }
@@ -245,18 +248,17 @@ InferenceResult LiteInterpreter::run(const tensor::MatrixF& inputs,
       const std::size_t end = std::min(begin + kRunRows, hi);
       run_block(inputs, begin, end, act, nullptr);
       for (std::size_t r = 0; r < end - begin; ++r) {
-        auto out_row = result.values.row(begin + r);
         if (ends_argmax_) {
-          const std::int32_t cls = act.classes[output_][r];
-          result.classes[begin + r] = cls;
-          out_row[0] = static_cast<float>(cls);
-        } else if (output_dtype_ == DType::kFloat32) {
-          const auto y = act.f32[output_].row(r);
+          result.classes[begin + r] = act.classes[output_][r];
+        }
+        auto out_row = result.values.row(begin + r);
+        if (values_dtype_ == DType::kFloat32) {
+          const auto y = act.f32[values_].row(r);
           std::copy(y.begin(), y.end(), out_row.begin());
         } else {
-          const auto y = act.i8[output_].row(r);
+          const auto y = act.i8[values_].row(r);
           for (std::size_t j = 0; j < y.size(); ++j) {
-            out_row[j] = output_quant_.dequantize(y[j]);
+            out_row[j] = values_quant_.dequantize(y[j]);
           }
         }
       }

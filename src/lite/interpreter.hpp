@@ -24,8 +24,11 @@ struct TensorRange {
 };
 
 /// Result of running a model over a batch. `values` holds the final tensor
-/// per row (dequantized to float when the model output is int8); `classes`
-/// is additionally filled when the model ends in ARG_MAX.
+/// per row (dequantized to float when it is int8). A model that ends in
+/// ARG_MAX fills `classes` with the picked class per row, and `values` with
+/// the k-wide row ARG_MAX read: the class scores, dequantized with that
+/// tensor's quantization for int8. `classes[r]` is the first maximum of
+/// `values.row(r)`.
 struct InferenceResult {
   tensor::MatrixF values;
   std::vector<std::int32_t> classes;
@@ -86,9 +89,10 @@ class LiteInterpreter {
   std::uint32_t output_ = 0;
   std::size_t input_width_ = 0;
   DType input_dtype_ = DType::kFloat32;
-  DType output_dtype_ = DType::kFloat32;
-  Quantization output_quant_;
-  std::size_t output_width_ = 0;
+  std::uint32_t values_ = 0;  ///< tensor `values` returns: the output, or ARG_MAX's input
+  DType values_dtype_ = DType::kFloat32;
+  Quantization values_quant_;
+  std::size_t values_width_ = 0;
   bool ends_argmax_ = false;
   bool quantized_ = false;
 };

@@ -76,7 +76,7 @@ struct ModelStatsSnapshot {
   std::vector<ConfusionPair> top_pairs;  ///< count-descending off-diagonal
 
   // Lifetime calibration curve: confidence = (top1 + 1) / 2 clamped to
-  // [0, 1] (cosine scores live in [-1, 1]), binned uniformly.
+  // [0, 1] (top-1 scores live in [-1, 1]), binned uniformly.
   struct CalibrationBin {
     std::uint64_t count = 0;
     std::uint64_t correct = 0;
@@ -148,7 +148,7 @@ class ModelQualityStats {
   const ModelStatsConfig& config() const noexcept { return config_; }
 
   /// One served sample: endpoint prediction, true (prequential) label, and
-  /// the host scorer's top-1 similarity, stamped with its simulated
+  /// the served model's top-1 score, stamped with its simulated
   /// completion time. Conservation contract: record() is called exactly once
   /// per *served* sample (never for shed/expired ones), so confusion row
   /// sums, class_served and samples_total stay exactly equal to the serving
@@ -157,7 +157,7 @@ class ModelQualityStats {
     SimDuration at;
     std::uint32_t predicted = 0;
     std::uint32_t label = 0;
-    double top1 = 0.0;  ///< top-1 similarity of the scoring model, in [-1, 1]
+    double top1 = 0.0;  ///< served model's top-1 class score over sqrt(d), in [-1, 1]
     std::int64_t request_id = -1;
   };
   void record(const Sample& sample);

@@ -536,7 +536,7 @@ class ServingMonitor {
     SimDuration latency;
     std::uint32_t predicted = 0;
     bool correct = false;
-    double margin = 0.0;  ///< top1 - top2 similarity of the scoring model
+    double margin = 0.0;  ///< top1 - top2 class score of the served model
     /// Request (offered chunk) the sample belongs to; -1 = untracked. Feeds
     /// the windowed slowest-request exemplar id on alarms and snapshots.
     std::int64_t request_id = -1;

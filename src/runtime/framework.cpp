@@ -455,6 +455,7 @@ ServingEndpoint::BatchOutcome ServingEndpoint::infer(const Model& model, ServeTi
   }
   HDC_CHECK(result.has_classes, "inference model must end in ARG_MAX");
   outcome.predictions.assign(result.classes.begin(), result.classes.end());
+  outcome.scores = std::move(result.values);
   outcome.total = outcome.report.total();
   return outcome;
 }

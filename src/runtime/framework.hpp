@@ -113,6 +113,11 @@ class CoDesignFramework {
   struct LoweredModel {
     lite::LiteModel float_model;
     tpu::CompiledModel compiled;
+
+    /// Width d of the hidden layer: the first dense layer's output.
+    std::uint32_t hidden_dim() const {
+      return float_model.tensor(float_model.ops.front().outputs[0]).shape[0];
+    }
   };
 
   /// Lowers `classifier` for deployment: wide-NN graph -> float model ->
@@ -198,6 +203,10 @@ class ServingEndpoint {
 
   struct BatchOutcome {
     std::vector<std::uint32_t> predictions;
+    /// The k class scores each prediction was taken from, one row per
+    /// sample: the served model's ARG_MAX input (dequantized on the device
+    /// tiers), the bytes the link already charges as the device output.
+    tensor::MatrixF scores;
     SimDuration total;  ///< simulated service time for the batch
     ResilienceReport report;
   };

@@ -24,10 +24,11 @@ namespace hdc::runtime {
 
 namespace {
 
-/// One tenant: its own drifting data distribution, its frozen scoring model
-/// (margins for the drift monitor) and its lowered deployment image.
+/// One tenant: its own drifting data distribution, its lowered deployment
+/// image (whose class scores give the monitors their confidence), and the
+/// class hypervectors it was lowered from, for the model-quality stats.
 struct Tenant {
-  core::OnlineLearner scorer;
+  tensor::MatrixF classes;
   ServingEndpoint::Model model;
   data::DriftStream stream;
 };
@@ -94,9 +95,8 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
             "tracks do not exist yet); use single-device serving for them");
 
   // The fleet-wide session: an aggregate monitor over every shard, and
-  // model quality over outcomes/calibration only (tenants encode with
-  // different seeds, so cross-tenant dimensions are not comparable and its
-  // dimension is 0).
+  // model quality over outcomes/calibration only. Its dimension is 0: the
+  // served hidden layer never leaves the device.
   ServingSession session(config, 0, SimDuration());
 
   // ---- shards: one full simulated accelerator per device -------------------
@@ -132,7 +132,8 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     }
     ServingEndpoint::Model lowered = framework.lower_classifier(
         learner.freeze(), representative, "tenant_" + std::to_string(t));
-    tenants.push_back(Tenant{std::move(learner), std::move(lowered), std::move(stream)});
+    tenants.push_back(
+        Tenant{learner.model().class_hypervectors(), std::move(lowered), std::move(stream)});
   }
 
   // Offered load stays in single-device full-tier service-rate units (tenant
@@ -180,15 +181,13 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     session.finish(std::move(rt), reason);
   };
 
-  // Each tenant instance shares the session's resolved window and sees its
-  // own frozen scorer model once (frozen fleet = one observe_model each, no
-  // refreshes).
+  // Each tenant instance shares the session's config (resolved window,
+  // dimension 0) and sees its own frozen model once (frozen fleet = one
+  // observe_model each, no refreshes).
   const auto init_tenant_stats = [&]() {
-    obs::ModelStatsConfig msc = session.model->config();
-    msc.dim = config.learner.dim;
     for (std::uint32_t t = 0; t < fleet.num_tenants; ++t) {
-      tenant_stats[t].emplace(msc);
-      tenant_stats[t]->observe_model(tenants[t].scorer.model().class_hypervectors());
+      tenant_stats[t].emplace(session.model->config());
+      tenant_stats[t]->observe_model(tenants[t].classes);
     }
   };
 
@@ -354,20 +353,15 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
 
       const SimDuration member_latency_base = (td - req.arrival) + swap_upload;
       preds[req.id].reserve(static_cast<std::size_t>(n));
-      // One batch encode per request; the decision and the dimension window
-      // read its rows.
-      const tensor::MatrixF encoded = tenant.scorer.encoder().encode_batch(req.data.features);
       obs::ModelQualityStats& tstats = *tenant_stats[tenant_index];
       for (std::size_t j = 0; j < n; ++j, ++g) {
         const std::uint32_t predicted = predictions[g];
         const std::uint32_t label = req.data.labels[j];
         const SimDuration at = service_start + per_sample * static_cast<double>(g + 1);
-        // The aggregate records outcomes; this tenant's instance also takes
-        // the dimensions (its own encoder).
+        // The aggregate and this tenant's instance record the same sample.
         tstats.record(engine.record_sample(at, member_latency_base + per_sample, req.id,
-                                           predicted, label,
-                                           tenant.scorer.decide_encoded(encoded.row(j))));
-        tstats.record_dimensions(at, label, encoded.row(j));
+                                           predicted, label, outcome.scores.row(g),
+                                           tenant.model.hidden_dim()));
         preds[req.id].push_back(predicted);
       }
       const std::optional<obs::ExemplarReason> reason =

@@ -132,10 +132,10 @@ struct FleetResult {
   obs::MonitorSnapshot fleet_snapshot;
   std::vector<obs::AlarmEvent> events;
 
-  /// Fleet-aggregate model quality (outcomes/calibration only — tenants
-  /// encode with different seeds, so cross-tenant dimension stats are
-  /// meaningless and `dim` is 0) plus one full per-tenant view each
-  /// (dimension discriminability against that tenant's own encoder).
+  /// Fleet-aggregate model quality plus one per-tenant view each, all over
+  /// outcomes and calibration, with confidence from the served class scores
+  /// (`ShardEngine::record_sample`). Every view has `dim` 0: the served
+  /// hidden layer never leaves the device, so no dimension window is kept.
   /// Conservation: the aggregate's samples_total == samples_served and the
   /// per-tenant samples_total sum to it.
   obs::ModelStatsSnapshot fleet_model;

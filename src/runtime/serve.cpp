@@ -253,7 +253,7 @@ void FleetConfig::validate() const {
 }
 
 std::uint32_t ServeConfig::effective_reduced_dim() const {
-  return reduced_dim != 0 ? reduced_dim : std::max<std::uint32_t>(64, learner.dim / 8);
+  return reduced_dim != 0 ? reduced_dim : std::min(std::max(learner.dim / 8, 64U), learner.dim);
 }
 
 void ServeConfig::validate() const {
@@ -263,6 +263,7 @@ void ServeConfig::validate() const {
             "quantization-calibration set)");
   HDC_CHECK(serve_chunks >= 1, "nothing to serve: serve_chunks must be positive");
   HDC_CHECK(learner.dim > 0, "learner dimension must be positive");
+  HDC_CHECK(reduced_dim <= learner.dim, "the reduced tier cannot be wider than the full tier");
   faults.validate();
   retry.validate();
   admission.validate();
@@ -511,14 +512,14 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
 
     // Per-sample records: completion times spread uniformly across the
     // chunk's simulated duration, latency includes the admission-queue wait,
-    // margins from the host scoring model.
+    // margins from the class scores of the tier that served.
     std::uint64_t host_errors = 0;
     std::uint64_t chunk_correct = 0;
-    // Encode the request once per learner, as one batch: the decision, the
-    // per-dimension discriminability window and the online update all read
-    // rows of these matrices. Encoders never adapt, so a row equals what
-    // encoding the sample on its own would give. The block scope frees them
-    // before a model refresh allocates.
+    // Encode the request once per learner, as one batch: the per-dimension
+    // discriminability window and the online update read rows of these
+    // matrices. Encoders never adapt, so a row equals what encoding the
+    // sample on its own would give. The block scope frees them before a
+    // model refresh allocates.
     {
       const tensor::MatrixF encoded = learner.encoder().encode_batch(item.data.features);
       const tensor::MatrixF reduced_encoded =
@@ -529,7 +530,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
         const std::uint32_t label = item.data.labels[j];
         const SimDuration at = start + per_sample * static_cast<double>(j + 1);
         shard.record_sample(at, wait + per_sample, item.id, predicted, label,
-                            learner.decide_encoded(encoded.row(j)));
+                            outcome.scores.row(j), model.hidden_dim());
         session.model->record_dimensions(at, label, encoded.row(j));
 
         if (config.online_updates) {

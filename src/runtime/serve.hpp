@@ -104,7 +104,8 @@ struct ServeConfig {
   /// `serve_fleet` reads it; single-device `serve` ignores it entirely.
   FleetConfig fleet;
   /// Dimension of the reduced-tier (LDC-style) fallback model trained next
-  /// to the full learner during warmup. 0 = auto: max(64, learner.dim / 8).
+  /// to the full learner during warmup, at most `learner.dim`. 0 = auto:
+  /// max(64, learner.dim / 8), clamped to `learner.dim`.
   std::uint32_t reduced_dim = 0;
 
   // ---- checkpoint / restore ------------------------------------------------

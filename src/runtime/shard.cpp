@@ -1,8 +1,10 @@
 #include "runtime/shard.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -203,7 +205,14 @@ bool ShardEngine::start_telemetry(SimDuration batch_total, std::uint64_t batch_s
 
 obs::ModelQualityStats::Sample ShardEngine::record_sample(
     SimDuration at, SimDuration latency, std::uint64_t request_id, std::uint32_t predicted,
-    std::uint32_t label, const core::OnlineLearner::Decision& decision) {
+    std::uint32_t label, std::span<const float> scores, std::uint32_t dim) {
+  HDC_CHECK(predicted < scores.size() && dim > 0, "served scores do not cover the prediction");
+  const double root = std::sqrt(static_cast<double>(dim));
+  const double top1 = scores[predicted] / root;
+  double top2 = scores.size() > 1 ? -std::numeric_limits<double>::infinity() : 0.0;
+  for (std::size_t c = 0; c < scores.size(); ++c) {
+    top2 = c == predicted ? top2 : std::max(top2, scores[c] / root);
+  }
   obs::ServingMonitor::Sample sample;
   sample.at = at;
   sample.latency = latency;
@@ -211,7 +220,7 @@ obs::ModelQualityStats::Sample ShardEngine::record_sample(
   sample.predicted = predicted;
   sample.correct = predicted == label;
   counters.correct_samples += sample.correct ? 1 : 0;
-  sample.margin = decision.margin();
+  sample.margin = top1 - top2;
   session_.clock.set(at);
   each_monitor([&](LazyMonitor& m) { m->record(sample); });
   // Served samples only: shed and expired requests never get here, so
@@ -220,7 +229,7 @@ obs::ModelQualityStats::Sample ShardEngine::record_sample(
   msample.at = at;
   msample.predicted = predicted;
   msample.label = label;
-  msample.top1 = static_cast<double>(decision.top1);
+  msample.top1 = top1;
   msample.request_id = static_cast<std::int64_t>(request_id);
   session_.model->record(msample);
   return msample;

@@ -13,12 +13,12 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/sim_time.hpp"
-#include "core/online.hpp"
 #include "data/dataset.hpp"
 #include "obs/energy.hpp"
 #include "obs/model_stats.hpp"
@@ -204,10 +204,19 @@ class ShardEngine {
   bool start_telemetry(SimDuration batch_total, std::uint64_t batch_samples);
   /// Records one served sample into the monitors and the session's
   /// model-quality stats, and returns the model-quality sample.
+  ///
+  /// This is the one definition of serving confidence. `scores` is the row
+  /// of k class scores `predicted` was taken from, on the served model of
+  /// hidden width `dim`: top1 = s[predicted] / sqrt(dim), top2 = the largest
+  /// other score / sqrt(dim) (0 for a single-class model), and the monitor's
+  /// margin is top1 - top2. The lowered class rows are unit-norm and
+  /// |tanh| <= 1, so |s_c| <= ||e|| <= sqrt(dim): top1 stays in [-1, 1] and
+  /// never exceeds the cosine it stands for in magnitude.
   obs::ModelQualityStats::Sample record_sample(SimDuration at, SimDuration latency,
                                                std::uint64_t request_id,
                                                std::uint32_t predicted, std::uint32_t label,
-                                               const core::OnlineLearner::Decision& decision);
+                                               std::span<const float> scores,
+                                               std::uint32_t dim);
   /// Transport and admission records of a served batch.
   void record_batch(SimDuration end, std::uint64_t samples, ServeTier tier,
                     const ResilienceReport& report);

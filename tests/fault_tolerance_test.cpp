@@ -186,10 +186,9 @@ class FaultInjectionTest : public ::testing::Test {
   }
 
   /// CPU reference: the float model, i.e. exactly what fallback samples run.
-  std::vector<std::int32_t> cpu_reference() const {
+  lite::InferenceResult cpu_reference() const {
     const platform::CpuExecutor cpu(platform::host_cpu_profile());
-    auto [result, time] = cpu.run(float_model_, inputs_, tpu::ExecutionMode::kFunctional);
-    return result.classes;
+    return cpu.run(float_model_, inputs_, tpu::ExecutionMode::kFunctional).first;
   }
 
   tpu::EdgeTpuCompiler compiler_{tpu::SystolicConfig{}, 8ULL << 20};
@@ -484,7 +483,7 @@ TEST_F(FaultInjectionTest, ZeroDeadlineKeepsLegacyUnboundedRetries) {
 
 TEST_F(FaultInjectionTest, PermanentDetachTripsBreakerAndFinishesOnCpu) {
   auto [clean_result, clean_stats] = clean_invoke();
-  const std::vector<std::int32_t> cpu_classes = cpu_reference();
+  const lite::InferenceResult cpu_result = cpu_reference();
 
   tpu::FaultProfile profile;
   profile.detach_at.push_back(clean_stats.total() * 0.5);  // gone mid-batch
@@ -503,16 +502,18 @@ TEST_F(FaultInjectionTest, PermanentDetachTripsBreakerAndFinishesOnCpu) {
   EXPECT_GT(outcome.report.cpu_fallback_time.to_seconds(), 0.0);
 
   // The batch always finishes full-length: the head ran on the device (clean
-  // TPU predictions), the contiguous tail fell back to the float model (the
-  // all-CPU path's predictions, sample for sample).
+  // TPU predictions and dequantized class scores), the contiguous tail fell
+  // back to the float model (the all-CPU path's predictions and scores,
+  // sample for sample). Both halves merge into one k-wide score matrix.
   ASSERT_EQ(outcome.result.classes.size(), inputs_.rows());
+  ASSERT_EQ(outcome.result.values.rows(), inputs_.rows());
+  ASSERT_EQ(outcome.result.values.cols(), 5U);
   const auto head = static_cast<std::size_t>(outcome.report.tpu_samples);
   for (std::size_t i = 0; i < inputs_.rows(); ++i) {
-    if (i < head) {
-      EXPECT_EQ(outcome.result.classes[i], clean_result.classes[i]) << "TPU row " << i;
-    } else {
-      EXPECT_EQ(outcome.result.classes[i], cpu_classes[i]) << "fallback row " << i;
-    }
+    const lite::InferenceResult& want = i < head ? clean_result : cpu_result;
+    EXPECT_EQ(outcome.result.classes[i], want.classes[i]) << "row " << i;
+    EXPECT_TRUE(std::ranges::equal(outcome.result.values.row(i), want.values.row(i)))
+        << "row " << i;
   }
 }
 

@@ -819,10 +819,21 @@ TEST(ServeConfigTest, ValidationCoversAdmissionHealthAndCheckpointing) {
   config.checkpoint_every_chunks = 4;  // interval without a path
   EXPECT_THROW(config.validate(), Error);
   config = serve_config();
+  config.learner.dim = 512;
+  config.reduced_dim = 4096;  // a reduced tier wider than the full one
+  EXPECT_THROW(config.validate(), Error);
+  config.reduced_dim = 512;
+  EXPECT_NO_THROW(config.validate());
+  config = serve_config();
   EXPECT_NO_THROW(config.validate());
   EXPECT_EQ(config.effective_reduced_dim(), 64U);  // max(64, 256 / 8)
   config.reduced_dim = 100;
   EXPECT_EQ(config.effective_reduced_dim(), 100U);
+  // The automatic width never exceeds the full tier's.
+  config = serve_config();
+  config.learner.dim = 32;
+  EXPECT_NO_THROW(config.validate());
+  EXPECT_EQ(config.effective_reduced_dim(), 32U);
 }
 
 }  // namespace

@@ -178,6 +178,38 @@ TEST(InterpreterTest, ArgMaxClassesMatchFloatLogits) {
   }
 }
 
+// An ARG_MAX-terminated model returns the row ARG_MAX read: k class scores
+// per sample (dequantized with that tensor's quantization for int8), and the
+// class is the first maximum of that row.
+TEST(InterpreterTest, ArgMaxModelReturnsTheScoresItPickedFrom) {
+  const Fixture fx = make_fixture(128);
+  const LiteModel float_model = build_float_model(nn::build_inference_graph(fx.classifier));
+  const LiteModel int8_model = quantize_model(float_model, fx.train.features);
+  for (const LiteModel* model : {&float_model, &int8_model}) {
+    SCOPED_TRACE(model->name);
+    ASSERT_EQ(model->ops.back().code, OpCode::kArgMax);
+    // The same model cut before ARG_MAX outputs the scores themselves.
+    LiteModel scores_model = *model;
+    scores_model.ops.pop_back();
+    scores_model.output = scores_model.ops.back().outputs[0];
+    const LiteTensor& scores_tensor = model->tensor(scores_model.output);
+    EXPECT_EQ(scores_tensor.dtype,
+              model == &float_model ? DType::kFloat32 : DType::kInt8);
+
+    const InferenceResult result = LiteInterpreter(*model).run(fx.test.features);
+    const InferenceResult scores = LiteInterpreter(scores_model).run(fx.test.features);
+    ASSERT_TRUE(result.has_classes);
+    ASSERT_EQ(result.values.rows(), fx.test.num_samples());
+    ASSERT_EQ(result.values.cols(), fx.train.num_classes);
+    EXPECT_EQ(result.values, scores.values);
+    for (std::size_t r = 0; r < result.values.rows(); ++r) {
+      EXPECT_EQ(static_cast<std::size_t>(result.classes[r]),
+                tensor::argmax(result.values.row(r)))
+          << r;
+    }
+  }
+}
+
 TEST(InterpreterTest, WrongInputWidthThrows) {
   nn::Graph g("m", 4);
   g.add_tanh();

@@ -322,8 +322,9 @@ TEST(FleetServeTest, TenantModelStatsSumExactlyToTheFleetAggregate) {
       served_sum += row;
     }
     EXPECT_EQ(served_sum, tenant.samples_total);
-    // Per-tenant monitors see that tenant's own encoder: dim stats are live.
-    EXPECT_EQ(tenant.dim, config.learner.dim);
+    // No dimension window: the served hidden layer never leaves the device,
+    // and reading it back would cost d bytes per sample over the link.
+    EXPECT_EQ(tenant.dim, 0U);
     tenant_sum += tenant.samples_total;
   }
   EXPECT_EQ(tenant_sum, result.fleet_model.samples_total);
@@ -396,6 +397,18 @@ TEST(FleetServeTest, FleetOfOneMatchesServe) {
       }
     }
     EXPECT_EQ(swap_spans, 1U);
+
+    // Both loops take confidence from the served class scores through one
+    // definition, so the tenant's view equals serve's model quality.
+    ASSERT_EQ(fleet.tenant_models.size(), 1U);
+    const obs::ModelStatsSnapshot& tenant = fleet.tenant_models.front();
+    EXPECT_EQ(tenant.confusion, single.final_model.confusion);
+    ASSERT_EQ(tenant.calibration.size(), single.final_model.calibration.size());
+    for (std::size_t b = 0; b < tenant.calibration.size(); ++b) {
+      EXPECT_EQ(tenant.calibration[b].count, single.final_model.calibration[b].count) << b;
+      EXPECT_EQ(tenant.calibration[b].correct, single.final_model.calibration[b].correct) << b;
+    }
+    EXPECT_EQ(tenant.ece, single.final_model.ece);
   }
 }
 

@@ -145,91 +145,95 @@ struct Golden {
   std::uint64_t digest;
 };
 
-// Recorded from the serving code before the shard engine was extracted.
+// Recorded from the serving code before the shard engine was extracted. The
+// artefacts carrying model-quality figures (chunk stats, snapshots,
+// Prometheus text, final_model, checkpoints, shards, tenant_models) were
+// re-recorded when serving confidence moved to the served model's class
+// scores; predictions, requests, energy, health and logs kept their digests.
 constexpr Golden kGolden[] = {
     {"closed_online", "predictions", 0x8CB19FC1967FB5CDULL},
-    {"closed_online", "chunk_stats", 0x73685B9E584338DBULL},
+    {"closed_online", "chunk_stats", 0x17C3E3CECF055C17ULL},
     {"closed_online", "requests", 0xA377148733FF666BULL},
-    {"closed_online", "final_snapshot", 0xA78382164DEFABBBULL},
-    {"closed_online", "final_prometheus", 0xE8FC671FDC23CC6BULL},
-    {"closed_online", "final_model", 0xA79AC1BDABD03618ULL},
+    {"closed_online", "final_snapshot", 0xA32301D7669111D9ULL},
+    {"closed_online", "final_prometheus", 0x14CFA6B5C363D8E0ULL},
+    {"closed_online", "final_model", 0x3F662E8A5EC48778ULL},
     {"closed_online", "final_energy", 0x5A038D22F90B33D6ULL},
     {"closed_online", "health", 0xD4657F55662F817FULL},
-    {"closed_online", "snapshot_files", 0x419A07A702DBFF4DULL},
-    {"closed_online", "prometheus_file", 0xE8FC671FDC23CC6BULL},
-    {"closed_online", "checkpoints", 0x3D2E6DA90A8494D9ULL},
+    {"closed_online", "snapshot_files", 0x958A6F2534986145ULL},
+    {"closed_online", "prometheus_file", 0x14CFA6B5C363D8E0ULL},
+    {"closed_online", "checkpoints", 0xDF9CF53664ECDA3CULL},
     {"closed_online", "log", 0xFC5EA89F87A2C141ULL},
     {"overload_reject_newest", "predictions", 0x8E32A92F4462CEB0ULL},
-    {"overload_reject_newest", "chunk_stats", 0x5B68555A1DC2592AULL},
+    {"overload_reject_newest", "chunk_stats", 0x00F721FB284FB766ULL},
     {"overload_reject_newest", "requests", 0x1CC5A19366333919ULL},
-    {"overload_reject_newest", "final_snapshot", 0x20F2248E951D5713ULL},
-    {"overload_reject_newest", "final_prometheus", 0x240B8ACDE33BC816ULL},
-    {"overload_reject_newest", "final_model", 0x49BC5172D5898986ULL},
+    {"overload_reject_newest", "final_snapshot", 0x5B5AE8AFC875E11BULL},
+    {"overload_reject_newest", "final_prometheus", 0xCD7D2E0BC7D42166ULL},
+    {"overload_reject_newest", "final_model", 0x98674D5B58AE3353ULL},
     {"overload_reject_newest", "final_energy", 0x446BB46DFE2D4B0AULL},
     {"overload_reject_newest", "health", 0xD4657F55662F817FULL},
     {"overload_reject_newest", "exemplars_file", 0x92E371751D2C5CD1ULL},
     {"overload_reject_newest", "log", 0xA3263259ECE03A16ULL},
     {"overload_drop_oldest", "predictions", 0x8E32A92F4462CEB0ULL},
-    {"overload_drop_oldest", "chunk_stats", 0x0C52068100A5EBA8ULL},
+    {"overload_drop_oldest", "chunk_stats", 0x87DA6C433C1B4F9CULL},
     {"overload_drop_oldest", "requests", 0x596D1B6F43248D18ULL},
-    {"overload_drop_oldest", "final_snapshot", 0xAC92227E33FF0818ULL},
-    {"overload_drop_oldest", "final_prometheus", 0x025449643E1CA9B7ULL},
-    {"overload_drop_oldest", "final_model", 0x49BC5172D5898986ULL},
+    {"overload_drop_oldest", "final_snapshot", 0xBDAA9F61AC070734ULL},
+    {"overload_drop_oldest", "final_prometheus", 0x7C1C9D8D43748F41ULL},
+    {"overload_drop_oldest", "final_model", 0x98674D5B58AE3353ULL},
     {"overload_drop_oldest", "final_energy", 0x662398D4454DA7AFULL},
     {"overload_drop_oldest", "health", 0xD4657F55662F817FULL},
-    {"overload_drop_oldest", "snapshot_files", 0xA07B46A0D80B4156ULL},
+    {"overload_drop_oldest", "snapshot_files", 0xC34EB462B4804786ULL},
     {"overload_drop_oldest", "log", 0x17D122748494CC1BULL},
     {"overload_drop_oldest", "chrome_trace", 0x82AF0780F6CE1C40ULL},
     {"detach", "predictions", 0x86BAA7761BCDF288ULL},
-    {"detach", "chunk_stats", 0x086B76CE8D9BC169ULL},
+    {"detach", "chunk_stats", 0x192E9B96C213B173ULL},
     {"detach", "requests", 0x21C60D9AAF843B5EULL},
-    {"detach", "final_snapshot", 0x7108EAE3238DF37CULL},
-    {"detach", "final_prometheus", 0x22C34E27A41B1E6AULL},
-    {"detach", "final_model", 0xDC0C1BAA6F469C68ULL},
+    {"detach", "final_snapshot", 0xDC912EDCE701D9C5ULL},
+    {"detach", "final_prometheus", 0x072F7971BA3FD506ULL},
+    {"detach", "final_model", 0x14B1B6D980F4FB56ULL},
     {"detach", "final_energy", 0xF619B98A1E13ACA8ULL},
     {"detach", "health", 0xBA75F1307A30D905ULL},
-    {"detach", "snapshot_files", 0x66ADC30026F19AFAULL},
+    {"detach", "snapshot_files", 0x147E19E1A60FC074ULL},
     {"detach", "log", 0x79DC7A50772EC552ULL},
     {"resume", "predictions", 0x8CB19FC1967FB5CDULL},
-    {"resume", "chunk_stats", 0xD91692787B88153BULL},
+    {"resume", "chunk_stats", 0x7F20D084915ADFF7ULL},
     {"resume", "requests", 0xB19077FB640EA03FULL},
-    {"resume", "final_snapshot", 0xA78382164DEFABBBULL},
-    {"resume", "final_prometheus", 0xE8FC671FDC23CC6BULL},
-    {"resume", "final_model", 0xA79AC1BDABD03618ULL},
+    {"resume", "final_snapshot", 0xA32301D7669111D9ULL},
+    {"resume", "final_prometheus", 0x14CFA6B5C363D8E0ULL},
+    {"resume", "final_model", 0x3F662E8A5EC48778ULL},
     {"resume", "final_energy", 0x5A038D22F90B33D6ULL},
     {"resume", "health", 0xD4657F55662F817FULL},
-    {"resume", "snapshot_files", 0x94225C35096CF865ULL},
-    {"resume", "prometheus_file", 0xE8FC671FDC23CC6BULL},
-    {"resume", "checkpoints", 0x55C74C3C18EFC82AULL},
+    {"resume", "snapshot_files", 0x827A06926F711854ULL},
+    {"resume", "prometheus_file", 0x14CFA6B5C363D8E0ULL},
+    {"resume", "checkpoints", 0xE42D55569FA4D2C0ULL},
     {"resume", "log", 0x50BDB35E5409B52BULL},
     {"fleet_batched", "predictions", 0x97B2A538A4F8965AULL},
     {"fleet_batched", "totals", 0x3830D64965E477D3ULL},
     {"fleet_batched", "requests", 0xE02654E19B546B76ULL},
-    {"fleet_batched", "fleet_snapshot", 0xE92DE00CAD5E0077ULL},
-    {"fleet_batched", "fleet_prometheus", 0x6162DB6249D1CC80ULL},
-    {"fleet_batched", "snapshot_files", 0xA2827D572AEA041DULL},
-    {"fleet_batched", "shards", 0x265030AAD66CD84FULL},
-    {"fleet_batched", "tenant_models", 0xFA840B9008094FE0ULL},
+    {"fleet_batched", "fleet_snapshot", 0x09AD81BFB757B0A5ULL},
+    {"fleet_batched", "fleet_prometheus", 0x1F8F92C2F3B8917EULL},
+    {"fleet_batched", "snapshot_files", 0x9003CB22B3C68F55ULL},
+    {"fleet_batched", "shards", 0xD0276C7A6872A7A4ULL},
+    {"fleet_batched", "tenant_models", 0x4D0D33EC96346996ULL},
     {"fleet_batched", "tenant_energy", 0x94DF161145931CB8ULL},
     {"fleet_batched", "log", 0xA9FBFC3930C7C508ULL},
     {"fleet_round_robin", "predictions", 0x009E1970B92B85DBULL},
     {"fleet_round_robin", "totals", 0x5C9A7F031085B77CULL},
     {"fleet_round_robin", "requests", 0x7DA91DFDF00E9FBBULL},
-    {"fleet_round_robin", "fleet_snapshot", 0x276F008802F45CF5ULL},
-    {"fleet_round_robin", "fleet_prometheus", 0x5EFD3FBF5322F7FEULL},
-    {"fleet_round_robin", "snapshot_files", 0x85700F174F244B0AULL},
-    {"fleet_round_robin", "shards", 0x734065C07E20E566ULL},
-    {"fleet_round_robin", "tenant_models", 0xC7F3CBE41B263CB0ULL},
+    {"fleet_round_robin", "fleet_snapshot", 0x6E1A7A294E69EC2DULL},
+    {"fleet_round_robin", "fleet_prometheus", 0xD54B632A9CA809DDULL},
+    {"fleet_round_robin", "snapshot_files", 0xF9E2CAA4A62EC313ULL},
+    {"fleet_round_robin", "shards", 0xC211383A105080B4ULL},
+    {"fleet_round_robin", "tenant_models", 0x127B2106407D72A4ULL},
     {"fleet_round_robin", "tenant_energy", 0x09A7849EE951F917ULL},
     {"fleet_round_robin", "log", 0xD5BB350B459D20AAULL},
     {"fleet_least_loaded", "predictions", 0xA6D4B135F2BA99BBULL},
     {"fleet_least_loaded", "totals", 0x0CA16B9B336E7AADULL},
     {"fleet_least_loaded", "requests", 0x4186662A1E8B6B03ULL},
-    {"fleet_least_loaded", "fleet_snapshot", 0xF263FD5C1F2C744CULL},
-    {"fleet_least_loaded", "fleet_prometheus", 0x75D983906A26C8C8ULL},
-    {"fleet_least_loaded", "snapshot_files", 0x7F2551C45C9A4495ULL},
-    {"fleet_least_loaded", "shards", 0x7BAB685B53FB9829ULL},
-    {"fleet_least_loaded", "tenant_models", 0x2C7929C5F4ABDEB7ULL},
+    {"fleet_least_loaded", "fleet_snapshot", 0x28A0B1DAD650D922ULL},
+    {"fleet_least_loaded", "fleet_prometheus", 0xEC012C7F625995CFULL},
+    {"fleet_least_loaded", "snapshot_files", 0x64AC48882E65D251ULL},
+    {"fleet_least_loaded", "shards", 0xB756CB8C9BFAE77EULL},
+    {"fleet_least_loaded", "tenant_models", 0x4932F3CD1F6404C1ULL},
     {"fleet_least_loaded", "tenant_energy", 0xADE2B185276D68F6ULL},
     {"fleet_least_loaded", "log", 0x0D4D5159FA9A0A7FULL},
     {"fleet_least_loaded", "exemplars_file", 0xCB69E5389CE5E976ULL},
