@@ -314,20 +314,9 @@ class BenchReporter {
     out += "},\"metrics\":{";
     first = true;
     for (const auto& metric : metrics_) {
-      if (!first) {
-        out.push_back(',');
-      }
+      obs::detail::append_gate_metric(out, metric.name, metric.value, metric.unit,
+                                      metric.kind, metric.better, !first);
       first = false;
-      obs::detail::append_json_string(out, metric.name);
-      out += ":{\"value\":";
-      obs::detail::append_json_number(out, metric.value);
-      out += ",\"unit\":";
-      obs::detail::append_json_string(out, metric.unit);
-      out += ",\"kind\":";
-      obs::detail::append_json_string(out, metric.kind);
-      out += ",\"better\":";
-      obs::detail::append_json_string(out, metric.better);
-      out.push_back('}');
     }
     out.push_back('}');
     if (!profile_json_.empty()) {

@@ -8,12 +8,6 @@
 
 namespace hdc::obs {
 
-namespace {
-
-constexpr const char* kEnergyBudgetAlarm = "energy_budget";
-
-}  // namespace
-
 const char* component_name(EnergyComponent component) noexcept {
   switch (component) {
     case EnergyComponent::kMxuActive: return "mxu_active";
@@ -65,7 +59,8 @@ EnergyAccountant::EnergyAccountant(EnergyConfig config)
       window_(config.window, WindowSlot{}),
       watts_ewma_(config.ewma_tau_s > 0.0 ? config.ewma_tau_s
                                           : config.window.span.to_seconds() / 4.0),
-      budget_alarm_(kEnergyBudgetAlarm, config.alarm_joules_per_inference) {
+      bank_({ThresholdAlarm("energy_budget", config.alarm_joules_per_inference)},
+            /*with_details=*/true) {
   config_.validate();
 }
 
@@ -112,33 +107,15 @@ RequestEnergy EnergyAccountant::record(const Request& request) {
                          static_cast<double>(window_samples);
       char buf[64];
       std::snprintf(buf, sizeof(buf), "jpi=%.6g", jpi);
-      budget_detail_ = buf;
-      std::optional<AlarmEvent> event = budget_alarm_.update(request.at, jpi);
-      if (event.has_value()) {
-        event->exemplar_request_id = request.request_id;
-        event->detail = budget_detail_;
-      }
-      gate_.dispatch(std::move(event),
-                     [this](const AlarmEvent& e) { push_event(e); });
+      bank_.detail(0) = buf;
+      bank_.update(0, request.at, jpi, request.request_id);
     }
   }
   return energy;
 }
 
 void EnergyAccountant::set_quarantined(bool quarantined, SimDuration at) {
-  gate_.set_quarantined(
-      quarantined, at,
-      [this](std::string_view name) { return find_alarm(name); },
-      [this](const AlarmEvent& event) { push_event(event); });
-}
-
-void EnergyAccountant::push_event(const AlarmEvent& event) {
-  events_.push_back(event);
-  log_alarm_event(event);
-}
-
-const ThresholdAlarm* EnergyAccountant::find_alarm(std::string_view name) const {
-  return budget_alarm_.name() == name ? &budget_alarm_ : nullptr;
+  bank_.set_quarantined(quarantined, at);
 }
 
 EnergySnapshot EnergyAccountant::snapshot(SimDuration now) {
@@ -173,14 +150,9 @@ EnergySnapshot EnergyAccountant::snapshot(SimDuration now) {
 
   snap.watts_ewma = watts_ewma_.value();
 
-  snap.energy_budget.name = budget_alarm_.name();
-  snap.energy_budget.firing = budget_alarm_.firing();
-  snap.energy_budget.fired_total = budget_alarm_.fired_total();
-  snap.energy_budget.value = budget_alarm_.last_value();
-  snap.energy_budget.threshold = budget_alarm_.threshold();
-  snap.energy_budget.detail = budget_detail_;
-  snap.quarantined = gate_.quarantined();
-  snap.suppressed_alarms_total = gate_.suppressed_total();
+  snap.alarms = bank_.states();
+  snap.quarantined = bank_.quarantined();
+  snap.suppressed_alarms_total = bank_.suppressed_total();
   return snap;
 }
 
@@ -221,10 +193,7 @@ void EnergyAccountant::state_fields(Self& self, Io& io) {
   io.pod(self.samples_served_);
 
   io.object(self.watts_ewma_);
-  io.object(self.budget_alarm_);
-  io.str(self.budget_detail_);
-  detail::alarm_events(self.events_, io);
-  io.object(self.gate_);
+  io.object(self.bank_);
 }
 
 void EnergyAccountant::serialize(ByteWriter& writer) const {
@@ -244,16 +213,12 @@ EnergyAccountant EnergyAccountant::deserialize(ByteReader& reader) {
 
 // --------------------------------------------- snapshot rendering -----------
 
-namespace {
+using detail::append_field;
+using detail::append_gate_metric;
+using detail::prom_header;
+using detail::prom_line;
 
-void append_field(std::string& out, const char* key, double value, bool leading_comma) {
-  if (leading_comma) {
-    out.push_back(',');
-  }
-  detail::append_json_string(out, key);
-  out.push_back(':');
-  detail::append_json_number(out, value);
-}
+namespace {
 
 /// Picojoule ledgers render as exact integers (no float formatting) so
 /// `hdc energy inspect --assert-conservation` re-verifies sums without
@@ -266,45 +231,6 @@ void append_pj(std::string& out, const char* key, std::int64_t pj, bool leading_
   detail::append_json_string(out, key);
   out.push_back(':');
   out += std::to_string(pj);
-}
-
-void prom_line(std::string& out, const char* family, const std::string& labels,
-               double value) {
-  char buf[224];
-  if (labels.empty()) {
-    std::snprintf(buf, sizeof(buf), "%s %.9g\n", family, value);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%s{%s} %.9g\n", family, labels.c_str(), value);
-  }
-  out += buf;
-}
-
-void prom_header(std::string& out, const char* family, const char* type,
-                 const char* help) {
-  out += "# HELP ";
-  out += family;
-  out.push_back(' ');
-  out += help;
-  out += "\n# TYPE ";
-  out += family;
-  out.push_back(' ');
-  out += type;
-  out.push_back('\n');
-}
-
-void append_gate_metric(std::string& out, const char* name, double value,
-                        const char* unit, const char* kind, const char* better) {
-  out.push_back(',');
-  detail::append_json_string(out, name);
-  out += ":{\"value\":";
-  detail::append_json_number(out, value);
-  out += ",\"unit\":";
-  detail::append_json_string(out, unit);
-  out += ",\"kind\":";
-  detail::append_json_string(out, kind);
-  out += ",\"better\":";
-  detail::append_json_string(out, better);
-  out.push_back('}');
 }
 
 }  // namespace
@@ -355,16 +281,7 @@ std::string EnergySnapshot::to_json() const {
 
   append_field(out, "watts_ewma", watts_ewma, true);
 
-  out += ",\"alarms\":{";
-  detail::append_json_string(out, energy_budget.name);
-  out += ":{\"firing\":";
-  out += energy_budget.firing ? "true" : "false";
-  out += ",\"fired_total\":" + std::to_string(energy_budget.fired_total);
-  append_field(out, "value", energy_budget.value, true);
-  append_field(out, "threshold", energy_budget.threshold, true);
-  out += ",\"detail\":";
-  detail::append_json_string(out, energy_budget.detail);
-  out += "}}";
+  AlarmBank::append_json(out, alarms);
 
   out += ",\"quarantined\":";
   out += quarantined ? "true" : "false";
@@ -380,7 +297,7 @@ std::string EnergySnapshot::metrics_json() const {
   append_gate_metric(out, "energy.total_joules", total_joules(), "J", "info", "lower");
   append_gate_metric(out, "energy.watts_ewma", watts_ewma, "W", "info", "lower");
   append_gate_metric(out, "energy.alarms.energy_budget.fired_total",
-                     static_cast<double>(energy_budget.fired_total), "", "info",
+                     static_cast<double>(alarms.front().fired_total), "", "info",
                      "lower");
   return out;
 }
@@ -419,15 +336,7 @@ std::string EnergySnapshot::to_prometheus() const {
   prom_header(out, "hdc_energy_watts", "gauge",
               "EWMA of per-request average power draw");
   prom_line(out, "hdc_energy_watts", "", watts_ewma);
-  prom_header(out, "hdc_energy_alarm_firing", "gauge",
-              "1 while the energy alarm condition holds");
-  prom_line(out, "hdc_energy_alarm_firing", "alarm=\"" + energy_budget.name + "\"",
-            energy_budget.firing ? 1.0 : 0.0);
-  prom_header(out, "hdc_energy_alarm_fired_total", "counter",
-              "Edge-triggered energy alarm fire count");
-  prom_line(out, "hdc_energy_alarm_fired_total",
-            "alarm=\"" + energy_budget.name + "\"",
-            static_cast<double>(energy_budget.fired_total));
+  AlarmBank::append_prometheus(out, alarms, "hdc_energy", "energy ");
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/byte_io.hpp"
@@ -166,15 +165,7 @@ struct EnergySnapshot {
 
   double watts_ewma = 0.0;
 
-  struct AlarmState {
-    std::string name;
-    bool firing = false;
-    std::uint64_t fired_total = 0;
-    double value = 0.0;
-    double threshold = 0.0;
-    std::string detail;
-  };
-  AlarmState energy_budget;
+  std::vector<AlarmState> alarms;  ///< "energy_budget", detail "jpi=..."
   bool quarantined = false;
   std::uint64_t suppressed_alarms_total = 0;
 
@@ -194,10 +185,10 @@ struct EnergySnapshot {
 /// ten-stage attribution under a `PowerProfile` into integer-picojoule atoms,
 /// folds them into lifetime stage/component/outcome ledgers, a windowed
 /// joules-per-inference figure and a watts EWMA, and raises an edge-triggered
-/// "energy_budget" alarm through the same quarantine suppress-and-summarize
-/// gate as the serving monitor. Strictly observational, like
-/// `ServingMonitor`: it receives copies of values the serving path already
-/// computed and never feeds anything back.
+/// "energy_budget" alarm through an `AlarmBank` like the serving monitor's
+/// (same edge rule, quarantine gate and log grammar). Strictly observational,
+/// like `ServingMonitor`: it receives copies of values the serving path
+/// already computed and never feeds anything back.
 class EnergyAccountant {
  public:
   explicit EnergyAccountant(EnergyConfig config);
@@ -221,13 +212,10 @@ class EnergyAccountant {
 
   /// Mirrors `ServingMonitor::set_quarantined` (suppress-and-summarize).
   void set_quarantined(bool quarantined, SimDuration at);
-  bool quarantined() const noexcept { return gate_.quarantined(); }
 
   std::int64_t total_pj() const noexcept { return total_pj_; }
   std::uint64_t requests_total() const noexcept { return requests_total_; }
-  const std::vector<AlarmEvent>& events() const noexcept { return events_; }
-  bool alarm_firing() const noexcept { return budget_alarm_.firing(); }
-  std::uint64_t alarm_fired_total() const noexcept { return budget_alarm_.fired_total(); }
+  const AlarmBank& alarms() const noexcept { return bank_; }
 
   EnergySnapshot snapshot(SimDuration now);
 
@@ -246,9 +234,6 @@ class EnergyAccountant {
     std::uint64_t samples = 0;    ///< served samples only
   };
 
-  void push_event(const AlarmEvent& event);
-  const ThresholdAlarm* find_alarm(std::string_view name) const;
-
   EnergyConfig config_;
 
   detail::BucketRing<WindowSlot> window_;
@@ -263,10 +248,7 @@ class EnergyAccountant {
   std::uint64_t samples_served_ = 0;
 
   Ewma watts_ewma_;
-  ThresholdAlarm budget_alarm_;
-  std::string budget_detail_;  ///< culprit of the last evaluation
-  std::vector<AlarmEvent> events_;
-  QuarantineGate gate_;
+  AlarmBank bank_;  ///< the one "energy_budget" alarm
 };
 
 }  // namespace hdc::obs

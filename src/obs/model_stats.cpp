@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/error.hpp"
 #include "obs/json.hpp"
@@ -10,9 +9,6 @@
 namespace hdc::obs {
 
 namespace {
-
-constexpr const char* kClassErrorAlarm = "class_error";
-constexpr const char* kConfusionPairAlarm = "confusion_pair";
 
 /// Denominator floor for the variance ratio (the scores are eta-squared
 /// style fractions in [0, 1], so the floor only matters for empty windows).
@@ -43,8 +39,9 @@ ModelQualityStats::ModelQualityStats(ModelStatsConfig config)
       confusion_(static_cast<std::size_t>(config.num_classes) * config.num_classes, 0),
       class_served_(config.num_classes, 0),
       calibration_(config.calibration_bins),
-      alarm_class_error_(kClassErrorAlarm, config.alarm_class_error_rate),
-      alarm_pair_(kConfusionPairAlarm, config.alarm_confusion_pair) {
+      bank_({ThresholdAlarm("class_error", config.alarm_class_error_rate),
+             ThresholdAlarm("confusion_pair", config.alarm_confusion_pair)},
+            /*with_details=*/true) {
   config_.validate();
   if (config_.dim > 0) {
     DimSlot zero;
@@ -194,10 +191,13 @@ void ModelQualityStats::evaluate_alarms(SimDuration now, std::int64_t request_id
   const std::vector<std::uint64_t> window = merged_window_confusion(now);
   const std::size_t classes = config_.num_classes;
 
+  // Running worst per alarm (first maximum wins); a negative index means no
+  // class cleared the min_class_samples guard yet.
   double worst_error = 0.0;
-  std::string worst_error_detail;
+  std::ptrdiff_t error_class = -1;
   double worst_pair = 0.0;
-  std::string worst_pair_detail;
+  std::ptrdiff_t pair_actual = -1;
+  std::size_t pair_predicted = 0;
   for (std::size_t a = 0; a < classes; ++a) {
     std::uint64_t row = 0;
     for (std::size_t b = 0; b < classes; ++b) {
@@ -209,65 +209,34 @@ void ModelQualityStats::evaluate_alarms(SimDuration now, std::int64_t request_id
     const double row_d = static_cast<double>(row);
     const double error =
         1.0 - static_cast<double>(window[a * classes + a]) / row_d;
-    if (worst_error_detail.empty() || error > worst_error) {
+    if (error_class < 0 || error > worst_error) {
       worst_error = error;
-      worst_error_detail = "class=" + std::to_string(a);
+      error_class = static_cast<std::ptrdiff_t>(a);
     }
     for (std::size_t b = 0; b < classes; ++b) {
       if (b == a || window[a * classes + b] == 0) {
         continue;
       }
       const double fraction = static_cast<double>(window[a * classes + b]) / row_d;
-      if (worst_pair_detail.empty() || fraction > worst_pair) {
+      if (pair_actual < 0 || fraction > worst_pair) {
         worst_pair = fraction;
-        worst_pair_detail =
-            "pair=" + std::to_string(a) + "->" + std::to_string(b);
+        pair_actual = static_cast<std::ptrdiff_t>(a);
+        pair_predicted = b;
       }
     }
   }
-  class_error_detail_ = worst_error_detail;
-  pair_detail_ = worst_pair_detail;
-
-  const auto tag = [&](std::optional<AlarmEvent> event, const std::string& detail) {
-    if (event.has_value()) {
-      event->exemplar_request_id = request_id;
-      event->detail = detail;
-    }
-    gate_.dispatch(std::move(event), [this](const AlarmEvent& e) { push_event(e); });
-  };
-  tag(alarm_class_error_.update(now, worst_error), class_error_detail_);
-  tag(alarm_pair_.update(now, worst_pair), pair_detail_);
+  bank_.detail(kClassError) =
+      error_class < 0 ? std::string() : "class=" + std::to_string(error_class);
+  bank_.detail(kConfusionPair) =
+      pair_actual < 0 ? std::string()
+                      : "pair=" + std::to_string(pair_actual) + "->" +
+                            std::to_string(pair_predicted);
+  bank_.update(kClassError, now, worst_error, request_id);
+  bank_.update(kConfusionPair, now, worst_pair, request_id);
 }
 
 void ModelQualityStats::set_quarantined(bool quarantined, SimDuration at) {
-  gate_.set_quarantined(
-      quarantined, at,
-      [this](std::string_view name) { return find_alarm(name); },
-      [this](const AlarmEvent& event) { push_event(event); });
-}
-
-void ModelQualityStats::push_event(const AlarmEvent& event) {
-  events_.push_back(event);
-  log_alarm_event(event);
-}
-
-const ThresholdAlarm* ModelQualityStats::find_alarm(std::string_view name) const {
-  for (const ThresholdAlarm* alarm : {&alarm_class_error_, &alarm_pair_}) {
-    if (alarm->name() == name) {
-      return alarm;
-    }
-  }
-  return nullptr;
-}
-
-bool ModelQualityStats::alarm_firing(std::string_view name) const {
-  const ThresholdAlarm* alarm = find_alarm(name);
-  return alarm != nullptr && alarm->firing();
-}
-
-std::uint64_t ModelQualityStats::alarm_fired_total(std::string_view name) const {
-  const ThresholdAlarm* alarm = find_alarm(name);
-  return alarm == nullptr ? 0 : alarm->fired_total();
+  bank_.set_quarantined(quarantined, at);
 }
 
 ModelStatsSnapshot ModelQualityStats::snapshot(SimDuration now) {
@@ -435,18 +404,9 @@ ModelStatsSnapshot ModelQualityStats::snapshot(SimDuration now) {
     }
   }
 
-  for (const ThresholdAlarm* alarm : {&alarm_class_error_, &alarm_pair_}) {
-    ModelStatsSnapshot::AlarmState state;
-    state.name = alarm->name();
-    state.firing = alarm->firing();
-    state.fired_total = alarm->fired_total();
-    state.value = alarm->last_value();
-    state.threshold = alarm->threshold();
-    state.detail = alarm == &alarm_class_error_ ? class_error_detail_ : pair_detail_;
-    snap.alarms.push_back(std::move(state));
-  }
-  snap.quarantined = gate_.quarantined();
-  snap.suppressed_alarms_total = gate_.suppressed_total();
+  snap.alarms = bank_.states();
+  snap.quarantined = bank_.quarantined();
+  snap.suppressed_alarms_total = bank_.suppressed_total();
   return snap;
 }
 
@@ -500,12 +460,7 @@ void ModelQualityStats::state_fields(Self& self, Io& io) {
   io.pod(self.separation_mean_);
   io.pod(self.model_refreshes_);
 
-  io.object(self.alarm_class_error_);
-  io.object(self.alarm_pair_);
-  io.str(self.class_error_detail_);
-  io.str(self.pair_detail_);
-  detail::alarm_events(self.events_, io);
-  io.object(self.gate_);
+  io.object(self.bank_);
 }
 
 void ModelQualityStats::serialize(ByteWriter& writer) const {
@@ -535,16 +490,12 @@ ModelQualityStats ModelQualityStats::deserialize(ByteReader& reader) {
 
 // --------------------------------------------- snapshot rendering -----------
 
-namespace {
+using detail::append_field;
+using detail::append_gate_metric;
+using detail::prom_header;
+using detail::prom_line;
 
-void append_field(std::string& out, const char* key, double value, bool leading_comma) {
-  if (leading_comma) {
-    out.push_back(',');
-  }
-  detail::append_json_string(out, key);
-  out.push_back(':');
-  detail::append_json_number(out, value);
-}
+namespace {
 
 void append_matrix(std::string& out, const std::vector<std::uint64_t>& cells,
                    std::size_t classes) {
@@ -563,45 +514,6 @@ void append_matrix(std::string& out, const std::vector<std::uint64_t>& cells,
     out.push_back(']');
   }
   out.push_back(']');
-}
-
-void append_gate_metric(std::string& out, const char* name, double value,
-                        const char* unit, const char* kind, const char* better) {
-  out.push_back(',');
-  detail::append_json_string(out, name);
-  out += ":{\"value\":";
-  detail::append_json_number(out, value);
-  out += ",\"unit\":";
-  detail::append_json_string(out, unit);
-  out += ",\"kind\":";
-  detail::append_json_string(out, kind);
-  out += ",\"better\":";
-  detail::append_json_string(out, better);
-  out.push_back('}');
-}
-
-void prom_line(std::string& out, const char* family, const std::string& labels,
-               double value) {
-  char buf[224];
-  if (labels.empty()) {
-    std::snprintf(buf, sizeof(buf), "%s %.9g\n", family, value);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%s{%s} %.9g\n", family, labels.c_str(), value);
-  }
-  out += buf;
-}
-
-void prom_header(std::string& out, const char* family, const char* type,
-                 const char* help) {
-  out += "# HELP ";
-  out += family;
-  out.push_back(' ');
-  out += help;
-  out += "\n# TYPE ";
-  out += family;
-  out.push_back(' ');
-  out += type;
-  out.push_back('\n');
 }
 
 }  // namespace
@@ -695,23 +607,8 @@ std::string ModelStatsSnapshot::to_json() const {
   }
   out += "]}";
 
-  out += ",\"alarms\":{";
-  for (std::size_t i = 0; i < alarms.size(); ++i) {
-    const AlarmState& alarm = alarms[i];
-    if (i > 0) {
-      out.push_back(',');
-    }
-    detail::append_json_string(out, alarm.name);
-    out += ":{\"firing\":";
-    out += alarm.firing ? "true" : "false";
-    out += ",\"fired_total\":" + std::to_string(alarm.fired_total);
-    append_field(out, "value", alarm.value, true);
-    append_field(out, "threshold", alarm.threshold, true);
-    out += ",\"detail\":";
-    detail::append_json_string(out, alarm.detail);
-    out.push_back('}');
-  }
-  out += "},\"quarantined\":";
+  AlarmBank::append_json(out, alarms);
+  out += ",\"quarantined\":";
   out += quarantined ? "true" : "false";
   out += ",\"suppressed_alarms_total\":" + std::to_string(suppressed_alarms_total);
   out += "}";
@@ -805,18 +702,7 @@ std::string ModelStatsSnapshot::to_prometheus() const {
     prom_line(out, "hdc_model_dim_score", "dim=\"" + std::to_string(score.dim) + "\"",
               score.score);
   }
-  prom_header(out, "hdc_model_alarm_firing", "gauge",
-              "1 while the model alarm condition holds");
-  for (const AlarmState& alarm : alarms) {
-    prom_line(out, "hdc_model_alarm_firing", "alarm=\"" + alarm.name + "\"",
-              alarm.firing ? 1.0 : 0.0);
-  }
-  prom_header(out, "hdc_model_alarm_fired_total", "counter",
-              "Edge-triggered model alarm fire count");
-  for (const AlarmState& alarm : alarms) {
-    prom_line(out, "hdc_model_alarm_fired_total", "alarm=\"" + alarm.name + "\"",
-              static_cast<double>(alarm.fired_total));
-  }
+  AlarmBank::append_prometheus(out, alarms, "hdc_model", "model ");
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/byte_io.hpp"
@@ -106,15 +105,7 @@ struct ModelStatsSnapshot {
   };
   std::vector<DimScore> bottom_dims;  ///< ascending score
 
-  struct AlarmState {
-    std::string name;
-    bool firing = false;
-    std::uint64_t fired_total = 0;
-    double value = 0.0;
-    double threshold = 0.0;
-    std::string detail;  ///< culprit of the last evaluation ("class=3", "pair=2->5")
-  };
-  std::vector<AlarmState> alarms;
+  std::vector<AlarmState> alarms;  ///< detail: "class=3", "pair=2->5"
   bool quarantined = false;
   std::uint64_t suppressed_alarms_total = 0;
 
@@ -138,9 +129,9 @@ struct ModelStatsSnapshot {
 /// anything back.
 ///
 /// Alarms ("class_error" on per-class accuracy collapse, "confusion_pair" on
-/// a dominant off-diagonal cell) are edge-triggered, carry the culprit in
-/// `AlarmEvent::detail`, and route through the same quarantine
-/// suppress-and-summarize gate as the serving monitor.
+/// a dominant off-diagonal cell) live in an `AlarmBank` like the serving
+/// monitor's (same edge rule, quarantine gate and log grammar) and carry the
+/// culprit in `AlarmEvent::detail`.
 class ModelQualityStats {
  public:
   explicit ModelQualityStats(ModelStatsConfig config);
@@ -176,13 +167,9 @@ class ModelQualityStats {
 
   /// Mirrors `ServingMonitor::set_quarantined` (suppress-and-summarize).
   void set_quarantined(bool quarantined, SimDuration at);
-  bool quarantined() const noexcept { return gate_.quarantined(); }
-  std::uint64_t suppressed_fires_total() const noexcept { return gate_.suppressed_total(); }
 
   std::uint64_t samples_total() const noexcept { return samples_total_; }
-  const std::vector<AlarmEvent>& events() const noexcept { return events_; }
-  bool alarm_firing(std::string_view name) const;
-  std::uint64_t alarm_fired_total(std::string_view name) const;
+  const AlarmBank& alarms() const noexcept { return bank_; }
 
   ModelStatsSnapshot snapshot(SimDuration now);
 
@@ -205,9 +192,10 @@ class ModelQualityStats {
     std::vector<std::uint64_t> counts;  ///< per class
   };
 
+  /// Bank indices, in the historic snapshot and wire order.
+  enum Alarm : std::size_t { kClassError, kConfusionPair };
+
   void evaluate_alarms(SimDuration now, std::int64_t request_id);
-  void push_event(const AlarmEvent& event);
-  const ThresholdAlarm* find_alarm(std::string_view name) const;
   std::vector<std::uint64_t> merged_window_confusion(SimDuration now);
 
   ModelStatsConfig config_;
@@ -227,12 +215,7 @@ class ModelQualityStats {
   double separation_mean_ = 0.0;
   std::uint64_t model_refreshes_ = 0;
 
-  ThresholdAlarm alarm_class_error_;
-  ThresholdAlarm alarm_pair_;
-  std::string class_error_detail_;  ///< culprit of the last evaluation
-  std::string pair_detail_;
-  std::vector<AlarmEvent> events_;
-  QuarantineGate gate_;
+  AlarmBank bank_;
 };
 
 }  // namespace hdc::obs

@@ -201,6 +201,138 @@ std::optional<AlarmEvent> ThresholdAlarm::update(SimDuration t, double value) {
   return std::nullopt;
 }
 
+// ------------------------------------------------------------- AlarmBank ----
+
+namespace {
+
+/// The canonical `alarm=... event=fire|clear ...` WARN line for one edge:
+/// one grammar for every family's log consumers.
+void log_alarm_event(const AlarmEvent& event) {
+  char message[192];
+  std::snprintf(message, sizeof(message),
+                "alarm=%s event=%s value=%.6g threshold=%.6g t_s=%.9g",
+                event.alarm.c_str(), event.fired ? "fire" : "clear", event.value,
+                event.threshold, event.at.to_seconds());
+  std::string line = message;
+  if (event.exemplar_request_id >= 0) {
+    line += " exemplar=";
+    line += std::to_string(event.exemplar_request_id);
+  }
+  if (!event.detail.empty()) {
+    line += " detail=";
+    line += event.detail;
+  }
+  HDC_LOG_WARN << line;
+}
+
+}  // namespace
+
+void detail::log_quarantine_summary(std::uint64_t suppressed, std::uint64_t replayed,
+                                    SimDuration at) {
+  char message[160];
+  std::snprintf(message, sizeof(message),
+                "alarm=quarantine event=summary suppressed=%llu replayed=%llu t_s=%.9g",
+                static_cast<unsigned long long>(suppressed),
+                static_cast<unsigned long long>(replayed), at.to_seconds());
+  HDC_LOG_WARN << message;
+}
+
+AlarmBank::AlarmBank(std::vector<ThresholdAlarm> alarms, bool with_details)
+    : alarms_(std::move(alarms)), details_(with_details ? alarms_.size() : 0) {}
+
+void AlarmBank::update(std::size_t i, SimDuration t, double value, std::int64_t exemplar) {
+  std::optional<AlarmEvent> event = alarms_[i].update(t, value);
+  if (event.has_value()) {
+    event->exemplar_request_id = exemplar;
+    if (!details_.empty()) {
+      event->detail = details_[i];
+    }
+  }
+  gate_.dispatch(std::move(event), [this](const AlarmEvent& e) { emit(e); });
+}
+
+void AlarmBank::set_quarantined(bool quarantined, SimDuration at) {
+  gate_.set_quarantined(
+      quarantined, at, [this](std::string_view name) { return find(name); },
+      [this](const AlarmEvent& e) { emit(e); });
+}
+
+void AlarmBank::emit(const AlarmEvent& event) {
+  events_.push_back(event);
+  log_alarm_event(event);
+}
+
+const ThresholdAlarm* AlarmBank::find(std::string_view name) const {
+  for (const ThresholdAlarm& alarm : alarms_) {
+    if (alarm.name() == name) {
+      return &alarm;
+    }
+  }
+  return nullptr;
+}
+
+bool AlarmBank::firing(std::string_view name) const {
+  const ThresholdAlarm* alarm = find(name);
+  return alarm != nullptr && alarm->firing();
+}
+
+std::uint64_t AlarmBank::fired_total(std::string_view name) const {
+  const ThresholdAlarm* alarm = find(name);
+  return alarm == nullptr ? 0 : alarm->fired_total();
+}
+
+std::vector<AlarmState> AlarmBank::states() const {
+  std::vector<AlarmState> states;
+  states.reserve(alarms_.size());
+  for (std::size_t i = 0; i < alarms_.size(); ++i) {
+    const ThresholdAlarm& alarm = alarms_[i];
+    states.push_back(AlarmState{alarm.name(), alarm.firing(), alarm.fired_total(),
+                                alarm.last_value(), alarm.threshold(),
+                                details_.empty() ? std::nullopt
+                                                 : std::optional(details_[i])});
+  }
+  return states;
+}
+
+void AlarmBank::append_json(std::string& out, const std::vector<AlarmState>& alarms) {
+  out += ",\"alarms\":{";
+  for (std::size_t i = 0; i < alarms.size(); ++i) {
+    const AlarmState& alarm = alarms[i];
+    if (i > 0) {
+      out.push_back(',');
+    }
+    detail::append_json_string(out, alarm.name);
+    out += ":{\"firing\":";
+    out += alarm.firing ? "true" : "false";
+    out += ",\"fired_total\":" + std::to_string(alarm.fired_total);
+    detail::append_field(out, "value", alarm.value, true);
+    detail::append_field(out, "threshold", alarm.threshold, true);
+    if (alarm.detail.has_value()) {
+      out += ",\"detail\":";
+      detail::append_json_string(out, *alarm.detail);
+    }
+    out.push_back('}');
+  }
+  out.push_back('}');
+}
+
+void AlarmBank::append_prometheus(std::string& out, const std::vector<AlarmState>& alarms,
+                                  std::string_view prefix, std::string_view noun) {
+  const std::string firing = std::string(prefix) + "_alarm_firing";
+  const std::string fired = std::string(prefix) + "_alarm_fired_total";
+  detail::prom_header(out, firing, "gauge",
+                      "1 while the " + std::string(noun) + "alarm condition holds");
+  for (const AlarmState& alarm : alarms) {
+    detail::prom_line(out, firing, "alarm=\"" + alarm.name + "\"", alarm.firing ? 1.0 : 0.0);
+  }
+  detail::prom_header(out, fired, "counter",
+                      "Edge-triggered " + std::string(noun) + "alarm fire count");
+  for (const AlarmState& alarm : alarms) {
+    detail::prom_line(out, fired, "alarm=\"" + alarm.name + "\"",
+                      static_cast<double>(alarm.fired_total));
+  }
+}
+
 // --------------------------------------------------------- MonitorConfig ----
 
 void MonitorConfig::validate() const {
@@ -243,11 +375,12 @@ ServingMonitor::ServingMonitor(MonitorConfig config)
       ewma_margin_(tau_short_s_),
       ewma_accuracy_(tau_short_s_),
       margin_reference_(tau_long_s_),
-      alarm_latency_("latency_slo", config.alarm_burn_rate),
-      alarm_error_("error_rate", config.alarm_error_rate),
-      alarm_fallback_("fallback_rate", config.alarm_fallback_rate),
-      alarm_drift_("drift", config.alarm_drift_score),
-      alarm_shed_("shed_rate", config.alarm_shed_rate) {
+      bank_({ThresholdAlarm("latency_slo", config.alarm_burn_rate),
+             ThresholdAlarm("error_rate", config.alarm_error_rate),
+             ThresholdAlarm("fallback_rate", config.alarm_fallback_rate),
+             ThresholdAlarm("drift", config.alarm_drift_score),
+             ThresholdAlarm("shed_rate", config.alarm_shed_rate)},
+            /*with_details=*/false) {
   config_.validate();
 }
 
@@ -338,20 +471,7 @@ void ServingMonitor::record_admission(SimDuration at, std::uint64_t offered_samp
 }
 
 void ServingMonitor::set_quarantined(bool quarantined, SimDuration at) {
-  gate_.set_quarantined(
-      quarantined, at,
-      [this](std::string_view name) { return find_alarm(name); },
-      [this](const AlarmEvent& event) { push_event(event); });
-}
-
-void detail::log_quarantine_summary(std::uint64_t suppressed, std::uint64_t replayed,
-                                    SimDuration at) {
-  char message[160];
-  std::snprintf(message, sizeof(message),
-                "alarm=quarantine event=summary suppressed=%llu replayed=%llu t_s=%.9g",
-                static_cast<unsigned long long>(suppressed),
-                static_cast<unsigned long long>(replayed), at.to_seconds());
-  HDC_LOG_WARN << message;
+  bank_.set_quarantined(quarantined, at);
 }
 
 double ServingMonitor::windowed_accuracy(SimDuration now) {
@@ -415,71 +535,18 @@ void ServingMonitor::evaluate_alarms(SimDuration now) {
   // Every edge produced at `now` carries the windowed slowest request id, so
   // alarm lines link straight to a retained exemplar chain.
   const std::int64_t exemplar = slowest_request_id(now);
-  const auto tag = [&](std::optional<AlarmEvent> event) {
-    if (event.has_value()) {
-      event->exemplar_request_id = exemplar;
-    }
-    dispatch_event(std::move(event));
-  };
   const std::uint64_t in_window = samples_.sum(now);
   if (in_window >= config_.min_samples) {
-    tag(alarm_latency_.update(now, slo_burn_rate(now)));
-    tag(alarm_error_.update(now, windowed_error_rate(now)));
-    tag(alarm_drift_.update(now, drift_score()));
+    bank_.update(kLatencySlo, now, slo_burn_rate(now), exemplar);
+    bank_.update(kErrorRate, now, windowed_error_rate(now), exemplar);
+    bank_.update(kDrift, now, drift_score(), exemplar);
   }
   if (transport_samples_.sum(now) >= config_.min_samples) {
-    tag(alarm_fallback_.update(now, fallback_rate(now)));
+    bank_.update(kFallbackRate, now, fallback_rate(now), exemplar);
   }
   if (offered_.sum(now) >= config_.min_samples) {
-    tag(alarm_shed_.update(now, shed_rate(now)));
+    bank_.update(kShedRate, now, shed_rate(now), exemplar);
   }
-}
-
-void ServingMonitor::dispatch_event(std::optional<AlarmEvent> event) {
-  gate_.dispatch(std::move(event), [this](const AlarmEvent& e) { push_event(e); });
-}
-
-void ServingMonitor::push_event(const AlarmEvent& event) {
-  events_.push_back(event);
-  log_alarm_event(event);
-}
-
-void log_alarm_event(const AlarmEvent& event) {
-  char message[192];
-  std::snprintf(message, sizeof(message),
-                "alarm=%s event=%s value=%.6g threshold=%.6g t_s=%.9g",
-                event.alarm.c_str(), event.fired ? "fire" : "clear", event.value,
-                event.threshold, event.at.to_seconds());
-  std::string line = message;
-  if (event.exemplar_request_id >= 0) {
-    line += " exemplar=";
-    line += std::to_string(event.exemplar_request_id);
-  }
-  if (!event.detail.empty()) {
-    line += " detail=";
-    line += event.detail;
-  }
-  HDC_LOG_WARN << line;
-}
-
-const ThresholdAlarm* ServingMonitor::find_alarm(std::string_view name) const {
-  for (const ThresholdAlarm* alarm :
-       {&alarm_latency_, &alarm_error_, &alarm_fallback_, &alarm_drift_, &alarm_shed_}) {
-    if (alarm->name() == name) {
-      return alarm;
-    }
-  }
-  return nullptr;
-}
-
-bool ServingMonitor::alarm_firing(std::string_view name) const {
-  const ThresholdAlarm* alarm = find_alarm(name);
-  return alarm != nullptr && alarm->firing();
-}
-
-std::uint64_t ServingMonitor::alarm_fired_total(std::string_view name) const {
-  const ThresholdAlarm* alarm = find_alarm(name);
-  return alarm == nullptr ? 0 : alarm->fired_total();
 }
 
 MonitorSnapshot ServingMonitor::snapshot(SimDuration now) {
@@ -529,8 +596,8 @@ MonitorSnapshot ServingMonitor::snapshot(SimDuration now) {
   snap.shed_total = shed_total_;
   snap.expired_total = expired_total_;
   snap.degraded_total = degraded_total_;
-  snap.quarantined = gate_.quarantined();
-  snap.suppressed_alarms_total = gate_.suppressed_total();
+  snap.quarantined = bank_.quarantined();
+  snap.suppressed_alarms_total = bank_.suppressed_total();
 
   const std::array<double, kNumStages> attribution = windowed_attribution_s(now);
   double attribution_total = 0.0;
@@ -552,12 +619,7 @@ MonitorSnapshot ServingMonitor::snapshot(SimDuration now) {
     }
   }
 
-  for (const ThresholdAlarm* alarm :
-       {&alarm_latency_, &alarm_error_, &alarm_fallback_, &alarm_drift_, &alarm_shed_}) {
-    snap.alarms.push_back(MonitorSnapshot::AlarmState{
-        alarm->name(), alarm->firing(), alarm->fired_total(), alarm->last_value(),
-        alarm->threshold()});
-  }
+  snap.alarms = bank_.states();
   return snap;
 }
 
@@ -641,13 +703,7 @@ void ServingMonitor::state_fields(Self& self, Io& io) {
   io.object(self.ewma_accuracy_);
   io.object(self.margin_reference_);
 
-  io.object(self.alarm_latency_);
-  io.object(self.alarm_error_);
-  io.object(self.alarm_fallback_);
-  io.object(self.alarm_drift_);
-  io.object(self.alarm_shed_);
-  detail::alarm_events(self.events_, io);
-  io.object(self.gate_);
+  io.object(self.bank_);
 
   io.pod(self.samples_total_);
   io.pod(self.errors_total_);
@@ -675,36 +731,10 @@ ServingMonitor ServingMonitor::deserialize(ByteReader& reader) {
 
 // ------------------------------------------------------ MonitorSnapshot ----
 
-namespace {
-
-void append_field(std::string& out, const char* key, double value, bool leading_comma) {
-  if (leading_comma) {
-    out.push_back(',');
-  }
-  detail::append_json_string(out, key);
-  out.push_back(':');
-  detail::append_json_number(out, value);
-}
-
-void append_gate_metric(std::string& out, const char* name, double value,
-                        const char* unit, const char* kind, const char* better,
-                        bool leading_comma) {
-  if (leading_comma) {
-    out.push_back(',');
-  }
-  detail::append_json_string(out, name);
-  out += ":{\"value\":";
-  detail::append_json_number(out, value);
-  out += ",\"unit\":";
-  detail::append_json_string(out, unit);
-  out += ",\"kind\":";
-  detail::append_json_string(out, kind);
-  out += ",\"better\":";
-  detail::append_json_string(out, better);
-  out.push_back('}');
-}
-
-}  // namespace
+using detail::append_field;
+using detail::append_gate_metric;
+using detail::prom_header;
+using detail::prom_line;
 
 std::string MonitorSnapshot::to_json() const {
   std::string out;
@@ -782,21 +812,7 @@ std::string MonitorSnapshot::to_json() const {
   }
   out += "]";
 
-  out += ",\"alarms\":{";
-  for (std::size_t i = 0; i < alarms.size(); ++i) {
-    const AlarmState& alarm = alarms[i];
-    if (i > 0) {
-      out.push_back(',');
-    }
-    detail::append_json_string(out, alarm.name);
-    out += ":{\"firing\":";
-    out += alarm.firing ? "true" : "false";
-    out += ",\"fired_total\":" + std::to_string(alarm.fired_total);
-    append_field(out, "value", alarm.value, true);
-    append_field(out, "threshold", alarm.threshold, true);
-    out.push_back('}');
-  }
-  out += "}";
+  AlarmBank::append_json(out, alarms);
 
   // Model-quality section (obs/model_stats.hpp), pre-rendered by the owner.
   if (!model_json.empty()) {
@@ -872,33 +888,6 @@ std::string MonitorSnapshot::to_json() const {
   out += "}}";
   return out;
 }
-
-namespace {
-
-void prom_line(std::string& out, const char* family, const char* labels, double value) {
-  char buf[192];
-  if (labels == nullptr || labels[0] == '\0') {
-    std::snprintf(buf, sizeof(buf), "%s %.9g\n", family, value);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%s{%s} %.9g\n", family, labels, value);
-  }
-  out += buf;
-}
-
-void prom_header(std::string& out, const char* family, const char* type,
-                 const char* help) {
-  out += "# HELP ";
-  out += family;
-  out.push_back(' ');
-  out += help;
-  out += "\n# TYPE ";
-  out += family;
-  out.push_back(' ');
-  out += type;
-  out.push_back('\n');
-}
-
-}  // namespace
 
 std::string MonitorSnapshot::to_prometheus() const {
   std::string out;
@@ -988,20 +977,7 @@ std::string MonitorSnapshot::to_prometheus() const {
               static_cast<double>(class_counts[c]));
   }
 
-  prom_header(out, "hdc_serve_alarm_firing", "gauge", "1 while the alarm condition holds");
-  for (const AlarmState& alarm : alarms) {
-    char labels[64];
-    std::snprintf(labels, sizeof(labels), "alarm=\"%s\"", alarm.name.c_str());
-    prom_line(out, "hdc_serve_alarm_firing", labels, alarm.firing ? 1.0 : 0.0);
-  }
-  prom_header(out, "hdc_serve_alarm_fired_total", "counter",
-              "Edge-triggered alarm fire count");
-  for (const AlarmState& alarm : alarms) {
-    char labels[64];
-    std::snprintf(labels, sizeof(labels), "alarm=\"%s\"", alarm.name.c_str());
-    prom_line(out, "hdc_serve_alarm_fired_total", labels,
-              static_cast<double>(alarm.fired_total));
-  }
+  AlarmBank::append_prometheus(out, alarms, "hdc_serve", "");
   out += model_prometheus;   // hdc_model_* families (possibly empty)
   out += energy_prometheus;  // hdc_energy_* families (possibly empty)
   return out;

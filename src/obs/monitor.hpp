@@ -226,12 +226,9 @@ struct AlarmEvent {
   /// signal has no per-entity argmax. Appended to the structured log line as
   /// ` detail=...` and carried through checkpoints.
   std::string detail;
-};
 
-/// Emits the canonical `alarm=... event=fire|clear ...` WARN line for one
-/// edge (shared by ServingMonitor and ModelQualityStats so log consumers see
-/// one grammar).
-void log_alarm_event(const AlarmEvent& event);
+  bool operator==(const AlarmEvent&) const = default;
+};
 
 /// Edge-triggered threshold alarm: fires once when the value crosses the
 /// threshold, stays silent while the condition holds, and clears once when
@@ -268,9 +265,9 @@ class ThresholdAlarm {
 };
 
 namespace detail {
-/// The alarm-event list layout shared by ServingMonitor, ModelQualityStats,
-/// EnergyAccountant and the quarantine gate (serve checkpoint): a u32 count,
-/// then each event.
+/// The alarm-event list layout of every `AlarmBank`'s history and its
+/// quarantine gate's pending fires (serve checkpoint): a u32 count, then each
+/// event.
 template <typename Events, typename Io>
 void alarm_events(Events& events, Io& io) {
   // Smallest event on the wire: two empty strings (u32 lengths), the fired
@@ -290,13 +287,13 @@ void alarm_events(Events& events, Io& io) {
 void log_quarantine_summary(std::uint64_t suppressed, std::uint64_t replayed, SimDuration at);
 }  // namespace detail
 
-/// Device-quarantine gate for alarm edges (suppress-and-summarize), shared
-/// by `ServingMonitor` and `ModelQualityStats`: while quarantined, alarm
-/// *fire* edges are swallowed (counted, not emitted); a fire-then-clear
-/// wholly inside the quarantine nets to silence, while the clear of a
-/// pre-quarantine fire is still emitted exactly. Leaving quarantine re-emits
-/// one fire per still-firing suppressed alarm, stamped at the recovery time,
-/// plus a summary log line. Purely observational — it gates which events are
+/// Device-quarantine gate for alarm edges (suppress-and-summarize), owned by
+/// each family's `AlarmBank`: while quarantined, alarm *fire* edges are
+/// swallowed (counted, not emitted); a fire-then-clear wholly inside the
+/// quarantine nets to silence, while the clear of a pre-quarantine fire is
+/// still emitted exactly. Leaving quarantine re-emits one fire per
+/// still-firing suppressed alarm, stamped at the recovery time, plus a
+/// summary log line. Purely observational — it gates which events are
 /// emitted, never what the alarms compute.
 class QuarantineGate {
  public:
@@ -370,7 +367,7 @@ class QuarantineGate {
     suppressed_this_quarantine_ = 0;
   }
 
-  /// Checkpoint field list: the historic ServingMonitor quarantine block.
+  /// Checkpoint field list: the historic quarantine block.
   template <typename Self, typename Io>
   static void fields(Self& self, Io& io) {
     io.flag(self.quarantined_);
@@ -384,6 +381,79 @@ class QuarantineGate {
   std::vector<AlarmEvent> pending_fires_;  ///< fires suppressed in quarantine
   std::uint64_t suppressed_total_ = 0;
   std::uint64_t suppressed_this_quarantine_ = 0;
+};
+
+/// One alarm's state at snapshot time. `detail` is engaged only in families
+/// whose alarms name a culprit (model quality, energy); the serving
+/// monitor's alarms carry none, so its JSON has no `"detail"` key.
+struct AlarmState {
+  std::string name;
+  bool firing = false;
+  std::uint64_t fired_total = 0;
+  double value = 0.0;
+  double threshold = 0.0;
+  std::optional<std::string> detail;  ///< culprit of the last evaluation
+};
+
+/// The alarm plumbing of one telemetry family (`ServingMonitor`,
+/// `ModelQualityStats`, `EnergyAccountant`): its `ThresholdAlarm`s, each
+/// alarm's last culprit detail, the emitted event history and the quarantine
+/// gate. Every edge takes the same path — tagged with its exemplar id and
+/// detail, routed through the gate, appended to `events()` and logged as the
+/// canonical `alarm=...` WARN line — and every family renders its alarms
+/// through the same JSON and Prometheus writers below.
+class AlarmBank {
+ public:
+  /// `with_details` is fixed per family: whether its alarms name a culprit.
+  AlarmBank(std::vector<ThresholdAlarm> alarms, bool with_details);
+
+  /// Updates alarm `i` (constructor order) with `value` at `t`; an edge is
+  /// tagged with `exemplar` and the alarm's current detail, then dispatched.
+  void update(std::size_t i, SimDuration t, double value, std::int64_t exemplar);
+  /// Alarm `i`'s culprit, set by the family before `update` (details only).
+  std::string& detail(std::size_t i) { return details_[i]; }
+
+  /// Suppress-and-summarize (see `QuarantineGate`). Purely observational.
+  void set_quarantined(bool quarantined, SimDuration at);
+  bool quarantined() const noexcept { return gate_.quarantined(); }
+  std::uint64_t suppressed_total() const noexcept { return gate_.suppressed_total(); }
+
+  const std::vector<AlarmEvent>& events() const noexcept { return events_; }
+  bool firing(std::string_view name) const;
+  std::uint64_t fired_total(std::string_view name) const;
+
+  /// Every alarm's state, in constructor order.
+  std::vector<AlarmState> states() const;
+  /// Appends `,"alarms":{"<name>":{"firing":..,"fired_total":..,"value":..,
+  /// "threshold":..[,"detail":".."]},...}`.
+  static void append_json(std::string& out, const std::vector<AlarmState>& alarms);
+  /// Appends the `<prefix>_alarm_firing` and `<prefix>_alarm_fired_total`
+  /// families; `noun` ("", "model ", "energy ") names the family in the help.
+  static void append_prometheus(std::string& out, const std::vector<AlarmState>& alarms,
+                                std::string_view prefix, std::string_view noun);
+
+  /// Checkpoint field list, the one wire order of every family: each alarm,
+  /// then each detail string, then the events, then the gate.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io) {
+    for (auto& alarm : self.alarms_) {
+      io.object(alarm);
+    }
+    for (auto& detail : self.details_) {
+      io.str(detail);
+    }
+    detail::alarm_events(self.events_, io);
+    io.object(self.gate_);
+  }
+
+ private:
+  const ThresholdAlarm* find(std::string_view name) const;
+  void emit(const AlarmEvent& event);
+
+  std::vector<ThresholdAlarm> alarms_;
+  std::vector<std::string> details_;  ///< one per alarm, or none
+  std::vector<AlarmEvent> events_;
+  QuarantineGate gate_;
 };
 
 /// Everything the live monitor watches, with thresholds for the alarms.
@@ -477,13 +547,6 @@ struct MonitorSnapshot {
 
   std::vector<std::uint64_t> class_counts;  ///< windowed predictions per class
 
-  struct AlarmState {
-    std::string name;
-    bool firing = false;
-    std::uint64_t fired_total = 0;
-    double value = 0.0;
-    double threshold = 0.0;
-  };
   std::vector<AlarmState> alarms;
 
   /// Model-quality section (see obs/model_stats.hpp), pre-rendered by the
@@ -518,11 +581,12 @@ struct MonitorSnapshot {
 /// monitor cannot change a prediction, model state, or simulated timing.
 ///
 /// Alarms ("latency_slo" on SLO burn rate, "error_rate", "fallback_rate",
-/// "drift" on margin collapse, "shed_rate" on admission shedding) are
-/// edge-triggered; each edge is appended to `events()` and emitted into the
-/// structured log (grep/jq-able through `log::set_json_sink`). While the
-/// serving layer marks the device quarantined, fire edges are suppressed and
-/// summarized instead of re-firing (see `set_quarantined`).
+/// "drift" on margin collapse, "shed_rate" on admission shedding) live in an
+/// `AlarmBank`: edge-triggered, each edge appended to `alarms().events()` and
+/// emitted into the structured log (grep/jq-able through
+/// `log::set_json_sink`). While the serving layer marks the device
+/// quarantined, fire edges are suppressed and summarized instead of
+/// re-firing (see `set_quarantined`). They name no culprit.
 class ServingMonitor {
  public:
   explicit ServingMonitor(MonitorConfig config);
@@ -560,16 +624,8 @@ class ServingMonitor {
                         std::uint64_t shed_samples, std::uint64_t expired_samples,
                         std::uint64_t degraded_samples);
 
-  /// Device-quarantine gate for alarm edges (suppress-and-summarize): while
-  /// quarantined, alarm *fire* edges are swallowed (counted, not emitted);
-  /// a fire-then-clear wholly inside the quarantine nets to silence, while
-  /// the clear of a pre-quarantine fire is still emitted exactly. Leaving
-  /// quarantine re-emits one fire per still-firing suppressed alarm, stamped
-  /// at the recovery time, plus a summary log line. Purely observational —
-  /// it gates which events are emitted, never what the alarms compute.
+  /// Device-quarantine gate for alarm edges (see `QuarantineGate`).
   void set_quarantined(bool quarantined, SimDuration at);
-  bool quarantined() const noexcept { return gate_.quarantined(); }
-  std::uint64_t suppressed_fires_total() const noexcept { return gate_.suppressed_total(); }
 
   // ---- windowed views (advance the window to `now`, then read) ----
   std::uint64_t window_samples(SimDuration now) { return latency_.count(now); }
@@ -597,10 +653,7 @@ class ServingMonitor {
   std::uint64_t samples_total() const noexcept { return samples_total_; }
   std::uint64_t errors_total() const noexcept { return errors_total_; }
 
-  // ---- alarms ----
-  const std::vector<AlarmEvent>& events() const noexcept { return events_; }
-  bool alarm_firing(std::string_view name) const;
-  std::uint64_t alarm_fired_total(std::string_view name) const;
+  const AlarmBank& alarms() const noexcept { return bank_; }
 
   MonitorSnapshot snapshot(SimDuration now);
 
@@ -616,11 +669,10 @@ class ServingMonitor {
   template <typename Self, typename Io>
   static void state_fields(Self& self, Io& io);
 
+  /// Bank indices, in the historic snapshot and wire order.
+  enum Alarm : std::size_t { kLatencySlo, kErrorRate, kFallbackRate, kDrift, kShedRate };
+
   void evaluate_alarms(SimDuration now);
-  void push_event(const AlarmEvent& event);
-  /// Routes an alarm edge through the quarantine gate (see set_quarantined).
-  void dispatch_event(std::optional<AlarmEvent> event);
-  const ThresholdAlarm* find_alarm(std::string_view name) const;
 
   MonitorConfig config_;
   double tau_short_s_;
@@ -653,14 +705,7 @@ class ServingMonitor {
   Ewma ewma_accuracy_;
   Ewma margin_reference_;  ///< slow EWMA, the drift detector's baseline
 
-  ThresholdAlarm alarm_latency_;
-  ThresholdAlarm alarm_error_;
-  ThresholdAlarm alarm_fallback_;
-  ThresholdAlarm alarm_drift_;
-  ThresholdAlarm alarm_shed_;
-  std::vector<AlarmEvent> events_;
-
-  QuarantineGate gate_;
+  AlarmBank bank_;
 
   std::uint64_t samples_total_ = 0;
   std::uint64_t errors_total_ = 0;

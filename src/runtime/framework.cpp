@@ -301,13 +301,7 @@ CoDesignFramework::InferOutcome CoDesignFramework::infer_tpu(
     const core::TrainedClassifier& classifier, const data::Dataset& test,
     const data::Dataset& representative) const {
   test.validate();
-  const nn::Graph graph = nn::build_inference_graph(classifier);
-  const lite::LiteModel float_model = lite::build_float_model(graph);
-  const lite::LiteModel quantized = lite::quantize_model(
-      float_model, representative_rows(representative), config_.quantize);
-
-  const tpu::EdgeTpuCompiler compiler(config_.systolic, config_.sram_bytes);
-  const tpu::CompiledModel compiled = compiler.compile(quantized);
+  const tpu::CompiledModel compiled = lower_classifier(classifier, representative).compiled;
 
   tpu::EdgeTpuDevice device(config_.systolic, config_.link, config_.sram_bytes);
   device.set_trace(trace_);

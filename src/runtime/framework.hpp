@@ -107,9 +107,9 @@ class CoDesignFramework {
 
   /// A classifier lowered through the deployment pipeline: the float wide-NN
   /// model (the exact CPU-fallback model) plus its quantized, compiled
-  /// accelerator image. The same lowering sequence `infer_tpu` performs
-  /// inline, exposed so a long-lived serving endpoint can lower once and
-  /// re-deploy across model refreshes.
+  /// accelerator image. The one lowering sequence: `infer_tpu` compiles
+  /// through it, and a long-lived serving endpoint lowers once and
+  /// re-deploys across model refreshes.
   struct LoweredModel {
     lite::LiteModel float_model;
     tpu::CompiledModel compiled;

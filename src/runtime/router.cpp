@@ -489,10 +489,10 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
                 static_cast<double>(result.samples_served);
 
   result.fleet_snapshot = session.monitor->snapshot(t_end);
-  result.events = session.monitor->events();
+  result.events = session.monitor->alarms().events();
 
   result.fleet_model = session.model->snapshot(t_end);
-  result.model_events = session.model->events();
+  result.model_events = session.model->alarms().events();
   result.tenant_models.reserve(fleet.num_tenants);
   std::uint64_t tenant_sample_sum = 0;
   for (std::uint32_t t = 0; t < fleet.num_tenants; ++t) {
@@ -505,7 +505,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
             "model-quality conservation violated: tenant samples don't sum to served");
 
   result.fleet_energy = session.energy->snapshot(t_end);
-  result.energy_events = session.energy->events();
+  result.energy_events = session.energy->alarms().events();
   result.tenant_energy_pj = std::move(tenant_energy);
   std::int64_t shard_energy_sum = 0;
   for (const FleetShardResult& shard : result.shards) {

@@ -697,11 +697,11 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   }
 
   result.final_snapshot = take_snapshot(now);
-  result.events = session.monitor->events();
+  result.events = session.monitor->alarms().events();
   result.final_model = session.model->snapshot(now);
-  result.model_events = session.model->events();
+  result.model_events = session.model->alarms().events();
   result.final_energy = session.energy->snapshot(now);
-  result.energy_events = session.energy->events();
+  result.energy_events = session.energy->alarms().events();
   result.t_end = now;
   // Lifetime totals come from the serve accumulators; the monitor (restored
   // warm from the checkpoint since HDSV v3) agrees, but the accumulators are

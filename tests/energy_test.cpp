@@ -207,23 +207,23 @@ TEST(EnergyAccountantTest, BudgetAlarmFiresOnTheWindowedFigure) {
 
   // Below min_samples: no alarm yet even though jpi is over threshold.
   accountant.record(request_at(0.1, RequestOutcome::kServed, 16));
-  EXPECT_FALSE(accountant.alarm_firing());
+  EXPECT_FALSE(accountant.alarms().firing("energy_budget"));
 
   accountant.record(request_at(0.2, RequestOutcome::kServed, 32));
-  EXPECT_TRUE(accountant.alarm_firing());
-  EXPECT_EQ(accountant.alarm_fired_total(), 1U);
+  EXPECT_TRUE(accountant.alarms().firing("energy_budget"));
+  EXPECT_EQ(accountant.alarms().fired_total("energy_budget"), 1U);
 
   // Edge-triggered: staying above threshold does not re-fire.
   accountant.record(request_at(0.3, RequestOutcome::kServed, 32));
-  EXPECT_EQ(accountant.alarm_fired_total(), 1U);
+  EXPECT_EQ(accountant.alarms().fired_total("energy_budget"), 1U);
 
   const EnergySnapshot snap = accountant.snapshot(SimDuration::seconds(0.4));
-  EXPECT_EQ(snap.energy_budget.name, "energy_budget");
-  EXPECT_TRUE(snap.energy_budget.firing);
-  EXPECT_GT(snap.energy_budget.value, config.alarm_joules_per_inference);
-  EXPECT_NE(snap.energy_budget.detail.find("jpi="), std::string::npos);
-  ASSERT_FALSE(accountant.events().empty());
-  EXPECT_EQ(accountant.events().front().alarm, "energy_budget");
+  EXPECT_EQ(snap.alarms.front().name, "energy_budget");
+  EXPECT_TRUE(snap.alarms.front().firing);
+  EXPECT_GT(snap.alarms.front().value, config.alarm_joules_per_inference);
+  EXPECT_NE(snap.alarms.front().detail->find("jpi="), std::string::npos);
+  ASSERT_FALSE(accountant.alarms().events().empty());
+  EXPECT_EQ(accountant.alarms().events().front().alarm, "energy_budget");
 }
 
 TEST(EnergyAccountantTest, QuarantineSuppressesAndSummarizes) {
@@ -234,7 +234,7 @@ TEST(EnergyAccountantTest, QuarantineSuppressesAndSummarizes) {
 
   accountant.set_quarantined(true, SimDuration::seconds(0.05));
   accountant.record(request_at(0.1, RequestOutcome::kServed, 32));
-  EXPECT_TRUE(accountant.events().empty());  // edge swallowed by the gate
+  EXPECT_TRUE(accountant.alarms().events().empty());  // edge swallowed by the gate
 
   accountant.set_quarantined(false, SimDuration::seconds(0.2));
   const EnergySnapshot snap = accountant.snapshot(SimDuration::seconds(0.3));
@@ -242,27 +242,49 @@ TEST(EnergyAccountantTest, QuarantineSuppressesAndSummarizes) {
 }
 
 TEST(EnergyAccountantTest, SerializationRoundTripsByteIdentically) {
-  EnergyConfig config = accountant_config();
-  config.alarm_joules_per_inference = 1e-9;
-  EnergyAccountant original(config);
-  original.record(request_at(0.1, RequestOutcome::kServed, 32));
-  original.record(request_at(0.2, RequestOutcome::kShed, 0));
+  // Two cuts: a plain one, and one taken mid-quarantine with the budget fire
+  // held in the gate, whose replay on leaving quarantine must survive.
+  for (const bool mid_quarantine : {false, true}) {
+    SCOPED_TRACE(mid_quarantine ? "mid-quarantine cut" : "plain cut");
+    EnergyConfig config = accountant_config();
+    config.alarm_joules_per_inference = 1e-9;
+    EnergyAccountant original(config);
+    if (mid_quarantine) {
+      original.set_quarantined(true, SimDuration::seconds(0.05));
+    }
+    original.record(request_at(0.1, RequestOutcome::kServed, 32));
+    original.record(request_at(0.2, RequestOutcome::kShed, 0));
+    if (mid_quarantine) {
+      ASSERT_EQ(original.alarms().suppressed_total(), 1U);
+      ASSERT_TRUE(original.alarms().events().empty());
+    }
 
-  ByteWriter writer;
-  original.serialize(writer);
-  ByteReader reader(writer.bytes());
-  EnergyAccountant restored = EnergyAccountant::deserialize(reader);
+    ByteWriter writer;
+    original.serialize(writer);
+    ByteReader reader(writer.bytes());
+    EnergyAccountant restored = EnergyAccountant::deserialize(reader);
 
-  // The restored accountant's snapshot bytes match, and so does every
-  // subsequent observation: record the same request on both and compare
-  // again — the live path after resume is indistinguishable.
-  EXPECT_EQ(original.snapshot(SimDuration::seconds(0.3)).to_json(),
-            restored.snapshot(SimDuration::seconds(0.3)).to_json());
-  original.record(request_at(0.4, RequestOutcome::kServed, 32, true));
-  restored.record(request_at(0.4, RequestOutcome::kServed, 32, true));
-  EXPECT_EQ(original.snapshot(SimDuration::seconds(0.5)).to_json(),
-            restored.snapshot(SimDuration::seconds(0.5)).to_json());
-  EXPECT_EQ(original.alarm_fired_total(), restored.alarm_fired_total());
+    // The restored accountant's snapshot bytes match, and so does every
+    // subsequent observation: record the same request on both (and, for the
+    // quarantined cut, leave quarantine) and compare again — the live path
+    // after resume is indistinguishable.
+    EXPECT_EQ(original.snapshot(SimDuration::seconds(0.3)).to_json(),
+              restored.snapshot(SimDuration::seconds(0.3)).to_json());
+    original.record(request_at(0.4, RequestOutcome::kServed, 32, true));
+    restored.record(request_at(0.4, RequestOutcome::kServed, 32, true));
+    if (mid_quarantine) {
+      original.set_quarantined(false, SimDuration::seconds(0.45));
+      restored.set_quarantined(false, SimDuration::seconds(0.45));
+      EXPECT_EQ(original.alarms().events().size(), 1U);  // the held fire replays
+    }
+    const SimDuration later = SimDuration::seconds(0.5);
+    EXPECT_EQ(original.snapshot(later).to_json(), restored.snapshot(later).to_json());
+    EXPECT_EQ(original.snapshot(later).to_prometheus(),
+              restored.snapshot(later).to_prometheus());
+    EXPECT_EQ(original.alarms().fired_total("energy_budget"),
+              restored.alarms().fired_total("energy_budget"));
+    EXPECT_EQ(original.alarms().events(), restored.alarms().events());
+  }
 }
 
 TEST(EnergySnapshotTest, JsonCarriesExactIntegerLedgers) {

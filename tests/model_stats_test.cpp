@@ -214,9 +214,9 @@ TEST(ModelQualityStatsTest, ClassErrorAlarmNamesTheCollapsedClass) {
     stats.record(sample_at(0.1 + 0.01 * i, 0, 0));
     stats.record(sample_at(0.105 + 0.01 * i, 2, 1));
   }
-  EXPECT_TRUE(stats.alarm_firing("class_error"));
+  EXPECT_TRUE(stats.alarms().firing("class_error"));
   bool saw_fire = false;
-  for (const auto& event : stats.events()) {
+  for (const auto& event : stats.alarms().events()) {
     if (event.alarm == "class_error" && event.fired) {
       saw_fire = true;
       EXPECT_EQ(event.detail, "class=1");
@@ -237,9 +237,9 @@ TEST(ModelQualityStatsTest, ConfusionPairAlarmNamesTheDominantPair) {
   for (int i = 0; i < 8; ++i) {
     stats.record(sample_at(0.1 + 0.01 * i, 2, 1));  // true 1 -> predicted 2
   }
-  EXPECT_TRUE(stats.alarm_firing("confusion_pair"));
+  EXPECT_TRUE(stats.alarms().firing("confusion_pair"));
   bool saw_fire = false;
-  for (const auto& event : stats.events()) {
+  for (const auto& event : stats.alarms().events()) {
     if (event.alarm == "confusion_pair" && event.fired) {
       saw_fire = true;
       EXPECT_EQ(event.detail, "pair=1->2");
@@ -254,12 +254,12 @@ TEST(ModelQualityStatsTest, QuarantineSuppressesFiresAndReplaysOnRecovery) {
   for (int i = 0; i < 8; ++i) {
     stats.record(sample_at(0.1 + 0.01 * i, 2, 1));
   }
-  EXPECT_TRUE(stats.alarm_firing("confusion_pair"));  // computes silently
-  EXPECT_TRUE(stats.events().empty());
-  EXPECT_GE(stats.suppressed_fires_total(), 1U);
+  EXPECT_TRUE(stats.alarms().firing("confusion_pair"));  // computes silently
+  EXPECT_TRUE(stats.alarms().events().empty());
+  EXPECT_GE(stats.alarms().suppressed_total(), 1U);
   stats.set_quarantined(false, SimDuration::seconds(0.3));
-  ASSERT_FALSE(stats.events().empty());
-  for (const auto& event : stats.events()) {
+  ASSERT_FALSE(stats.alarms().events().empty());
+  for (const auto& event : stats.alarms().events()) {
     EXPECT_TRUE(event.fired);
     EXPECT_EQ(event.at, SimDuration::seconds(0.3));
   }
@@ -268,48 +268,72 @@ TEST(ModelQualityStatsTest, QuarantineSuppressesFiresAndReplaysOnRecovery) {
 // ------------------------------------------------- checkpoint round-trip ----
 
 TEST(ModelQualityStatsTest, SerializeRoundTripIsByteIdentical) {
-  ModelStatsConfig cfg = stats_config(3, 4);
-  ModelQualityStats stats(cfg);
-  tensor::MatrixF model(3, 4);
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      model(r, c) = static_cast<float>(r) - 0.3F * static_cast<float>(c);
+  // Two cuts: a plain one, and one taken mid-quarantine with a fire held in
+  // the gate, whose replay on leaving quarantine must survive the trip.
+  for (const bool mid_quarantine : {false, true}) {
+    SCOPED_TRACE(mid_quarantine ? "mid-quarantine cut" : "plain cut");
+    ModelStatsConfig cfg = stats_config(3, 4);
+    ModelQualityStats stats(cfg);
+    tensor::MatrixF model(3, 4);
+    for (std::size_t r = 0; r < 3; ++r) {
+      for (std::size_t c = 0; c < 4; ++c) {
+        model(r, c) = static_cast<float>(r) - 0.3F * static_cast<float>(c);
+      }
     }
-  }
-  stats.observe_model(model);
-  for (int i = 0; i < 12; ++i) {
-    const auto label = static_cast<std::uint32_t>(i % 3);
-    const auto predicted = static_cast<std::uint32_t>(i % 4 == 0 ? (i + 1) % 3 : label);
-    stats.record(sample_at(0.1 + 0.01 * i, predicted, label, 0.1 * (i % 7)));
-    const std::vector<float> encoded = {static_cast<float>(label), 1.0F,
-                                        0.25F * static_cast<float>(i), -1.0F};
-    stats.record_dimensions(SimDuration::seconds(0.1 + 0.01 * i), label, encoded);
-  }
+    stats.observe_model(model);
+    if (mid_quarantine) {
+      stats.set_quarantined(true, SimDuration::seconds(0.05));
+    }
+    for (int i = 0; i < 12; ++i) {
+      const auto label = static_cast<std::uint32_t>(i % 3);
+      const auto predicted = static_cast<std::uint32_t>(i % 4 == 0 ? (i + 1) % 3 : label);
+      stats.record(sample_at(0.1 + 0.01 * i, predicted, label, 0.1 * (i % 7)));
+      const std::vector<float> encoded = {static_cast<float>(label), 1.0F,
+                                          0.25F * static_cast<float>(i), -1.0F};
+      stats.record_dimensions(SimDuration::seconds(0.1 + 0.01 * i), label, encoded);
+    }
+    if (mid_quarantine) {
+      // True 1 -> predicted 0 until the confusion-pair fire is swallowed.
+      for (int i = 0; stats.alarms().suppressed_total() == 0; ++i) {
+        ASSERT_LT(i, 16);
+        stats.record(sample_at(0.22 + 0.001 * i, 0, 1, 0.4));
+      }
+      ASSERT_TRUE(stats.alarms().events().empty());
+    }
 
-  ByteWriter writer;
-  stats.serialize(writer);
-  ByteReader reader(writer.bytes());
-  ModelQualityStats restored = ModelQualityStats::deserialize(reader);
-  EXPECT_TRUE(reader.exhausted());
+    ByteWriter writer;
+    stats.serialize(writer);
+    ByteReader reader(writer.bytes());
+    ModelQualityStats restored = ModelQualityStats::deserialize(reader);
+    EXPECT_TRUE(reader.exhausted());
 
-  // Every exporter is byte-identical at snapshot time...
-  const SimDuration now = SimDuration::seconds(0.3);
-  ModelStatsSnapshot a = stats.snapshot(now);
-  ModelStatsSnapshot b = restored.snapshot(now);
-  EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_EQ(a.metrics_json(), b.metrics_json());
-  EXPECT_EQ(a.to_prometheus(), b.to_prometheus());
+    // Every exporter is byte-identical at snapshot time...
+    const SimDuration now = SimDuration::seconds(0.3);
+    ModelStatsSnapshot a = stats.snapshot(now);
+    ModelStatsSnapshot b = restored.snapshot(now);
+    EXPECT_EQ(a.to_json(), b.to_json());
+    EXPECT_EQ(a.metrics_json(), b.metrics_json());
+    EXPECT_EQ(a.to_prometheus(), b.to_prometheus());
 
-  // ...and stays identical after both instances keep recording: restore is
-  // exact state, not a summary.
-  for (int i = 0; i < 6; ++i) {
-    const ModelQualityStats::Sample s = sample_at(0.35 + 0.01 * i, 0, 1, 0.4);
-    stats.record(s);
-    restored.record(s);
+    // ...and stays identical after both instances keep recording (and, for
+    // the quarantined cut, leave quarantine): restore is exact state, not a
+    // summary.
+    for (int i = 0; i < 6; ++i) {
+      const ModelQualityStats::Sample s = sample_at(0.35 + 0.01 * i, 0, 1, 0.4);
+      stats.record(s);
+      restored.record(s);
+    }
+    if (mid_quarantine) {
+      stats.set_quarantined(false, SimDuration::seconds(0.45));
+      restored.set_quarantined(false, SimDuration::seconds(0.45));
+      EXPECT_FALSE(stats.alarms().events().empty());  // the held fire replays
+    }
+    const SimDuration later = SimDuration::seconds(0.5);
+    EXPECT_EQ(stats.snapshot(later).to_json(), restored.snapshot(later).to_json());
+    EXPECT_EQ(stats.snapshot(later).to_prometheus(),
+              restored.snapshot(later).to_prometheus());
+    EXPECT_EQ(stats.alarms().events(), restored.alarms().events());
   }
-  EXPECT_EQ(stats.snapshot(SimDuration::seconds(0.5)).to_json(),
-            restored.snapshot(SimDuration::seconds(0.5)).to_json());
-  EXPECT_EQ(stats.events().size(), restored.events().size());
 }
 
 }  // namespace

@@ -214,12 +214,12 @@ TEST(ServingMonitorTest, ErrorAlarmRespectsMinSamplesGuard) {
   for (int i = 0; i < 8; ++i) {
     monitor.record(sample_at(0.1 + 0.01 * i, 0, false));
   }
-  EXPECT_FALSE(monitor.alarm_firing("error_rate"));
+  EXPECT_FALSE(monitor.alarms().firing("error_rate"));
   for (int i = 8; i < 16; ++i) {
     monitor.record(sample_at(0.1 + 0.01 * i, 0, false));
   }
-  EXPECT_TRUE(monitor.alarm_firing("error_rate"));
-  EXPECT_EQ(monitor.alarm_fired_total("error_rate"), 1U);
+  EXPECT_TRUE(monitor.alarms().firing("error_rate"));
+  EXPECT_EQ(monitor.alarms().fired_total("error_rate"), 1U);
 }
 
 TEST(ServingMonitorTest, FallbackAlarmTracksTransportHealth) {
@@ -228,9 +228,9 @@ TEST(ServingMonitorTest, FallbackAlarmTracksTransportHealth) {
   cfg.min_samples = 4;
   ServingMonitor monitor(cfg);
   monitor.record_transport(SimDuration::seconds(0.1), 8, 0, 0);
-  EXPECT_FALSE(monitor.alarm_firing("fallback_rate"));
+  EXPECT_FALSE(monitor.alarms().firing("fallback_rate"));
   monitor.record_transport(SimDuration::seconds(0.2), 8, 8, 3);
-  EXPECT_TRUE(monitor.alarm_firing("fallback_rate"));
+  EXPECT_TRUE(monitor.alarms().firing("fallback_rate"));
   EXPECT_DOUBLE_EQ(monitor.fallback_rate(SimDuration::seconds(0.2)), 0.5);
 }
 
@@ -248,7 +248,7 @@ TEST(ServingMonitorTest, MarginCollapseRaisesDriftScore) {
     monitor.record(sample_at(0.01 * i, 0, true, 0.0005, 0.06));
   }
   EXPECT_GT(monitor.drift_score(), 0.5);
-  EXPECT_TRUE(monitor.alarm_firing("drift"));
+  EXPECT_TRUE(monitor.alarms().firing("drift"));
 }
 
 TEST(ServingMonitorTest, SnapshotJsonIsWellFormedAndStable) {
@@ -371,9 +371,9 @@ TEST(ServingMonitorTest, AlarmEdgesCarryTheSlowestRequestAsExemplar) {
     s.request_id = 100 + i;
     monitor.record(s);
   }
-  ASSERT_TRUE(monitor.alarm_firing("latency_slo"));
+  ASSERT_TRUE(monitor.alarms().firing("latency_slo"));
   bool saw_fire = false;
-  for (const auto& event : monitor.events()) {
+  for (const auto& event : monitor.alarms().events()) {
     if (event.alarm == "latency_slo" && event.fired) {
       saw_fire = true;
       EXPECT_EQ(event.exemplar_request_id, 106);
@@ -387,12 +387,12 @@ TEST(ServingMonitorTest, ShedRateAlarmFiresOnAdmissionShedding) {
   cfg.alarm_shed_rate = 0.5;
   ServingMonitor monitor(cfg);
   monitor.record_admission(SimDuration::seconds(0.1), 8, 0, 0, 0);
-  EXPECT_FALSE(monitor.alarm_firing("shed_rate"));
+  EXPECT_FALSE(monitor.alarms().firing("shed_rate"));
   // 8 of the next 8 offered samples are shed: windowed shed rate 0.5.
   monitor.record_admission(SimDuration::seconds(0.2), 8, 6, 2, 0);
   EXPECT_DOUBLE_EQ(monitor.shed_rate(SimDuration::seconds(0.2)), 0.5);
   monitor.record_admission(SimDuration::seconds(0.3), 8, 8, 0, 0);
-  EXPECT_TRUE(monitor.alarm_firing("shed_rate"));
+  EXPECT_TRUE(monitor.alarms().firing("shed_rate"));
   MonitorSnapshot snap = monitor.snapshot(SimDuration::seconds(0.3));
   EXPECT_EQ(snap.shed_total, 14U);
   EXPECT_EQ(snap.expired_total, 2U);
@@ -416,22 +416,22 @@ TEST(ServingMonitorTest, DegradedFractionTracksLadderTiers) {
 TEST(ServingMonitorTest, QuarantineSuppressesFiresAndReplaysOnRecovery) {
   ServingMonitor monitor(monitor_config());
   monitor.set_quarantined(true, SimDuration::seconds(0.05));
-  ASSERT_TRUE(monitor.quarantined());
+  ASSERT_TRUE(monitor.alarms().quarantined());
   // 8 straight errors trip the error-rate alarm, but the device is
   // quarantined: the fire edge is swallowed (counted, not emitted).
   for (int i = 0; i < 8; ++i) {
     monitor.record(sample_at(0.1 + 0.01 * i, 0, false));
   }
-  EXPECT_TRUE(monitor.alarm_firing("error_rate"));  // the alarm still computes
-  EXPECT_TRUE(monitor.events().empty());            // ...but stays silent
-  EXPECT_EQ(monitor.suppressed_fires_total(), 1U);
+  EXPECT_TRUE(monitor.alarms().firing("error_rate"));  // the alarm still computes
+  EXPECT_TRUE(monitor.alarms().events().empty());      // ...but stays silent
+  EXPECT_EQ(monitor.alarms().suppressed_total(), 1U);
 
   // Leaving quarantine re-emits the still-firing alarm, stamped at recovery.
   monitor.set_quarantined(false, SimDuration::seconds(0.3));
-  ASSERT_EQ(monitor.events().size(), 1U);
-  EXPECT_EQ(monitor.events()[0].alarm, "error_rate");
-  EXPECT_TRUE(monitor.events()[0].fired);
-  EXPECT_EQ(monitor.events()[0].at, SimDuration::seconds(0.3));
+  ASSERT_EQ(monitor.alarms().events().size(), 1U);
+  EXPECT_EQ(monitor.alarms().events()[0].alarm, "error_rate");
+  EXPECT_TRUE(monitor.alarms().events()[0].fired);
+  EXPECT_EQ(monitor.alarms().events()[0].at, SimDuration::seconds(0.3));
 }
 
 TEST(ServingMonitorTest, FireAndClearInsideQuarantineNetsToSilence) {
@@ -443,12 +443,12 @@ TEST(ServingMonitorTest, FireAndClearInsideQuarantineNetsToSilence) {
   for (int i = 0; i < 24; ++i) {
     monitor.record(sample_at(0.2 + 0.01 * i, 0, true));  // recovers: clear
   }
-  EXPECT_FALSE(monitor.alarm_firing("error_rate"));
+  EXPECT_FALSE(monitor.alarms().firing("error_rate"));
   monitor.set_quarantined(false, SimDuration::seconds(0.6));
   // The whole episode happened inside the quarantine: net silence, though
   // the suppression itself is still accounted.
-  EXPECT_TRUE(monitor.events().empty());
-  EXPECT_EQ(monitor.suppressed_fires_total(), 1U);
+  EXPECT_TRUE(monitor.alarms().events().empty());
+  EXPECT_EQ(monitor.alarms().suppressed_total(), 1U);
 }
 
 TEST(ServingMonitorTest, ClearOfPreQuarantineFireIsEmittedExactly) {
@@ -456,7 +456,7 @@ TEST(ServingMonitorTest, ClearOfPreQuarantineFireIsEmittedExactly) {
   for (int i = 0; i < 8; ++i) {
     monitor.record(sample_at(0.1 + 0.01 * i, 0, false));
   }
-  ASSERT_EQ(monitor.events().size(), 1U);  // fire emitted before quarantine
+  ASSERT_EQ(monitor.alarms().events().size(), 1U);  // fire emitted before quarantine
 
   monitor.set_quarantined(true, SimDuration::seconds(0.19));
   for (int i = 0; i < 24; ++i) {
@@ -464,12 +464,52 @@ TEST(ServingMonitorTest, ClearOfPreQuarantineFireIsEmittedExactly) {
   }
   // The matching fire predates the quarantine, so its clear stays exact —
   // operators must see the recovery of an alarm they saw fire.
-  ASSERT_EQ(monitor.events().size(), 2U);
-  EXPECT_EQ(monitor.events()[1].alarm, "error_rate");
-  EXPECT_FALSE(monitor.events()[1].fired);
+  ASSERT_EQ(monitor.alarms().events().size(), 2U);
+  EXPECT_EQ(monitor.alarms().events()[1].alarm, "error_rate");
+  EXPECT_FALSE(monitor.alarms().events()[1].fired);
   monitor.set_quarantined(false, SimDuration::seconds(0.6));
-  EXPECT_EQ(monitor.events().size(), 2U);  // nothing to replay
-  EXPECT_EQ(monitor.suppressed_fires_total(), 0U);
+  EXPECT_EQ(monitor.alarms().events().size(), 2U);  // nothing to replay
+  EXPECT_EQ(monitor.alarms().suppressed_total(), 0U);
+}
+
+TEST(ServingMonitorTest, SerializeRoundTripMidQuarantineIsByteIdentical) {
+  ServingMonitor monitor(monitor_config());
+  // A fallback fire emitted before the quarantine...
+  monitor.record_transport(SimDuration::seconds(0.02), 8, 8, 2);
+  ASSERT_EQ(monitor.alarms().events().size(), 1U);
+  // ...then an error-rate fire held in the gate by it.
+  monitor.set_quarantined(true, SimDuration::seconds(0.05));
+  for (int i = 0; monitor.alarms().suppressed_total() == 0; ++i) {
+    ASSERT_LT(i, 16);
+    ServingMonitor::Sample s =
+        sample_at(0.1 + 0.01 * i, static_cast<std::uint32_t>(i % 3), false);
+    s.request_id = i;
+    monitor.record(s);
+  }
+
+  ByteWriter writer;
+  monitor.serialize(writer);
+  ByteReader reader(writer.bytes());
+  ServingMonitor restored = ServingMonitor::deserialize(reader);
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(monitor.snapshot(SimDuration::seconds(0.2)).to_json(),
+            restored.snapshot(SimDuration::seconds(0.2)).to_json());
+
+  // Both keep recording, then leave quarantine: the held fire replays on
+  // each, and every exporter and the event history stay byte-identical.
+  for (int i = 0; i < 4; ++i) {
+    const ServingMonitor::Sample s = sample_at(0.25 + 0.01 * i, 1, false);
+    monitor.record(s);
+    restored.record(s);
+  }
+  monitor.set_quarantined(false, SimDuration::seconds(0.3));
+  restored.set_quarantined(false, SimDuration::seconds(0.3));
+  EXPECT_EQ(monitor.alarms().events().size(), 2U);
+  const SimDuration later = SimDuration::seconds(0.35);
+  EXPECT_EQ(monitor.snapshot(later).to_json(), restored.snapshot(later).to_json());
+  EXPECT_EQ(monitor.snapshot(later).to_prometheus(),
+            restored.snapshot(later).to_prometheus());
+  EXPECT_EQ(monitor.alarms().events(), restored.alarms().events());
 }
 
 TEST(ServingMonitorTest, InvalidConfigsRejected) {

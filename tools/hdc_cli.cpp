@@ -439,7 +439,7 @@ int cmd_autotune(int argc, char** argv) {
 void print_energy(const obs::EnergySnapshot& energy) {
   std::printf("energy=%.6gJ joules_per_inference=%.6g watts_ewma=%.6g budget_fired=%llu\n",
               energy.total_joules(), energy.window_joules_per_inference, energy.watts_ewma,
-              static_cast<unsigned long long>(energy.energy_budget.fired_total));
+              static_cast<unsigned long long>(energy.alarms.front().fired_total));
 }
 
 /// The serve report's per-stage latency attribution line (none when no
