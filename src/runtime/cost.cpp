@@ -207,35 +207,6 @@ InferTimings CostModel::infer_tpu_stacked(const WorkloadShape& shape,
   return infer_tpu(stacked);
 }
 
-InferTimings CostModel::infer_tpu_serial_coresident(const WorkloadShape& shape,
-                                                    const BaggingShape& bag) const {
-  shape.validate();
-  bag.validate();
-  tpu::EdgeTpuDevice device(systolic_, link_, sram_bytes_);
-  const tpu::EdgeTpuCompiler compiler(systolic_, sram_bytes_);
-  const auto compiled = compiler.compile(make_int8_chain_model(
-      "infer_coresident_cost", shape.features, bag.sub_dim, shape.classes));
-
-  const std::uint64_t combined_bytes =
-      static_cast<std::uint64_t>(compiled.report.weight_bytes) * bag.num_models;
-  if (combined_bytes > sram_bytes_) {
-    // Co-compilation cannot pin the ensemble; behaves like the swap path.
-    return infer_tpu_serial(shape, bag);
-  }
-
-  tpu::InvokeOptions options;
-  options.mode = tpu::ExecutionMode::kTimingOnly;
-  options.interactive = true;
-  const auto per_invoke = device.per_sample_cost(compiled, options, host_.host_cost_model());
-  const SimDuration aggregate = SimDuration::seconds(
-      static_cast<double>(bag.num_models) * shape.classes / host_.element_rate);
-
-  InferTimings t;
-  t.per_sample = per_invoke.total() * static_cast<double>(bag.num_models) + aggregate;
-  t.total = t.per_sample * static_cast<double>(shape.test_samples);
-  return t;
-}
-
 InferTimings CostModel::infer_tpu_serial(const WorkloadShape& shape,
                                          const BaggingShape& bag) const {
   shape.validate();

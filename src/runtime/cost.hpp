@@ -77,11 +77,6 @@ class CostModel {
   /// Ablation: running the M sub-models serially per sample, paying a model
   /// swap (weight re-upload) for each — the overhead the stacking avoids.
   InferTimings infer_tpu_serial(const WorkloadShape& shape, const BaggingShape& bag) const;
-  /// Ablation: serial sub-models pinned together on-chip via co-compilation
-  /// (no swaps, but still M invocations + host aggregation per sample).
-  /// Falls back to swap pricing when the combined parameters exceed SRAM.
-  InferTimings infer_tpu_serial_coresident(const WorkloadShape& shape,
-                                           const BaggingShape& bag) const;
 
   // ---- Encoding phase only (Fig. 10 feature sweep) ----
   SimDuration encode_cpu(std::uint64_t samples, std::uint32_t features, std::uint32_t dim,

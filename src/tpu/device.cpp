@@ -101,40 +101,6 @@ ExecutionStats EdgeTpuDevice::load(const CompiledModel& model) {
   return stats;
 }
 
-ExecutionStats EdgeTpuDevice::load_coresident(
-    const std::vector<const CompiledModel*>& models, bool* all_resident) {
-  HDC_CHECK(!models.empty(), "no models to load");
-  std::uint64_t total_bytes = 0;
-  for (const CompiledModel* model : models) {
-    HDC_CHECK(model != nullptr, "null model in co-residency group");
-    if (model->has_device_segment()) {
-      total_bytes += model->report.weight_bytes;
-    }
-  }
-
-  ExecutionStats stats;
-  if (!memory_.fits(total_bytes) || total_bytes > memory_.capacity()) {
-    if (all_resident != nullptr) {
-      *all_resident = false;
-    }
-    return stats;
-  }
-
-  memory_.evict();
-  bool ok = true;
-  for (const CompiledModel* model : models) {
-    if (!model->has_device_segment()) {
-      continue;
-    }
-    ok = memory_.add_resident(model->id, model->report.weight_bytes) && ok;
-  }
-  stats.weight_upload = link_.transfer_time(total_bytes);
-  if (all_resident != nullptr) {
-    *all_resident = ok;
-  }
-  return stats;
-}
-
 ExecutionStats EdgeTpuDevice::sample_compute_cost(const CompiledModel& model,
                                                   const HostCostModel& host) const {
   HDC_CHECK(host.mac_rate > 0.0 && host.element_rate > 0.0,
@@ -282,11 +248,6 @@ ExecutionStats EdgeTpuDevice::invoke_timing(const CompiledModel& model,
     }
   }
   return stats;
-}
-
-TpuProgram EdgeTpuDevice::trace(const CompiledModel& model) const {
-  const ProgramAssembler assembler(mxu_.config());
-  return assembler.assemble(model);
 }
 
 lite::InferenceResult EdgeTpuDevice::compute_outputs(const CompiledModel& model,

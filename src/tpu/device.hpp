@@ -9,7 +9,6 @@
 #include "tpu/compiler.hpp"
 #include "tpu/faults.hpp"
 #include "tpu/memory.hpp"
-#include "tpu/program.hpp"
 #include "tpu/stats.hpp"
 #include "tpu/systolic.hpp"
 #include "tpu/usb.hpp"
@@ -78,13 +77,6 @@ class EdgeTpuDevice {
   /// re-stream their weights on every invocation.
   ExecutionStats load(const CompiledModel& model);
 
-  /// Co-compilation path: pins all models' parameters simultaneously when
-  /// they fit together in SRAM (the edgetpu co-compilation feature). Returns
-  /// upload stats; `all_resident` reports whether pinning succeeded — when
-  /// false the cache is left in single-model mode and callers pay swaps.
-  ExecutionStats load_coresident(const std::vector<const CompiledModel*>& models,
-                                 bool* all_resident);
-
   /// Runs `inputs` (one sample per row) through the compiled model.
   /// Functional mode returns real outputs; timing-only returns an empty
   /// result. Host fallback ops are priced with `host`.
@@ -122,11 +114,6 @@ class EdgeTpuDevice {
   /// Per-sample cost breakdown (excludes weight upload).
   ExecutionStats per_sample_cost(const CompiledModel& model, const InvokeOptions& options,
                                  const HostCostModel& host) const;
-
-  /// Instruction-level trace of the per-sample device program (weight-
-  /// stationary schedule). Its compute-cycle total equals the cost model's
-  /// device time exactly.
-  TpuProgram trace(const CompiledModel& model) const;
 
  private:
   /// Compute-only per-sample cost (device cycles + host fallback ops); link

@@ -49,42 +49,22 @@ bool OnChipMemory::make_resident(const std::string& model_id, std::uint64_t byte
     return false;
   }
   evict();
-  resident_.emplace(model_id, bytes);
+  resident_id_ = model_id;
   used_bytes_ = bytes;
   count("sram.insertions");
   publish_usage();
   return true;
 }
 
-bool OnChipMemory::add_resident(const std::string& model_id, std::uint64_t bytes) {
-  HDC_CHECK(!model_id.empty(), "model id must be non-empty");
-  if (is_resident(model_id)) {
-    return true;
-  }
-  if (bytes > free_bytes()) {
-    return false;
-  }
-  resident_.emplace(model_id, bytes);
-  used_bytes_ += bytes;
-  count("sram.insertions");
-  publish_usage();
-  return true;
-}
-
 void OnChipMemory::evict(const std::string& model_id) {
-  const auto it = resident_.find(model_id);
-  if (it == resident_.end()) {
-    return;
+  if (is_resident(model_id)) {
+    evict();
   }
-  used_bytes_ -= it->second;
-  resident_.erase(it);
-  count("sram.evictions");
-  publish_usage();
 }
 
 void OnChipMemory::evict() {
-  count("sram.evictions", resident_.size());
-  resident_.clear();
+  count("sram.evictions", resident_count());
+  resident_id_.clear();
   used_bytes_ = 0;
   publish_usage();
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 namespace hdc::obs {
@@ -10,27 +9,23 @@ class TraceContext;
 
 namespace hdc::tpu {
 
-/// On-chip parameter SRAM. By default the Edge TPU caches one compiled
-/// model's weights and swapping models forces a full re-upload — exactly the
-/// sub-model swap overhead that motivates the paper's stacked single
-/// inference model (Section III-B). The real toolchain's *co-compilation*
-/// feature can instead pin several small models simultaneously when their
-/// parameters fit together; `add_resident` models that mode, and the
-/// ablation benches quantify what it would recover for serial ensembles.
+/// On-chip parameter SRAM. The Edge TPU caches one compiled model's weights,
+/// and swapping models forces a full re-upload — exactly the sub-model swap
+/// overhead that motivates the paper's stacked single inference model
+/// (Section III-B). At most one model is resident at a time.
 class OnChipMemory {
  public:
   explicit OnChipMemory(std::uint64_t capacity_bytes = 8ULL * 1024 * 1024);
 
   std::uint64_t capacity() const noexcept { return capacity_bytes_; }
   std::uint64_t used_bytes() const noexcept { return used_bytes_; }
-  std::uint64_t free_bytes() const noexcept { return capacity_bytes_ - used_bytes_; }
-  std::size_t resident_count() const noexcept { return resident_.size(); }
+  std::size_t resident_count() const noexcept { return resident_id_.empty() ? 0 : 1; }
 
   bool fits(std::uint64_t bytes) const noexcept { return bytes <= capacity_bytes_; }
 
   /// True if `model_id`'s parameters are currently cached.
   bool is_resident(const std::string& model_id) const noexcept {
-    return resident_.contains(model_id);
+    return !resident_id_.empty() && resident_id_ == model_id;
   }
 
   /// Residency query at a *cache decision point*: same answer as
@@ -45,19 +40,15 @@ class OnChipMemory {
   /// the `sram.used_bytes` gauge (whose watermark is the peak residency).
   void set_trace(obs::TraceContext* trace) noexcept { trace_ = trace; }
 
-  /// Classic single-model caching: evicts everything, then caches
-  /// `model_id`. Returns false if it cannot fit at all — in that case the
-  /// current residents are left untouched (no self-inflicted flush).
+  /// Evicts the resident model, then caches `model_id`. Returns false if it
+  /// cannot fit at all — in that case the resident model is left untouched
+  /// (no self-inflicted flush).
   bool make_resident(const std::string& model_id, std::uint64_t bytes);
 
-  /// Co-residency (co-compiled models): caches `model_id` WITHOUT evicting
-  /// others. Returns false if the free space is insufficient.
-  bool add_resident(const std::string& model_id, std::uint64_t bytes);
-
-  /// Evicts one model (no-op if absent).
+  /// Evicts `model_id` (no-op unless it is the resident model).
   void evict(const std::string& model_id);
 
-  /// Evicts everything.
+  /// Evicts the resident model, if any.
   void evict();
 
  private:
@@ -66,7 +57,7 @@ class OnChipMemory {
 
   std::uint64_t capacity_bytes_;
   std::uint64_t used_bytes_ = 0;
-  std::map<std::string, std::uint64_t> resident_;
+  std::string resident_id_;  ///< empty when nothing is resident
   obs::TraceContext* trace_ = nullptr;
 };
 

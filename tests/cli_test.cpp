@@ -142,6 +142,29 @@ TEST_F(CliTest, MalformedTraceCapWarnsButRunSucceeds) {
   EXPECT_TRUE(fs::exists(path("cap.trace.json")));
 }
 
+TEST_F(CliTest, MalformedNumericFlagsFailNamingTheFlag) {
+  // A numeric flag must not train on what atoi made of its value, nor fall
+  // back to its default when the value is missing or is the next option.
+  const std::string base = "train " + path("train.csv") + " --out " + path("strict.hdcm");
+  const struct {
+    const char* flags;
+    const char* fragment;
+  } cases[] = {
+      {" --dim 12x", "--dim expects a whole number"},
+      {" --epochs 2 --dim", "--dim needs a value"},
+      {" --dim --epochs 2", "--dim needs a value"},
+  };
+  for (const auto& c : cases) {
+    const auto result = run_cli(base + c.flags);
+    EXPECT_EQ(result.exit_code, 1) << c.flags << "\n" << result.output;
+    EXPECT_NE(result.output.find("error:"), std::string::npos) << result.output;
+    EXPECT_NE(result.output.find(c.fragment), std::string::npos)
+        << c.flags << " should name the flag:\n"
+        << result.output;
+  }
+  EXPECT_FALSE(fs::exists(path("strict.hdcm")));
+}
+
 TEST_F(CliTest, ServeRejectsInvalidOverloadFlags) {
   const std::string base = "serve PAMAP2 --chunks 2 --chunk-size 16 --dim 128 --warmup 1 ";
 

@@ -1,5 +1,5 @@
 // Tests for the deployment-side extensions: binary (bipolar) classifiers,
-// federated model merging, the energy model and the HDLite printer.
+// the energy model and the HDLite printer.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/binary.hpp"
-#include "core/federated.hpp"
 #include "core/noise.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
@@ -114,80 +113,6 @@ TEST(BinaryClassifierTest, PackRejectsWrongWidth) {
   const Trained t = train_small();
   const auto binary = core::BinaryClassifier::binarize(t.classifier);
   EXPECT_THROW(binary.pack(std::vector<float>(7)), Error);
-}
-
-// ------------------------------------------------------------ federated ----
-
-TEST(FederatedTest, PartitionIsDisjointAndComplete) {
-  const data::Dataset ds = data::generate_synthetic(data::paper_dataset("PAMAP2"), 503);
-  const auto shards = core::partition_dataset(ds, 4, 11);
-  ASSERT_EQ(shards.size(), 4U);
-  std::size_t total = 0;
-  for (const auto& shard : shards) {
-    total += shard.num_samples();
-    EXPECT_EQ(shard.num_classes, ds.num_classes);
-  }
-  EXPECT_EQ(total, ds.num_samples());
-  // Remainder lands on the last shard.
-  EXPECT_EQ(shards.back().num_samples(), 125U + 3U);
-}
-
-TEST(FederatedTest, MergeSumsClassHypervectors) {
-  core::HdModel a(2, 4);
-  core::HdModel b(2, 4);
-  std::vector<float> va{1, 2, 3, 4};
-  std::vector<float> vb{10, 20, 30, 40};
-  a.bundle(0, va, 1.0F);
-  b.bundle(0, vb, 1.0F);
-  const auto models = std::vector<core::HdModel>{a, b};
-  const core::HdModel merged = core::merge_models(models);
-  EXPECT_EQ(merged.class_hypervectors().at(0, 0), 11.0F);
-  EXPECT_EQ(merged.class_hypervectors().at(0, 3), 44.0F);
-  EXPECT_EQ(merged.class_hypervectors().at(1, 0), 0.0F);
-}
-
-TEST(FederatedTest, MergeRejectsShapeMismatch) {
-  const auto models = std::vector<core::HdModel>{core::HdModel(2, 4), core::HdModel(2, 8)};
-  EXPECT_THROW(core::merge_models(models), Error);
-}
-
-TEST(FederatedTest, GlobalModelNearCentralizedAccuracy) {
-  data::Dataset all = data::generate_synthetic(data::paper_dataset("PAMAP2"), 1200);
-  auto split = data::split_dataset(all, 0.25, 19);
-  data::MinMaxNormalizer norm;
-  norm.fit(split.train);
-  norm.apply(split.train);
-  norm.apply(split.test);
-
-  core::HdConfig cfg;
-  cfg.dim = 2048;
-  cfg.epochs = 8;
-
-  // Centralized reference.
-  core::Encoder encoder(static_cast<std::uint32_t>(split.train.num_features()), cfg.dim,
-                        cfg.seed);
-  const core::Trainer trainer(cfg);
-  const auto central = trainer.fit(encoder, split.train);
-  const double central_acc = data::accuracy(
-      central.model.predict_batch(encoder.encode_batch(split.test.features),
-                                  core::Similarity::kCosine),
-      split.test.labels);
-
-  // Federated: 4 devices, disjoint shards, merged by bundling.
-  const auto fed = core::federated_train(split.train, 4, cfg);
-  const double fed_acc = data::accuracy(
-      fed.global.model.predict_batch(fed.global.encoder.encode_batch(split.test.features),
-                                     core::Similarity::kCosine),
-      split.test.labels);
-
-  EXPECT_EQ(fed.device_accuracy.size(), 4U);
-  EXPECT_GT(fed_acc, central_acc - 0.1)
-      << "federated " << fed_acc << " vs centralized " << central_acc;
-}
-
-TEST(FederatedTest, TooManyShardsRejected) {
-  const data::Dataset ds = data::generate_synthetic(data::paper_dataset("PAMAP2"), 3);
-  EXPECT_THROW(core::partition_dataset(ds, 5, 1), Error);
 }
 
 // --------------------------------------------------------------- energy ----

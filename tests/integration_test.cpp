@@ -13,7 +13,6 @@
 #include "core/serialize.hpp"
 #include "data/synthetic.hpp"
 #include "lite/builder.hpp"
-#include "lite/optimize.hpp"
 #include "lite/quantize.hpp"
 #include "lite/serialize.hpp"
 #include "nn/wide_nn.hpp"
@@ -99,13 +98,18 @@ TEST_F(IntegrationTest, LoweringChainPreservesAccuracyAtEveryStage) {
                                                float_result.classes.end());
   EXPECT_DOUBLE_EQ(data::accuracy(float_predictions, split_->test.labels), acc_direct);
 
-  // Stage 4: int8 + serialized + reloaded + optimized.
+  // Stage 4: int8 + serialized + reloaded. The reloaded model predicts
+  // exactly what the in-memory quantized model does.
   tensor::MatrixF calib(128, split_->train.num_features());
   std::copy_n(split_->train.features.data(), calib.size(), calib.data());
   const auto quantized = lite::quantize_model(float_model, calib);
   const auto reloaded = lite::deserialize_model(lite::serialize_model(quantized));
-  const auto optimized = lite::optimize(reloaded);
-  const auto int8_result = lite::LiteInterpreter(optimized).run(split_->test.features);
+  const auto int8_result = lite::LiteInterpreter(reloaded).run(split_->test.features);
+  const auto in_memory = lite::LiteInterpreter(quantized).run(split_->test.features);
+  ASSERT_EQ(int8_result.classes.size(), in_memory.classes.size());
+  for (std::size_t i = 0; i < in_memory.classes.size(); ++i) {
+    EXPECT_EQ(int8_result.classes[i], in_memory.classes[i]) << "sample " << i;
+  }
   std::vector<std::uint32_t> int8_predictions(int8_result.classes.begin(),
                                               int8_result.classes.end());
   const double acc_int8 = data::accuracy(int8_predictions, split_->test.labels);
@@ -197,13 +201,24 @@ TEST_F(IntegrationTest, DeviceTraceMatchesDeployedModel) {
   const tpu::EdgeTpuCompiler compiler(tpu::SystolicConfig{}, 8ULL << 20);
   const auto compiled = compiler.compile(quantized);
   tpu::EdgeTpuDevice device;
-  const auto program = device.trace(compiled);
+  tpu::InvokeOptions options;
+  options.mode = tpu::ExecutionMode::kTimingOnly;
+  const auto cost = device.per_sample_cost(compiled, options, tpu::HostCostModel{2e9, 1e9});
 
-  // 561 -> 2048 encode: 9 x 32 tiles; 2048 -> 12 classify: 32 x 1 tiles.
-  EXPECT_EQ(program.count(tpu::IsaOp::kLoadTile), 9U * 32U + 32U * 1U);
-  EXPECT_EQ(program.count(tpu::IsaOp::kActivation), 1U);
-  EXPECT_EQ(program.dma_in_bytes(), split_->train.num_features());
-  EXPECT_EQ(program.dma_out_bytes(), split_->train.num_classes);
+  // The device runs the 561 -> 2048 encode, its tanh and the 2048 -> 12
+  // classify; one sample moves its features in and its class scores out.
+  const std::uint64_t features = split_->train.num_features();
+  const std::uint64_t classes = split_->train.num_classes;
+  EXPECT_EQ(compiled.report.device_ops, 3U);
+  EXPECT_EQ(compiled.device_input_bytes, features);
+  EXPECT_EQ(compiled.device_output_bytes, classes);
+  EXPECT_EQ(cost.device_macs, features * 2048U + 2048U * classes);
+  const auto& mxu = device.mxu();
+  const std::uint64_t cycles = mxu.matmul_cycles(1, features, 2048) +
+                               mxu.elementwise_cycles(2048) +
+                               mxu.matmul_cycles(1, 2048, classes);
+  EXPECT_DOUBLE_EQ(cost.device_compute.to_seconds(),
+                   SimDuration::cycles(cycles, mxu.config().frequency_hz).to_seconds());
 }
 
 }  // namespace

@@ -187,29 +187,6 @@ TEST_F(CostTest, SerialSubModelInferenceIsMuchWorse) {
   EXPECT_GT(serial.per_sample / stacked.per_sample, 3.0);
 }
 
-TEST_F(CostTest, CoResidentSerialSitsBetweenStackedAndSwapping) {
-  // Co-compilation removes the per-sample swaps but still pays M invocation
-  // round-trips; the stacked single model stays the cheapest.
-  const auto shape = mnist_shape();
-  const auto bag = paper_bagging();
-  const auto stacked = cost_.infer_tpu_stacked(shape, bag);
-  const auto coresident = cost_.infer_tpu_serial_coresident(shape, bag);
-  const auto swapping = cost_.infer_tpu_serial(shape, bag);
-  EXPECT_LT(stacked.per_sample.to_seconds(), coresident.per_sample.to_seconds());
-  EXPECT_LT(coresident.per_sample.to_seconds(), swapping.per_sample.to_seconds());
-}
-
-TEST_F(CostTest, CoResidentFallsBackWhenEnsembleExceedsSram) {
-  // Tiny SRAM: co-compilation cannot pin the ensemble, so pricing matches
-  // the swap path.
-  const CostModel small_sram(platform::host_cpu_profile(), tpu::SystolicConfig{},
-                             tpu::UsbLinkConfig{}, 64 * 1024);
-  const auto shape = mnist_shape();
-  const auto bag = paper_bagging();
-  EXPECT_NEAR(small_sram.infer_tpu_serial_coresident(shape, bag).per_sample.to_seconds(),
-              small_sram.infer_tpu_serial(shape, bag).per_sample.to_seconds(), 1e-12);
-}
-
 TEST_F(CostTest, RaspberryPiSpeedupsInPaperRange) {
   // Table II: training 15.6x-23.6x, inference 6.8x-11.4x across datasets.
   const auto shape = mnist_shape();

@@ -201,45 +201,16 @@ TEST(MemoryTest, EmptyIdRejected) {
   EXPECT_THROW(mem.make_resident("", 10), Error);
 }
 
-TEST(MemoryTest, CoResidencyPacksUntilFull) {
-  OnChipMemory mem(1000);
-  EXPECT_TRUE(mem.add_resident("a", 400));
-  EXPECT_TRUE(mem.add_resident("b", 400));
-  EXPECT_FALSE(mem.add_resident("c", 400));  // only 200 free
-  EXPECT_TRUE(mem.is_resident("a"));
-  EXPECT_TRUE(mem.is_resident("b"));
-  EXPECT_FALSE(mem.is_resident("c"));
-  EXPECT_EQ(mem.used_bytes(), 800U);
-  EXPECT_EQ(mem.free_bytes(), 200U);
-  EXPECT_EQ(mem.resident_count(), 2U);
-}
-
-TEST(MemoryTest, AddResidentIsIdempotent) {
-  OnChipMemory mem(1000);
-  EXPECT_TRUE(mem.add_resident("a", 400));
-  EXPECT_TRUE(mem.add_resident("a", 400));
-  EXPECT_EQ(mem.used_bytes(), 400U);
-}
-
 TEST(MemoryTest, SelectiveEviction) {
   OnChipMemory mem(1000);
-  mem.add_resident("a", 300);
-  mem.add_resident("b", 300);
+  EXPECT_TRUE(mem.make_resident("a", 300));
+  mem.evict("missing");  // no-op
+  EXPECT_TRUE(mem.is_resident("a"));
+  EXPECT_EQ(mem.used_bytes(), 300U);
   mem.evict("a");
   EXPECT_FALSE(mem.is_resident("a"));
-  EXPECT_TRUE(mem.is_resident("b"));
-  EXPECT_EQ(mem.used_bytes(), 300U);
-  mem.evict("missing");  // no-op
-  EXPECT_EQ(mem.used_bytes(), 300U);
-}
-
-TEST(MemoryTest, MakeResidentEvictsCoResidents) {
-  OnChipMemory mem(1000);
-  mem.add_resident("a", 300);
-  mem.add_resident("b", 300);
-  EXPECT_TRUE(mem.make_resident("c", 500));
-  EXPECT_EQ(mem.resident_count(), 1U);
-  EXPECT_TRUE(mem.is_resident("c"));
+  EXPECT_EQ(mem.used_bytes(), 0U);
+  EXPECT_EQ(mem.resident_count(), 0U);
 }
 
 TEST(MemoryTest, FailedAdmissionPreservesResidents) {
@@ -502,86 +473,6 @@ TEST_F(DeviceTest, HostOpsPricedWithHostModel) {
   const auto ts = device.per_sample_cost(compiled, options, slow);
   EXPECT_GT(ts.host_compute.to_seconds(), tf.host_compute.to_seconds());
   EXPECT_EQ(ts.device_compute.to_seconds(), tf.device_compute.to_seconds());
-}
-
-TEST_F(DeviceTest, CoResidentGroupLoadsTogether) {
-  EdgeTpuDevice device;
-  const auto a = compiler_.compile(runtime::make_int8_chain_model("a", 64, 1024));
-  const auto b = compiler_.compile(runtime::make_int8_chain_model("b", 64, 1024));
-  bool all_resident = false;
-  const auto stats = device.load_coresident({&a, &b}, &all_resident);
-  EXPECT_TRUE(all_resident);
-  EXPECT_GT(stats.weight_upload.to_seconds(), 0.0);
-  EXPECT_TRUE(device.memory().is_resident(a.id));
-  EXPECT_TRUE(device.memory().is_resident(b.id));
-  // Subsequent loads of either model are free — no swap thrash.
-  EXPECT_EQ(device.load(a).weight_upload.to_seconds(), 0.0);
-  EXPECT_EQ(device.load(b).weight_upload.to_seconds(), 0.0);
-}
-
-TEST_F(DeviceTest, CoResidentGroupTooLargeFails) {
-  EdgeTpuDevice device(SystolicConfig{}, UsbLinkConfig{}, 100 * 1024);  // 100 KiB
-  const auto a = compiler_.compile(runtime::make_int8_chain_model("a", 64, 1024));
-  const auto b = compiler_.compile(runtime::make_int8_chain_model("b", 64, 1024));
-  bool all_resident = true;
-  device.load_coresident({&a, &b}, &all_resident);
-  EXPECT_FALSE(all_resident);
-}
-
-// -------------------------------------------------------------- program ----
-
-TEST_F(DeviceTest, TraceComputeCyclesMatchCostModel) {
-  // The instruction-level trace and the analytic device time must agree —
-  // they are two views of the same schedule.
-  EdgeTpuDevice device;
-  for (const auto& shape : {std::pair<std::uint32_t, std::uint32_t>{27, 10000},
-                            {784, 10000},
-                            {617, 2500},
-                            {64, 64}}) {
-    const auto compiled = compiler_.compile(
-        runtime::make_int8_chain_model("t", shape.first, shape.second, 10));
-    const TpuProgram program = device.trace(compiled);
-    InvokeOptions options;
-    options.mode = ExecutionMode::kTimingOnly;
-    const auto cost = device.per_sample_cost(compiled, options, host_);
-    EXPECT_DOUBLE_EQ(
-        SimDuration::cycles(program.compute_cycles(), device.mxu().config().frequency_hz)
-            .to_seconds(),
-        cost.device_compute.to_seconds())
-        << "shape " << shape.first << "x" << shape.second;
-  }
-}
-
-TEST_F(DeviceTest, TraceStructureMatchesTiling) {
-  EdgeTpuDevice device;
-  // 100 inputs -> 2 row tiles; 130 outputs -> 3 col tiles (64-wide array).
-  const auto compiled = compiler_.compile(runtime::make_int8_chain_model("t", 100, 130));
-  const TpuProgram program = device.trace(compiled);
-  EXPECT_EQ(program.count(IsaOp::kLoadTile), 2U * 3U);
-  EXPECT_EQ(program.count(IsaOp::kMatmulTile), 2U * 3U);
-  EXPECT_EQ(program.count(IsaOp::kDrain), 3U);
-  EXPECT_EQ(program.count(IsaOp::kActivation), 1U);  // the tanh
-  EXPECT_EQ(program.count(IsaOp::kDmaIn), 1U);
-  EXPECT_EQ(program.count(IsaOp::kDmaOut), 1U);
-  EXPECT_EQ(program.dma_in_bytes(), 100U);
-  EXPECT_EQ(program.dma_out_bytes(), 130U);
-}
-
-TEST_F(DeviceTest, TraceOfHostOnlyModelIsEmpty) {
-  EdgeTpuDevice device;
-  nn::Graph g("float", 8);
-  g.add_dense(tensor::MatrixF(8, 16, 0.1F));
-  const auto compiled = compiler_.compile(lite::build_float_model(g));
-  EXPECT_TRUE(device.trace(compiled).code.empty());
-}
-
-TEST_F(DeviceTest, DisassemblyIsReadable) {
-  EdgeTpuDevice device;
-  const auto compiled = compiler_.compile(runtime::make_int8_chain_model("t", 64, 128));
-  const std::string text = device.trace(compiled).disassemble(8);
-  EXPECT_NE(text.find("DMA_IN"), std::string::npos);
-  EXPECT_NE(text.find("LOAD_TILE"), std::string::npos);
-  EXPECT_NE(text.find("cycles"), std::string::npos);
 }
 
 // ------------------------------------------------------------- event sim ----

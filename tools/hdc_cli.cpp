@@ -49,12 +49,18 @@
 // bagged member training (default: HDC_THREADS env var, else all hardware
 // threads). Models and predictions are bit-identical for any thread count.
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -85,9 +91,14 @@ namespace {
 
 using namespace hdc;
 
+/// The value after `flag`, or `fallback` when the flag is absent. A flag with
+/// nothing after it, or followed by another `--` option, has no value: that
+/// is an error naming the flag, not a silent fall back to the default.
 const char* arg_value(int argc, char** argv, const char* flag, const char* fallback) {
-  for (int i = 2; i + 1 < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0) {
+      HDC_CHECK(i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0,
+                std::string(flag) + " needs a value");
       return argv[i + 1];
     }
   }
@@ -113,8 +124,9 @@ data::Dataset load_normalized(const std::string& path) {
 
 /// Strict unsigned-integer parse: the whole string must be a decimal
 /// number. Returns false on empty input, sign characters, trailing garbage
-/// ("12abc") or overflow — callers warn and keep their default instead of
-/// silently truncating what strtoull happened to accept.
+/// ("12abc") or overflow, so no caller acts on what strtoull happened to
+/// accept: `numeric_flag` turns a false into an error, `--trace-cap` into a
+/// warning that keeps its default.
 bool parse_u64_strict(const char* text, std::uint64_t* out) {
   if (text == nullptr || *text == '\0') {
     return false;
@@ -132,6 +144,57 @@ bool parse_u64_strict(const char* text, std::uint64_t* out) {
   }
   *out = value;
   return true;
+}
+
+/// Strict real parse, the twin of `parse_u64_strict`: strtod must consume
+/// the whole string, and the value must be finite.
+bool parse_double_strict(const char* text, double* out) {
+  if (text == nullptr || *text == '\0' || std::isspace(static_cast<unsigned char>(*text))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (*end != '\0' || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// The one reader of numeric flags: nothing when `flag` is absent, else its
+/// value, which must be a whole number in T's range (any finite number for a
+/// floating-point T). Anything else is an error naming the flag. A signed T
+/// accepts a leading '-', so each flag's own range check explains what it
+/// accepts.
+template <typename T>
+std::optional<T> numeric_flag(int argc, char** argv, const char* flag) {
+  const char* text = arg_value(argc, argv, flag, nullptr);
+  if (text == nullptr) {
+    return std::nullopt;
+  }
+  const auto malformed = [&](const std::string& expected) {
+    return std::string(flag) + " expects " + expected + ", got '" + text + "'";
+  };
+  if constexpr (std::is_floating_point_v<T>) {
+    double value = 0.0;
+    HDC_CHECK(parse_double_strict(text, &value), malformed("a number"));
+    return static_cast<T>(value);
+  } else {
+    const bool negative = std::is_signed_v<T> && text[0] == '-';
+    const auto limit = static_cast<std::uint64_t>(std::numeric_limits<T>::max()) +
+                       (negative ? 1U : 0U);
+    std::uint64_t magnitude = 0;
+    HDC_CHECK(parse_u64_strict(text + (negative ? 1 : 0), &magnitude) && magnitude <= limit,
+              malformed(std::is_signed_v<T>
+                            ? std::string("a whole number")
+                            : "a whole number from 0 to " + std::to_string(limit)));
+    return static_cast<T>(negative ? 0 - magnitude : magnitude);
+  }
+}
+
+template <typename T>
+T numeric_arg(int argc, char** argv, const char* flag, T fallback) {
+  return numeric_flag<T>(argc, argv, flag).value_or(fallback);
 }
 
 /// Owns the optional tracer + metrics registry behind --trace / --metrics /
@@ -250,18 +313,15 @@ int cmd_train(int argc, char** argv) {
   const std::string out_path = arg_value(argc, argv, "--out", "model.hdcm");
 
   core::HdConfig config;
-  config.dim = static_cast<std::uint32_t>(std::atoi(arg_value(argc, argv, "--dim", "4096")));
-  config.epochs =
-      static_cast<std::uint32_t>(std::atoi(arg_value(argc, argv, "--epochs", "20")));
-  config.seed = static_cast<std::uint64_t>(std::atoll(arg_value(argc, argv, "--seed", "42")));
-  config.threads =
-      static_cast<std::uint32_t>(std::atoi(arg_value(argc, argv, "--threads", "0")));
+  config.dim = numeric_arg<std::uint32_t>(argc, argv, "--dim", 4096);
+  config.epochs = numeric_arg<std::uint32_t>(argc, argv, "--epochs", 20);
+  config.seed = numeric_arg<std::uint64_t>(argc, argv, "--seed", 42);
+  config.threads = numeric_arg<std::uint32_t>(argc, argv, "--threads", 0);
 
   const TraceSession session(argc, argv);
   runtime::CoDesignFramework framework;
   framework.set_trace(session.trace());
-  const auto bagging_models =
-      static_cast<std::uint32_t>(std::atoi(arg_value(argc, argv, "--bagging", "0")));
+  const auto bagging_models = numeric_arg<std::uint32_t>(argc, argv, "--bagging", 0);
 
   runtime::CoDesignFramework::TrainOutcome outcome = [&] {
     if (bagging_models > 0) {
@@ -269,7 +329,7 @@ int cmd_train(int argc, char** argv) {
       bagging.num_models = bagging_models;
       bagging.base = config;
       bagging.epochs = std::max<std::uint32_t>(1, config.epochs * 6 / 20);
-      bagging.bootstrap.dataset_ratio = std::atof(arg_value(argc, argv, "--alpha", "0.6"));
+      bagging.bootstrap.dataset_ratio = numeric_arg(argc, argv, "--alpha", 0.6);
       std::printf("training bagged model (M=%u, d'=%u, I'=%u, alpha=%.2f)...\n",
                   bagging.num_models, bagging.effective_sub_dim(), bagging.epochs,
                   bagging.bootstrap.dataset_ratio);
@@ -401,7 +461,7 @@ int cmd_autotune(int argc, char** argv) {
   auto split = data::split_dataset(all, 0.25, 77);
 
   core::HdConfig base;
-  base.dim = static_cast<std::uint32_t>(std::atoi(arg_value(argc, argv, "--dim", "2048")));
+  base.dim = numeric_arg<std::uint32_t>(argc, argv, "--dim", 2048);
 
   // Full-scale pricing uses the file's own shape at d = 10,000.
   runtime::WorkloadShape shape;
@@ -417,7 +477,7 @@ int cmd_autotune(int argc, char** argv) {
   const runtime::BaggingAutotuner tuner(framework, shape);
   runtime::AutotuneSpace space;  // default grid: M x iters x alpha
 
-  const double margin = std::atof(arg_value(argc, argv, "--margin", "0.01"));
+  const double margin = numeric_arg(argc, argv, "--margin", 0.01);
   std::printf("searching %zu configurations...\n", space.size());
   const auto result = tuner.search(split.train, split.test, space, base, margin);
 
@@ -510,53 +570,42 @@ int cmd_serve(int argc, char** argv) {
 
   runtime::ServeConfig config;
   config.stream.spec = data::paper_dataset(argv[2]);
-  config.stream.spec.seed =
-      static_cast<std::uint64_t>(std::atoll(arg_value(argc, argv, "--seed", "42")));
+  config.stream.spec.seed = numeric_arg<std::uint64_t>(argc, argv, "--seed", 42);
   // Overload-protection flags. Explicit zero/negative values are user error
   // and rejected with actionable messages (omit the flag for the default).
-  const char* deadline_us = arg_value(argc, argv, "--deadline-us", nullptr);
-  if (deadline_us != nullptr) {
-    const double us = std::atof(deadline_us);
-    HDC_CHECK(us > 0.0,
+  if (const auto us = numeric_flag<double>(argc, argv, "--deadline-us")) {
+    HDC_CHECK(*us > 0.0,
               "--deadline-us must be a positive number of microseconds (omit the "
               "flag to serve without per-request deadlines)");
-    config.admission.deadline = SimDuration::micros(us);
+    config.admission.deadline = SimDuration::micros(*us);
   }
-  const char* queue_chunks = arg_value(argc, argv, "--queue-chunks", nullptr);
-  if (queue_chunks != nullptr) {
-    const int chunks = std::atoi(queue_chunks);
-    HDC_CHECK(chunks > 0,
+  if (const auto chunks = numeric_flag<int>(argc, argv, "--queue-chunks")) {
+    HDC_CHECK(*chunks > 0,
               "--queue-chunks must be at least 1: the admission queue needs room "
               "for the chunk being served (shedding starts when it overflows)");
-    config.admission.queue_capacity = static_cast<std::uint32_t>(chunks);
+    config.admission.queue_capacity = static_cast<std::uint32_t>(*chunks);
   }
   const char* shed_policy = arg_value(argc, argv, "--shed-policy", nullptr);
   if (shed_policy != nullptr) {
     config.admission.policy = runtime::parse_shed_policy(shed_policy);
   }
-  const char* offered_load = arg_value(argc, argv, "--offered-load", nullptr);
-  if (offered_load != nullptr) {
-    const double load = std::atof(offered_load);
-    HDC_CHECK(load >= 0.0,
+  if (const auto load = numeric_flag<double>(argc, argv, "--offered-load")) {
+    HDC_CHECK(*load >= 0.0,
               "--offered-load must be non-negative (0 = closed loop: each chunk "
               "arrives when the previous one finished)");
-    config.admission.offered_load = load;
+    config.admission.offered_load = *load;
   }
-  const char* probe_us = arg_value(argc, argv, "--probe-interval-us", nullptr);
-  if (probe_us != nullptr) {
-    const double us = std::atof(probe_us);
-    HDC_CHECK(us > 0.0,
+  if (const auto us = numeric_flag<double>(argc, argv, "--probe-interval-us")) {
+    HDC_CHECK(*us > 0.0,
               "--probe-interval-us must be a positive number of microseconds: it "
               "spaces the half-open probes that let a quarantined device recover");
-    config.health.probe_interval = SimDuration::micros(us);
+    config.health.probe_interval = SimDuration::micros(*us);
   }
-  const char* reduced_dim = arg_value(argc, argv, "--reduced-dim", nullptr);
-  if (reduced_dim != nullptr) {
-    const int dim = std::atoi(reduced_dim);
-    HDC_CHECK(dim > 0,
+  if (const auto dim = numeric_flag<int>(argc, argv, "--reduced-dim")) {
+    HDC_CHECK(*dim > 0,
               "--reduced-dim must be positive (omit the flag for the automatic "
               "max(64, dim/8) reduced-tier dimension)");
-    config.reduced_dim = static_cast<std::uint32_t>(dim);
+    config.reduced_dim = static_cast<std::uint32_t>(*dim);
   }
   // Fleet flags: any of them (or --devices alone) switches the command to
   // the multi-device router (`serve_fleet`) instead of single-device serve.
@@ -565,23 +614,21 @@ int cmd_serve(int argc, char** argv) {
                           arg_value(argc, argv, "--batch-max", nullptr) != nullptr ||
                           arg_value(argc, argv, "--placement", nullptr) != nullptr;
   {
-    const int devices = std::atoi(arg_value(argc, argv, "--devices", "1"));
+    const int devices = numeric_arg(argc, argv, "--devices", 1);
     HDC_CHECK(devices >= 1, "--devices must be at least 1");
     config.fleet.num_devices = static_cast<std::uint32_t>(devices);
-    const int tenants = std::atoi(arg_value(argc, argv, "--tenants", "1"));
+    const int tenants = numeric_arg(argc, argv, "--tenants", 1);
     HDC_CHECK(tenants >= 1, "--tenants must be at least 1");
     config.fleet.num_tenants = static_cast<std::uint32_t>(tenants);
-    const double skew = std::atof(arg_value(argc, argv, "--skew", "0"));
+    const double skew = numeric_arg(argc, argv, "--skew", 0.0);
     HDC_CHECK(skew >= 0.0, "--skew must be a non-negative Zipf exponent");
     config.fleet.tenant_skew = skew;
-    const int batch_max = std::atoi(arg_value(argc, argv, "--batch-max", "1"));
+    const int batch_max = numeric_arg(argc, argv, "--batch-max", 1);
     HDC_CHECK(batch_max >= 1, "--batch-max must be at least 1 (1 = unbatched)");
     config.fleet.batch_max_chunks = static_cast<std::uint32_t>(batch_max);
-    const char* batch_age = arg_value(argc, argv, "--batch-age-us", nullptr);
-    if (batch_age != nullptr) {
-      const double us = std::atof(batch_age);
-      HDC_CHECK(us >= 0.0, "--batch-age-us must be a non-negative microsecond hold");
-      config.fleet.batch_max_age = SimDuration::micros(us);
+    if (const auto us = numeric_flag<double>(argc, argv, "--batch-age-us")) {
+      HDC_CHECK(*us >= 0.0, "--batch-age-us must be a non-negative microsecond hold");
+      config.fleet.batch_max_age = SimDuration::micros(*us);
     }
     const char* placement = arg_value(argc, argv, "--placement", nullptr);
     if (placement != nullptr) {
@@ -589,17 +636,13 @@ int cmd_serve(int argc, char** argv) {
     }
   }
   config.checkpoint_path = arg_value(argc, argv, "--checkpoint", "");
-  config.checkpoint_every_chunks = static_cast<std::uint32_t>(
-      std::atoi(arg_value(argc, argv, "--checkpoint-every", "0")));
+  config.checkpoint_every_chunks = numeric_arg<std::uint32_t>(argc, argv, "--checkpoint-every", 0);
   config.resume_from = arg_value(argc, argv, "--resume", "");
-  config.stream.chunk_size =
-      static_cast<std::uint32_t>(std::atoi(arg_value(argc, argv, "--chunk-size", "128")));
-  const char* drift_start = arg_value(argc, argv, "--drift-start", nullptr);
-  if (drift_start != nullptr) {
-    config.stream.drift_start_chunk = static_cast<std::uint32_t>(std::atoi(drift_start));
-  }
-  config.stream.drift_duration_chunks = static_cast<std::uint32_t>(
-      std::atoi(arg_value(argc, argv, "--drift-duration", "10")));
+  config.stream.chunk_size = numeric_arg<std::uint32_t>(argc, argv, "--chunk-size", 128);
+  config.stream.drift_start_chunk = numeric_arg(argc, argv, "--drift-start",
+                                                config.stream.drift_start_chunk);
+  config.stream.drift_duration_chunks =
+      numeric_arg<std::uint32_t>(argc, argv, "--drift-duration", 10);
   const char* swap_classes = arg_value(argc, argv, "--swap-classes", nullptr);
   if (swap_classes != nullptr) {
     // Label-swap drift: "A,B" — from drift onset, class A's samples are
@@ -615,16 +658,12 @@ int cmd_serve(int argc, char** argv) {
     config.stream.drift_swap_b = static_cast<std::uint32_t>(b);
   }
 
-  config.learner.dim =
-      static_cast<std::uint32_t>(std::atoi(arg_value(argc, argv, "--dim", "2048")));
+  config.learner.dim = numeric_arg<std::uint32_t>(argc, argv, "--dim", 2048);
   config.learner.seed = config.stream.spec.seed;
-  config.warmup_chunks =
-      static_cast<std::uint32_t>(std::atoi(arg_value(argc, argv, "--warmup", "4")));
-  config.serve_chunks =
-      static_cast<std::uint32_t>(std::atoi(arg_value(argc, argv, "--chunks", "32")));
+  config.warmup_chunks = numeric_arg<std::uint32_t>(argc, argv, "--warmup", 4);
+  config.serve_chunks = numeric_arg<std::uint32_t>(argc, argv, "--chunks", 32);
   config.online_updates = has_flag(argc, argv, "--online");
-  config.model_refresh_chunks =
-      static_cast<std::uint32_t>(std::atoi(arg_value(argc, argv, "--refresh", "4")));
+  config.model_refresh_chunks = numeric_arg<std::uint32_t>(argc, argv, "--refresh", 4);
 
   const char* fault_spec = arg_value(argc, argv, "--fault-profile", nullptr);
   if (fault_spec != nullptr) {
@@ -634,37 +673,31 @@ int cmd_serve(int argc, char** argv) {
   // Window span / SLO target default to 0 here = auto-size from the first
   // served chunk's simulated timings (deterministic).
   config.monitor.window.span =
-      SimDuration::seconds(std::atof(arg_value(argc, argv, "--window-span", "0")));
+      SimDuration::seconds(numeric_arg(argc, argv, "--window-span", 0.0));
   config.monitor.slo_latency =
-      SimDuration::millis(std::atof(arg_value(argc, argv, "--slo-ms", "0")));
-  config.monitor.alarm_drift_score =
-      std::atof(arg_value(argc, argv, "--alarm-drift", "0.35"));
-  config.monitor.alarm_error_rate =
-      std::atof(arg_value(argc, argv, "--alarm-error", "0.5"));
-  config.monitor.alarm_burn_rate =
-      std::atof(arg_value(argc, argv, "--alarm-burn", "2.0"));
+      SimDuration::millis(numeric_arg(argc, argv, "--slo-ms", 0.0));
+  config.monitor.alarm_drift_score = numeric_arg(argc, argv, "--alarm-drift", 0.35);
+  config.monitor.alarm_error_rate = numeric_arg(argc, argv, "--alarm-error", 0.5);
+  config.monitor.alarm_burn_rate = numeric_arg(argc, argv, "--alarm-burn", 2.0);
   config.model_stats.alarm_class_error_rate =
-      std::atof(arg_value(argc, argv, "--alarm-class-error", "0.75"));
+      numeric_arg(argc, argv, "--alarm-class-error", 0.75);
   config.model_stats.alarm_confusion_pair =
-      std::atof(arg_value(argc, argv, "--alarm-confusion-pair", "0.5"));
+      numeric_arg(argc, argv, "--alarm-confusion-pair", 0.5);
   // Energy-budget alarm: fires while windowed joules per served inference
   // exceed the threshold (0 = disabled, accounting still runs).
   config.energy.alarm_joules_per_inference =
-      std::atof(arg_value(argc, argv, "--alarm-energy-jpi", "0"));
+      numeric_arg(argc, argv, "--alarm-energy-jpi", 0.0);
 
   config.snapshot_dir = arg_value(argc, argv, "--snapshot-dir", "");
-  config.snapshot_every_chunks =
-      static_cast<std::uint32_t>(std::atoi(arg_value(argc, argv, "--snapshot-every", "0")));
+  config.snapshot_every_chunks = numeric_arg<std::uint32_t>(argc, argv, "--snapshot-every", 0);
   config.prometheus_path = arg_value(argc, argv, "--prom", "");
 
   config.exemplar_path = arg_value(argc, argv, "--exemplars", "");
-  const char* exemplar_bytes = arg_value(argc, argv, "--exemplar-bytes", nullptr);
-  if (exemplar_bytes != nullptr) {
-    std::uint64_t bytes = 0;
-    HDC_CHECK(parse_u64_strict(exemplar_bytes, &bytes) && bytes > 0,
+  if (const auto bytes = numeric_flag<std::uint64_t>(argc, argv, "--exemplar-bytes")) {
+    HDC_CHECK(*bytes > 0,
               "--exemplar-bytes must be a positive byte budget for retained "
               "exemplar span chains");
-    config.exemplars.max_bytes = static_cast<std::size_t>(bytes);
+    config.exemplars.max_bytes = static_cast<std::size_t>(*bytes);
   }
 
   const char* log_json = arg_value(argc, argv, "--log-json", nullptr);
@@ -878,11 +911,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    const char* threads = arg_value(argc, argv, "--threads", nullptr);
-    if (threads != nullptr) {
-      const int n = std::atoi(threads);
-      HDC_CHECK(n > 0, "--threads must be a positive integer");
-      parallel::set_num_threads(static_cast<std::size_t>(n));
+    if (const auto n = numeric_flag<int>(argc, argv, "--threads")) {
+      HDC_CHECK(*n > 0, "--threads must be a positive integer");
+      parallel::set_num_threads(static_cast<std::size_t>(*n));
     }
     const std::string command = argv[1];
     if (command == "train") {
