@@ -28,6 +28,7 @@
 
 #include "common/logging.hpp"
 #include "core/serialize.hpp"
+#include "data/synthetic.hpp"
 #include "lite/serialize.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/trace.hpp"
@@ -241,6 +242,12 @@ constexpr Golden kGolden[] = {
     // no RNG and no libm), so these two hold on any little-endian host.
     {"hdcm", "classifier", 0x37F395E947FB5C93ULL},
     {"hdlt", "model", 0xC2DC0F5C213BDEEEULL},
+    // The lowering of trained models into HDLite (float and compiled int8)
+    // and, through train_tpu's classifier, of the encode half. Quantization
+    // and training run libm, so these hold on the golden platform only.
+    {"lowered", "float_model", 0xA379AE07D289A958ULL},
+    {"lowered", "compiled_model", 0x06218E78571168D0ULL},
+    {"lowered", "train_tpu_classifier", 0x1D9AD929BC79A7CBULL},
 };
 
 void expect_golden(const std::string& run, const Artefacts& got) {
@@ -676,6 +683,34 @@ TEST(FormatGoldenTest, LiteModelBytes) {
   model.input = 0;
   model.output = 6;
   expect_golden("hdlt", {{"model", bytes_digest(lite::serialize_model(model))}});
+}
+
+TEST(FormatGoldenTest, LoweredModelBytes) {
+  HDC_SKIP_OFF_GOLDEN_PLATFORM();
+  const CoDesignFramework framework;
+  const core::TrainedClassifier classifier{core::Encoder(fraction_matrix(3, 8)),
+                                           core::HdModel(fraction_matrix(2, 8))};
+  data::Dataset representative;
+  representative.features = tensor::MatrixF(24, 3);
+  for (std::size_t i = 0; i < representative.features.size(); ++i) {
+    representative.features.data()[i] = static_cast<float>((i * 7) % 17) * 0.0625F - 0.5F;
+  }
+  representative.labels.assign(24, 0);
+  representative.num_classes = 2;
+  const auto lowered = framework.lower_classifier(classifier, representative);
+
+  data::Dataset train = data::generate_synthetic(data::paper_dataset("PAMAP2"), 96);
+  core::HdConfig cfg;
+  cfg.dim = 64;
+  cfg.epochs = 3;
+  cfg.seed = 7;
+  const auto trained = framework.train_tpu(train, cfg);
+
+  expect_golden("lowered",
+                {{"float_model", bytes_digest(lite::serialize_model(lowered.float_model))},
+                 {"compiled_model", bytes_digest(lite::serialize_model(lowered.compiled.model))},
+                 {"train_tpu_classifier",
+                  bytes_digest(core::serialize_classifier(trained.classifier))}});
 }
 
 }  // namespace
