@@ -25,7 +25,6 @@
 #include "lite/builder.hpp"
 #include "lite/interpreter.hpp"
 #include "lite/quantize.hpp"
-#include "nn/wide_nn.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tpu/systolic.hpp"
@@ -425,8 +424,7 @@ BENCHMARK(BM_SystolicMatmulI8)->Arg(128)->Arg(617);
 void BM_QuantizedInterpreterSample(benchmark::State& state) {
   const auto d = static_cast<std::uint32_t>(state.range(0));
   const core::Encoder encoder(128, d, 8);
-  nn::Graph graph = nn::build_encode_graph(encoder);
-  const auto float_model = lite::build_float_model(graph);
+  const auto float_model = lite::build_encode_model(encoder);
   const auto calib = random_f(32, 128, 9);
   const auto quantized = lite::quantize_model(float_model, calib);
   const lite::LiteInterpreter interpreter(quantized);

@@ -1,7 +1,7 @@
 // Model build pipeline, end to end — what "deploying HDC to the Edge TPU"
 // actually produces on disk and on the device:
 //
-//   float classifier -> wide-NN graph -> float HDLite model -> int8
+//   float classifier -> wide-NN float HDLite model -> int8
 //   post-training quantization -> EdgeTPU compilation (partition report)
 //   -> .hdlt artifact -> reload -> execute on the simulated accelerator.
 //
@@ -14,9 +14,9 @@
 
 #include "data/synthetic.hpp"
 #include "lite/builder.hpp"
+#include "lite/interpreter.hpp"
 #include "lite/quantize.hpp"
 #include "lite/serialize.hpp"
-#include "nn/wide_nn.hpp"
 #include "platform/profiles.hpp"
 #include "runtime/framework.hpp"
 #include "tpu/compiler.hpp"
@@ -42,14 +42,11 @@ int main() {
   core::TrainResult trained = trainer.fit(encoder, split.train);
   const core::TrainedClassifier classifier{std::move(encoder), std::move(trained.model)};
 
-  // Stage 1: wide-NN interpretation.
-  const nn::Graph graph = nn::build_inference_graph(classifier);
-  std::printf("wide NN: %u -> %u -> %u (%llu MACs/sample)\n", graph.input_width(),
+  // Stages 1-2: the wide-NN interpretation, as a float HDLite model.
+  const lite::LiteModel float_model = lite::build_inference_model(classifier);
+  std::printf("wide NN: %u -> %u -> %u (%llu MACs/sample)\n", classifier.num_features(),
               classifier.dim(), classifier.num_classes(),
-              static_cast<unsigned long long>(graph.macs_per_sample()));
-
-  // Stage 2: float HDLite model.
-  const lite::LiteModel float_model = lite::build_float_model(graph);
+              static_cast<unsigned long long>(float_model.macs_per_sample()));
   const auto float_bytes = lite::serialize_model(float_model);
   std::printf("float model:     %8.2f MiB (%zu tensors, %zu ops)\n",
               float_bytes.size() / 1048576.0, float_model.tensors.size(),
@@ -88,8 +85,10 @@ int main() {
 
   std::vector<std::uint32_t> predictions(result.classes.begin(), result.classes.end());
   const double int8_acc = data::accuracy(predictions, split.test.labels);
-  const double float_acc =
-      data::accuracy(graph.predict_batch(split.test.features), split.test.labels);
+  const auto float_result = lite::LiteInterpreter(float_model).run(split.test.features);
+  const double float_acc = data::accuracy(
+      std::vector<std::uint32_t>(float_result.classes.begin(), float_result.classes.end()),
+      split.test.labels);
   std::printf("\naccuracy: float %.2f%% -> int8-on-TPU %.2f%%\n", 100.0 * float_acc,
               100.0 * int8_acc);
   std::printf("weight upload: %s; steady-state latency %s/sample "

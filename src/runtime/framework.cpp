@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "lite/builder.hpp"
 #include "lite/quantize.hpp"
-#include "nn/wide_nn.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/trace.hpp"
@@ -77,8 +76,7 @@ tensor::MatrixF CoDesignFramework::encode_on_tpu(const core::Encoder& encoder,
                                                  SimDuration* model_gen_time) const {
   // Lower the encode half of the wide NN, quantize it against representative
   // inputs, compile for the accelerator, and stream the samples through.
-  const nn::Graph graph = nn::build_encode_graph(encoder);
-  const lite::LiteModel float_model = lite::build_float_model(graph);
+  const lite::LiteModel float_model = lite::build_encode_model(encoder);
   const lite::LiteModel quantized =
       lite::quantize_model(float_model, representative, config_.quantize);
 
@@ -280,8 +278,7 @@ CoDesignFramework::TrainOutcome CoDesignFramework::train_tpu_bagging(
 CoDesignFramework::InferOutcome CoDesignFramework::infer_cpu(
     const core::TrainedClassifier& classifier, const data::Dataset& test) const {
   test.validate();
-  const nn::Graph graph = nn::build_inference_graph(classifier);
-  const lite::LiteModel model = lite::build_float_model(graph);
+  const lite::LiteModel model = lite::build_inference_model(classifier);
 
   const platform::CpuExecutor executor(config_.host);
   auto [result, total] =
@@ -335,8 +332,7 @@ CoDesignFramework::InferOutcome CoDesignFramework::infer_tpu(
 CoDesignFramework::LoweredModel CoDesignFramework::lower_classifier(
     const core::TrainedClassifier& classifier, const data::Dataset& representative,
     const std::string& name) const {
-  const nn::Graph graph = nn::build_inference_graph(classifier, name);
-  lite::LiteModel float_model = lite::build_float_model(graph);
+  lite::LiteModel float_model = lite::build_inference_model(classifier, name);
   const lite::LiteModel quantized = lite::quantize_model(
       float_model, representative_rows(representative), config_.quantize);
   const tpu::EdgeTpuCompiler compiler(config_.systolic, config_.sram_bytes);

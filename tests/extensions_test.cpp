@@ -14,7 +14,6 @@
 #include "lite/builder.hpp"
 #include "lite/printer.hpp"
 #include "lite/quantize.hpp"
-#include "nn/wide_nn.hpp"
 #include "platform/energy.hpp"
 #include "runtime/cost.hpp"
 
@@ -270,10 +269,8 @@ TEST(NoiseTest, HdcDegradesGracefullyUnderFaults) {
 // -------------------------------------------------------------- printer ----
 
 TEST(PrinterTest, DescribesFloatModel) {
-  nn::Graph g("toy", 4);
-  g.add_dense(tensor::MatrixF(4, 8, 0.5F));
-  g.add_tanh();
-  const auto text = lite::describe_model(lite::build_float_model(g));
+  const auto text = lite::describe_model(
+      lite::LiteModelBuilder("toy", 4).dense(tensor::MatrixF(4, 8, 0.5F)).tanh().finish());
   EXPECT_NE(text.find("toy"), std::string::npos);
   EXPECT_NE(text.find("FULLY_CONNECTED"), std::string::npos);
   EXPECT_NE(text.find("float32"), std::string::npos);
@@ -282,10 +279,8 @@ TEST(PrinterTest, DescribesFloatModel) {
 }
 
 TEST(PrinterTest, DescribesQuantizedModelWithScales) {
-  nn::Graph g("toy", 4);
-  g.add_dense(tensor::MatrixF(4, 8, 0.5F));
-  g.add_tanh();
-  const auto float_model = lite::build_float_model(g);
+  const auto float_model =
+      lite::LiteModelBuilder("toy", 4).dense(tensor::MatrixF(4, 8, 0.5F)).tanh().finish();
   const auto quantized =
       lite::quantize_model(float_model, tensor::MatrixF(4, 4, 0.3F));
   const auto text = lite::describe_model(quantized);

@@ -10,7 +10,6 @@
 #include "data/synthetic.hpp"
 #include "lite/builder.hpp"
 #include "lite/quantize.hpp"
-#include "nn/graph.hpp"
 #include "obs/request_trace.hpp"
 #include "platform/cpu_executor.hpp"
 #include "platform/profiles.hpp"
@@ -141,23 +140,23 @@ TEST(FaultInjectorTest, DetachWindowsCoverScheduledIntervals) {
 
 /// Small two-layer classifier with real (seeded) weights so functional
 /// results are meaningful, quantized the same way the framework quantizes.
-nn::Graph toy_graph(std::uint32_t features, std::uint32_t dim, std::uint32_t classes,
-                    std::uint64_t seed) {
+lite::LiteModel toy_model(std::uint32_t features, std::uint32_t dim, std::uint32_t classes,
+                          std::uint64_t seed) {
   Rng rng(seed);
-  nn::Graph graph("fault_toy", features);
   tensor::MatrixF encode(features, dim);
   for (auto& v : encode.storage()) {
     v = static_cast<float>(rng.next_double() * 2.0 - 1.0);
   }
-  graph.add_dense(std::move(encode));
-  graph.add_tanh();
   tensor::MatrixF classify(dim, classes);
   for (auto& v : classify.storage()) {
     v = static_cast<float>(rng.next_double() * 2.0 - 1.0);
   }
-  graph.add_dense(std::move(classify));
-  graph.add_argmax();
-  return graph;
+  return lite::LiteModelBuilder("fault_toy", features)
+      .dense(encode)
+      .tanh()
+      .dense(classify)
+      .argmax()
+      .finish();
 }
 
 tensor::MatrixF random_inputs(std::size_t rows, std::size_t cols, std::uint64_t seed) {
@@ -172,8 +171,7 @@ tensor::MatrixF random_inputs(std::size_t rows, std::size_t cols, std::uint64_t 
 class FaultInjectionTest : public ::testing::Test {
  protected:
   FaultInjectionTest()
-      : graph_(toy_graph(24, 256, 5, 71)),
-        float_model_(lite::build_float_model(graph_)),
+      : float_model_(toy_model(24, 256, 5, 71)),
         quantized_(lite::quantize_model(float_model_, random_inputs(32, 24, 5), {})),
         compiled_(compiler_.compile(quantized_)),
         inputs_(random_inputs(32, 24, 99)) {}
@@ -193,7 +191,6 @@ class FaultInjectionTest : public ::testing::Test {
 
   tpu::EdgeTpuCompiler compiler_{tpu::SystolicConfig{}, 8ULL << 20};
   tpu::HostCostModel host_{2e9, 1e9};
-  nn::Graph graph_;
   lite::LiteModel float_model_;
   lite::LiteModel quantized_;
   tpu::CompiledModel compiled_;

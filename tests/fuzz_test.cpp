@@ -27,7 +27,6 @@
 #include "lite/quantize.hpp"
 #include "data/synthetic.hpp"
 #include "lite/serialize.hpp"
-#include "nn/graph.hpp"
 #include "obs/energy.hpp"
 #include "obs/model_stats.hpp"
 #include "obs/monitor.hpp"
@@ -46,13 +45,10 @@ std::vector<std::uint8_t> classifier_bytes() {
 }
 
 std::vector<std::uint8_t> lite_bytes() {
-  nn::Graph g("fuzz", 6);
   tensor::MatrixF w(6, 32);
   Rng rng(4);
   rng.fill_gaussian(w.data(), w.size());
-  g.add_dense(std::move(w));
-  g.add_tanh();
-  const auto float_model = lite::build_float_model(g);
+  const auto float_model = lite::LiteModelBuilder("fuzz", 6).dense(w).tanh().finish();
   tensor::MatrixF calib(8, 6, 0.4F);
   return lite::serialize_model(lite::quantize_model(float_model, calib));
 }
@@ -203,14 +199,14 @@ TEST(FuzzLiteTest, RoundTripSurvivesManyModels) {
     const auto d = static_cast<std::uint32_t>(1 + rng.next_below(300));
     // std::string("m") rather than "m": the const char* + std::string&&
     // overload trips GCC 12's -Wrestrict false positive (PR 105329).
-    nn::Graph g(std::string("m") + std::to_string(i), n);
+    lite::LiteModelBuilder builder(std::string("m") + std::to_string(i), n);
     tensor::MatrixF w(n, d);
     rng.fill_gaussian(w.data(), w.size());
-    g.add_dense(std::move(w));
+    builder.dense(w);
     if (rng.next_below(2) == 0) {
-      g.add_tanh();
+      builder.tanh();
     }
-    const auto model = lite::build_float_model(g);
+    const auto model = builder.finish();
     const auto restored = lite::deserialize_model(lite::serialize_model(model));
     EXPECT_EQ(restored.tensors.size(), model.tensors.size());
     EXPECT_EQ(restored.ops.size(), model.ops.size());

@@ -15,7 +15,6 @@
 #include "lite/builder.hpp"
 #include "lite/quantize.hpp"
 #include "lite/serialize.hpp"
-#include "nn/wide_nn.hpp"
 #include "platform/energy.hpp"
 #include "runtime/autotune.hpp"
 #include "runtime/framework.hpp"
@@ -85,20 +84,15 @@ TEST_F(IntegrationTest, LoweringChainPreservesAccuracyAtEveryStage) {
       core::Similarity::kCosine);
   const double acc_direct = data::accuracy(direct, split_->test.labels);
 
-  // Stage 2: wide-NN float graph.
-  const nn::Graph graph = nn::build_inference_graph(trained.classifier);
-  const double acc_graph = data::accuracy(graph.predict_batch(split_->test.features),
-                                          split_->test.labels);
-  EXPECT_DOUBLE_EQ(acc_graph, acc_direct);  // normalization makes this exact
-
-  // Stage 3: HDLite float model.
-  const auto float_model = lite::build_float_model(graph);
+  // Stage 2: the wide NN as a float HDLite model; class normalization makes
+  // it rank exactly like the cosine search.
+  const auto float_model = lite::build_inference_model(trained.classifier);
   const auto float_result = lite::LiteInterpreter(float_model).run(split_->test.features);
   std::vector<std::uint32_t> float_predictions(float_result.classes.begin(),
                                                float_result.classes.end());
   EXPECT_DOUBLE_EQ(data::accuracy(float_predictions, split_->test.labels), acc_direct);
 
-  // Stage 4: int8 + serialized + reloaded. The reloaded model predicts
+  // Stage 3: int8 + serialized + reloaded. The reloaded model predicts
   // exactly what the in-memory quantized model does.
   tensor::MatrixF calib(128, split_->train.num_features());
   std::copy_n(split_->train.features.data(), calib.size(), calib.data());
@@ -196,7 +190,7 @@ TEST_F(IntegrationTest, DeviceTraceMatchesDeployedModel) {
   tensor::MatrixF calib(64, split_->train.num_features());
   std::copy_n(split_->train.features.data(), calib.size(), calib.data());
   const auto quantized = lite::quantize_model(
-      lite::build_float_model(nn::build_inference_graph(trained.classifier)), calib);
+      lite::build_inference_model(trained.classifier), calib);
 
   const tpu::EdgeTpuCompiler compiler(tpu::SystolicConfig{}, 8ULL << 20);
   const auto compiled = compiler.compile(quantized);

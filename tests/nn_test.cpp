@@ -3,186 +3,12 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "core/trainer.hpp"
+#include "core/encoder.hpp"
 #include "data/synthetic.hpp"
-#include "nn/graph.hpp"
 #include "nn/logistic.hpp"
-#include "nn/wide_nn.hpp"
-#include "tensor/ops.hpp"
 
 namespace hdc::nn {
 namespace {
-
-Graph two_layer_graph() {
-  Graph g("test", 2);
-  g.add_dense(tensor::MatrixF{{1.0F, 0.0F, 1.0F}, {0.0F, 1.0F, 1.0F}});  // 2 -> 3
-  g.add_tanh();
-  g.add_dense(tensor::MatrixF{{1.0F}, {1.0F}, {1.0F}});  // 3 -> 1
-  return g;
-}
-
-TEST(GraphTest, ShapeInference) {
-  const Graph g = two_layer_graph();
-  EXPECT_EQ(g.input_width(), 2U);
-  EXPECT_EQ(g.output_width(), 1U);
-  EXPECT_NO_THROW(g.validate());
-}
-
-TEST(GraphTest, DenseShapeChainEnforced) {
-  Graph g("bad", 2);
-  EXPECT_THROW(g.add_dense(tensor::MatrixF(3, 4)), hdc::Error);
-}
-
-TEST(GraphTest, ArgMaxMustBeLast) {
-  Graph g("bad", 2);
-  g.add_dense(tensor::MatrixF(2, 4));
-  g.add_argmax();
-  EXPECT_THROW(g.add_tanh(), hdc::Error);
-  EXPECT_THROW(g.add_argmax(), hdc::Error);
-}
-
-TEST(GraphTest, ForwardComputesDenseTanhDense) {
-  const Graph g = two_layer_graph();
-  const auto out = g.forward(std::vector<float>{1.0F, 2.0F});
-  // hidden = tanh([1, 2, 3]); output = sum(hidden)
-  const float expected = std::tanh(1.0F) + std::tanh(2.0F) + std::tanh(3.0F);
-  ASSERT_EQ(out.size(), 1U);
-  EXPECT_NEAR(out[0], expected, 1e-5F);
-}
-
-TEST(GraphTest, ForwardRejectsWrongWidth) {
-  const Graph g = two_layer_graph();
-  EXPECT_THROW(g.forward(std::vector<float>{1.0F}), hdc::Error);
-}
-
-TEST(GraphTest, BatchMatchesSingle) {
-  const Graph g = two_layer_graph();
-  tensor::MatrixF inputs{{1.0F, 2.0F}, {-0.5F, 0.25F}};
-  const auto batch = g.forward_batch(inputs);
-  for (std::size_t i = 0; i < 2; ++i) {
-    const auto single = g.forward(inputs.row(i));
-    EXPECT_NEAR(batch(i, 0), single[0], 1e-5F);
-  }
-}
-
-TEST(GraphTest, PredictIsArgmaxOverLogits) {
-  Graph g("cls", 2);
-  g.add_dense(tensor::MatrixF{{1.0F, 0.0F}, {0.0F, 1.0F}});
-  g.add_argmax();
-  EXPECT_EQ(g.predict(std::vector<float>{0.2F, 0.9F}), 1U);
-  EXPECT_EQ(g.predict(std::vector<float>{0.9F, 0.2F}), 0U);
-}
-
-TEST(GraphTest, MacsPerSampleSumsDenseLayers) {
-  const Graph g = two_layer_graph();
-  EXPECT_EQ(g.macs_per_sample(), 2U * 3U + 3U * 1U);
-}
-
-TEST(GraphTest, EmptyGraphOutputIsInput) {
-  Graph g("id", 5);
-  EXPECT_EQ(g.output_width(), 5U);
-  const auto out = g.forward(std::vector<float>(5, 2.0F));
-  EXPECT_EQ(out.size(), 5U);
-  EXPECT_EQ(out[0], 2.0F);
-}
-
-// ------------------------------------------------------------- wide NN ----
-
-core::TrainedClassifier tiny_classifier() {
-  data::SyntheticSpec spec = data::paper_dataset("PAMAP2");
-  data::Dataset ds = data::generate_synthetic(spec, 200);
-  data::MinMaxNormalizer norm;
-  norm.fit(ds);
-  norm.apply(ds);
-
-  core::HdConfig cfg;
-  cfg.dim = 512;
-  cfg.epochs = 5;
-  core::Encoder encoder(static_cast<std::uint32_t>(ds.num_features()), cfg.dim, cfg.seed);
-  const core::Trainer trainer(cfg);
-  core::TrainResult result = trainer.fit(encoder, ds);
-  return core::TrainedClassifier{std::move(encoder), std::move(result.model)};
-}
-
-TEST(WideNnTest, EncodeGraphMatchesEncoder) {
-  const core::TrainedClassifier classifier = tiny_classifier();
-  const Graph graph = build_encode_graph(classifier.encoder);
-  EXPECT_EQ(graph.input_width(), classifier.encoder.num_features());
-  EXPECT_EQ(graph.output_width(), classifier.encoder.dim());
-
-  std::vector<float> sample(classifier.encoder.num_features(), 0.3F);
-  const auto via_graph = graph.forward(sample);
-  const auto via_encoder = classifier.encoder.encode(sample);
-  ASSERT_EQ(via_graph.size(), via_encoder.size());
-  for (std::size_t j = 0; j < via_graph.size(); ++j) {
-    EXPECT_NEAR(via_graph[j], via_encoder[j], 1e-5F);
-  }
-}
-
-TEST(WideNnTest, InferenceGraphMatchesAssociativeSearch) {
-  // The central paper claim (Fig. 2): the 3-layer wide NN computes exactly
-  // the HDC encode + associative search. With class normalization folded
-  // into the weights (the default) the network ranks like the cosine
-  // similarity used during training.
-  const core::TrainedClassifier classifier = tiny_classifier();
-  const Graph graph = build_inference_graph(classifier);
-
-  data::Dataset probe = data::generate_synthetic(data::paper_dataset("PAMAP2"), 50);
-  data::MinMaxNormalizer norm;
-  norm.fit(probe);
-  norm.apply(probe);
-
-  for (std::size_t i = 0; i < probe.num_samples(); ++i) {
-    const auto encoded = classifier.encoder.encode(probe.features.row(i));
-    const auto direct = classifier.model.predict(encoded, core::Similarity::kCosine);
-    EXPECT_EQ(graph.predict(probe.features.row(i)), direct);
-  }
-}
-
-TEST(WideNnTest, UnnormalizedInferenceGraphMatchesDotSearch) {
-  const core::TrainedClassifier classifier = tiny_classifier();
-  const Graph graph = build_inference_graph(classifier, "raw_dot", false);
-
-  data::Dataset probe = data::generate_synthetic(data::paper_dataset("PAMAP2"), 50);
-  data::MinMaxNormalizer norm;
-  norm.fit(probe);
-  norm.apply(probe);
-
-  for (std::size_t i = 0; i < probe.num_samples(); ++i) {
-    const auto encoded = classifier.encoder.encode(probe.features.row(i));
-    const auto direct = classifier.model.predict(encoded, core::Similarity::kDot);
-    EXPECT_EQ(graph.predict(probe.features.row(i)), direct);
-  }
-}
-
-TEST(WideNnTest, InferenceGraphShapes) {
-  const core::TrainedClassifier classifier = tiny_classifier();
-  const Graph graph = build_inference_graph(classifier);
-  EXPECT_TRUE(graph.ends_with_argmax());
-  EXPECT_EQ(graph.output_width(), classifier.model.num_classes());
-  EXPECT_EQ(graph.macs_per_sample(),
-            static_cast<std::uint64_t>(classifier.encoder.num_features()) *
-                    classifier.encoder.dim() +
-                static_cast<std::uint64_t>(classifier.encoder.dim()) *
-                    classifier.model.num_classes());
-}
-
-TEST(WideNnTest, LogitsEqualDotScores) {
-  const core::TrainedClassifier classifier = tiny_classifier();
-  Graph graph("logits", classifier.encoder.num_features());
-  graph.add_dense(classifier.encoder.base());
-  graph.add_tanh();
-  graph.add_dense(tensor::transpose(classifier.model.class_hypervectors()));
-
-  std::vector<float> sample(classifier.encoder.num_features(), 0.1F);
-  const auto logits = graph.forward(sample);
-  const auto encoded = classifier.encoder.encode(sample);
-  const auto scores = classifier.model.scores(encoded, core::Similarity::kDot);
-  ASSERT_EQ(logits.size(), scores.size());
-  for (std::size_t c = 0; c < logits.size(); ++c) {
-    EXPECT_NEAR(logits[c], scores[c], 1e-3F * (1.0F + std::fabs(scores[c])));
-  }
-}
 
 // ------------------------------------------------------------- logistic ----
 

@@ -4,7 +4,6 @@
 #include "common/rng.hpp"
 #include "lite/builder.hpp"
 #include "lite/quantize.hpp"
-#include "nn/graph.hpp"
 #include "platform/cpu_executor.hpp"
 #include "platform/profiles.hpp"
 #include "runtime/cost.hpp"
@@ -42,18 +41,14 @@ TEST(ProfileTest, InvalidProfileRejected) {
 TEST(CpuExecutorTest, PerSampleTimeMatchesHandComputation) {
   // FC(10 -> 100) + TANH on a 2 GMAC/s, 1 Gop/s profile:
   // 1000 MACs / 2e9 + 100 elements / 1e9 = 0.6 us.
-  nn::Graph g("m", 10);
-  g.add_dense(tensor::MatrixF(10, 100, 0.01F));
-  g.add_tanh();
-  const auto model = lite::build_float_model(g);
+  const auto model =
+      lite::LiteModelBuilder("m", 10).dense(tensor::MatrixF(10, 100, 0.01F)).tanh().finish();
   const CpuExecutor executor(host_cpu_profile());
   EXPECT_NEAR(executor.per_sample_time(model).to_micros(), 0.6, 1e-9);
 }
 
 TEST(CpuExecutorTest, TimeScalesWithBatch) {
-  nn::Graph g("m", 8);
-  g.add_dense(tensor::MatrixF(8, 32, 0.1F));
-  const auto model = lite::build_float_model(g);
+  const auto model = lite::LiteModelBuilder("m", 8).dense(tensor::MatrixF(8, 32, 0.1F)).finish();
   const CpuExecutor executor(host_cpu_profile());
   const auto [r10, t10] = executor.run(model, tensor::MatrixF(10, 8, 0.5F),
                                        tpu::ExecutionMode::kTimingOnly);
@@ -71,13 +66,10 @@ TEST(CpuExecutorTest, SlowerProfileTakesLonger) {
 }
 
 TEST(CpuExecutorTest, FunctionalRunProducesOutputs) {
-  nn::Graph g("m", 4);
   tensor::MatrixF w(4, 8);
   Rng rng(9);
   rng.fill_gaussian(w.data(), w.size());
-  g.add_dense(std::move(w));
-  g.add_tanh();
-  const auto model = lite::build_float_model(g);
+  const auto model = lite::LiteModelBuilder("m", 4).dense(w).tanh().finish();
   const CpuExecutor executor(host_cpu_profile());
   tensor::MatrixF inputs(5, 4, 0.3F);
   const auto [result, time] = executor.run(model, inputs, tpu::ExecutionMode::kFunctional);

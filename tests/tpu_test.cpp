@@ -4,7 +4,6 @@
 #include "common/rng.hpp"
 #include "lite/builder.hpp"
 #include "lite/quantize.hpp"
-#include "nn/graph.hpp"
 #include "runtime/cost.hpp"
 #include "tensor/ops.hpp"
 #include "obs/metrics.hpp"
@@ -272,10 +271,8 @@ TEST(CompilerTest, PartitionsQuantizedInferenceModel) {
 }
 
 TEST(CompilerTest, FloatModelFallsBackEntirely) {
-  nn::Graph g("float", 8);
-  g.add_dense(tensor::MatrixF(8, 16, 0.1F));
-  g.add_tanh();
-  const auto model = lite::build_float_model(g);
+  const auto model =
+      lite::LiteModelBuilder("float", 8).dense(tensor::MatrixF(8, 16, 0.1F)).tanh().finish();
   const EdgeTpuCompiler compiler(SystolicConfig{}, 8ULL << 20);
   const CompiledModel compiled = compiler.compile(model);
   EXPECT_EQ(compiled.report.device_ops, 0U);
@@ -431,14 +428,11 @@ TEST_F(DeviceTest, OversizedModelPaysWeightStreamPerSample) {
 
 TEST_F(DeviceTest, FunctionalInvokeMatchesInterpreter) {
   EdgeTpuDevice device;
-  // A real (non-zero-weight) quantized model: build from a small graph.
-  nn::Graph g("real", 8);
+  // A real (non-zero-weight) quantized model: build from a small chain.
   tensor::MatrixF w1(8, 64);
   Rng rng(3);
   rng.fill_gaussian(w1.data(), w1.size());
-  g.add_dense(std::move(w1));
-  g.add_tanh();
-  const auto float_model = lite::build_float_model(g);
+  const auto float_model = lite::LiteModelBuilder("real", 8).dense(w1).tanh().finish();
   tensor::MatrixF inputs(16, 8);
   rng.fill_gaussian(inputs.data(), inputs.size(), 0.5F, 0.25F);
   const auto quantized = lite::quantize_model(float_model, inputs);
