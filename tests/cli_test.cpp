@@ -184,6 +184,8 @@ TEST_F(CliTest, ServeRejectsInvalidOverloadFlags) {
   expect_rejected("--probe-interval-us 0", "half-open probes");
   expect_rejected("--reduced-dim 0", "must be positive");
   expect_rejected("--shed-policy keep-some", "reject-newest");
+  expect_rejected("--swap-classes 1,2x", "two distinct non-negative class indices");
+  expect_rejected("--swap-classes 1,2,3", "two distinct non-negative class indices");
 }
 
 TEST_F(CliTest, ServeOverloadSmokeReportsAdmissionAndHealth) {
