@@ -4,10 +4,9 @@
 Reads a build tree configured with `-ffunction-sections` and linked with
 `-Wl,--gc-sections`, so every executable keeps only the functions it can
 reach. Each member of `src/*/libhdc_*.a` must define at least one global
-function that survives in one of the shipped programs: `tools/hdc`, the
-executables in `bench/` and `examples/`, and the repository benchmark's two
-programs when `perfbench/` is configured into BUILD_DIR/perfbench with the
-same flags. Tests do not count as users. Prints each unreached member as
+function that survives in one of the shipped programs: `tools/hdc` and the
+executables in `bench/` and `examples/`. Tests and the repository benchmark
+(`perfbench/`) do not count as users. Prints each unreached member as
 `archive: member`; exits 1 if there is one.
 
 Usage: unreached_objects.py BUILD_DIR
@@ -34,7 +33,7 @@ def is_elf_executable(path):
 
 def programs(build):
     candidates = [os.path.join(build, "tools", "hdc")]
-    for folder in ("bench", "examples", "perfbench"):
+    for folder in ("bench", "examples"):
         candidates += sorted(glob.glob(os.path.join(build, folder, "*")))
     return [p for p in candidates if is_elf_executable(p)]
 
