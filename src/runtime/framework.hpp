@@ -120,8 +120,8 @@ class CoDesignFramework {
     }
   };
 
-  /// Lowers `classifier` for deployment: wide-NN graph -> float model ->
-  /// int8 quantization against `representative` -> accelerator compile.
+  /// Lowers `classifier` for deployment: wide-NN float model -> int8
+  /// quantization against `representative` -> accelerator compile.
   LoweredModel lower_classifier(const core::TrainedClassifier& classifier,
                                 const data::Dataset& representative,
                                 const std::string& name = "hdc_inference") const;

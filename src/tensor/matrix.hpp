@@ -12,7 +12,7 @@ namespace hdc::tensor {
 
 /// Dense row-major matrix. Deliberately simple: contiguous storage, value
 /// semantics, bounds-checked element access. This is the single numeric
-/// container shared by the HDC core, the NN graph, the HDLite interpreter
+/// container shared by the HDC core, the HDLite builder and interpreter
 /// and the TPU simulator, so conversions between subsystems are free.
 template <typename T>
 class Matrix {
