@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
     // resident parameters this scrubs roughly every forty invocations.
     profile.sram_bitflip_per_byte = rate * 1e-7;
     runtime::ResilienceReport report;
-    const auto faulty = framework.infer_tpu_resilient(classifier, prepared.test,
-                                                      prepared.train, profile, {}, &report);
+    const auto faulty = framework.infer_tpu(classifier, prepared.test,
+                                           prepared.train, profile, {}, &report);
     std::printf("%-12.2f %8.2f%% %9.1f%% %8.2fx %8llu %7llu %7llu %6llu/%llu %8s\n", rate,
                 100.0 * faulty.accuracy, 100.0 * faulty.accuracy / clean.accuracy,
                 faulty.timings.total / clean.timings.total,
@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
   tpu::FaultProfile detach;
   detach.detach_at.push_back(clean.timings.total * 0.5);
   runtime::ResilienceReport report;
-  const auto survived = framework.infer_tpu_resilient(classifier, prepared.test,
-                                                      prepared.train, detach, {}, &report);
+  const auto survived = framework.infer_tpu(classifier, prepared.test,
+                                           prepared.train, detach, {}, &report);
   std::printf("\ndetach at 50%% of the clean batch: %.2f%% accuracy (retention %.1f%%), "
               "%llu TPU + %llu CPU samples, overhead %.2fx, breaker %s\n",
               100.0 * survived.accuracy, 100.0 * survived.accuracy / clean.accuracy,

@@ -20,8 +20,7 @@ std::string format_location(const std::source_location& loc) {
 }  // namespace
 
 Error::Error(const std::string& message, std::source_location loc)
-    : std::runtime_error(message + " [" + format_location(loc) + "]"),
-      location_(format_location(loc)) {}
+    : std::runtime_error(message), location_(format_location(loc)) {}
 
 namespace detail {
 

@@ -7,8 +7,8 @@
 namespace hdc {
 
 /// Exception type thrown on any precondition / invariant / format violation
-/// inside the library. Carries the failing source location so harness output
-/// points at the origin, not the catch site.
+/// inside the library. `what()` is the message alone, so user-visible output
+/// does not move with the source; `location()` keeps where it was raised.
 class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& message,

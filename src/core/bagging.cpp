@@ -1,7 +1,6 @@
 #include "core/bagging.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -61,17 +60,7 @@ std::vector<std::uint32_t> BaggedEnsemble::predict_batch(const tensor::MatrixF& 
   return out;
 }
 
-std::uint32_t StackedModel::predict(std::span<const float> sample) const {
-  const auto encoded = encoder.encode(sample);
-  return model.predict(encoded, Similarity::kDot);
-}
-
-std::vector<std::uint32_t> StackedModel::predict_batch(const tensor::MatrixF& samples) const {
-  const tensor::MatrixF encoded = encoder.encode_batch(samples);
-  return model.predict_batch(encoded, Similarity::kDot);
-}
-
-StackedModel stack(const BaggedEnsemble& ensemble) {
+TrainedClassifier stack(const BaggedEnsemble& ensemble) {
   HDC_CHECK(!ensemble.members.empty(), "cannot stack an empty ensemble");
 
   std::vector<tensor::MatrixF> bases;
@@ -85,67 +74,42 @@ StackedModel stack(const BaggedEnsemble& ensemble) {
     class_blocks.push_back(member.model.class_hypervectors());
   }
 
-  return StackedModel{Encoder(tensor::hstack(bases)),
-                      HdModel(tensor::hstack(class_blocks))};
+  return TrainedClassifier{Encoder(tensor::hstack(bases)),
+                           HdModel(tensor::hstack(class_blocks))};
 }
 
-BaggingTrainer::BaggingTrainer(BaggingConfig config) : config_(std::move(config)) {
-  config_.validate();
-}
-
-BaggedEnsemble BaggingTrainer::fit(const data::Dataset& train) const {
+BaggedEnsemble train_bagged(const data::Dataset& train, const BaggingConfig& config,
+                            const MemberStep& step) {
   train.validate();
-  const std::uint32_t sub_dim = config_.effective_sub_dim();
+  config.validate();
+  const std::uint32_t sub_dim = config.effective_sub_dim();
   const auto num_samples = static_cast<std::uint32_t>(train.num_samples());
   const auto num_features = static_cast<std::uint32_t>(train.num_features());
 
-  HdConfig sub_config = config_.base;
+  HdConfig sub_config = config.base;
   sub_config.dim = sub_dim;
-  sub_config.epochs = config_.epochs;
-  sub_config.threads = 0;  // the member level owns the pool below
+  sub_config.epochs = config.epochs;
+  const Trainer trainer(sub_config);
 
-  // Pre-split every member's RNG stream *before* dispatch: each member's
-  // bootstrap and base-hypervector draws are a pure function of (seed, m),
-  // so the trained ensemble is bit-identical for any thread count and any
-  // completion order.
-  Rng rng(config_.base.seed);
-  std::vector<Rng> member_rngs;
-  member_rngs.reserve(config_.num_models);
-  for (std::uint32_t m = 0; m < config_.num_models; ++m) {
-    member_rngs.push_back(rng.split());
-  }
-
-  const parallel::ScopedThreadCount thread_scope(config_.base.threads);
-  std::vector<std::optional<SubModel>> members(config_.num_models);
-  std::vector<TrainingRecord> records(config_.num_models);
-
-  // Members are embarrassingly parallel; each slot is written by exactly one
-  // chunk and placed by index afterwards. Nested kernels (encode, scoring)
-  // run inline on the member's thread.
-  parallel::parallel_for(0, config_.num_models, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t m = lo; m < hi; ++m) {
-      Rng member_rng = member_rngs[m];
-      const auto bootstrap =
-          data::draw_bootstrap(num_samples, num_features, config_.bootstrap, member_rng);
-
-      Encoder encoder(num_features, sub_dim, member_rng.next_u64());
-      encoder.apply_feature_mask(bootstrap.feature_mask);
-
-      const data::Dataset subset = train.select(bootstrap.sample_indices);
-      const Trainer trainer(sub_config);
-      TrainResult trained = trainer.fit(encoder, subset);
-
-      records[m] = TrainingRecord{std::move(trained.history), trained.total_updates};
-      members[m] = SubModel{std::move(encoder), std::move(trained.model), bootstrap};
-    }
-  });
-
+  Rng rng(config.base.seed);
   BaggedEnsemble ensemble;
-  ensemble.members.reserve(config_.num_models);
-  for (std::uint32_t m = 0; m < config_.num_models; ++m) {
-    ensemble.members.push_back(std::move(*members[m]));
+  ensemble.members.reserve(config.num_models);
+  ensemble.training.reserve(config.num_models);
+  for (std::uint32_t m = 0; m < config.num_models; ++m) {
+    Rng member_rng = rng.split();
+    const auto bootstrap =
+        data::draw_bootstrap(num_samples, num_features, config.bootstrap, member_rng);
+
+    Encoder encoder(num_features, sub_dim, member_rng.next_u64());
+    encoder.apply_feature_mask(bootstrap.feature_mask);
+
+    const data::Dataset subset = train.select(bootstrap.sample_indices);
+    TrainResult trained = step(m, trainer, encoder, subset);
+
+    ensemble.training.push_back(
+        TrainingRecord{std::move(trained.history), trained.total_updates});
+    ensemble.members.push_back(SubModel{std::move(encoder), std::move(trained.model), bootstrap});
   }
-  ensemble.training = std::move(records);
   return ensemble;
 }
 

@@ -1,11 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/encoder.hpp"
 #include "core/model.hpp"
+#include "core/serialize.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "data/sampling.hpp"
@@ -47,32 +49,26 @@ struct BaggedEnsemble {
   std::vector<std::uint32_t> predict_batch(const tensor::MatrixF& samples) const;
 };
 
-/// Single full-width inference model assembled from an ensemble by stacking
-/// member base matrices horizontally (n x d) and member class-hypervector
-/// blocks along the hypervector axis (d x k when transposed). By
-/// construction the stacked model's dot scores equal the sum of the member
-/// scores, so consensus inference costs exactly one wide model evaluation.
-struct StackedModel {
-  Encoder encoder;  ///< n x d stacked bases
-  HdModel model;    ///< k x d stacked class hypervectors
+/// Assembles the single full-width inference model from an ensemble by
+/// stacking member base matrices horizontally (n x d) and member
+/// class-hypervector blocks along the hypervector axis (d x k when
+/// transposed). By construction the stacked model's dot scores equal the sum
+/// of the member scores, so consensus inference costs exactly one wide model
+/// evaluation.
+TrainedClassifier stack(const BaggedEnsemble& ensemble);
 
-  std::uint32_t predict(std::span<const float> sample) const;
-  std::vector<std::uint32_t> predict_batch(const tensor::MatrixF& samples) const;
-};
+/// Fits one member: `trainer` carries the member config (d', I'), `encoder`
+/// the member's masked bases, `subset` its bootstrap rows.
+using MemberStep = std::function<TrainResult(std::uint32_t member, const Trainer& trainer,
+                                             const Encoder& encoder,
+                                             const data::Dataset& subset)>;
 
-StackedModel stack(const BaggedEnsemble& ensemble);
-
-/// Trains M sub-models on bootstrap subsets (paper Fig. 3 training flow).
-class BaggingTrainer {
- public:
-  explicit BaggingTrainer(BaggingConfig config);
-
-  const BaggingConfig& config() const noexcept { return config_; }
-
-  BaggedEnsemble fit(const data::Dataset& train) const;
-
- private:
-  BaggingConfig config_;
-};
+/// The bagging member protocol (paper Fig. 3 training flow): member m draws
+/// its bootstrap and bases from the m-th split of `config.base.seed`, and
+/// `step` fits it on its bootstrap subset. Members run one after another in
+/// member order, so only one member's subset and encodings are alive at a
+/// time; the ensemble is a pure function of the inputs and the step.
+BaggedEnsemble train_bagged(const data::Dataset& train, const BaggingConfig& config,
+                            const MemberStep& step);
 
 }  // namespace hdc::core

@@ -174,21 +174,20 @@ void ModelQualityStats::observe_model(const tensor::MatrixF& class_hypervectors)
   ++model_refreshes_;
 }
 
-std::vector<std::uint64_t> ModelQualityStats::merged_window_confusion(
+const std::vector<std::uint64_t>& ModelQualityStats::merged_window_confusion(
     SimDuration now) {
   window_confusion_.advance_to(now);
-  std::vector<std::uint64_t> merged(
-      static_cast<std::size_t>(config_.num_classes) * config_.num_classes, 0);
+  merged_.assign(static_cast<std::size_t>(config_.num_classes) * config_.num_classes, 0);
   for (const std::vector<std::uint64_t>& slot : window_confusion_.slots()) {
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      merged[i] += slot[i];
+    for (std::size_t i = 0; i < merged_.size(); ++i) {
+      merged_[i] += slot[i];
     }
   }
-  return merged;
+  return merged_;
 }
 
 void ModelQualityStats::evaluate_alarms(SimDuration now, std::int64_t request_id) {
-  const std::vector<std::uint64_t> window = merged_window_confusion(now);
+  const std::vector<std::uint64_t>& window = merged_window_confusion(now);
   const std::size_t classes = config_.num_classes;
 
   // Running worst per alarm (first maximum wins); a negative index means no
@@ -225,12 +224,19 @@ void ModelQualityStats::evaluate_alarms(SimDuration now, std::int64_t request_id
       }
     }
   }
-  bank_.detail(kClassError) =
-      error_class < 0 ? std::string() : "class=" + std::to_string(error_class);
-  bank_.detail(kConfusionPair) =
-      pair_actual < 0 ? std::string()
-                      : "pair=" + std::to_string(pair_actual) + "->" +
-                            std::to_string(pair_predicted);
+  if (error_class != detail_error_class_) {
+    bank_.detail(kClassError) =
+        error_class < 0 ? std::string() : "class=" + std::to_string(error_class);
+    detail_error_class_ = error_class;
+  }
+  if (pair_actual != detail_pair_actual_ || pair_predicted != detail_pair_predicted_) {
+    bank_.detail(kConfusionPair) =
+        pair_actual < 0 ? std::string()
+                        : "pair=" + std::to_string(pair_actual) + "->" +
+                              std::to_string(pair_predicted);
+    detail_pair_actual_ = pair_actual;
+    detail_pair_predicted_ = pair_predicted;
+  }
   bank_.update(kClassError, now, worst_error, request_id);
   bank_.update(kConfusionPair, now, worst_pair, request_id);
 }

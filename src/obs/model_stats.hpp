@@ -196,7 +196,8 @@ class ModelQualityStats {
   enum Alarm : std::size_t { kClassError, kConfusionPair };
 
   void evaluate_alarms(SimDuration now, std::int64_t request_id);
-  std::vector<std::uint64_t> merged_window_confusion(SimDuration now);
+  /// The window's C x C confusion summed over its buckets, in `merged_`.
+  const std::vector<std::uint64_t>& merged_window_confusion(SimDuration now);
 
   ModelStatsConfig config_;
 
@@ -216,6 +217,16 @@ class ModelQualityStats {
   std::uint64_t model_refreshes_ = 0;
 
   AlarmBank bank_;
+
+  /// Scratch for `merged_window_confusion`, reused across samples.
+  std::vector<std::uint64_t> merged_;
+  /// The culprits the bank's details were last formatted from. They start
+  /// at a value no evaluation produces, so a fresh or restored instance
+  /// formats on its first evaluation.
+  static constexpr std::ptrdiff_t kUnformatted = -2;
+  std::ptrdiff_t detail_error_class_ = kUnformatted;
+  std::ptrdiff_t detail_pair_actual_ = kUnformatted;
+  std::size_t detail_pair_predicted_ = 0;
 };
 
 }  // namespace hdc::obs

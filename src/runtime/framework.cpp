@@ -202,64 +202,40 @@ CoDesignFramework::TrainOutcome CoDesignFramework::train_tpu(
 
 CoDesignFramework::TrainOutcome CoDesignFramework::train_tpu_bagging(
     const data::Dataset& train, const core::BaggingConfig& cfg) const {
-  train.validate();
-  cfg.validate();
-
-  const std::uint32_t sub_dim = cfg.effective_sub_dim();
-  const auto num_samples = static_cast<std::uint32_t>(train.num_samples());
-  const auto num_features = static_cast<std::uint32_t>(train.num_features());
   const tensor::MatrixF representative = representative_rows(train);
-
-  core::HdConfig sub_config = cfg.base;
-  sub_config.dim = sub_dim;
-  sub_config.epochs = cfg.epochs;
-
-  Rng rng(cfg.base.seed);
-  core::BaggedEnsemble ensemble;
   TrainTimings timings;
   double update_fraction_sum = 0.0;
-  std::vector<core::EpochStats> first_history;
 
-  for (std::uint32_t m = 0; m < cfg.num_models; ++m) {
-    Rng member_rng = rng.split();
-    const auto bootstrap =
-        data::draw_bootstrap(num_samples, num_features, cfg.bootstrap, member_rng);
+  // Each member's subset encodes through the quantized encode model on the
+  // TPU; its class update runs (and is priced) on the host.
+  const core::BaggedEnsemble ensemble = core::train_bagged(
+      train, cfg,
+      [&](std::uint32_t m, const core::Trainer& trainer, const core::Encoder& encoder,
+          const data::Dataset& subset) {
+        const tensor::MatrixF encoded = encode_on_tpu(encoder, subset.features, representative,
+                                                      &timings.encode, &timings.model_gen);
+        core::TrainResult result =
+            trainer.fit_encoded(encoded, subset.labels, subset.num_classes);
 
-    core::Encoder encoder(num_features, sub_dim, member_rng.next_u64());
-    encoder.apply_feature_mask(bootstrap.feature_mask);
-
-    const data::Dataset subset = train.select(bootstrap.sample_indices);
-    const tensor::MatrixF encoded = encode_on_tpu(encoder, subset.features, representative,
-                                                  &timings.encode, &timings.model_gen);
-
-    const core::Trainer trainer(sub_config);
-    core::TrainResult result =
-        trainer.fit_encoded(encoded, subset.labels, subset.num_classes);
-
-    const SimDuration member_update =
-        cost_.update_phase(subset.num_samples(), sub_dim, subset.num_classes, cfg.epochs,
-                           measured_update_fraction(result.history, subset.num_samples()),
-                           config_.host);
-    timings.update += member_update;
-    if (trace_ != nullptr) {
-      trace_->span(obs::Track::kTrainer, "train.update", member_update,
-                   {{"member", m}, {"epochs", cfg.epochs}});
-    }
-    update_fraction_sum +=
-        measured_update_fraction(result.history, subset.num_samples());
-    if (m == 0) {
-      first_history = result.history;
-    }
-    ensemble.members.push_back(
-        core::SubModel{std::move(encoder), std::move(result.model), bootstrap});
-  }
-
-  core::StackedModel stacked = core::stack(ensemble);
+        const double update_fraction =
+            measured_update_fraction(result.history, subset.num_samples());
+        const SimDuration member_update =
+            cost_.update_phase(subset.num_samples(), encoder.dim(), subset.num_classes,
+                               cfg.epochs, update_fraction, config_.host);
+        timings.update += member_update;
+        if (trace_ != nullptr) {
+          trace_->span(obs::Track::kTrainer, "train.update", member_update,
+                       {{"member", m}, {"epochs", cfg.epochs}});
+        }
+        update_fraction_sum += update_fraction;
+        return result;
+      });
+  core::TrainedClassifier stacked = core::stack(ensemble);
 
   // One stacked full-width inference model is generated at the end.
   const tpu::EdgeTpuCompiler compiler(config_.systolic, config_.sram_bytes);
   const auto stacked_shape = compiler.compile(make_int8_chain_model(
-      "infer_stacked_gen", num_features, sub_dim * cfg.num_models, train.num_classes));
+      "infer_stacked_gen", stacked.num_features(), stacked.dim(), train.num_classes));
   timings.model_gen += stacked_shape.report.host_compile_time;
   if (trace_ != nullptr) {
     trace_->span(obs::Track::kTrainer, "train.model_gen",
@@ -267,10 +243,8 @@ CoDesignFramework::TrainOutcome CoDesignFramework::train_tpu_bagging(
                  {{"model", "infer_stacked"}, {"members", cfg.num_models}});
   }
 
-  TrainOutcome outcome{
-      core::TrainedClassifier{std::move(stacked.encoder), std::move(stacked.model)},
-      timings, std::move(first_history),
-      update_fraction_sum / static_cast<double>(cfg.num_models)};
+  TrainOutcome outcome{std::move(stacked), timings, ensemble.training.front().history,
+                       update_fraction_sum / static_cast<double>(cfg.num_models)};
   publish_train_metrics(outcome.timings);
   return outcome;
 }
@@ -290,41 +264,6 @@ CoDesignFramework::InferOutcome CoDesignFramework::infer_cpu(
   outcome.accuracy = data::accuracy(outcome.predictions, test.labels);
   outcome.timings.total = total;
   outcome.timings.per_sample = total * (1.0 / static_cast<double>(test.num_samples()));
-  publish_infer_metrics(outcome.timings, outcome.accuracy, test.num_samples());
-  return outcome;
-}
-
-CoDesignFramework::InferOutcome CoDesignFramework::infer_tpu(
-    const core::TrainedClassifier& classifier, const data::Dataset& test,
-    const data::Dataset& representative) const {
-  test.validate();
-  const tpu::CompiledModel compiled = lower_classifier(classifier, representative).compiled;
-
-  tpu::EdgeTpuDevice device(config_.systolic, config_.link, config_.sram_bytes);
-  device.set_trace(trace_);
-  device.load(compiled);  // one-time, excluded from steady-state timing
-  tpu::InvokeOptions options;
-  options.mode = tpu::ExecutionMode::kFunctional;
-  options.interactive = true;
-  const SimDuration infer_start = trace_ != nullptr ? trace_->now() : SimDuration();
-  auto [result, stats] =
-      device.invoke(compiled, test.features, options, config_.host.host_cost_model());
-  HDC_CHECK(result.has_classes, "inference model must end in ARG_MAX");
-
-  InferOutcome outcome;
-  outcome.predictions.assign(result.classes.begin(), result.classes.end());
-  outcome.accuracy = data::accuracy(outcome.predictions, test.labels);
-  outcome.timings.total =
-      stats.device_compute + stats.host_compute + stats.transfer;  // weights resident
-  outcome.timings.per_sample =
-      outcome.timings.total * (1.0 / static_cast<double>(test.num_samples()));
-  outcome.compile_report = compiled.report;
-  if (trace_ != nullptr) {
-    // Envelope over the invoke's transfer/device/host spans.
-    trace_->span_at(obs::Track::kExecutor, "infer.tpu", infer_start,
-                    trace_->now() - infer_start,
-                    {{"samples", test.num_samples()}, {"accuracy", outcome.accuracy}});
-  }
   publish_infer_metrics(outcome.timings, outcome.accuracy, test.num_samples());
   return outcome;
 }
@@ -460,14 +399,14 @@ SimDuration ServingEndpoint::nominal_per_sample(const Model& model, ServeTier ti
       .total();
 }
 
-CoDesignFramework::InferOutcome CoDesignFramework::infer_tpu_resilient(
+CoDesignFramework::InferOutcome CoDesignFramework::infer_tpu(
     const core::TrainedClassifier& classifier, const data::Dataset& test,
     const data::Dataset& representative, const tpu::FaultProfile& faults,
     const RetryPolicy& policy, ResilienceReport* report) const {
   test.validate();
   ServingEndpoint endpoint(*this, faults, policy);
   const LoweredModel model = lower_classifier(classifier, representative);
-  endpoint.device().load(model.compiled);  // one-time clean upload, excluded like infer_tpu's
+  endpoint.device().load(model.compiled);  // one-time clean upload, excluded from timings
   const SimDuration infer_start = trace_ != nullptr ? trace_->now() : SimDuration();
   // The CPU fallback runs the float model — the exact model `infer_cpu`
   // executes, so fallback predictions match the all-CPU path sample for
@@ -479,14 +418,15 @@ CoDesignFramework::InferOutcome CoDesignFramework::infer_tpu_resilient(
   InferOutcome infer;
   infer.predictions = std::move(outcome.predictions);
   infer.accuracy = data::accuracy(infer.predictions, test.labels);
-  // Steady-state weights are resident before the run, so device_stats'
-  // weight_upload is purely fault-induced re-upload traffic and is charged.
+  // device_stats' weight_upload is what the run itself moved (fault-induced
+  // re-uploads, and the per-invoke weight stream of a model larger than the
+  // parameter SRAM), so it is charged.
   infer.timings.total = outcome.total;
   infer.timings.per_sample =
       infer.timings.total * (1.0 / static_cast<double>(test.num_samples()));
   infer.compile_report = model.compiled.report;
   if (trace_ != nullptr) {
-    trace_->span_at(obs::Track::kExecutor, "infer.tpu_resilient", infer_start,
+    trace_->span_at(obs::Track::kExecutor, "infer.tpu", infer_start,
                     trace_->now() - infer_start,
                     {{"samples", test.num_samples()},
                      {"tpu_samples", outcome.report.tpu_samples},

@@ -100,10 +100,20 @@ class CoDesignFramework {
                          const data::Dataset& test) const;
 
   /// int8 inference through the full wide-NN model on the TPU (quantized
-  /// against `representative` — typically the training set).
+  /// against `representative` — typically the training set), served through
+  /// a one-shot `ServingEndpoint`, the serving loops' device path
+  /// (`ResilientExecutor`: bounded retry, exponential backoff, CPU fallback).
+  /// The one-time weight upload is excluded from `timings`; a model larger
+  /// than the parameter SRAM streams its weights on every invoke, and that
+  /// is charged. The device draws faults from `faults` (none by default);
+  /// `timings.total` then includes retry, backoff, re-upload and fallback
+  /// time, and `report` (optional) receives the fault/fallback breakdown.
   InferOutcome infer_tpu(const core::TrainedClassifier& classifier,
                          const data::Dataset& test,
-                         const data::Dataset& representative) const;
+                         const data::Dataset& representative,
+                         const tpu::FaultProfile& faults = {},
+                         const RetryPolicy& policy = {},
+                         ResilienceReport* report = nullptr) const;
 
   /// A classifier lowered through the deployment pipeline: the float wide-NN
   /// model (the exact CPU-fallback model) plus its quantized, compiled
@@ -126,20 +136,6 @@ class CoDesignFramework {
                                 const data::Dataset& representative,
                                 const std::string& name = "hdc_inference") const;
 
-  /// Fault-tolerant TPU inference: same model pipeline as `infer_tpu`, but
-  /// the device draws faults from `faults` and the batch is served through a
-  /// one-shot `ServingEndpoint`, the serving loops' device path
-  /// (`ResilientExecutor`: bounded retry, exponential backoff, CPU fallback).
-  /// With a fault-free profile, predictions and timings are identical to
-  /// `infer_tpu`. `report` (optional) receives the fault/fallback breakdown;
-  /// `timings.total` includes retry, backoff, re-upload and fallback time.
-  InferOutcome infer_tpu_resilient(const core::TrainedClassifier& classifier,
-                                   const data::Dataset& test,
-                                   const data::Dataset& representative,
-                                   const tpu::FaultProfile& faults,
-                                   const RetryPolicy& policy = {},
-                                   ResilienceReport* report = nullptr) const;
-
  private:
   tensor::MatrixF encode_on_tpu(const core::Encoder& encoder,
                                 const tensor::MatrixF& samples,
@@ -158,7 +154,7 @@ class CoDesignFramework {
 
 /// One simulated accelerator behind a serving loop, and the one device path
 /// both loops serve through: `serve` drives one endpoint, `serve_fleet` one
-/// per device (and `infer_tpu_resilient` a one-shot one).
+/// per device (and `infer_tpu` a one-shot one).
 ///
 /// Keeping the device alive across batches is what makes device health
 /// meaningful: detach schedules, SRAM state and the fault injector's RNG

@@ -116,6 +116,19 @@ TEST_F(CliTest, MissingInputFileFailsCleanly) {
   EXPECT_NE(result.output.find("error:"), std::string::npos);
 }
 
+TEST_F(CliTest, ErrorsPrintTheMessageWithoutSourceLocation) {
+  // A check in the CLI (a flag with no value) and one in the library (a
+  // missing CSV) both print the message alone: no C++ file:line that would
+  // change with every edit above the check.
+  for (const std::string& args :
+       {"train " + path("train.csv") + " --bagging", "train " + path("missing.csv")}) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 1) << args << "\n" << result.output;
+    EXPECT_NE(result.output.find("error: "), std::string::npos) << result.output;
+    EXPECT_EQ(result.output.find(".cpp:"), std::string::npos) << result.output;
+  }
+}
+
 TEST_F(CliTest, CorruptModelFileRejected) {
   const std::string bad = path("bad.hdcm");
   std::ofstream(bad) << "this is not a model";

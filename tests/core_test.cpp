@@ -433,6 +433,13 @@ BaggingConfig small_bagging() {
   return cfg;
 }
 
+/// The bagging member protocol with each member fitted on the host.
+BaggedEnsemble fit_bagged(const data::Dataset& train, const BaggingConfig& cfg) {
+  return train_bagged(train, cfg,
+                      [](std::uint32_t, const Trainer& trainer, const Encoder& encoder,
+                         const data::Dataset& subset) { return trainer.fit(encoder, subset); });
+}
+
 TEST(BaggingTest, EffectiveSubDimDividesEvenly) {
   BaggingConfig cfg = small_bagging();
   EXPECT_EQ(cfg.effective_sub_dim(), 256U);
@@ -442,8 +449,7 @@ TEST(BaggingTest, EffectiveSubDimDividesEvenly) {
 
 TEST(BaggingTest, TrainsRequestedSubModels) {
   const data::Dataset ds = small_task();
-  const BaggingTrainer trainer(small_bagging());
-  const BaggedEnsemble ensemble = trainer.fit(ds);
+  const BaggedEnsemble ensemble = fit_bagged(ds, small_bagging());
   EXPECT_EQ(ensemble.members.size(), 4U);
   EXPECT_EQ(ensemble.full_dim(), 1024U);
   for (const auto& member : ensemble.members) {
@@ -459,8 +465,7 @@ TEST(BaggingTest, TrainingRecordsCarryRealHistoryPerMember) {
   // describe the actual member training run.
   const data::Dataset ds = small_task(200);
   const BaggingConfig cfg = small_bagging();
-  const BaggingTrainer trainer(cfg);
-  const BaggedEnsemble ensemble = trainer.fit(ds);
+  const BaggedEnsemble ensemble = fit_bagged(ds, cfg);
   ASSERT_EQ(ensemble.training.size(), cfg.num_models);
   for (const TrainingRecord& record : ensemble.training) {
     ASSERT_EQ(record.history.size(), cfg.epochs);
@@ -477,24 +482,21 @@ TEST(BaggingTest, TrainingRecordsCarryRealHistoryPerMember) {
 
 TEST(BaggingTest, SubModelsUseDistinctBases) {
   const data::Dataset ds = small_task(200);
-  const BaggingTrainer trainer(small_bagging());
-  const BaggedEnsemble ensemble = trainer.fit(ds);
+  const BaggedEnsemble ensemble = fit_bagged(ds, small_bagging());
   EXPECT_NE(ensemble.members[0].encoder.base(), ensemble.members[1].encoder.base());
 }
 
 TEST(BaggingTest, EnsembleAccuracyIsReasonable) {
   const data::Dataset all = small_task(600);
   const auto split = data::split_dataset(all, 0.25, 5);
-  const BaggingTrainer trainer(small_bagging());
-  const BaggedEnsemble ensemble = trainer.fit(split.train);
+  const BaggedEnsemble ensemble = fit_bagged(split.train, small_bagging());
   const auto predictions = ensemble.predict_batch(split.test.features);
   EXPECT_GT(data::accuracy(predictions, split.test.labels), 0.8);
 }
 
-TEST(BaggingTest, StackedModelHasFullDimensions) {
+TEST(BaggingTest, StackedClassifierHasFullDimensions) {
   const data::Dataset ds = small_task(200);
-  const BaggingTrainer trainer(small_bagging());
-  const StackedModel stacked = stack(trainer.fit(ds));
+  const TrainedClassifier stacked = stack(fit_bagged(ds, small_bagging()));
   EXPECT_EQ(stacked.encoder.dim(), 1024U);
   EXPECT_EQ(stacked.encoder.num_features(), ds.num_features());
   EXPECT_EQ(stacked.model.dim(), 1024U);
@@ -505,12 +507,12 @@ TEST(BaggingTest, StackedPredictionEqualsEnsembleConsensus) {
   // The paper's stacking identity: one wide model computes exactly the sum
   // of per-sub-model dot scores, so predictions must agree sample by sample.
   const data::Dataset ds = small_task(250);
-  const BaggingTrainer trainer(small_bagging());
-  const BaggedEnsemble ensemble = trainer.fit(ds);
-  const StackedModel stacked = stack(ensemble);
+  const BaggedEnsemble ensemble = fit_bagged(ds, small_bagging());
+  const TrainedClassifier stacked = stack(ensemble);
 
   const auto consensus = ensemble.predict_batch(ds.features);
-  const auto single = stacked.predict_batch(ds.features);
+  const auto single =
+      stacked.model.predict_batch(stacked.encoder.encode_batch(ds.features), Similarity::kDot);
   EXPECT_EQ(consensus, single);
 }
 
@@ -518,8 +520,7 @@ TEST(BaggingTest, FeatureSamplingZeroesStackedColumns) {
   const data::Dataset ds = small_task(150);
   BaggingConfig cfg = small_bagging();
   cfg.bootstrap.feature_ratio = 0.5;
-  const BaggingTrainer trainer(cfg);
-  const BaggedEnsemble ensemble = trainer.fit(ds);
+  const BaggedEnsemble ensemble = fit_bagged(ds, cfg);
   for (const auto& member : ensemble.members) {
     EXPECT_EQ(member.bootstrap.active_features(), ds.num_features() / 2);
     for (std::size_t f = 0; f < ds.num_features(); ++f) {
@@ -534,9 +535,8 @@ TEST(BaggingTest, FeatureSamplingZeroesStackedColumns) {
 
 TEST(BaggingTest, DeterministicForSeed) {
   const data::Dataset ds = small_task(200);
-  const BaggingTrainer trainer(small_bagging());
-  const StackedModel a = stack(trainer.fit(ds));
-  const StackedModel b = stack(trainer.fit(ds));
+  const TrainedClassifier a = stack(fit_bagged(ds, small_bagging()));
+  const TrainedClassifier b = stack(fit_bagged(ds, small_bagging()));
   EXPECT_EQ(a.model.class_hypervectors(), b.model.class_hypervectors());
   EXPECT_EQ(a.encoder.base(), b.encoder.base());
 }
@@ -544,7 +544,7 @@ TEST(BaggingTest, DeterministicForSeed) {
 TEST(BaggingTest, InvalidConfigThrows) {
   BaggingConfig cfg = small_bagging();
   cfg.num_models = 0;
-  EXPECT_THROW(BaggingTrainer{cfg}, Error);
+  EXPECT_THROW(fit_bagged(small_task(50), cfg), Error);
 }
 
 TEST(BaggingTest, StackEmptyEnsembleThrows) {

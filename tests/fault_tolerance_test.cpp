@@ -943,19 +943,51 @@ core::TrainedClassifier* ResilientFrameworkTest::classifier_ = nullptr;
 CoDesignFramework::InferOutcome* ResilientFrameworkTest::clean_tpu_ = nullptr;
 CoDesignFramework::InferOutcome* ResilientFrameworkTest::clean_cpu_ = nullptr;
 
-TEST_F(ResilientFrameworkTest, FaultFreeProfileMatchesInferTpuExactly) {
-  ResilienceReport report;
-  const auto outcome = framework_.infer_tpu_resilient(*classifier_, *test_, *train_,
-                                                      tpu::FaultProfile{}, {}, &report);
-  EXPECT_EQ(outcome.predictions, clean_tpu_->predictions);
-  EXPECT_DOUBLE_EQ(outcome.accuracy, clean_tpu_->accuracy);
-  EXPECT_DOUBLE_EQ(outcome.timings.total.to_seconds(),
-                   clean_tpu_->timings.total.to_seconds());
-  EXPECT_DOUBLE_EQ(outcome.timings.per_sample.to_seconds(),
-                   clean_tpu_->timings.per_sample.to_seconds());
-  EXPECT_EQ(report.tpu_samples, test_->num_samples());
-  EXPECT_EQ(report.cpu_samples, 0U);
-  EXPECT_FALSE(report.circuit_opened);
+TEST_F(ResilientFrameworkTest, FaultFreeInferTpuMatchesCostModel) {
+  // Fault-free, every sample runs on the device and costs what the analytic
+  // cost model prices: for a model larger than the parameter SRAM that
+  // includes the weights streamed on every invoke.
+  const auto expect_priced_like_cost_model = [&](const core::TrainedClassifier& classifier,
+                                                 const data::Dataset& test,
+                                                 const data::Dataset& representative) {
+    ResilienceReport report;
+    const auto outcome = framework_.infer_tpu(classifier, test, representative, {}, {}, &report);
+    WorkloadShape shape;
+    shape.train_samples = representative.num_samples();
+    shape.test_samples = test.num_samples();
+    shape.features = classifier.num_features();
+    shape.classes = classifier.num_classes();
+    shape.dim = classifier.dim();
+    const double expected = framework_.cost_model().infer_tpu(shape).per_sample.to_seconds();
+    EXPECT_NEAR(outcome.timings.per_sample.to_seconds(), expected, 1e-12 * expected)
+        << "d = " << shape.dim;
+    EXPECT_EQ(report.tpu_samples, test.num_samples());
+    EXPECT_EQ(report.cpu_samples, 0U);
+    EXPECT_FALSE(report.circuit_opened);
+  };
+
+  expect_priced_like_cost_model(*classifier_, *test_, *train_);
+
+  // MNIST-shaped input at d = 11,000: about 8.7 MB of int8 weights, over the
+  // 8 MiB SRAM.
+  constexpr std::uint32_t kFeatures = 784;
+  constexpr std::uint32_t kDim = 11000;
+  constexpr std::uint32_t kClasses = 10;
+  Rng rng(5);
+  tensor::MatrixF class_hypervectors(kClasses, kDim);
+  rng.fill_gaussian(class_hypervectors.data(), class_hypervectors.size());
+  const core::TrainedClassifier oversize{core::Encoder(kFeatures, kDim, 9),
+                                         core::HdModel(std::move(class_hypervectors))};
+  data::Dataset images;
+  images.num_classes = kClasses;
+  images.features = tensor::MatrixF(8, kFeatures);
+  for (std::size_t i = 0; i < images.features.size(); ++i) {
+    images.features.data()[i] = rng.uniform(0.0F, 1.0F);
+  }
+  for (std::uint32_t i = 0; i < images.num_samples(); ++i) {
+    images.labels.push_back(i % kClasses);
+  }
+  expect_priced_like_cost_model(oversize, images, images);
 }
 
 TEST_F(ResilientFrameworkTest, DetachMidBatchFallsBackToCpuTail) {
@@ -963,8 +995,8 @@ TEST_F(ResilientFrameworkTest, DetachMidBatchFallsBackToCpuTail) {
   profile.detach_at.push_back(clean_tpu_->timings.total * 0.5);
 
   ResilienceReport report;
-  const auto outcome = framework_.infer_tpu_resilient(*classifier_, *test_, *train_,
-                                                      profile, {}, &report);
+  const auto outcome = framework_.infer_tpu(*classifier_, *test_, *train_,
+                                           profile, {}, &report);
 
   EXPECT_TRUE(report.circuit_opened);
   EXPECT_GE(report.device_stats.device_detaches, 1U);
@@ -992,8 +1024,8 @@ TEST_F(ResilientFrameworkTest, FaultsCostTimeNotCorrectness) {
   profile.sram_bitflip_per_byte = 1e-6;
 
   ResilienceReport report;
-  const auto outcome = framework_.infer_tpu_resilient(*classifier_, *test_, *train_,
-                                                      profile, {}, &report);
+  const auto outcome = framework_.infer_tpu(*classifier_, *test_, *train_,
+                                           profile, {}, &report);
 
   // Always-completes property: full-length predictions, and each one equals
   // what one of the two clean paths (int8 TPU or float CPU) predicts.
@@ -1019,9 +1051,9 @@ TEST_F(ResilientFrameworkTest, SameProfileSameSeedIsDeterministic) {
   ResilienceReport ra;
   ResilienceReport rb;
   const auto a =
-      framework_.infer_tpu_resilient(*classifier_, *test_, *train_, profile, {}, &ra);
+      framework_.infer_tpu(*classifier_, *test_, *train_, profile, {}, &ra);
   const auto b =
-      framework_.infer_tpu_resilient(*classifier_, *test_, *train_, profile, {}, &rb);
+      framework_.infer_tpu(*classifier_, *test_, *train_, profile, {}, &rb);
 
   EXPECT_EQ(a.predictions, b.predictions);
   EXPECT_DOUBLE_EQ(a.timings.total.to_seconds(), b.timings.total.to_seconds());

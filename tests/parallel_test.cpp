@@ -323,6 +323,14 @@ TEST(DeterminismTest, HdConfigThreadsFieldKeepsTrainingDeterministic) {
   }
 }
 
+/// The bagging member protocol with each member fitted on the host.
+core::BaggedEnsemble fit_bagged(const data::Dataset& train, const core::BaggingConfig& cfg) {
+  return core::train_bagged(
+      train, cfg,
+      [](std::uint32_t, const core::Trainer& trainer, const core::Encoder& encoder,
+         const data::Dataset& subset) { return trainer.fit(encoder, subset); });
+}
+
 TEST(DeterminismTest, BaggingIsBitIdenticalAcrossThreadCounts) {
   const data::SyntheticSpec spec = data::paper_dataset("UCIHAR");
   const data::Dataset all = data::generate_synthetic(spec, 240);
@@ -343,12 +351,11 @@ TEST(DeterminismTest, BaggingIsBitIdenticalAcrossThreadCounts) {
   };
 
   expect_threads_invariant([&] {
-    const core::BaggingTrainer trainer(cfg);
-    const core::BaggedEnsemble ensemble = trainer.fit(split.train);
-    const core::StackedModel stacked = core::stack(ensemble);
+    const core::TrainedClassifier stacked = core::stack(fit_bagged(split.train, cfg));
     return Snapshot{stacked.model.class_hypervectors().storage(),
                     stacked.encoder.base().storage(),
-                    stacked.predict_batch(split.test.features)};
+                    stacked.model.predict_batch(stacked.encoder.encode_batch(split.test.features),
+                                                core::Similarity::kDot)};
   });
 }
 
@@ -361,8 +368,7 @@ TEST(DeterminismTest, EnsemblePredictBatchMatchesPerSamplePredict) {
   cfg.epochs = 2;
   cfg.base.dim = 256;
   cfg.base.seed = 5;
-  const core::BaggingTrainer trainer(cfg);
-  const core::BaggedEnsemble ensemble = trainer.fit(ds);
+  const core::BaggedEnsemble ensemble = fit_bagged(ds, cfg);
 
   parallel::set_num_threads(4);
   const auto batched = ensemble.predict_batch(ds.features);

@@ -88,11 +88,15 @@ TEST_P(BaggingModelCountSweep, StackingIdentityHoldsForAnyM) {
   cfg.epochs = 3;
   cfg.base.dim = 512;
   cfg.bootstrap.dataset_ratio = 0.6;
-  const core::BaggingTrainer trainer(cfg);
-  const auto ensemble = trainer.fit(ds);
+  const auto ensemble = core::train_bagged(
+      ds, cfg,
+      [](std::uint32_t, const core::Trainer& trainer, const core::Encoder& encoder,
+         const data::Dataset& subset) { return trainer.fit(encoder, subset); });
   const auto stacked = core::stack(ensemble);
 
-  EXPECT_EQ(ensemble.predict_batch(ds.features), stacked.predict_batch(ds.features))
+  EXPECT_EQ(ensemble.predict_batch(ds.features),
+            stacked.model.predict_batch(stacked.encoder.encode_batch(ds.features),
+                                        core::Similarity::kDot))
       << "M = " << GetParam();
   EXPECT_EQ(stacked.encoder.dim(), cfg.base.dim / GetParam() * GetParam());
 }

@@ -374,7 +374,7 @@ int cmd_infer(int argc, char** argv) {
     const tpu::FaultProfile profile = tpu::parse_fault_profile(fault_spec);
     runtime::ResilienceReport report;
     const auto outcome =
-        framework.infer_tpu_resilient(classifier, test, test, profile, {}, &report);
+        framework.infer_tpu(classifier, test, test, profile, {}, &report);
     const auto& stats = report.device_stats;
     std::printf("TPU (simulated, fault-injected) inference over %zu samples\n",
                 test.num_samples());
