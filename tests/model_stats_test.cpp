@@ -248,6 +248,30 @@ TEST(ModelQualityStatsTest, ConfusionPairAlarmNamesTheDominantPair) {
   EXPECT_TRUE(saw_fire);
 }
 
+TEST(ModelQualityStatsTest, CulpritDetailFollowsTheWindowAcrossAResume) {
+  // The culprit strings are re-formatted only when the culprit changes; a
+  // restored instance must still clear a culprit the window has dropped.
+  ModelQualityStats stats(stats_config());
+  for (int i = 0; i < 6; ++i) {
+    stats.record(sample_at(0.1 + 0.01 * i, 2, 1));
+  }
+  ByteWriter writer;
+  stats.serialize(writer);
+  ByteReader reader(writer.bytes());
+  ModelQualityStats restored = ModelQualityStats::deserialize(reader);
+
+  // Far past the 1 s window: one class-0 sample, under min_class_samples,
+  // so neither alarm has a culprit.
+  const ModelQualityStats::Sample late = sample_at(5.0, 0, 0);
+  for (ModelQualityStats* instance : {&stats, &restored}) {
+    EXPECT_EQ(instance->snapshot(SimDuration::seconds(0.2)).alarms[0].detail, "class=1");
+    instance->record(late);
+    const ModelStatsSnapshot snap = instance->snapshot(SimDuration::seconds(5.0));
+    EXPECT_EQ(snap.alarms[0].detail, "");
+    EXPECT_EQ(snap.alarms[1].detail, "");
+  }
+}
+
 TEST(ModelQualityStatsTest, QuarantineSuppressesFiresAndReplaysOnRecovery) {
   ModelQualityStats stats(stats_config());
   stats.set_quarantined(true, SimDuration::seconds(0.05));
