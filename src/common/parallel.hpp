@@ -9,7 +9,7 @@ namespace hdc {
 /// Fixed-size host worker pool with a deterministic `parallel_for`.
 ///
 /// The library parallelizes only *independent outputs* (matmul column
-/// blocks, per-sample scoring, pre-seeded bagging members), so results are
+/// blocks, per-sample scoring, interpreter rows), so results are
 /// bit-identical to serial execution for any thread count: every output
 /// element is written by exactly one chunk and each chunk performs the same
 /// floating-point accumulation order the serial loop would. Chunking is

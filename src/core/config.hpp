@@ -16,7 +16,7 @@ struct HdConfig {
   float learning_rate = 1.0F;       ///< lambda in the bundling/detaching update
   std::uint32_t epochs = 20;        ///< training iterations (paper: 20 for full models)
   Similarity similarity = Similarity::kCosine;
-  /// Host worker threads for encode / batch scoring / bagging members while
+  /// Host worker threads for encode and batch scoring while
   /// this config trains (0 = keep the process-wide `parallel` setting).
   /// Results are bit-identical for any value; this is purely a speed knob.
   std::uint32_t threads = 0;
