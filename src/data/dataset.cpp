@@ -1,7 +1,6 @@
 #include "data/dataset.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -88,42 +87,6 @@ void MinMaxNormalizer::apply(Dataset& dataset) const {
       // Constant features map to 0 instead of dividing by zero; out-of-range
       // test values are clamped so encoding inputs stay in [0, 1].
       row[j] = range > 0.0F ? std::clamp((row[j] - mins_[j]) / range, 0.0F, 1.0F) : 0.0F;
-    }
-  }
-}
-
-void ZScoreNormalizer::fit(const Dataset& dataset) {
-  HDC_CHECK(dataset.num_samples() > 0, "cannot fit normalizer on empty dataset");
-  const std::size_t n = dataset.num_features();
-  const auto rows = static_cast<double>(dataset.num_samples());
-  means_.assign(n, 0.0F);
-  stddevs_.assign(n, 0.0F);
-
-  std::vector<double> sums(n, 0.0);
-  std::vector<double> sums_sq(n, 0.0);
-  for (std::size_t i = 0; i < dataset.num_samples(); ++i) {
-    const auto row = dataset.features.row(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      sums[j] += row[j];
-      sums_sq[j] += static_cast<double>(row[j]) * row[j];
-    }
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    const double mean = sums[j] / rows;
-    const double variance = std::max(0.0, sums_sq[j] / rows - mean * mean);
-    means_[j] = static_cast<float>(mean);
-    stddevs_[j] = static_cast<float>(std::sqrt(variance));
-  }
-}
-
-void ZScoreNormalizer::apply(Dataset& dataset) const {
-  HDC_CHECK(fitted(), "normalizer used before fit");
-  HDC_CHECK(dataset.num_features() == means_.size(), "normalizer feature count mismatch");
-  for (std::size_t i = 0; i < dataset.num_samples(); ++i) {
-    auto row = dataset.features.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      // Constant features map to 0 instead of dividing by zero.
-      row[j] = stddevs_[j] > 0.0F ? (row[j] - means_[j]) / stddevs_[j] : 0.0F;
     }
   }
 }

@@ -54,23 +54,6 @@ class MinMaxNormalizer {
   std::vector<float> maxs_;
 };
 
-/// Per-feature standardization (zero mean, unit variance, fit on train).
-/// Alternative to min-max for heavy-tailed features; note that standardized
-/// inputs are unbounded, so int8 input calibration clips outliers harder.
-class ZScoreNormalizer {
- public:
-  void fit(const Dataset& dataset);
-  void apply(Dataset& dataset) const;
-  bool fitted() const noexcept { return !means_.empty(); }
-
-  const std::vector<float>& means() const noexcept { return means_; }
-  const std::vector<float>& stddevs() const noexcept { return stddevs_; }
-
- private:
-  std::vector<float> means_;
-  std::vector<float> stddevs_;
-};
-
 /// Fraction of `predictions` matching `labels` (sizes must agree).
 double accuracy(const std::vector<std::uint32_t>& predictions,
                 const std::vector<std::uint32_t>& labels);

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -32,29 +31,6 @@ struct Tenant {
   ServingEndpoint::Model model;
   data::DriftStream stream;
 };
-
-/// One device behind the router: a serving endpoint (a full simulated
-/// accelerator with its own fault stream) and a shard engine (bounded queue,
-/// health state machine, SLO monitor) that also feeds the fleet-wide monitor.
-struct Shard {
-  Shard(const CoDesignFramework& framework, const tpu::FaultProfile& faults,
-        const ServeConfig& config, ServingSession& session)
-      : endpoint(framework, faults, config.retry),
-        engine(config, session, monitor, &session.monitor,
-               DeviceHealthTracker(config.health)) {}
-
-  ServingEndpoint endpoint;
-  LazyMonitor monitor;
-  ShardEngine engine;
-  SimDuration free_at;
-  FleetShardResult result;
-};
-
-std::string shard_snapshot_path(const std::string& dir, std::uint32_t index) {
-  char name[48];
-  std::snprintf(name, sizeof(name), "shard_%02u_snapshot.json", index);
-  return (std::filesystem::path(dir) / name).string();
-}
 
 /// Appends `"tenants":[{"tenant":t,<entry(t)>},...]` inside the JSON object
 /// `json` (which always ends in '}').
@@ -94,22 +70,25 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
             "fleet serving records no trace, metrics or profile (per-device trace "
             "tracks do not exist yet); use single-device serving for them");
 
-  // The fleet-wide session: an aggregate monitor over every shard, and
-  // model quality over outcomes/calibration only. Its dimension is 0: the
-  // served hidden layer never leaves the device.
+  // The fleet-wide session: model quality over outcomes/calibration only.
+  // Its dimension is 0: the served hidden layer never leaves the device.
+  // Every shard engine also feeds the aggregate monitor over the fleet.
   ServingSession session(config, 0, SimDuration());
+  LazyMonitor fleet_monitor;
+  FleetResult result;
 
   // ---- shards: one full simulated accelerator per device -------------------
   // Each device draws faults from its own seed offset, so a flaky fleet does
   // not fail in lockstep; health/quarantine state is per shard.
-  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<Shard> shards;
   shards.reserve(fleet.num_devices);
+  result.shards.resize(fleet.num_devices);
   for (std::uint32_t d = 0; d < fleet.num_devices; ++d) {
     tpu::FaultProfile profile = config.faults;
     profile.seed += d;
-    auto shard = std::make_unique<Shard>(framework, profile, config, session);
-    shard->result.device_index = d;
-    shards.push_back(std::move(shard));
+    shards.emplace_back(framework, profile, config, session, &fleet_monitor,
+                        DeviceHealthTracker(config.health));
+    result.shards[d].device_index = d;
   }
 
   // ---- tenants: independent streams, independently trained models ----------
@@ -140,9 +119,8 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   // 0's interactive per-sample cost), exactly like single-device serving —
   // which is what makes "batched 4-device at load L" and "unbatched 1-device
   // at load L" the same offered stream.
-  const SimDuration arrival_period =
-      shards.front()->endpoint.nominal_per_sample(tenants.front().model, ServeTier::kFull) *
-      (static_cast<double>(config.stream.chunk_size) / config.admission.offered_load);
+  const SimDuration period =
+      arrival_period(config, shards.front().endpoint, tenants.front().model);
 
   // Zipf(skew) tenant popularity; skew 0 degenerates to uniform.
   std::vector<double> tenant_cdf(fleet.num_tenants);
@@ -161,7 +139,6 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     return std::min(idx, fleet.num_tenants - 1);
   };
 
-  FleetResult result;
   const std::uint64_t total_offered = config.serve_chunks;
   std::vector<std::vector<std::uint32_t>> preds(total_offered);
   // One full model-quality instance per tenant, sized with the session.
@@ -172,11 +149,11 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   // `attribute_energy` atoms the accountant records, so they sum
   // bit-exactly to the fleet total on every outcome path.
   std::vector<std::int64_t> tenant_energy(fleet.num_tenants, 0);
-  const auto finish = [&](Shard& shard, std::uint32_t tenant_index, obs::RequestTrace&& rt,
+  const auto finish = [&](std::size_t shard, std::uint32_t tenant_index, obs::RequestTrace&& rt,
                           std::optional<obs::ExemplarReason> reason) {
     const std::int64_t pj =
         obs::attribute_energy(rt.attribution, config.energy.profile).total_pj();
-    shard.result.energy_pj += pj;
+    result.shards[shard].energy_pj += pj;
     tenant_energy[tenant_index] += pj;
     session.finish(std::move(rt), reason);
   };
@@ -192,21 +169,19 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   };
 
   // ---- placement -----------------------------------------------------------
-  const auto least_loaded = [&]() -> Shard& {
-    Shard* best = shards.front().get();
-    for (const auto& shard : shards) {
-      if (shard->engine.queued_samples < best->engine.queued_samples ||
-          (shard->engine.queued_samples == best->engine.queued_samples &&
-           shard->free_at < best->free_at)) {
-        best = shard.get();
-      }
-    }
-    return *best;
+  // Fewest queued samples, then the earlier-free device, then the lowest index.
+  const auto least_loaded = [&]() -> std::size_t {
+    return static_cast<std::size_t>(
+        std::min_element(shards.begin(), shards.end(), [](const Shard& a, const Shard& b) {
+          return std::tie(a.engine.queued_samples, a.free_at) <
+                 std::tie(b.engine.queued_samples, b.free_at);
+        }) -
+        shards.begin());
   };
-  const auto place = [&](std::uint64_t id, std::uint32_t tenant) -> Shard& {
+  const auto place = [&](std::uint64_t id, std::uint32_t tenant) -> std::size_t {
     switch (fleet.placement) {
       case PlacementPolicy::kRoundRobin:
-        return *shards[static_cast<std::size_t>(id % shards.size())];
+        return static_cast<std::size_t>(id % shards.size());
       case PlacementPolicy::kLeastLoaded:
         return least_loaded();
       case PlacementPolicy::kCacheAware:
@@ -216,53 +191,32 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     // active model, so "device that last served this tenant" and "device
     // with the tenant's weights warm" coincide). The uncounted residency
     // probe keeps placement from perturbing the cache hit/miss telemetry.
-    for (const auto& shard : shards) {
-      if (shard->engine.queue.size() < config.admission.queue_capacity &&
-          shard->endpoint.device().memory().is_resident(tenants[tenant].model.compiled.id)) {
-        return *shard;
+    for (std::size_t d = 0; d < shards.size(); ++d) {
+      if (shards[d].engine.queue.size() < config.admission.queue_capacity &&
+          shards[d].endpoint.device().memory().is_resident(tenants[tenant].model.compiled.id)) {
+        return d;
       }
     }
     return least_loaded();
   };
 
-  // ---- dispatch readiness --------------------------------------------------
-  std::uint64_t next_arrival = 0;
-  // A shard's head batch is dispatched as soon as the device is free once the
-  // batch cannot grow further: the same-tenant run hit `batch_max_chunks`, a
-  // different tenant is queued behind it, or no arrivals remain. Only a
-  // growable run is held for `batch_max_age` past its head's arrival.
-  const auto dispatch_at = [&](const Shard& shard) -> SimDuration {
-    const std::deque<QueuedRequest>& queue = shard.engine.queue;
-    const QueuedRequest& head = queue.front();
-    std::size_t run = 1;
-    while (run < queue.size() && run < fleet.batch_max_chunks &&
-           queue[run].tenant == head.tenant) {
-      ++run;
-    }
-    const bool full = run >= fleet.batch_max_chunks;
-    const bool growable = run == queue.size() && next_arrival < total_offered;
-    if (full || !growable) {
-      return std::max(shard.free_at, head.arrival);
-    }
-    return std::max(shard.free_at, head.arrival + fleet.batch_max_age);
-  };
-
   // ---- one micro-batch: coalesce, expire, swap, serve, account -------------
-  const auto dispatch = [&](Shard& shard, SimDuration td) {
+  const auto dispatch = [&](std::size_t index, SimDuration td) {
+    Shard& shard = shards[index];
+    FleetShardResult& shard_result = result.shards[index];
     ShardEngine& engine = shard.engine;
     const SimDuration free_before = shard.free_at;
     const std::uint32_t tenant_index = engine.queue.front().tenant;
     Tenant& tenant = tenants[tenant_index];
     std::vector<QueuedRequest> batch;
-    while (!engine.queue.empty() && batch.size() < fleet.batch_max_chunks &&
-           engine.queue.front().tenant == tenant_index) {
+    for (std::size_t k = engine.head_run(fleet.batch_max_chunks); k > 0; --k) {
       batch.push_back(engine.pop());
     }
     session.clock.set(td);
 
     const ServeTier tier = engine.admit_tier(td);
-    if (shard.monitor.ready()) {
-      shard.monitor->set_quarantined(engine.health.state() == DeviceHealth::kQuarantined, td);
+    if (engine.monitor.ready()) {
+      engine.monitor->set_quarantined(engine.health.state() == DeviceHealth::kQuarantined, td);
     }
 
     // Per-member deadline check (the batch dispatches together, but each
@@ -275,14 +229,13 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
       if (engine.expires(td - req.arrival, nominal)) {
         obs::RequestTrace rt = begin_trace(req, free_before, td);
         engine.expire(rt, td, tier);
-        finish(shard, tenant_index, std::move(rt), obs::ExemplarReason::kExpired);
+        finish(index, tenant_index, std::move(rt), obs::ExemplarReason::kExpired);
       } else {
         live.push_back(std::move(req));
       }
     }
     if (live.empty()) {
       shard.free_at = std::max(shard.free_at, td);
-      shard.result.t_end = std::max(shard.result.t_end, td);
       return;
     }
 
@@ -291,14 +244,9 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
       n_total += req.data.num_samples();
     }
     tensor::MatrixF inputs(static_cast<std::size_t>(n_total), spec.features);
-    {
-      std::size_t row = 0;
-      for (const QueuedRequest& req : live) {
-        for (std::size_t j = 0; j < req.data.num_samples(); ++j, ++row) {
-          const auto src = req.data.features.row(j);
-          std::copy(src.begin(), src.end(), inputs.row(row).begin());
-        }
-      }
+    float* row = inputs.data();
+    for (const QueuedRequest& req : live) {
+      row = std::copy_n(req.data.features.data(), req.data.features.size(), row);
     }
 
     // A tenant swap is a charged, counted upload, unlike single-device
@@ -307,12 +255,12 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     SimDuration swap_upload;
     if (tier != ServeTier::kHost) {
       swap_upload = shard.endpoint.swap(tenant.model, td);
-      ++shard.result.cache_lookups;
+      ++shard_result.cache_lookups;
       if (swap_upload.is_zero()) {
-        ++shard.result.cache_hits;
+        ++shard_result.cache_hits;
       } else {
-        ++shard.result.swaps;
-        shard.result.swap_time += swap_upload;
+        ++shard_result.swaps;
+        shard_result.swap_time += swap_upload;
       }
     }
     // Batched fleets stream the whole micro-batch through the pipelined
@@ -326,7 +274,6 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     const ServingEndpoint::BatchOutcome outcome =
         shard.endpoint.infer(tenant.model, tier, options, inputs, service_start,
                              engine.budget(td - live.front().arrival));
-    const std::vector<std::uint32_t>& predictions = outcome.predictions;
     const ResilienceReport& report = outcome.report;
     const SimDuration service_total = outcome.total;
     const SimDuration end = service_start + service_total;
@@ -336,7 +283,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     if (engine.start_telemetry(swap_upload + service_total, n_total)) {
       init_tenant_stats();
     }
-    shard.monitor->set_quarantined(engine.health.state() == DeviceHealth::kQuarantined, end);
+    engine.monitor->set_quarantined(engine.health.state() == DeviceHealth::kQuarantined, end);
 
     // ---- per-member accounting: traces, monitor samples, predictions ----
     std::size_t g = 0;
@@ -355,7 +302,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
       preds[req.id].reserve(static_cast<std::size_t>(n));
       obs::ModelQualityStats& tstats = *tenant_stats[tenant_index];
       for (std::size_t j = 0; j < n; ++j, ++g) {
-        const std::uint32_t predicted = predictions[g];
+        const std::uint32_t predicted = outcome.predictions[g];
         const std::uint32_t label = req.data.labels[j];
         const SimDuration at = service_start + per_sample * static_cast<double>(g + 1);
         // The aggregate and this tenant's instance record the same sample.
@@ -366,91 +313,65 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
       }
       const std::optional<obs::ExemplarReason> reason =
           engine.finish_served(rt, end, tier, report, member_latency_base + per_sample);
-      finish(shard, tenant_index, std::move(rt), reason);
+      finish(index, tenant_index, std::move(rt), reason);
     }
     engine.record_batch(end, n_total, tier, report);
 
-    ++shard.result.batches;
-    shard.result.busy += end - td;
+    ++shard_result.batches;
+    shard_result.busy += end - td;
     shard.free_at = end;
-    shard.result.t_end = end;
   };
 
-  // ---- event loop: arrivals and dispatches in global time order ------------
-  // Arrivals win ties so a chunk landing exactly at a shard's dispatch time
-  // still joins that batch (same convention as the single-device loop, where
-  // an arrival at the service start is admitted first).
-  while (true) {
-    Shard* ready = nullptr;
-    SimDuration ready_at;
-    for (const auto& shard : shards) {
-      if (shard->engine.queue.empty()) {
-        continue;
-      }
-      const SimDuration at = dispatch_at(*shard);
-      if (ready == nullptr || at < ready_at) {
-        ready = shard.get();
-        ready_at = at;
-      }
-    }
-    const bool arrivals_left = next_arrival < total_offered;
-    if (!arrivals_left && ready == nullptr) {
-      break;
-    }
-    const SimDuration arrival = arrival_period * static_cast<double>(next_arrival);
-    if (!arrivals_left || (ready != nullptr && ready_at < arrival)) {
-      dispatch(*ready, ready_at);
-      continue;
-    }
-
-    // ---- one arrival: draw the tenant, place, maybe shed -------------------
+  // ---- one arrival: draw the tenant, place, maybe shed ---------------------
+  const auto arrive = [&](std::uint64_t id, SimDuration at) {
     const std::uint32_t tenant = draw_tenant();
     data::Dataset chunk = tenants[tenant].stream.next_chunk();
-    const std::uint64_t id = next_arrival++;
     ++result.offered_requests;
     result.offered_samples += chunk.num_samples();
-    session.clock.set(arrival);
+    session.clock.set(at);
 
-    Shard& shard = place(id, tenant);
+    const std::size_t index = place(id, tenant);
     std::optional<ShedRequest> shed =
-        shard.engine.admit(QueuedRequest{id, tenant, arrival, std::move(chunk)});
+        shards[index].engine.admit(QueuedRequest{id, tenant, at, std::move(chunk)});
     if (shed.has_value()) {
-      finish(shard, shed->tenant, std::move(shed->trace), obs::ExemplarReason::kShed);
+      finish(index, shed->tenant, std::move(shed->trace), obs::ExemplarReason::kShed);
+    }
+  };
+
+  run_event_loop(config, shards, 0, fleet.batch_max_chunks, period, arrive, dispatch);
+
+  // ---- finalize ------------------------------------------------------------
+  // A shard (or the whole session) that never served a batch takes the
+  // fallback sizing.
+  for (Shard& shard : shards) {
+    if (shard.engine.start_telemetry(SimDuration(), 0)) {
+      init_tenant_stats();
     }
   }
 
-  // ---- finalize ------------------------------------------------------------
-  // A session that never served a batch takes the fallback sizing.
-  const obs::MonitorConfig fallback = resolve_monitor_config(config, SimDuration(), 0);
-  if (!session.ready()) {
-    session.monitor.init(fallback);
-    session.init(fallback.window);
-    init_tenant_stats();
-  }
-
+  // A shard's last batch ends when the device is next free.
   SimDuration t_end;
-  std::uint64_t correct_total = 0;
-  for (const auto& shard : shards) {
-    t_end = std::max(t_end, shard->result.t_end);
-    correct_total += shard->engine.counters.correct_samples;
+  for (const Shard& shard : shards) {
+    t_end = std::max(t_end, shard.free_at);
   }
   result.t_end = t_end;
 
-  for (auto& shard : shards) {
-    if (!shard->monitor.ready()) {
-      shard->monitor.init(fallback);
-    }
-    const ShardCounters& c = shard->engine.counters;
-    FleetShardResult& r = shard->result;
+  std::uint64_t correct_total = 0;
+
+  for (std::size_t d = 0; d < shards.size(); ++d) {
+    ShardEngine& engine = shards[d].engine;
+    const ShardCounters& c = engine.counters;
+    FleetShardResult& r = result.shards[d];
+    r.t_end = shards[d].free_at;
     r.requests_served = c.served_requests;
     r.samples_served = c.served_samples;
     r.shed_requests = c.shed_requests;
     r.expired_requests = c.expired_requests;
     r.degraded_requests = c.degraded_requests;
-    r.final_health = shard->engine.health.state();
-    r.quarantines = shard->engine.health.quarantines();
-    r.probes = shard->engine.health.probes_attempted();
-    r.final_snapshot = shard->monitor->snapshot(t_end);
+    r.final_health = engine.health.state();
+    r.quarantines = engine.health.quarantines();
+    r.probes = engine.health.probes_attempted();
+    r.final_snapshot = engine.monitor->snapshot(t_end);
     result.served_requests += c.served_requests;
     result.samples_served += c.served_samples;
     result.shed_requests += c.shed_requests;
@@ -458,11 +379,11 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     result.expired_requests += c.expired_requests;
     result.expired_samples += c.expired_samples;
     result.degraded_samples += c.degraded_samples;
+    correct_total += c.correct_samples;
     result.batches += r.batches;
     result.cache_lookups += r.cache_lookups;
     result.cache_hits += r.cache_hits;
     result.swaps += r.swaps;
-    result.shards.push_back(std::move(r));
   }
   HDC_CHECK(result.cache_hits + result.swaps == result.cache_lookups,
             "cache telemetry must balance: hits + swaps == lookups");
@@ -473,23 +394,12 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
                                           result.expired_samples,
             "sample conservation violated: offered != served + shed + expired");
 
-  result.cache_hit_rate =
-      result.cache_lookups == 0
-          ? 0.0
-          : static_cast<double>(result.cache_hits) /
-                static_cast<double>(result.cache_lookups);
-  result.mean_batch_chunks =
-      result.batches == 0 ? 0.0
-                          : static_cast<double>(result.served_requests) /
-                                static_cast<double>(result.batches);
-  result.lifetime_accuracy =
-      result.samples_served == 0
-          ? 0.0
-          : static_cast<double>(correct_total) /
-                static_cast<double>(result.samples_served);
+  result.cache_hit_rate = ratio(result.cache_hits, result.cache_lookups);
+  result.mean_batch_chunks = ratio(result.served_requests, result.batches);
+  result.lifetime_accuracy = ratio(correct_total, result.samples_served);
 
-  result.fleet_snapshot = session.monitor->snapshot(t_end);
-  result.events = session.monitor->alarms().events();
+  result.fleet_snapshot = fleet_monitor->snapshot(t_end);
+  result.events = fleet_monitor->alarms().events();
 
   result.fleet_model = session.model->snapshot(t_end);
   result.model_events = session.model->alarms().events();
@@ -552,18 +462,14 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
 
   if (!config.snapshot_dir.empty()) {
     std::filesystem::create_directories(config.snapshot_dir);
-    write_text_file(
-        (std::filesystem::path(config.snapshot_dir) / "fleet_snapshot_final.json")
-            .string(),
-        result.fleet_snapshot.to_json());
     for (const FleetShardResult& shard : result.shards) {
-      write_text_file(shard_snapshot_path(config.snapshot_dir, shard.device_index),
+      write_text_file((std::filesystem::path(config.snapshot_dir) /
+                       numbered("shard_%02u_snapshot.json", shard.device_index))
+                          .string(),
                       shard.final_snapshot.to_json());
     }
   }
-  if (!config.prometheus_path.empty()) {
-    write_text_file(config.prometheus_path, result.fleet_snapshot.to_prometheus());
-  }
+  export_snapshot(config, "fleet_snapshot_final.json", result.fleet_snapshot);
   session.write_exemplars();
 
   session.clock.set(t_end);

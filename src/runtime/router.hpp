@@ -24,6 +24,12 @@ namespace hdc::runtime {
 /// micro-batches (up to `batch_max_chunks`, held at most `batch_max_age`
 /// past the head's arrival), and serves each batch through
 /// `ServingEndpoint::infer`, the device path single-device serving uses.
+/// The devices are `Shard`s on the event loop both serving loops share
+/// (`run_event_loop`, runtime/shard), which owns the arrival schedule, the
+/// batch readiness rules and the dispatch order; the router supplies only
+/// its arrivals (tenant draw, placement, admission, ledgers) and its
+/// per-batch body. Each shard engine feeds its own monitor and a
+/// router-local fleet-aggregate monitor.
 ///
 /// Two differences from single-device serving stay on purpose. The
 /// tenant-model swap (`ServingEndpoint::swap`) is a charged, counted weight
@@ -83,16 +89,8 @@ struct FleetShardResult {
   /// HDC_CHECK-sum to the fleet accountant's total.
   std::int64_t energy_pj = 0;
 
-  double mean_batch_chunks() const {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(requests_served) /
-                              static_cast<double>(batches);
-  }
-  double cache_hit_rate() const {
-    return cache_lookups == 0 ? 0.0
-                              : static_cast<double>(cache_hits) /
-                                    static_cast<double>(cache_lookups);
-  }
+  double mean_batch_chunks() const { return ratio(requests_served, batches); }
+  double cache_hit_rate() const { return ratio(cache_hits, cache_lookups); }
 };
 
 /// What one fleet session produced. Conservation invariant (pinned by

@@ -1,7 +1,6 @@
 #include "runtime/serve.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -19,12 +18,6 @@
 namespace hdc::runtime {
 
 namespace {
-
-std::string snapshot_path(const std::string& dir, std::uint32_t index) {
-  char name[48];
-  std::snprintf(name, sizeof(name), "monitor_snapshot_%04u.json", index);
-  return (std::filesystem::path(dir) / name).string();
-}
 
 // ---- serve checkpoint ("HDSV") ---------------------------------------------
 //
@@ -271,6 +264,8 @@ void ServeConfig::validate() const {
   fleet.validate();
   HDC_CHECK(checkpoint_every_chunks == 0 || !checkpoint_path.empty(),
             "a checkpoint interval needs a checkpoint path to write to");
+  HDC_CHECK(snapshot_every_chunks == 0 || !snapshot_dir.empty() || !prometheus_path.empty(),
+            "a snapshot interval needs a snapshot directory or a Prometheus path to write to");
   // The monitor config is completed (num_classes, auto window/SLO) at serve
   // time and validated by the ServingMonitor constructor.
 }
@@ -324,27 +319,6 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
                                                  ? std::move(*restored->deployed_reduced)
                                                  : reduced_learner.freeze();
 
-  ServingEndpoint endpoint(framework, config.faults, config.retry);
-  endpoint.deploy(ServeTier::kFull, deployed_full, representative);
-  endpoint.deploy(ServeTier::kReduced, deployed_reduced, representative);
-
-  if (restored.has_value()) {
-    tpu::FaultInjector* injector = endpoint.device().fault_injector();
-    if (injector != nullptr) {
-      injector->set_rng_state(restored->rng);
-    }
-  }
-
-  ServeResult result = fresh ? ServeResult() : std::move(restored->result);
-  if (fresh) {
-    result.warmup_accuracy = warmup_accuracy_sum / config.warmup_chunks;
-  }
-  SimDuration now = fresh ? SimDuration() : restored->now;
-
-  if (!config.snapshot_dir.empty()) {
-    std::filesystem::create_directories(config.snapshot_dir);
-  }
-
   // The session's monitor, model-quality stats and energy accountant are
   // sized after the first served chunk (window span and SLO target derive
   // from its simulated timings, so they stay deterministic). A resumed
@@ -352,16 +326,39 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   // windows, EWMAs, alarm edge states, event history, quarantine gate — so
   // subsequent alarm lines and snapshots are byte-identical to the
   // uninterrupted run's.
-  ServingSession session(config, config.learner.dim, now);
-  ShardEngine shard(config, session, session.monitor, nullptr,
-                    restored.has_value() ? std::move(restored->health)
-                                         : DeviceHealthTracker(config.health));
+  ServingSession session(config, config.learner.dim, SimDuration());
+  Shard shard(framework, config.faults, config, session, nullptr,
+              fresh ? DeviceHealthTracker(config.health) : std::move(restored->health));
+  ServingEndpoint& endpoint = shard.endpoint;
+  ShardEngine& engine = shard.engine;
+  // The device's free time is the single-device loop's clock.
+  SimDuration& now = shard.free_at;
+  endpoint.deploy(ServeTier::kFull, deployed_full, representative);
+  endpoint.deploy(ServeTier::kReduced, deployed_reduced, representative);
+
+  ServeResult result = fresh ? ServeResult() : std::move(restored->result);
+  if (fresh) {
+    result.warmup_accuracy = warmup_accuracy_sum / config.warmup_chunks;
+  }
+
+  if (!config.snapshot_dir.empty()) {
+    std::filesystem::create_directories(config.snapshot_dir);
+  }
+
   if (restored.has_value()) {
-    shard.counters = restored->counters;
+    // Log records stamp the resumed clock from here on; the deploys above
+    // log at 0, as before any serving.
+    now = restored->now;
+    session.clock.set(now);
+    tpu::FaultInjector* injector = endpoint.device().fault_injector();
+    if (injector != nullptr) {
+      injector->set_rng_state(restored->rng);
+    }
+    engine.counters = restored->counters;
     session.attribution_total = result.attribution_total;
     session.requests_traced = result.requests_traced;
     if (restored->monitor.has_value()) {
-      session.monitor.restore(std::move(*restored->monitor));
+      engine.monitor.restore(std::move(*restored->monitor));
       session.model.emplace(std::move(*restored->model_stats));
       session.energy.emplace(std::move(*restored->energy));
     }
@@ -372,29 +369,19 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     for (std::uint32_t k = 0; k < next_arrival; ++k) {
       data::Dataset chunk = stream.next_chunk();
       if (queued != restored->queue.end() && queued->id == k) {
-        shard.admit(QueuedRequest{k, 0, queued->arrival, std::move(chunk)});
+        engine.admit(QueuedRequest{k, 0, queued->arrival, std::move(chunk)});
         ++queued;
       }
     }
   }
 
-  const bool open_loop = config.admission.offered_load > 0.0;
-  SimDuration arrival_period;
-  if (open_loop) {
-    // Offered load is a multiple of the full-tier service rate: load L means
-    // chunks arrive L times faster than the fault-free full model serves them.
-    arrival_period =
-        endpoint.nominal_per_sample(endpoint.model(ServeTier::kFull), ServeTier::kFull) *
-        (static_cast<double>(config.stream.chunk_size) / config.admission.offered_load);
-  }
-
   // Quarantine gates every telemetry object of the session (the three are
   // sized together, so one presence check covers them).
   const auto sync_quarantine = [&](SimDuration at) {
-    if (session.monitor.ready()) {
-      const bool quarantined = shard.health.state() == DeviceHealth::kQuarantined;
+    if (engine.monitor.ready()) {
+      const bool quarantined = engine.health.state() == DeviceHealth::kQuarantined;
       session.clock.set(at);
-      session.monitor->set_quarantined(quarantined, at);
+      engine.monitor->set_quarantined(quarantined, at);
       session.model->set_quarantined(quarantined, at);
       session.energy->set_quarantined(quarantined, at);
     }
@@ -403,7 +390,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   /// Monitor snapshot with the model-quality and energy sections spliced in:
   /// they all ride inside the one hdc-monitor-v1 document.
   const auto take_snapshot = [&](SimDuration at) {
-    obs::MonitorSnapshot snap = session.monitor->snapshot(at);
+    obs::MonitorSnapshot snap = engine.monitor->snapshot(at);
     const obs::ModelStatsSnapshot ms = session.model->snapshot(at);
     const obs::EnergySnapshot es = session.energy->snapshot(at);
     splice_sections(snap, ms, ms.to_json(), es, es.to_json());
@@ -438,12 +425,12 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
                            reduced_learner,
                            deployed_full,
                            deployed_reduced,
-                           shard.health,
+                           engine.health,
                            injector != nullptr ? injector->rng_state() : Rng::State{},
-                           shard.queue,
+                           engine.queue,
                            result,
-                           shard.counters,
-                           session.monitor.state(),
+                           engine.counters,
+                           engine.monitor.state(),
                            session.model,
                            session.energy};
     return seal(kServeMagic, kServeVersion, [&](ByteWriter& w) {
@@ -452,8 +439,9 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     });
   };
 
-  const auto serve_one = [&](QueuedRequest&& item) {
-    const SimDuration start = std::max(now, item.arrival);
+  // ---- one request: admit tier, expire or serve, learn, account -----------
+  const auto dispatch = [&](std::size_t, SimDuration start) {
+    const QueuedRequest item = engine.pop();
     const SimDuration wait = start - item.arrival;
     const std::size_t n = item.data.num_samples();
 
@@ -469,12 +457,12 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
       }
     }
 
-    const ServeTier tier = shard.admit_tier(start);
+    const ServeTier tier = engine.admit_tier(start);
     sync_quarantine(start);
     if (trace != nullptr) {
       trace->instant_at(obs::Track::kExecutor, "serve.admit_tier", start,
                         {{"tier", tier_name(tier)},
-                         {"queue_depth", shard.queue.size()}});
+                         {"queue_depth", engine.queue.size()}});
     }
 
     // The deadline check itself is admission bookkeeping and costs no
@@ -483,8 +471,8 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     const ServingEndpoint::Model& model = endpoint.model(tier);
     const SimDuration nominal =
         deadline.is_zero() ? SimDuration() : endpoint.nominal_per_sample(model, tier);
-    if (shard.expires(wait, nominal)) {
-      shard.expire(rt, start, tier);
+    if (engine.expires(wait, nominal)) {
+      engine.expire(rt, start, tier);
       if (trace != nullptr) {
         trace->instant_at(obs::Track::kExecutor, "serve.expired", start,
                           {{"wait_us", wait.to_seconds() * 1e6},
@@ -500,11 +488,11 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     endpoint.activate(tier);
     ServingEndpoint::BatchOutcome outcome =
         endpoint.infer(model, tier, tpu::InvokeOptions{.interactive = true},
-                       item.data.features, start, shard.budget(wait), &rt);
+                       item.data.features, start, engine.budget(wait), &rt);
     const SimDuration per_sample = outcome.total * (1.0 / static_cast<double>(n));
     SimDuration chunk_end = start + outcome.total;
-    shard.feed_health(tier, chunk_end, outcome.report);
-    if (shard.start_telemetry(outcome.total, n)) {
+    engine.feed_health(tier, chunk_end, outcome.report);
+    if (engine.start_telemetry(outcome.total, n)) {
       // The model-quality stats see the classifier deployed on the endpoint.
       session.model->observe_model(deployed_full.model.class_hypervectors());
     }
@@ -529,8 +517,8 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
         const std::uint32_t predicted = outcome.predictions[j];
         const std::uint32_t label = item.data.labels[j];
         const SimDuration at = start + per_sample * static_cast<double>(j + 1);
-        shard.record_sample(at, wait + per_sample, item.id, predicted, label,
-                            outcome.scores.row(j), model.hidden_dim());
+        engine.record_sample(at, wait + per_sample, item.id, predicted, label,
+                             outcome.scores.row(j), model.hidden_dim());
         session.model->record_dimensions(at, label, encoded.row(j));
 
         if (config.online_updates) {
@@ -547,18 +535,15 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
         chunk_correct += predicted == label ? 1 : 0;
       }
     }
-    shard.record_batch(chunk_end, n, tier, outcome.report);
+    engine.record_batch(chunk_end, n, tier, outcome.report);
 
     // Host-side class-hypervector updates are real simulated work; price
     // them with the same cost machinery the trainers use. Monitoring itself
     // is never charged — attaching it cannot move the clock.
     SimDuration update_cost;
     if (config.online_updates) {
-      const double update_fraction =
-          n == 0 ? 0.0 : static_cast<double>(host_errors) / static_cast<double>(n);
       update_cost = framework.cost_model().update_phase(
-          n, config.learner.dim, spec.classes, 1, update_fraction,
-          framework.config().host);
+          n, config.learner.dim, spec.classes, 1, ratio(host_errors, n), framework.config().host);
       chunk_end += update_cost;
     }
     now = chunk_end;
@@ -571,7 +556,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
       }
     }
     const std::optional<obs::ExemplarReason> reason =
-        shard.finish_served(rt, now, tier, outcome.report, wait + per_sample);
+        engine.finish_served(rt, now, tier, outcome.report, wait + per_sample);
     session.clock.set(now);
     finish(std::move(rt), reason);
 
@@ -579,7 +564,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     tier_stats.samples += n;
     tier_stats.errors += n - chunk_correct;
     tier_stats.service_time += outcome.total;
-    const std::uint64_t served_count = shard.counters.served_requests;
+    const std::uint64_t served_count = engine.counters.served_requests;
 
     if (config.online_updates && config.model_refresh_chunks > 0 &&
         served_count % config.model_refresh_chunks == 0) {
@@ -603,29 +588,21 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     stats.index = static_cast<std::uint32_t>(item.id);
     stats.t_end = now;
     stats.samples = n;
-    stats.chunk_accuracy =
-        n == 0 ? 0.0 : static_cast<double>(chunk_correct) / static_cast<double>(n);
-    stats.windowed_accuracy = session.monitor->windowed_accuracy(now);
-    stats.drift_score = session.monitor->drift_score();
+    stats.chunk_accuracy = ratio(chunk_correct, n);
+    stats.windowed_accuracy = engine.monitor->windowed_accuracy(now);
+    stats.drift_score = engine.monitor->drift_score();
     stats.fallback_samples = outcome.report.cpu_samples;
     stats.circuit_opened = outcome.report.circuit_opened;
     stats.tier = tier;
     stats.queue_wait = wait;
-    stats.health = shard.health.state();
+    stats.health = engine.health.state();
     result.chunks.push_back(stats);
 
-    const bool interval_due = config.snapshot_every_chunks > 0 &&
-                              served_count % config.snapshot_every_chunks == 0;
-    if (interval_due) {
-      const obs::MonitorSnapshot snap = take_snapshot(now);
-      if (!config.snapshot_dir.empty()) {
-        ++result.snapshots_written;
-        write_text_file(snapshot_path(config.snapshot_dir, result.snapshots_written),
-                        snap.to_json());
-      }
-      if (!config.prometheus_path.empty()) {
-        write_text_file(config.prometheus_path, snap.to_prometheus());
-      }
+    if (config.snapshot_every_chunks > 0 && served_count % config.snapshot_every_chunks == 0 &&
+        export_snapshot(config,
+                        numbered("monitor_snapshot_%04u.json", result.snapshots_written + 1),
+                        take_snapshot(now))) {
+      ++result.snapshots_written;
     }
 
     if (!config.checkpoint_path.empty() && config.checkpoint_every_chunks > 0 &&
@@ -635,69 +612,43 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
       // addressable for audits and resume tests.
       const std::vector<std::uint8_t> bytes = build_checkpoint();
       write_file(config.checkpoint_path, bytes);
-      char suffix[16];
-      std::snprintf(suffix, sizeof(suffix), ".%04u",
-                    static_cast<unsigned>(served_count));
-      write_file(config.checkpoint_path + suffix, bytes);
+      write_file(config.checkpoint_path +
+                     numbered(".%04u", static_cast<unsigned>(served_count)),
+                 bytes);
     }
   };
 
-  if (!open_loop) {
-    // Closed loop: each chunk arrives exactly when the previous one finished
-    // — no queue, no shedding, the legacy serving schedule.
-    while (next_arrival < config.serve_chunks) {
-      data::Dataset chunk = stream.next_chunk();
-      const std::uint32_t index = next_arrival++;
-      serve_one(QueuedRequest{index, 0, now, std::move(chunk)});
+  // ---- one arrival: the next stream chunk, maybe shed ----------------------
+  const auto arrive = [&](std::uint64_t id, SimDuration at) {
+    next_arrival = static_cast<std::uint32_t>(id) + 1;
+    std::optional<ShedRequest> shed =
+        engine.admit(QueuedRequest{id, 0, at, stream.next_chunk()});
+    if (shed.has_value()) {
+      if (trace != nullptr) {
+        trace->begin_request(shed->trace.request_id);
+        trace->instant_at(obs::Track::kExecutor, "serve.shed", at,
+                          {{"policy", config.admission.policy == ShedPolicy::kDropOldest
+                                          ? "drop_oldest"
+                                          : "reject_newest"},
+                           {"queue_depth", shed->queue_depth}});
+      }
+      finish(std::move(shed->trace), obs::ExemplarReason::kShed);
     }
-  } else {
-    // Open loop: arrivals on a fixed schedule, a bounded queue in front of
-    // the endpoint, deterministic shedding when it overflows. Arrivals due
-    // at or before the next service start are admitted first, so queue
-    // occupancy (and shedding) is an exact function of simulated time.
-    while (next_arrival < config.serve_chunks || !shard.queue.empty()) {
-      bool admit = false;
-      if (next_arrival < config.serve_chunks) {
-        if (shard.queue.empty()) {
-          admit = true;
-        } else {
-          const SimDuration next_at =
-              arrival_period * static_cast<double>(next_arrival);
-          const SimDuration service_start = std::max(now, shard.queue.front().arrival);
-          admit = next_at <= service_start;
-        }
-      }
-      if (!admit) {
-        serve_one(shard.pop());
-        continue;
-      }
-      const SimDuration arrival = arrival_period * static_cast<double>(next_arrival);
-      data::Dataset chunk = stream.next_chunk();
-      const std::uint32_t index = next_arrival++;
-      std::optional<ShedRequest> shed =
-          shard.admit(QueuedRequest{index, 0, arrival, std::move(chunk)});
-      if (shed.has_value()) {
-        if (trace != nullptr) {
-          trace->begin_request(shed->trace.request_id);
-          trace->instant_at(obs::Track::kExecutor, "serve.shed", arrival,
-                            {{"policy", config.admission.policy == ShedPolicy::kDropOldest
-                                            ? "drop_oldest"
-                                            : "reject_newest"},
-                             {"queue_depth", shed->queue_depth}});
-        }
-        finish(std::move(shed->trace), obs::ExemplarReason::kShed);
-      }
-    }
-  }
+  };
+
+  // One request per dispatch: a batch is one request here.
+  run_event_loop(config, {&shard, 1}, next_arrival, 1,
+                 arrival_period(config, endpoint, endpoint.model(ServeTier::kFull)), arrive,
+                 dispatch);
 
   // A degenerate session shed or expired every chunk before serving one, so
   // the telemetry never saw a chunk timing and takes the fallback sizing.
-  if (shard.start_telemetry(SimDuration(), 0)) {
+  if (engine.start_telemetry(SimDuration(), 0)) {
     session.model->observe_model(deployed_full.model.class_hypervectors());
   }
 
   result.final_snapshot = take_snapshot(now);
-  result.events = session.monitor->alarms().events();
+  result.events = engine.monitor->alarms().events();
   result.final_model = session.model->snapshot(now);
   result.model_events = session.model->alarms().events();
   result.final_energy = session.energy->snapshot(now);
@@ -706,32 +657,21 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   // Lifetime totals come from the serve accumulators; the monitor (restored
   // warm from the checkpoint since HDSV v3) agrees, but the accumulators are
   // the source of truth for results.
-  const ShardCounters& counters = shard.counters;
+  const ShardCounters& counters = engine.counters;
   result.samples_served = counters.served_samples;
-  result.lifetime_accuracy =
-      counters.served_samples == 0
-          ? 0.0
-          : static_cast<double>(counters.correct_samples) /
-                static_cast<double>(counters.served_samples);
+  result.lifetime_accuracy = ratio(counters.correct_samples, counters.served_samples);
   result.shed_samples = counters.shed_samples;
   result.expired_samples = counters.expired_samples;
   result.degraded_samples = counters.degraded_samples;
   result.shed_chunks = static_cast<std::uint32_t>(counters.shed_requests);
   result.expired_chunks = static_cast<std::uint32_t>(counters.expired_requests);
-  result.final_health = shard.health.state();
-  result.health_transitions = shard.health.transitions();
-  result.quarantines = shard.health.quarantines();
-  result.probes = shard.health.probes_attempted();
+  result.final_health = engine.health.state();
+  result.health_transitions = engine.health.transitions();
+  result.quarantines = engine.health.quarantines();
+  result.probes = engine.health.probes_attempted();
 
-  if (!config.snapshot_dir.empty()) {
+  if (export_snapshot(config, "monitor_snapshot_final.json", result.final_snapshot)) {
     ++result.snapshots_written;
-    write_text_file(
-        (std::filesystem::path(config.snapshot_dir) / "monitor_snapshot_final.json")
-            .string(),
-        result.final_snapshot.to_json());
-  }
-  if (!config.prometheus_path.empty()) {
-    write_text_file(config.prometheus_path, result.final_snapshot.to_prometheus());
   }
   if (!config.checkpoint_path.empty()) {
     write_file(config.checkpoint_path, build_checkpoint());

@@ -20,6 +20,11 @@
 
 namespace hdc::runtime {
 
+/// `part / whole`, or 0 when `whole` is 0.
+inline double ratio(std::uint64_t part, std::uint64_t whole) {
+  return whole == 0 ? 0.0 : static_cast<double>(part) / static_cast<double>(whole);
+}
+
 /// How the fleet router picks a device for an arriving tenant request.
 enum class PlacementPolicy : std::uint8_t {
   /// Route to the device whose on-chip SRAM already holds the tenant's model

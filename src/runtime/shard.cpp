@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -17,6 +18,24 @@ void write_text_file(const std::string& path, const std::string& content) {
   HDC_CHECK(out.good(), "cannot open '" + path + "' for writing");
   out << content;
   HDC_CHECK(out.good(), "failed writing '" + path + "'");
+}
+
+std::string numbered(const char* format, unsigned index) {
+  char name[48];
+  std::snprintf(name, sizeof(name), format, index);
+  return name;
+}
+
+bool export_snapshot(const ServeConfig& config, const std::string& name,
+                     const obs::MonitorSnapshot& snap) {
+  if (!config.prometheus_path.empty()) {
+    write_text_file(config.prometheus_path, snap.to_prometheus());
+  }
+  if (config.snapshot_dir.empty()) {
+    return false;
+  }
+  write_text_file((std::filesystem::path(config.snapshot_dir) / name).string(), snap.to_json());
+  return true;
 }
 
 std::string exemplar_output_path(const ServeConfig& config) {
@@ -189,6 +208,14 @@ std::optional<ShedRequest> ShardEngine::admit(QueuedRequest&& req) {
   return shed;
 }
 
+std::size_t ShardEngine::head_run(std::uint32_t batch_max) const {
+  std::size_t run = 1;
+  while (run < queue.size() && run < batch_max && queue[run].tenant == queue.front().tenant) {
+    ++run;
+  }
+  return run;
+}
+
 bool ShardEngine::start_telemetry(SimDuration batch_total, std::uint64_t batch_samples) {
   const obs::MonitorConfig mc = resolve_monitor_config(config_, batch_total, batch_samples);
   each_monitor([&](LazyMonitor& m) {
@@ -267,10 +294,67 @@ std::optional<obs::ExemplarReason> ShardEngine::finish_served(obs::RequestTrace&
   if (tier != ServeTier::kFull || report.cpu_samples > 0) {
     return obs::ExemplarReason::kTierFallback;
   }
-  if (latency >= monitor_->latency_quantile(end, 0.99)) {
+  if (latency >= monitor->latency_quantile(end, 0.99)) {
     return obs::ExemplarReason::kTailLatency;
   }
   return std::nullopt;
+}
+
+// ---- the event loop ----------------------------------------------------------
+
+SimDuration arrival_period(const ServeConfig& config, const ServingEndpoint& endpoint,
+                           const ServingEndpoint::Model& model) {
+  if (config.admission.offered_load <= 0.0) {
+    return SimDuration();
+  }
+  return endpoint.nominal_per_sample(model, ServeTier::kFull) *
+         (static_cast<double>(config.stream.chunk_size) / config.admission.offered_load);
+}
+
+void run_event_loop(const ServeConfig& config, std::span<Shard> shards, std::uint64_t first_id,
+                    std::uint32_t batch_max, SimDuration period, const ArriveFn& arrive,
+                    const DispatchFn& dispatch) {
+  const bool closed = period.is_zero();
+  for (std::uint64_t next_id = first_id;;) {
+    const bool arrivals_left = next_id < config.serve_chunks;
+    std::size_t ready = shards.size();
+    SimDuration ready_at;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      const ShardEngine& engine = shards[i].engine;
+      if (engine.queue.empty()) {
+        continue;
+      }
+      // A closed loop offers nothing while a queue holds a request, so only
+      // an open loop's arrivals can grow a run.
+      const std::size_t run = engine.head_run(batch_max);
+      const bool growable =
+          run < batch_max && run == engine.queue.size() && arrivals_left && !closed;
+      const SimDuration head = engine.queue.front().arrival;
+      const SimDuration at =
+          std::max(shards[i].free_at, growable ? head + config.fleet.batch_max_age : head);
+      if (ready == shards.size() || at < ready_at) {
+        ready = i;
+        ready_at = at;
+      }
+    }
+    const bool idle = ready == shards.size();
+    if (arrivals_left && (idle || !closed)) {
+      const SimDuration at =
+          closed ? std::min_element(shards.begin(), shards.end(),
+                                    [](const Shard& a, const Shard& b) {
+                                      return a.free_at < b.free_at;
+                                    })->free_at
+                 : period * static_cast<double>(next_id);
+      if (idle || at <= ready_at) {
+        arrive(next_id++, at);
+        continue;
+      }
+    }
+    if (idle) {
+      return;
+    }
+    dispatch(ready, ready_at);
+  }
 }
 
 }  // namespace hdc::runtime

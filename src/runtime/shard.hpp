@@ -1,17 +1,22 @@
 #pragma once
 
-// The shard engine under both serving loops: `serve` drives one
-// `ShardEngine`, `serve_fleet` one per device. A shard owns its bounded
-// request queue, the shedding and deadline-expiry decisions, the health
-// feed and the monitor records its requests leave behind. The
-// `ServingSession` around the shards owns the lazily sized model-quality
-// and energy telemetry, the exemplar store and request finalisation. Each
-// loop keeps only what is its own: the single-device loop its closed loop,
-// online learners, three-tier ladder and checkpoints; the fleet its tenants,
-// placement, micro-batching, charged swaps and energy ledgers.
+// The serving clock under both serving loops: `serve` drives one `Shard`,
+// `serve_fleet` one per device, through the one event loop
+// (`run_event_loop`), which interleaves arrivals and dispatches in
+// simulated time. A shard is a device's endpoint, its engine and the time
+// the device is next free. The engine owns the bounded request queue, the
+// shedding and deadline-expiry decisions, the health feed and the monitor
+// its requests' records go to. The `ServingSession` around the shards owns
+// what spans them: the lazily sized model-quality and energy telemetry, the
+// exemplar store, request finalisation and the log clock. Each loop keeps
+// only what is its own: its per-batch body and its arrivals; the
+// single-device loop also its online learners, three-tier ladder and
+// checkpoints, the fleet its tenants, placement, charged swaps, aggregate
+// monitor and energy ledgers.
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -32,6 +37,16 @@ namespace hdc::runtime {
 
 /// Writes `content` to `path`, truncating it; throws hdc::Error on failure.
 void write_text_file(const std::string& path, const std::string& content);
+
+/// `format`, whose one conversion is `%u` (zero-padded as it says), applied
+/// to `index`: numbered snapshot and checkpoint names.
+std::string numbered(const char* format, unsigned index);
+
+/// Writes `snap` to `snapshot_dir/name` when a snapshot directory is set,
+/// and its Prometheus exposition to `prometheus_path` when that is set.
+/// True when the JSON file was written.
+bool export_snapshot(const ServeConfig& config, const std::string& name,
+                     const obs::MonitorSnapshot& snap);
 
 /// Feeds a serving loop's simulated clock to the structured log for the
 /// lifetime of the session, so JSONL records (alarm edges in particular)
@@ -94,8 +109,9 @@ class LazyMonitor {
 };
 
 /// Session-wide telemetry and request finalisation. The model-quality stats
-/// and the energy accountant share the session monitor's resolved window;
-/// energy requests finished before they exist are buffered and replayed.
+/// and the energy accountant share the first sized monitor's resolved
+/// window; energy requests finished before they exist are buffered and
+/// replayed.
 class ServingSession {
  public:
   /// `model_dim` is the encoder dimension the model-quality stats track per
@@ -111,7 +127,6 @@ class ServingSession {
   void write_exemplars() const;
 
   LogClock clock;
-  LazyMonitor monitor;  ///< the session-wide view over every shard
   std::optional<obs::ModelQualityStats> model;
   std::optional<obs::EnergyAccountant> energy;
   obs::ExemplarStore exemplars;
@@ -148,16 +163,12 @@ obs::RequestTrace begin_trace(const QueuedRequest& req, SimDuration free_before,
                               SimDuration dispatch);
 
 /// One device's admission queue, health state and monitor. Monitor records
-/// go to the shard's monitor, then to `also_feed` when set.
+/// go to the shard's own monitor, then to `also_feed` when set.
 class ShardEngine {
  public:
-  ShardEngine(const ServeConfig& config, ServingSession& session, LazyMonitor& monitor,
-              LazyMonitor* also_feed, DeviceHealthTracker tracker)
-      : health(std::move(tracker)),
-        config_(config),
-        session_(session),
-        monitor_(monitor),
-        also_feed_(also_feed) {}
+  ShardEngine(const ServeConfig& config, ServingSession& session, LazyMonitor* also_feed,
+              DeviceHealthTracker tracker)
+      : health(std::move(tracker)), config_(config), session_(session), also_feed_(also_feed) {}
 
   /// Queues a request. On a full queue the shed policy picks the victim —
   /// the arrival (reject-newest) or the oldest queued (drop-oldest) — and
@@ -169,6 +180,9 @@ class ShardEngine {
     queued_samples -= req.data.num_samples();
     return req;
   }
+  /// Length of the same-tenant run at the head of the queue, at most
+  /// `batch_max` requests: the batch a dispatch now would serve.
+  std::size_t head_run(std::uint32_t batch_max) const;
   /// Ladder tier for a dispatch at `at`, given the backlog behind it.
   ServeTier admit_tier(SimDuration at) {
     return health.admit_tier(at, queue.size(), config_.admission.degrade_backlog);
@@ -231,11 +245,12 @@ class ShardEngine {
   std::uint64_t queued_samples = 0;
   DeviceHealthTracker health;
   ShardCounters counters;
+  LazyMonitor monitor;
 
  private:
   template <typename Fn>
   void each_monitor(Fn&& fn) {
-    fn(monitor_);
+    fn(monitor);
     if (also_feed_ != nullptr) {
       fn(*also_feed_);
     }
@@ -249,8 +264,54 @@ class ShardEngine {
 
   const ServeConfig& config_;
   ServingSession& session_;
-  LazyMonitor& monitor_;
   LazyMonitor* also_feed_;
 };
+
+/// One device behind a serving loop: its endpoint (a full simulated
+/// accelerator with its own fault stream), its engine, and the simulated
+/// time the device is next free.
+struct Shard {
+  Shard(const CoDesignFramework& framework, const tpu::FaultProfile& faults,
+        const ServeConfig& config, ServingSession& session, LazyMonitor* also_feed,
+        DeviceHealthTracker tracker)
+      : endpoint(framework, faults, config.retry),
+        engine(config, session, also_feed, std::move(tracker)) {}
+
+  ServingEndpoint endpoint;
+  ShardEngine engine;
+  SimDuration free_at;
+};
+
+/// The open-loop arrival period. Offered load is a multiple of the full-tier
+/// service rate: load L means chunks arrive L times faster than the
+/// fault-free `model` serves them on `endpoint`. Zero for the closed loop
+/// (`admission.offered_load == 0`).
+SimDuration arrival_period(const ServeConfig& config, const ServingEndpoint& endpoint,
+                           const ServingEndpoint::Model& model);
+
+/// Offers request `id` at simulated time `at`.
+using ArriveFn = std::function<void(std::uint64_t id, SimDuration at)>;
+/// Serves shard `shard`'s head batch at `at`. It must pop at least the head
+/// request, and moves the shard's `free_at` as its loop defines.
+using DispatchFn = std::function<void(std::size_t shard, SimDuration at)>;
+
+/// The one event loop under both serving loops. It offers requests
+/// `first_id`, ..., `config.serve_chunks - 1` through `arrive` and serves
+/// the queued ones through `dispatch`, in simulated-time order, until every
+/// request is offered and every queue is empty:
+/// - open loop (`period` > 0): request i arrives at i x `period`;
+/// - closed loop (`period` == 0): a request arrives only when every queue is
+///   empty, at the earliest `free_at`;
+/// - a shard's head run (`ShardEngine::head_run`) is ready at
+///   max(`free_at`, head arrival) once it is full (`batch_max` requests) or
+///   cannot grow (another tenant queued behind it, or no arrival can join
+///   it); a growable run is held until max(`free_at`, head arrival +
+///   `config.fleet.batch_max_age`);
+/// - the earliest-ready shard is dispatched first, the lowest index on ties;
+/// - an arrival at a shard's ready time is offered before that dispatch, so
+///   it can still join the batch.
+void run_event_loop(const ServeConfig& config, std::span<Shard> shards, std::uint64_t first_id,
+                    std::uint32_t batch_max, SimDuration period, const ArriveFn& arrive,
+                    const DispatchFn& dispatch);
 
 }  // namespace hdc::runtime

@@ -187,11 +187,6 @@ std::size_t argmax(std::span<const float> v) {
   return static_cast<std::size_t>(std::max_element(v.begin(), v.end()) - v.begin());
 }
 
-std::size_t argmax_i32(std::span<const std::int32_t> v) {
-  HDC_CHECK(!v.empty(), "argmax of empty span");
-  return static_cast<std::size_t>(std::max_element(v.begin(), v.end()) - v.begin());
-}
-
 void tanh_inplace(std::span<float> v) { kernels::active().tanh_inplace(v); }
 
 MatrixF transpose(const MatrixF& a) {
@@ -220,23 +215,6 @@ MatrixF hstack(std::span<const MatrixF> blocks) {
                   out.data() + i * cols + offset);
       offset += block.cols();
     }
-  }
-  return out;
-}
-
-MatrixF vstack(std::span<const MatrixF> blocks) {
-  HDC_CHECK(!blocks.empty(), "vstack of zero blocks");
-  const std::size_t cols = blocks.front().cols();
-  std::size_t rows = 0;
-  for (const auto& block : blocks) {
-    HDC_CHECK(block.cols() == cols, "vstack blocks must share a column count");
-    rows += block.rows();
-  }
-  MatrixF out(rows, cols);
-  std::size_t row_offset = 0;
-  for (const auto& block : blocks) {
-    std::copy_n(block.data(), block.size(), out.data() + row_offset * cols);
-    row_offset += block.rows();
   }
   return out;
 }

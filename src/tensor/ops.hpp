@@ -71,7 +71,6 @@ float cosine(std::span<const float> a, std::span<const float> b);
 
 /// Index of the maximum element (first occurrence on ties).
 std::size_t argmax(std::span<const float> v);
-std::size_t argmax_i32(std::span<const std::int32_t> v);
 
 /// tanh(x) as the fdlibm `tanhf` computes it (the one glibc 2.36 ships):
 /// bit-equal to `std::tanh` there. Built without fused multiply-adds, so
@@ -88,8 +87,6 @@ MatrixF transpose(const MatrixF& a);
 
 /// Horizontal concatenation [A | B | ...]: equal row counts required.
 MatrixF hstack(std::span<const MatrixF> blocks);
-/// Vertical concatenation: equal column counts required.
-MatrixF vstack(std::span<const MatrixF> blocks);
 
 /// Min / max over all elements (matrix must be non-empty).
 struct MinMax {

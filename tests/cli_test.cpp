@@ -199,6 +199,7 @@ TEST_F(CliTest, ServeRejectsInvalidOverloadFlags) {
   expect_rejected("--shed-policy keep-some", "reject-newest");
   expect_rejected("--swap-classes 1,2x", "two distinct non-negative class indices");
   expect_rejected("--swap-classes 1,2,3", "two distinct non-negative class indices");
+  expect_rejected("--snapshot-every 4", "snapshot directory or a Prometheus path");
 }
 
 TEST_F(CliTest, ServeOverloadSmokeReportsAdmissionAndHealth) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <set>
 
@@ -159,55 +158,6 @@ TEST(NormalizerTest, FeatureCountMismatchThrows) {
   Dataset wide = ds;
   wide.features = tensor::MatrixF(4, 3);
   EXPECT_THROW(norm.apply(wide), Error);
-}
-
-TEST(ZScoreNormalizerTest, StandardizesTrainMoments) {
-  Dataset ds = generate_synthetic(paper_dataset("PAMAP2"), 400);
-  ZScoreNormalizer norm;
-  norm.fit(ds);
-  norm.apply(ds);
-  // Every feature column must end up ~N(0, 1).
-  for (std::size_t j = 0; j < ds.num_features(); ++j) {
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    for (std::size_t i = 0; i < ds.num_samples(); ++i) {
-      sum += ds.features.at(i, j);
-      sum_sq += std::pow(ds.features.at(i, j), 2.0);
-    }
-    const double mean = sum / ds.num_samples();
-    EXPECT_NEAR(mean, 0.0, 1e-4);
-    EXPECT_NEAR(sum_sq / ds.num_samples() - mean * mean, 1.0, 1e-3);
-  }
-}
-
-TEST(ZScoreNormalizerTest, ConstantFeatureMapsToZero) {
-  Dataset ds = tiny_dataset();
-  for (std::size_t i = 0; i < ds.num_samples(); ++i) {
-    ds.features.at(i, 1) = 3.5F;
-  }
-  ZScoreNormalizer norm;
-  norm.fit(ds);
-  norm.apply(ds);
-  for (std::size_t i = 0; i < ds.num_samples(); ++i) {
-    EXPECT_EQ(ds.features.at(i, 1), 0.0F);
-  }
-}
-
-TEST(ZScoreNormalizerTest, UseBeforeFitThrows) {
-  Dataset ds = tiny_dataset();
-  ZScoreNormalizer norm;
-  EXPECT_THROW(norm.apply(ds), Error);
-}
-
-TEST(ZScoreNormalizerTest, TestSetUsesTrainStatistics) {
-  Dataset train = tiny_dataset();
-  ZScoreNormalizer norm;
-  norm.fit(train);
-  Dataset test = tiny_dataset();
-  test.features.at(0, 0) = 100.0F;  // outlier far outside the train range
-  norm.apply(test);
-  // Standardization does not clamp: the outlier stays large.
-  EXPECT_GT(test.features.at(0, 0), 5.0F);
 }
 
 TEST(AccuracyTest, CountsMatches) {

@@ -819,6 +819,9 @@ TEST(ServeConfigTest, ValidationCoversAdmissionHealthAndCheckpointing) {
   config.checkpoint_every_chunks = 4;  // interval without a path
   EXPECT_THROW(config.validate(), Error);
   config = serve_config();
+  config.snapshot_every_chunks = 4;  // interval with nowhere to write
+  EXPECT_THROW(config.validate(), Error);
+  config = serve_config();
   config.learner.dim = 512;
   config.reduced_dim = 4096;  // a reduced tier wider than the full one
   EXPECT_THROW(config.validate(), Error);

@@ -4,12 +4,16 @@
 // conservation invariant under overload, cache-aware placement's hit-rate
 // advantage over round-robin under skewed tenant traffic, per-request
 // latency-attribution exactness through the router/batching stages, and
-// fleet/shard accounting consistency.
+// fleet/shard accounting consistency, and the rules of the one event loop
+// (runtime/shard) that both serving loops run on.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -20,6 +24,7 @@
 #include "runtime/framework.hpp"
 #include "runtime/router.hpp"
 #include "runtime/serve.hpp"
+#include "runtime/shard.hpp"
 
 namespace hdc::runtime {
 namespace {
@@ -412,6 +417,129 @@ TEST(FleetServeTest, FleetOfOneMatchesServe) {
   }
 }
 
+// ---- the one event loop (runtime/shard) ------------------------------------
+// Stub callbacks that do no device work: `arrive` queues request `id` on the
+// shard `place(id)` picks, as tenant `tenant(id)`; `dispatch` pops the head
+// run and keeps the device busy for `service`. Times are whole seconds,
+// exact in binary, so every tie is exact. An event reads "a<id>@<t>" (an
+// arrival) or "d<shard>@<t>:<ids>" (a dispatch and the requests it served).
+
+using Events = std::vector<std::string>;
+
+SimDuration sec(double s) { return SimDuration::seconds(s); }
+
+std::string at_string(SimDuration t) {
+  std::ostringstream os;
+  os << t.to_seconds();
+  return os.str();
+}
+
+struct StubLoop {
+  StubLoop(std::uint32_t devices, std::uint32_t requests) {
+    config.serve_chunks = requests;
+    config.admission.queue_capacity = 16;
+    shards.reserve(devices);
+    for (std::uint32_t d = 0; d < devices; ++d) {
+      shards.emplace_back(framework, config.faults, config, session, nullptr,
+                          DeviceHealthTracker(config.health));
+    }
+  }
+
+  Events run(std::uint32_t batch_max, SimDuration period, SimDuration service,
+             std::uint64_t first_id = 0) {
+    Events events;
+    run_event_loop(
+        config, shards, first_id, batch_max, period,
+        [&](std::uint64_t id, SimDuration at) {
+          events.push_back("a" + std::to_string(id) + "@" + at_string(at));
+          EXPECT_FALSE(shards[place(id)].engine.admit({id, tenant(id), at, {}}).has_value());
+        },
+        [&](std::size_t index, SimDuration at) {
+          Shard& shard = shards[index];
+          std::string served;
+          for (std::size_t k = shard.engine.head_run(batch_max); k > 0; --k) {
+            served += served.empty() ? "" : ",";
+            served += std::to_string(shard.engine.pop().id);
+          }
+          events.push_back("d" + std::to_string(index) + "@" + at_string(at) + ":" + served);
+          shard.free_at = at + service;
+        });
+    return events;
+  }
+
+  ServeConfig config;
+  CoDesignFramework framework;
+  ServingSession session{config, 0, SimDuration()};
+  std::vector<Shard> shards;
+  std::function<std::size_t(std::uint64_t)> place = [](std::uint64_t) { return std::size_t{0}; };
+  std::function<std::uint32_t(std::uint64_t)> tenant = [](std::uint64_t) { return 0U; };
+};
+
+TEST(EventLoopTest, ArrivalAtAReadyTimeIsOfferedFirst) {
+  // Request 1's run (held: it can still grow) is ready when the device
+  // frees at 4; request 2 lands at 4 too and joins that batch.
+  StubLoop loop(1, 4);
+  loop.config.fleet.batch_max_age = sec(0);
+  EXPECT_EQ(loop.run(2, sec(2), sec(4)),
+            (Events{"a0@0", "d0@0:0", "a1@2", "a2@4", "d0@4:1,2", "a3@6", "d0@8:3"}));
+}
+
+TEST(EventLoopTest, GrowableRunIsHeldForTheBatchAge) {
+  // Request 0's run waits until 0 + 3 s and takes request 1 on the way; the
+  // last request's run cannot grow (nothing is left to arrive), so it goes
+  // as soon as the device is free.
+  StubLoop loop(1, 3);
+  loop.config.fleet.batch_max_age = sec(3);
+  EXPECT_EQ(loop.run(4, sec(2), sec(1)), (Events{"a0@0", "a1@2", "d0@3:0,1", "a2@4", "d0@4:2"}));
+}
+
+TEST(EventLoopTest, FullOrBlockedRunDispatchesAtFreeTimeOrHeadArrival) {
+  {
+    // Full runs on a busy device go when it frees, whatever the age.
+    StubLoop loop(1, 5);
+    loop.config.fleet.batch_max_age = sec(10);
+    loop.shards[0].free_at = sec(3);
+    EXPECT_EQ(loop.run(2, sec(1), sec(5)), (Events{"a0@0", "a1@1", "a2@2", "a3@3", "d0@3:0,1",
+                                                   "a4@4", "d0@8:2,3", "d0@13:4"}));
+  }
+  {
+    // Another tenant queued behind the head stops its run from growing.
+    StubLoop loop(1, 3);
+    loop.config.fleet.batch_max_age = sec(10);
+    loop.tenant = [](std::uint64_t id) { return static_cast<std::uint32_t>(id % 2); };
+    EXPECT_EQ(loop.run(4, sec(1), sec(5)),
+              (Events{"a0@0", "a1@1", "d0@0:0", "a2@2", "d0@5:1", "d0@10:2"}));
+  }
+  {
+    // An idle device serves a full run at its head's arrival.
+    StubLoop loop(1, 2);
+    EXPECT_EQ(loop.run(1, sec(4), sec(1)), (Events{"a0@0", "d0@0:0", "a1@4", "d0@4:1"}));
+  }
+}
+
+TEST(EventLoopTest, EarliestReadyShardGoesFirstAndTheLowestIndexWinsATie) {
+  // Shards 1 and 2 are both ready at 5, shard 0 only at 9.
+  StubLoop loop(3, 3);
+  loop.place = [](std::uint64_t id) { return static_cast<std::size_t>(2 - id); };
+  loop.shards[0].free_at = sec(9);
+  loop.shards[1].free_at = sec(5);
+  loop.shards[2].free_at = sec(5);
+  EXPECT_EQ(loop.run(1, sec(1), sec(1)),
+            (Events{"a0@0", "a1@1", "a2@2", "d1@5:1", "d2@5:0", "d0@9:2"}));
+}
+
+TEST(EventLoopTest, ClosedLoopOffersNothingWhileAQueueHoldsARequest) {
+  // Two requests are queued when the loop starts (a resume mid-stream): the
+  // next arrival waits until both are served, and each later one arrives
+  // when the device frees.
+  StubLoop loop(1, 4);
+  ShardEngine& engine = loop.shards[0].engine;
+  engine.admit({0, 0, sec(0), {}});
+  engine.admit({1, 0, sec(0), {}});
+  EXPECT_EQ(loop.run(1, SimDuration(), sec(3), 2),
+            (Events{"d0@0:0", "d0@3:1", "a2@6", "d0@6:2", "a3@9", "d0@9:3"}));
+}
+
 TEST(FleetConfigTest, ValidationRejectsDegenerateShapes) {
   FleetConfig fleet;
   fleet.num_devices = 0;
@@ -451,6 +579,7 @@ TEST(FleetConfigTest, ValidationRejectsDegenerateShapes) {
   // profile (the single-device loop does).
   ServeConfig periodic = fleet_config();
   periodic.snapshot_every_chunks = 2;
+  periodic.snapshot_dir = "fleet_snapshots";
   EXPECT_THROW(serve_fleet(framework, periodic), Error);
   obs::TraceContext trace;
   CoDesignFramework traced;

@@ -347,11 +347,6 @@ TEST(ArgmaxTest, EmptyThrows) {
   EXPECT_THROW(argmax(v), Error);
 }
 
-TEST(ArgmaxI32Test, NegativeValues) {
-  std::vector<std::int32_t> v{-5, -1, -9};
-  EXPECT_EQ(argmax_i32(v), 1U);
-}
-
 TEST(TanhTest, BoundedAndOdd) {
   std::vector<float> v{-100.0F, -1.0F, 0.0F, 1.0F, 100.0F};
   tanh_inplace(v);
@@ -590,19 +585,6 @@ TEST(HstackTest, ConcatenatesColumns) {
 TEST(HstackTest, RowMismatchThrows) {
   std::vector<MatrixF> blocks{MatrixF(2, 2), MatrixF(3, 2)};
   EXPECT_THROW(hstack(blocks), Error);
-}
-
-TEST(VstackTest, ConcatenatesRows) {
-  MatrixF a{{1, 2}};
-  MatrixF b{{3, 4}, {5, 6}};
-  std::vector<MatrixF> blocks{a, b};
-  const MatrixF c = vstack(blocks);
-  EXPECT_EQ(c, (MatrixF{{1, 2}, {3, 4}, {5, 6}}));
-}
-
-TEST(VstackTest, ColumnMismatchThrows) {
-  std::vector<MatrixF> blocks{MatrixF(2, 2), MatrixF(2, 3)};
-  EXPECT_THROW(vstack(blocks), Error);
 }
 
 TEST(MinMaxTest, FindsExtremes) {
