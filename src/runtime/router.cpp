@@ -14,9 +14,7 @@
 #include "common/rng.hpp"
 #include "core/online.hpp"
 #include "data/stream.hpp"
-#include "runtime/resilient.hpp"
 #include "runtime/shard.hpp"
-#include "tpu/device.hpp"
 #include "tpu/faults.hpp"
 
 namespace hdc::runtime {
@@ -158,16 +156,6 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     session.finish(std::move(rt), reason);
   };
 
-  // Each tenant instance shares the session's config (resolved window,
-  // dimension 0) and sees its own frozen model once (frozen fleet = one
-  // observe_model each, no refreshes).
-  const auto init_tenant_stats = [&]() {
-    for (std::uint32_t t = 0; t < fleet.num_tenants; ++t) {
-      tenant_stats[t].emplace(session.model->config());
-      tenant_stats[t]->observe_model(tenants[t].classes);
-    }
-  };
-
   // ---- placement -----------------------------------------------------------
   // Fewest queued samples, then the earlier-free device, then the lowest index.
   const auto least_loaded = [&]() -> std::size_t {
@@ -200,126 +188,54 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     return least_loaded();
   };
 
-  // ---- one micro-batch: coalesce, expire, swap, serve, account -------------
-  const auto dispatch = [&](std::size_t index, SimDuration td) {
-    Shard& shard = shards[index];
+  // ---- one micro-batch: the shared body, then the shard's batch ledger -----
+  BatchHooks hooks;
+  hooks.model = [&](std::uint32_t tenant, ServeTier) -> const ServingEndpoint::Model& {
+    return tenants[tenant].model;
+  };
+  // A tenant swap is a charged, counted upload, unlike single-device
+  // serving's uncharged tier switches (see ServingEndpoint). Host-tier
+  // batches never touch the device's cache.
+  hooks.load = [&](std::size_t index, const ServingEndpoint::Model& model, ServeTier tier,
+                   SimDuration at) {
+    if (tier == ServeTier::kHost) {
+      return SimDuration();
+    }
     FleetShardResult& shard_result = result.shards[index];
-    ShardEngine& engine = shard.engine;
-    const SimDuration free_before = shard.free_at;
-    const std::uint32_t tenant_index = engine.queue.front().tenant;
-    Tenant& tenant = tenants[tenant_index];
-    std::vector<QueuedRequest> batch;
-    for (std::size_t k = engine.head_run(fleet.batch_max_chunks); k > 0; --k) {
-      batch.push_back(engine.pop());
+    const SimDuration upload = shards[index].endpoint.swap(model, at);
+    ++shard_result.cache_lookups;
+    if (upload.is_zero()) {
+      ++shard_result.cache_hits;
+    } else {
+      ++shard_result.swaps;
+      shard_result.swap_time += upload;
     }
-    session.clock.set(td);
+    return upload;
+  };
+  // Each tenant instance shares the session's config (resolved window,
+  // dimension 0) and sees its own frozen model once (frozen fleet = one
+  // observe_model each, no refreshes).
+  hooks.sized = [&] {
+    for (std::uint32_t t = 0; t < fleet.num_tenants; ++t) {
+      tenant_stats[t].emplace(session.model->config());
+      tenant_stats[t]->observe_model(tenants[t].classes);
+    }
+  };
+  // The aggregate and the tenant's instance record the same sample.
+  hooks.sample = [&](const QueuedRequest& req, std::size_t,
+                     const obs::ModelQualityStats::Sample& sample) {
+    tenant_stats[req.tenant]->record(sample);
+    preds[req.id].push_back(sample.predicted);
+  };
+  hooks.finish = finish;
 
-    const ServeTier tier = engine.admit_tier(td);
-    if (engine.monitor.ready()) {
-      engine.monitor->set_quarantined(engine.health.state() == DeviceHealth::kQuarantined, td);
+  // A served batch keeps its device busy from dispatch until its members
+  // finish, which is when the device is next free.
+  const auto dispatch = [&](std::size_t index, SimDuration td) {
+    if (serve_batch(shards, index, td, fleet.batch_max_chunks, hooks).has_value()) {
+      ++result.shards[index].batches;
+      result.shards[index].busy += shards[index].free_at - td;
     }
-
-    // Per-member deadline check (the batch dispatches together, but each
-    // member's budget runs from its own arrival): members that cannot finish
-    // even their first sample expire unserved, the rest still form a batch.
-    const SimDuration nominal = shard.endpoint.nominal_per_sample(tenant.model, tier);
-    std::vector<QueuedRequest> live;
-    live.reserve(batch.size());
-    for (QueuedRequest& req : batch) {
-      if (engine.expires(td - req.arrival, nominal)) {
-        obs::RequestTrace rt = begin_trace(req, free_before, td);
-        engine.expire(rt, td, tier);
-        finish(index, tenant_index, std::move(rt), obs::ExemplarReason::kExpired);
-      } else {
-        live.push_back(std::move(req));
-      }
-    }
-    if (live.empty()) {
-      shard.free_at = std::max(shard.free_at, td);
-      return;
-    }
-
-    std::uint64_t n_total = 0;
-    for (const QueuedRequest& req : live) {
-      n_total += req.data.num_samples();
-    }
-    tensor::MatrixF inputs(static_cast<std::size_t>(n_total), spec.features);
-    float* row = inputs.data();
-    for (const QueuedRequest& req : live) {
-      row = std::copy_n(req.data.features.data(), req.data.features.size(), row);
-    }
-
-    // A tenant swap is a charged, counted upload, unlike single-device
-    // serving's uncharged tier switches (see ServingEndpoint). Host-tier
-    // batches never touch the device's cache.
-    SimDuration swap_upload;
-    if (tier != ServeTier::kHost) {
-      swap_upload = shard.endpoint.swap(tenant.model, td);
-      ++shard_result.cache_lookups;
-      if (swap_upload.is_zero()) {
-        ++shard_result.cache_hits;
-      } else {
-        ++shard_result.swaps;
-        shard_result.swap_time += swap_upload;
-      }
-    }
-    // Batched fleets stream the whole micro-batch through the pipelined
-    // (double-buffered) path, amortizing the per-invoke USB overhead;
-    // unbatched fleets keep single-device serving's interactive invoke. The
-    // oldest member has the least remaining budget; it bounds the whole
-    // batch's per-sample retry watchdog.
-    const tpu::InvokeOptions options{.interactive = fleet.batch_max_chunks == 1,
-                                     .pipelined = fleet.batch_max_chunks > 1};
-    const SimDuration service_start = td + swap_upload;
-    const ServingEndpoint::BatchOutcome outcome =
-        shard.endpoint.infer(tenant.model, tier, options, inputs, service_start,
-                             engine.budget(td - live.front().arrival));
-    const ResilienceReport& report = outcome.report;
-    const SimDuration service_total = outcome.total;
-    const SimDuration end = service_start + service_total;
-    const SimDuration per_sample =
-        service_total * (1.0 / static_cast<double>(n_total));
-    engine.feed_health(tier, end, report);
-    if (engine.start_telemetry(swap_upload + service_total, n_total)) {
-      init_tenant_stats();
-    }
-    engine.monitor->set_quarantined(engine.health.state() == DeviceHealth::kQuarantined, end);
-
-    // ---- per-member accounting: traces, monitor samples, predictions ----
-    std::size_t g = 0;
-    for (const QueuedRequest& req : live) {
-      const std::uint64_t n = req.data.num_samples();
-      // One batch serves several requests, so each member's chain carries
-      // the batch's summed service spans (serve keeps one per sample and
-      // attempt instead).
-      obs::RequestTrace rt = begin_trace(req, free_before, td);
-      if (!swap_upload.is_zero()) {
-        rt.append(obs::Stage::kSwap, swap_upload);
-      }
-      append_stage_spans(rt, report.device_stats, report.cpu_fallback_time);
-
-      const SimDuration member_latency_base = (td - req.arrival) + swap_upload;
-      preds[req.id].reserve(static_cast<std::size_t>(n));
-      obs::ModelQualityStats& tstats = *tenant_stats[tenant_index];
-      for (std::size_t j = 0; j < n; ++j, ++g) {
-        const std::uint32_t predicted = outcome.predictions[g];
-        const std::uint32_t label = req.data.labels[j];
-        const SimDuration at = service_start + per_sample * static_cast<double>(g + 1);
-        // The aggregate and this tenant's instance record the same sample.
-        tstats.record(engine.record_sample(at, member_latency_base + per_sample, req.id,
-                                           predicted, label, outcome.scores.row(g),
-                                           tenant.model.hidden_dim()));
-        preds[req.id].push_back(predicted);
-      }
-      const std::optional<obs::ExemplarReason> reason =
-          engine.finish_served(rt, end, tier, report, member_latency_base + per_sample);
-      finish(index, tenant_index, std::move(rt), reason);
-    }
-    engine.record_batch(end, n_total, tier, report);
-
-    ++shard_result.batches;
-    shard_result.busy += end - td;
-    shard.free_at = end;
   };
 
   // ---- one arrival: draw the tenant, place, maybe shed ---------------------
@@ -345,7 +261,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   // fallback sizing.
   for (Shard& shard : shards) {
     if (shard.engine.start_telemetry(SimDuration(), 0)) {
-      init_tenant_stats();
+      hooks.sized();
     }
   }
 

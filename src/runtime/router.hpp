@@ -22,30 +22,27 @@ namespace hdc::runtime {
 /// it. The router places every arriving chunk on a device
 /// (`PlacementPolicy`), coalesces queued same-tenant chunks into dynamic
 /// micro-batches (up to `batch_max_chunks`, held at most `batch_max_age`
-/// past the head's arrival), and serves each batch through
-/// `ServingEndpoint::infer`, the device path single-device serving uses.
-/// The devices are `Shard`s on the event loop both serving loops share
-/// (`run_event_loop`, runtime/shard), which owns the arrival schedule, the
-/// batch readiness rules and the dispatch order; the router supplies only
-/// its arrivals (tenant draw, placement, admission, ledgers) and its
-/// per-batch body. Each shard engine feeds its own monitor and a
-/// router-local fleet-aggregate monitor.
+/// past the head's arrival), and serves each batch through the per-batch
+/// body single-device serving uses (`serve_batch`, runtime/shard), on the
+/// event loop both serving loops share (`run_event_loop`). The router
+/// supplies only its arrivals (tenant draw, placement, admission, ledgers)
+/// and its hooks: the tenant's model, the charged swap, the per-tenant
+/// stats and predictions, and the energy ledgers. Each shard engine feeds
+/// its own monitor and a router-local fleet-aggregate monitor.
 ///
-/// Two differences from single-device serving stay on purpose. The
+/// One difference from single-device serving stays on purpose: the
 /// tenant-model swap (`ServingEndpoint::swap`) is a charged, counted weight
 /// upload, paid exactly when a batch lands on a device whose SRAM holds a
-/// different tenant's parameters; serve's tier switches are uncharged. And
-/// since one batch serves several requests, each member's span chain
-/// carries the batch's summed service spans, where serve keeps one chain
-/// per sample and attempt.
+/// different tenant's parameters; serve's tier switches are uncharged.
 ///
 /// Batched invocations run the pipelined streaming path (double-buffered
 /// link/compute overlap, no per-sample interactive round trip), which is
-/// what amortizes the per-invoke USB overhead; unbatched fleets
-/// (`batch_max_chunks == 1`) use the same interactive invoke as
-/// single-device serving. Predictions are bit-identical either way — the
-/// functional math is per-sample — so batching is a pure latency/throughput
-/// trade, pinned by tests.
+/// what amortizes the per-invoke USB overhead, and each member's span chain
+/// carries the batch's summed service spans; unbatched fleets
+/// (`batch_max_chunks == 1`) use the same interactive invoke and per-sample
+/// chains as single-device serving. Predictions are bit-identical either
+/// way — the functional math is per-sample — so batching is a pure
+/// latency/throughput trade, pinned by tests.
 ///
 /// Determinism: a fixed `ServeConfig` reproduces bit-identical placements,
 /// batch compositions, predictions, simulated timings, health transitions

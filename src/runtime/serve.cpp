@@ -375,18 +375,6 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     }
   }
 
-  // Quarantine gates every telemetry object of the session (the three are
-  // sized together, so one presence check covers them).
-  const auto sync_quarantine = [&](SimDuration at) {
-    if (engine.monitor.ready()) {
-      const bool quarantined = engine.health.state() == DeviceHealth::kQuarantined;
-      session.clock.set(at);
-      engine.monitor->set_quarantined(quarantined, at);
-      session.model->set_quarantined(quarantined, at);
-      session.energy->set_quarantined(quarantined, at);
-    }
-  };
-
   /// Monitor snapshot with the model-quality and energy sections spliced in:
   /// they all ride inside the one hdc-monitor-v1 document.
   const auto take_snapshot = [&](SimDuration at) {
@@ -405,7 +393,8 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   // change predictions, timings, or checkpoint bytes (beyond the two
   // checkpointed attribution accumulators, which are themselves derived).
   obs::TraceContext* const trace = framework.trace_context();
-  const auto finish = [&](obs::RequestTrace&& rt, std::optional<obs::ExemplarReason> reason) {
+  const auto finish = [&](std::size_t, std::uint32_t, obs::RequestTrace&& rt,
+                          std::optional<obs::ExemplarReason> reason) {
     session.finish(std::move(rt), reason);
     if (trace != nullptr) {
       trace->end_request();
@@ -439,131 +428,74 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     });
   };
 
-  // ---- one request: admit tier, expire or serve, learn, account -----------
+  // ---- one request: the shared body, then learn, refresh and account -------
+  // The tier switch is uncharged (the fleet's tenant swaps are not). The
+  // request is encoded once per learner, as one batch, when its first sample
+  // is recorded: the per-dimension discriminability window and the online
+  // update read rows of these matrices. Encoders never adapt, so a row equals
+  // what encoding the sample on its own would give.
+  tensor::MatrixF encoded;
+  tensor::MatrixF reduced_encoded;
+  std::uint64_t host_errors = 0;
+  BatchHooks hooks;
+  hooks.model = [&](std::uint32_t, ServeTier tier) -> const ServingEndpoint::Model& {
+    return endpoint.model(tier);
+  };
+  hooks.load = [&](std::size_t, const ServingEndpoint::Model&, ServeTier tier, SimDuration) {
+    endpoint.activate(tier);
+    return SimDuration();
+  };
+  // The model-quality stats see the classifier deployed on the endpoint.
+  hooks.sized = [&] { session.model->observe_model(deployed_full.model.class_hypervectors()); };
+  hooks.sample = [&](const QueuedRequest& req, std::size_t j,
+                     const obs::ModelQualityStats::Sample& sample) {
+    if (j == 0) {
+      encoded = learner.encoder().encode_batch(req.data.features);
+      reduced_encoded = config.online_updates
+                            ? reduced_learner.encoder().encode_batch(req.data.features)
+                            : tensor::MatrixF();
+      host_errors = 0;
+    }
+    session.model->record_dimensions(sample.at, sample.label, encoded.row(j));
+    if (config.online_updates) {
+      if (learner.learn_encoded(encoded.row(j), sample.label) != sample.label) {
+        ++host_errors;
+      }
+      // The reduced-tier learner adapts on the same pass; its update cost
+      // piggybacks on the full learner's charged update (a documented
+      // simplification that keeps fault-free timings identical to serving
+      // without the ladder).
+      reduced_learner.learn_encoded(reduced_encoded.row(j), sample.label);
+    }
+    result.predictions.push_back(sample.predicted);
+  };
+  // Host-side class-hypervector updates are real simulated work; price them
+  // with the same cost machinery the trainers use. Monitoring itself is never
+  // charged — attaching it cannot move the clock.
+  if (config.online_updates) {
+    hooks.update = [&](std::uint64_t n) {
+      return framework.cost_model().update_phase(n, config.learner.dim, spec.classes, 1,
+                                                 ratio(host_errors, n),
+                                                 framework.config().host);
+    };
+  }
+  hooks.finish = finish;
+
   const auto dispatch = [&](std::size_t, SimDuration start) {
-    const QueuedRequest item = engine.pop();
-    const SimDuration wait = start - item.arrival;
-    const std::size_t n = item.data.num_samples();
-
-    obs::RequestTrace rt = begin_trace(item, now, start);
-    if (trace != nullptr) {
-      // Open the causal scope for this request: every span the executor /
-      // device / link layers emit below is stamped with this id.
-      trace->set_now(item.arrival);
-      trace->begin_request(item.id);
-      if (!wait.is_zero()) {
-        trace->span(obs::Track::kExecutor, "serve.queue_wait", wait,
-                    {{"samples", n}});
-      }
-    }
-
-    const ServeTier tier = engine.admit_tier(start);
-    sync_quarantine(start);
-    if (trace != nullptr) {
-      trace->instant_at(obs::Track::kExecutor, "serve.admit_tier", start,
-                        {{"tier", tier_name(tier)},
-                         {"queue_depth", engine.queue.size()}});
-    }
-
-    // The deadline check itself is admission bookkeeping and costs no
-    // simulated time.
-    const SimDuration deadline = config.admission.deadline;
-    const ServingEndpoint::Model& model = endpoint.model(tier);
-    const SimDuration nominal =
-        deadline.is_zero() ? SimDuration() : endpoint.nominal_per_sample(model, tier);
-    if (engine.expires(wait, nominal)) {
-      engine.expire(rt, start, tier);
-      if (trace != nullptr) {
-        trace->instant_at(obs::Track::kExecutor, "serve.expired", start,
-                          {{"wait_us", wait.to_seconds() * 1e6},
-                           {"deadline_us", deadline.to_seconds() * 1e6}});
-      }
-      finish(std::move(rt), obs::ExemplarReason::kExpired);
+    const std::uint64_t id = engine.queue.front().id;
+    const SimDuration wait = start - engine.queue.front().arrival;
+    const std::optional<ServedBatch> batch = serve_batch({&shard, 1}, 0, start, 1, hooks);
+    // Free the encodings before a model refresh allocates.
+    encoded = tensor::MatrixF();
+    reduced_encoded = tensor::MatrixF();
+    if (!batch.has_value()) {
       return;
     }
-
-    // The tier switch is uncharged (the fleet's tenant swaps are not), and
-    // one batch is one request here, so its chain is kept per sample and
-    // attempt (the fleet's is per batch).
-    endpoint.activate(tier);
-    ServingEndpoint::BatchOutcome outcome =
-        endpoint.infer(model, tier, tpu::InvokeOptions{.interactive = true},
-                       item.data.features, start, engine.budget(wait), &rt);
-    const SimDuration per_sample = outcome.total * (1.0 / static_cast<double>(n));
-    SimDuration chunk_end = start + outcome.total;
-    engine.feed_health(tier, chunk_end, outcome.report);
-    if (engine.start_telemetry(outcome.total, n)) {
-      // The model-quality stats see the classifier deployed on the endpoint.
-      session.model->observe_model(deployed_full.model.class_hypervectors());
-    }
-    sync_quarantine(chunk_end);
-
-    // Per-sample records: completion times spread uniformly across the
-    // chunk's simulated duration, latency includes the admission-queue wait,
-    // margins from the class scores of the tier that served.
-    std::uint64_t host_errors = 0;
-    std::uint64_t chunk_correct = 0;
-    // Encode the request once per learner, as one batch: the per-dimension
-    // discriminability window and the online update read rows of these
-    // matrices. Encoders never adapt, so a row equals what encoding the
-    // sample on its own would give. The block scope frees them before a
-    // model refresh allocates.
-    {
-      const tensor::MatrixF encoded = learner.encoder().encode_batch(item.data.features);
-      const tensor::MatrixF reduced_encoded =
-          config.online_updates ? reduced_learner.encoder().encode_batch(item.data.features)
-                                : tensor::MatrixF();
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::uint32_t predicted = outcome.predictions[j];
-        const std::uint32_t label = item.data.labels[j];
-        const SimDuration at = start + per_sample * static_cast<double>(j + 1);
-        engine.record_sample(at, wait + per_sample, item.id, predicted, label,
-                             outcome.scores.row(j), model.hidden_dim());
-        session.model->record_dimensions(at, label, encoded.row(j));
-
-        if (config.online_updates) {
-          if (learner.learn_encoded(encoded.row(j), label) != label) {
-            ++host_errors;
-          }
-          // The reduced-tier learner adapts on the same pass; its update cost
-          // piggybacks on the full learner's charged update below (a documented
-          // simplification that keeps fault-free timings identical to serving
-          // without the ladder).
-          reduced_learner.learn_encoded(reduced_encoded.row(j), label);
-        }
-        result.predictions.push_back(predicted);
-        chunk_correct += predicted == label ? 1 : 0;
-      }
-    }
-    engine.record_batch(chunk_end, n, tier, outcome.report);
-
-    // Host-side class-hypervector updates are real simulated work; price
-    // them with the same cost machinery the trainers use. Monitoring itself
-    // is never charged — attaching it cannot move the clock.
-    SimDuration update_cost;
-    if (config.online_updates) {
-      update_cost = framework.cost_model().update_phase(
-          n, config.learner.dim, spec.classes, 1, ratio(host_errors, n), framework.config().host);
-      chunk_end += update_cost;
-    }
-    now = chunk_end;
-
-    if (!update_cost.is_zero()) {
-      rt.append(obs::Stage::kUpdate, update_cost);
-      if (trace != nullptr) {
-        trace->span_at(obs::Track::kHost, "serve.online_update", now - update_cost,
-                       update_cost, {{"samples", n}});
-      }
-    }
-    const std::optional<obs::ExemplarReason> reason =
-        engine.finish_served(rt, now, tier, outcome.report, wait + per_sample);
-    session.clock.set(now);
-    finish(std::move(rt), reason);
-
-    auto& tier_stats = result.tiers[static_cast<std::size_t>(tier)];
+    const std::uint64_t n = batch->samples;
+    auto& tier_stats = result.tiers[static_cast<std::size_t>(batch->tier)];
     tier_stats.samples += n;
-    tier_stats.errors += n - chunk_correct;
-    tier_stats.service_time += outcome.total;
+    tier_stats.errors += n - batch->correct;
+    tier_stats.service_time += batch->service;
     const std::uint64_t served_count = engine.counters.served_requests;
 
     if (config.online_updates && config.model_refresh_chunks > 0 &&
@@ -585,15 +517,15 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     }
 
     ServeResult::ChunkStats stats;
-    stats.index = static_cast<std::uint32_t>(item.id);
+    stats.index = static_cast<std::uint32_t>(id);
     stats.t_end = now;
     stats.samples = n;
-    stats.chunk_accuracy = ratio(chunk_correct, n);
+    stats.chunk_accuracy = ratio(batch->correct, n);
     stats.windowed_accuracy = engine.monitor->windowed_accuracy(now);
     stats.drift_score = engine.monitor->drift_score();
-    stats.fallback_samples = outcome.report.cpu_samples;
-    stats.circuit_opened = outcome.report.circuit_opened;
-    stats.tier = tier;
+    stats.fallback_samples = batch->report.cpu_samples;
+    stats.circuit_opened = batch->report.circuit_opened;
+    stats.tier = batch->tier;
     stats.queue_wait = wait;
     stats.health = engine.health.state();
     result.chunks.push_back(stats);
@@ -632,7 +564,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
                                           : "reject_newest"},
                            {"queue_depth", shed->queue_depth}});
       }
-      finish(std::move(shed->trace), obs::ExemplarReason::kShed);
+      finish(0, 0, std::move(shed->trace), obs::ExemplarReason::kShed);
     }
   };
 
@@ -644,7 +576,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   // A degenerate session shed or expired every chunk before serving one, so
   // the telemetry never saw a chunk timing and takes the fallback sizing.
   if (engine.start_telemetry(SimDuration(), 0)) {
-    session.model->observe_model(deployed_full.model.class_hypervectors());
+    hooks.sized();
   }
 
   result.final_snapshot = take_snapshot(now);

@@ -10,8 +10,66 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "obs/trace.hpp"
 
 namespace hdc::runtime {
+
+namespace {
+
+/// The monitor config with its auto fields resolved from the first served
+/// batch (`batch_total` over `batch_samples` samples): window span 4x the
+/// batch, 16 buckets, SLO 1.5x its per-sample time; 1 ms, 16 buckets and
+/// 100 us when nothing was served (`batch_samples == 0`).
+obs::MonitorConfig resolve_monitor_config(const ServeConfig& config, SimDuration batch_total,
+                                          std::uint64_t batch_samples) {
+  obs::MonitorConfig mc = config.monitor;
+  mc.num_classes = config.stream.spec.classes;
+  if (mc.window.span.is_zero()) {
+    mc.window.span = batch_samples == 0 ? SimDuration::millis(1) : batch_total * 4.0;
+  }
+  if (mc.window.buckets == 0) {
+    mc.window.buckets = 16;
+  }
+  if (mc.slo_latency.is_zero()) {
+    mc.slo_latency =
+        batch_samples == 0
+            ? SimDuration::micros(100)
+            : batch_total * (1.0 / static_cast<double>(batch_samples)) * 1.5;
+  }
+  return mc;
+}
+
+/// Any retry, host-fallback sample or circuit trip marks a batch faulty.
+bool batch_faulty(const ResilienceReport& report) {
+  return report.circuit_opened || report.cpu_samples > 0 ||
+         report.device_stats.invoke_retries > 0;
+}
+
+/// A request's trace opened at dispatch. Its wait splits into the
+/// device-busy part (`kQueueWait`, until `free_before`) and the batching
+/// hold (`kBatchWait`), which sum exactly to the wait.
+obs::RequestTrace begin_trace(const QueuedRequest& req, SimDuration free_before,
+                              SimDuration dispatch) {
+  HDC_CHECK(dispatch >= req.arrival, "a request was dispatched before it arrived");
+  obs::RequestTrace rt;
+  rt.begin(req.id, req.arrival);
+  rt.samples = req.data.num_samples();
+  const SimDuration wait = dispatch - req.arrival;
+  SimDuration queue_wait;
+  if (free_before > req.arrival) {
+    queue_wait = std::min(wait, free_before - req.arrival);
+  }
+  const SimDuration batch_wait = wait - queue_wait;
+  if (!queue_wait.is_zero()) {
+    rt.append(obs::Stage::kQueueWait, queue_wait);
+  }
+  if (!batch_wait.is_zero()) {
+    rt.append(obs::Stage::kBatchWait, batch_wait);
+  }
+  return rt;
+}
+
+}  // namespace
 
 void write_text_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -50,30 +108,6 @@ LogClock::LogClock(SimDuration start) : seconds_(start.to_seconds()) {
 }
 
 LogClock::~LogClock() { log::set_time_provider(nullptr); }
-
-obs::MonitorConfig resolve_monitor_config(const ServeConfig& config, SimDuration batch_total,
-                                          std::uint64_t batch_samples) {
-  obs::MonitorConfig mc = config.monitor;
-  mc.num_classes = config.stream.spec.classes;
-  if (mc.window.span.is_zero()) {
-    mc.window.span = batch_samples == 0 ? SimDuration::millis(1) : batch_total * 4.0;
-  }
-  if (mc.window.buckets == 0) {
-    mc.window.buckets = 16;
-  }
-  if (mc.slo_latency.is_zero()) {
-    mc.slo_latency =
-        batch_samples == 0
-            ? SimDuration::micros(100)
-            : batch_total * (1.0 / static_cast<double>(batch_samples)) * 1.5;
-  }
-  return mc;
-}
-
-bool batch_faulty(const ResilienceReport& report) {
-  return report.circuit_opened || report.cpu_samples > 0 ||
-         report.device_stats.invoke_retries > 0;
-}
 
 void splice_sections(obs::MonitorSnapshot& snap, const obs::ModelStatsSnapshot& model,
                      std::string model_json, const obs::EnergySnapshot& energy,
@@ -162,29 +196,6 @@ void ServingSession::write_exemplars() const {
 
 // ---- ShardEngine -------------------------------------------------------------
 
-obs::RequestTrace begin_trace(const QueuedRequest& req, SimDuration free_before,
-                              SimDuration dispatch) {
-  obs::RequestTrace rt;
-  rt.begin(req.id, req.arrival);
-  rt.samples = req.data.num_samples();
-  const SimDuration wait = dispatch - req.arrival;
-  if (wait.is_zero()) {
-    return rt;
-  }
-  SimDuration queue_wait;
-  if (free_before > req.arrival) {
-    queue_wait = std::min(wait, free_before - req.arrival);
-  }
-  const SimDuration batch_wait = wait - queue_wait;
-  if (!queue_wait.is_zero()) {
-    rt.append(obs::Stage::kQueueWait, queue_wait);
-  }
-  if (!batch_wait.is_zero()) {
-    rt.append(obs::Stage::kBatchWait, batch_wait);
-  }
-  return rt;
-}
-
 std::optional<ShedRequest> ShardEngine::admit(QueuedRequest&& req) {
   const SimDuration at = req.arrival;
   std::optional<ShedRequest> shed;
@@ -230,6 +241,24 @@ bool ShardEngine::start_telemetry(SimDuration batch_total, std::uint64_t batch_s
   return true;
 }
 
+void ShardEngine::sync_quarantine(SimDuration at, std::span<const Shard> shards) {
+  if (!session_.ready()) {
+    return;
+  }
+  const bool all_quarantined = std::all_of(shards.begin(), shards.end(), [](const Shard& s) {
+    return s.engine.health.state() == DeviceHealth::kQuarantined;
+  });
+  session_.clock.set(at);
+  if (monitor.ready()) {
+    monitor->set_quarantined(health.state() == DeviceHealth::kQuarantined, at);
+  }
+  if (also_feed_ != nullptr) {
+    (*also_feed_)->set_quarantined(all_quarantined, at);
+  }
+  session_.model->set_quarantined(all_quarantined, at);
+  session_.energy->set_quarantined(all_quarantined, at);
+}
+
 obs::ModelQualityStats::Sample ShardEngine::record_sample(
     SimDuration at, SimDuration latency, std::uint64_t request_id, std::uint32_t predicted,
     std::uint32_t label, std::span<const float> scores, std::uint32_t dim) {
@@ -260,15 +289,6 @@ obs::ModelQualityStats::Sample ShardEngine::record_sample(
   msample.request_id = static_cast<std::int64_t>(request_id);
   session_.model->record(msample);
   return msample;
-}
-
-void ShardEngine::record_batch(SimDuration end, std::uint64_t samples, ServeTier tier,
-                               const ResilienceReport& report) {
-  session_.clock.set(end);
-  each_monitor([&](LazyMonitor& m) {
-    m->record_transport(end, samples, report.cpu_samples, report.device_stats.invoke_retries);
-  });
-  record_admission(end, samples, 0, 0, tier != ServeTier::kFull ? samples : 0);
 }
 
 std::optional<obs::ExemplarReason> ShardEngine::finish_served(obs::RequestTrace& rt,
@@ -329,9 +349,9 @@ void run_event_loop(const ServeConfig& config, std::span<Shard> shards, std::uin
       const std::size_t run = engine.head_run(batch_max);
       const bool growable =
           run < batch_max && run == engine.queue.size() && arrivals_left && !closed;
-      const SimDuration head = engine.queue.front().arrival;
-      const SimDuration at =
-          std::max(shards[i].free_at, growable ? head + config.fleet.batch_max_age : head);
+      const SimDuration at = std::max(
+          shards[i].free_at, growable ? engine.queue.front().arrival + config.fleet.batch_max_age
+                                      : engine.queue[run - 1].arrival);
       if (ready == shards.size() || at < ready_at) {
         ready = i;
         ready_at = at;
@@ -355,6 +375,169 @@ void run_event_loop(const ServeConfig& config, std::span<Shard> shards, std::uin
     }
     dispatch(ready, ready_at);
   }
+}
+
+// ---- the per-batch body ------------------------------------------------------
+
+std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t index,
+                                       SimDuration at, std::uint32_t batch_max,
+                                       const BatchHooks& hooks) {
+  Shard& shard = shards[index];
+  ShardEngine& engine = shard.engine;
+  obs::TraceContext* const trace = shard.endpoint.device().trace_context();
+  HDC_CHECK(trace == nullptr || batch_max == 1, "a traced loop serves one request per batch");
+  const SimDuration free_before = shard.free_at;
+  std::vector<QueuedRequest> batch;
+  for (std::size_t k = engine.head_run(batch_max); k > 0; --k) {
+    batch.push_back(engine.pop());
+  }
+  const std::uint32_t tenant = batch.front().tenant;
+  if (trace != nullptr) {
+    // Open the request's causal scope: every span the executor, device and
+    // link layers emit below is stamped with its id.
+    const QueuedRequest& req = batch.front();
+    trace->set_now(req.arrival);
+    trace->begin_request(req.id);
+    const SimDuration wait = at - req.arrival;
+    if (!wait.is_zero()) {
+      trace->span(obs::Track::kExecutor, "serve.queue_wait", wait,
+                  {{"samples", req.data.num_samples()}});
+    }
+  }
+
+  const ServeTier tier =
+      engine.health.admit_tier(at, engine.queue.size(), engine.config_.admission.degrade_backlog);
+  engine.sync_quarantine(at, shards);
+  if (trace != nullptr) {
+    trace->instant_at(obs::Track::kExecutor, "serve.admit_tier", at,
+                      {{"tier", tier_name(tier)}, {"queue_depth", engine.queue.size()}});
+  }
+
+  // Each member's deadline runs from its own arrival: a member that cannot
+  // finish even its first sample expires unserved, the rest still form the
+  // batch. The check is admission bookkeeping and costs no simulated time.
+  const SimDuration deadline = engine.config_.admission.deadline;
+  const ServingEndpoint::Model& model = hooks.model(tenant, tier);
+  const SimDuration nominal =
+      deadline.is_zero() ? SimDuration() : shard.endpoint.nominal_per_sample(model, tier);
+  std::vector<QueuedRequest> live;
+  std::uint64_t samples = 0;
+  for (QueuedRequest& req : batch) {
+    const SimDuration wait = at - req.arrival;
+    if (deadline.is_zero() || !(wait + nominal > deadline)) {
+      samples += req.data.num_samples();
+      live.push_back(std::move(req));
+      continue;
+    }
+    obs::RequestTrace rt = begin_trace(req, free_before, at);
+    ++engine.counters.expired_requests;
+    engine.counters.expired_samples += rt.samples;
+    engine.record_admission(at, rt.samples, 0, rt.samples, 0);
+    rt.outcome = obs::RequestOutcome::kExpired;
+    rt.tier = static_cast<std::uint8_t>(tier);
+    rt.finalize(at);
+    if (trace != nullptr) {
+      trace->instant_at(obs::Track::kExecutor, "serve.expired", at,
+                        {{"wait_us", wait.to_seconds() * 1e6},
+                         {"deadline_us", deadline.to_seconds() * 1e6}});
+    }
+    hooks.finish(index, tenant, std::move(rt), obs::ExemplarReason::kExpired);
+  }
+  if (live.empty()) {
+    shard.free_at = std::max(shard.free_at, at);
+    return std::nullopt;
+  }
+
+  const SimDuration upload = hooks.load(index, model, tier, at);
+  const SimDuration service_start = at + upload;
+  tensor::MatrixF joined;
+  if (live.size() > 1) {
+    joined = tensor::MatrixF(static_cast<std::size_t>(samples), live.front().data.features.cols());
+    float* row = joined.data();
+    for (const QueuedRequest& req : live) {
+      row = std::copy_n(req.data.features.data(), req.data.features.size(), row);
+    }
+  }
+  // At a batch cap of 1 a batch is one request: it takes the interactive
+  // invoke, and its chain keeps the executor's spans per sample and attempt.
+  // Above it the batch streams through the pipelined (double-buffered) path,
+  // which amortizes the per-invoke USB overhead, and every member's chain
+  // carries the batch's summed spans. The oldest member has the least
+  // budget left; it bounds the batch's per-sample retry watchdog.
+  const bool single = batch_max == 1;
+  obs::RequestTrace chain;
+  if (single) {
+    chain = begin_trace(live.front(), free_before, at);
+    if (!upload.is_zero()) {
+      chain.append(obs::Stage::kSwap, upload);
+    }
+  }
+  const ServingEndpoint::BatchOutcome outcome = shard.endpoint.infer(
+      model, tier, tpu::InvokeOptions{.interactive = single, .pipelined = !single},
+      live.size() > 1 ? joined : live.front().data.features, service_start,
+      deadline.is_zero() ? SimDuration() : deadline - (at - live.front().arrival),
+      single ? &chain : nullptr);
+  const ResilienceReport& report = outcome.report;
+  const SimDuration per_sample = outcome.total * (1.0 / static_cast<double>(samples));
+  const SimDuration service_end = service_start + outcome.total;
+  // Host-tier batches never touch the device, so they do not feed its health.
+  if (tier != ServeTier::kHost) {
+    engine.health.on_batch(service_end, batch_faulty(report), report.circuit_opened);
+  }
+  if (engine.start_telemetry(upload + outcome.total, samples)) {
+    hooks.sized();
+  }
+  engine.sync_quarantine(service_end, shards);
+
+  // Completion times spread evenly over the service; latency runs from
+  // each member's arrival.
+  const auto latency = [&](const QueuedRequest& req) {
+    return (at - req.arrival) + upload + per_sample;
+  };
+  std::uint64_t correct = 0;
+  std::size_t g = 0;
+  for (const QueuedRequest& req : live) {
+    for (std::size_t j = 0; j < req.data.num_samples(); ++j, ++g) {
+      const obs::ModelQualityStats::Sample sample = engine.record_sample(
+          service_start + per_sample * static_cast<double>(g + 1), latency(req), req.id,
+          outcome.predictions[g], req.data.labels[j], outcome.scores.row(g),
+          model.hidden_dim());
+      correct += sample.predicted == sample.label ? 1 : 0;
+      hooks.sample(req, j, sample);
+    }
+  }
+  // The batch's transport and admission records come before its members
+  // finish.
+  engine.session_.clock.set(service_end);
+  engine.each_monitor([&](LazyMonitor& m) {
+    m->record_transport(service_end, samples, report.cpu_samples,
+                        report.device_stats.invoke_retries);
+  });
+  engine.record_admission(service_end, samples, 0, 0, tier != ServeTier::kFull ? samples : 0);
+
+  const SimDuration update = hooks.update ? hooks.update(samples) : SimDuration();
+  shard.free_at = service_end + update;
+  if (!update.is_zero() && trace != nullptr) {
+    trace->span_at(obs::Track::kHost, "serve.online_update", shard.free_at - update, update,
+                   {{"samples", samples}});
+  }
+  engine.session_.clock.set(shard.free_at);
+  for (const QueuedRequest& req : live) {
+    obs::RequestTrace rt = single ? std::move(chain) : begin_trace(req, free_before, at);
+    if (!single) {
+      if (!upload.is_zero()) {
+        rt.append(obs::Stage::kSwap, upload);
+      }
+      append_stage_spans(rt, report.device_stats, report.cpu_fallback_time);
+    }
+    if (!update.is_zero()) {
+      rt.append(obs::Stage::kUpdate, update);
+    }
+    const std::optional<obs::ExemplarReason> reason =
+        engine.finish_served(rt, shard.free_at, tier, report, latency(req));
+    hooks.finish(index, tenant, std::move(rt), reason);
+  }
+  return ServedBatch{tier, samples, correct, outcome.total, report};
 }
 
 }  // namespace hdc::runtime

@@ -3,16 +3,18 @@
 // The serving clock under both serving loops: `serve` drives one `Shard`,
 // `serve_fleet` one per device, through the one event loop
 // (`run_event_loop`), which interleaves arrivals and dispatches in
-// simulated time. A shard is a device's endpoint, its engine and the time
-// the device is next free. The engine owns the bounded request queue, the
-// shedding and deadline-expiry decisions, the health feed and the monitor
-// its requests' records go to. The `ServingSession` around the shards owns
-// what spans them: the lazily sized model-quality and energy telemetry, the
-// exemplar store, request finalisation and the log clock. Each loop keeps
-// only what is its own: its per-batch body and its arrivals; the
-// single-device loop also its online learners, three-tier ladder and
-// checkpoints, the fleet its tenants, placement, charged swaps, aggregate
-// monitor and energy ledgers.
+// simulated time, and the one per-batch body (`serve_batch`), which serves a
+// shard's head run: ladder verdict, quarantine, expiry, service, per-sample
+// records, span chains, and the batch and request records. A shard is a
+// device's endpoint, its engine and the time the device is next free. The
+// engine owns the bounded request queue, the shedding decision, the health
+// state and the monitor its requests' records go to. The `ServingSession`
+// around the shards owns what spans them: the lazily sized model-quality and
+// energy telemetry, the exemplar store, request finalisation and the log
+// clock. Each loop keeps only what is its own, handed to the body as
+// `BatchHooks`, and its arrivals: the single-device loop its online learners,
+// uncharged tier switches, three-tier ladder and checkpoints; the fleet its
+// tenants, placement, charged swaps, aggregate monitor and energy ledgers.
 
 #include <cstdint>
 #include <deque>
@@ -63,16 +65,6 @@ class LogClock {
  private:
   double seconds_;
 };
-
-/// The monitor config with its auto fields resolved from the first served
-/// batch (`batch_total` over `batch_samples` samples): window span 4x the
-/// batch, 16 buckets, SLO 1.5x its per-sample time; 1 ms, 16 buckets and
-/// 100 us when nothing was served (`batch_samples == 0`).
-obs::MonitorConfig resolve_monitor_config(const ServeConfig& config, SimDuration batch_total,
-                                          std::uint64_t batch_samples);
-
-/// Any retry, host-fallback sample or circuit trip marks a batch faulty.
-bool batch_faulty(const ResilienceReport& report);
 
 /// Splices the model-quality and energy sections into a monitor snapshot:
 /// `model_json`/`energy_json` become its `model`/`energy` objects; the flat
@@ -156,14 +148,14 @@ struct ShedRequest {
   std::size_t queue_depth = 0;
 };
 
-/// A request's trace opened at dispatch. Its wait splits into the
-/// device-busy part (`kQueueWait`, until `free_before`) and the batching
-/// hold (`kBatchWait`), which sum exactly to the wait.
-obs::RequestTrace begin_trace(const QueuedRequest& req, SimDuration free_before,
-                              SimDuration dispatch);
+struct Shard;
+struct BatchHooks;
+struct ServedBatch;
 
 /// One device's admission queue, health state and monitor. Monitor records
-/// go to the shard's own monitor, then to `also_feed` when set.
+/// go to the shard's own monitor, then to `also_feed` when set. The records
+/// a dispatched batch leaves are made by the per-batch body only
+/// (`serve_batch`).
 class ShardEngine {
  public:
   ShardEngine(const ServeConfig& config, ServingSession& session, LazyMonitor* also_feed,
@@ -183,39 +175,26 @@ class ShardEngine {
   /// Length of the same-tenant run at the head of the queue, at most
   /// `batch_max` requests: the batch a dispatch now would serve.
   std::size_t head_run(std::uint32_t batch_max) const;
-  /// Ladder tier for a dispatch at `at`, given the backlog behind it.
-  ServeTier admit_tier(SimDuration at) {
-    return health.admit_tier(at, queue.size(), config_.admission.degrade_backlog);
-  }
-  /// True when even the first sample (`nominal`) cannot finish within the
-  /// deadline, measured from arrival.
-  bool expires(SimDuration wait, SimDuration nominal) const {
-    return !config_.admission.deadline.is_zero() &&
-           wait + nominal > config_.admission.deadline;
-  }
-  /// Per-sample retry budget left after `wait` (zero = no deadline).
-  SimDuration budget(SimDuration wait) const {
-    const SimDuration deadline = config_.admission.deadline;
-    return deadline.is_zero() ? SimDuration() : deadline - wait;
-  }
-  void expire(obs::RequestTrace& rt, SimDuration at, ServeTier tier) {
-    ++counters.expired_requests;
-    counters.expired_samples += rt.samples;
-    record_admission(at, rt.samples, 0, rt.samples, 0);
-    rt.outcome = obs::RequestOutcome::kExpired;
-    rt.tier = static_cast<std::uint8_t>(tier);
-    rt.finalize(at);
-  }
-
-  /// Host-tier batches never touch the device, so they do not count.
-  void feed_health(ServeTier tier, SimDuration end, const ResilienceReport& report) {
-    if (tier != ServeTier::kHost) {
-      health.on_batch(end, batch_faulty(report), report.circuit_opened);
-    }
-  }
   /// Sizes the monitors this shard feeds, and the session with them, off
   /// the batch just served. True when the session was sized by this call.
   bool start_telemetry(SimDuration batch_total, std::uint64_t batch_samples);
+
+  std::deque<QueuedRequest> queue;
+  std::uint64_t queued_samples = 0;
+  DeviceHealthTracker health;
+  ShardCounters counters;
+  LazyMonitor monitor;
+
+ private:
+  friend std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t index,
+                                                SimDuration at, std::uint32_t batch_max,
+                                                const BatchHooks& hooks);
+
+  /// Gates this shard's monitor on its own quarantine, and the session-wide
+  /// telemetry (model-quality stats, energy accountant, `also_feed`) on
+  /// whether every one of the loop's `shards` is quarantined. Nothing before
+  /// the session is sized.
+  void sync_quarantine(SimDuration at, std::span<const Shard> shards);
   /// Records one served sample into the monitors and the session's
   /// model-quality stats, and returns the model-quality sample.
   ///
@@ -231,23 +210,12 @@ class ShardEngine {
                                                std::uint32_t predicted, std::uint32_t label,
                                                std::span<const float> scores,
                                                std::uint32_t dim);
-  /// Transport and admission records of a served batch.
-  void record_batch(SimDuration end, std::uint64_t samples, ServeTier tier,
-                    const ResilienceReport& report);
   /// Marks `rt` served, records its attribution and returns its exemplar
   /// reason, judging its per-sample `latency` against the shard's p99.
   std::optional<obs::ExemplarReason> finish_served(obs::RequestTrace& rt, SimDuration end,
                                                    ServeTier tier,
                                                    const ResilienceReport& report,
                                                    SimDuration latency);
-
-  std::deque<QueuedRequest> queue;
-  std::uint64_t queued_samples = 0;
-  DeviceHealthTracker health;
-  ShardCounters counters;
-  LazyMonitor monitor;
-
- private:
   template <typename Fn>
   void each_monitor(Fn&& fn) {
     fn(monitor);
@@ -303,15 +271,74 @@ using DispatchFn = std::function<void(std::size_t shard, SimDuration at)>;
 /// - closed loop (`period` == 0): a request arrives only when every queue is
 ///   empty, at the earliest `free_at`;
 /// - a shard's head run (`ShardEngine::head_run`) is ready at
-///   max(`free_at`, head arrival) once it is full (`batch_max` requests) or
-///   cannot grow (another tenant queued behind it, or no arrival can join
-///   it); a growable run is held until max(`free_at`, head arrival +
-///   `config.fleet.batch_max_age`);
+///   max(`free_at`, arrival of its newest member) once it is full
+///   (`batch_max` requests) or cannot grow (another tenant queued behind it,
+///   or no arrival can join it); a growable run is held until
+///   max(`free_at`, head arrival + `config.fleet.batch_max_age`);
 /// - the earliest-ready shard is dispatched first, the lowest index on ties;
 /// - an arrival at a shard's ready time is offered before that dispatch, so
 ///   it can still join the batch.
 void run_event_loop(const ServeConfig& config, std::span<Shard> shards, std::uint64_t first_id,
                     std::uint32_t batch_max, SimDuration period, const ArriveFn& arrive,
                     const DispatchFn& dispatch);
+
+/// What a serving loop keeps for itself inside the per-batch body.
+struct BatchHooks {
+  /// The model a batch of `tenant` runs on `tier`.
+  std::function<const ServingEndpoint::Model&(std::uint32_t tenant, ServeTier tier)> model;
+  /// Makes `model` resident on shard `shard` for a batch on `tier` at `at`.
+  /// Returns the charged upload time, zero when the load is uncharged.
+  std::function<SimDuration(std::size_t shard, const ServingEndpoint::Model& model,
+                            ServeTier tier, SimDuration at)>
+      load;
+  /// Runs once, when the session's telemetry is sized.
+  std::function<void()> sized;
+  /// Runs after each served sample's records: sample `j` of `req`, with its
+  /// model-quality record.
+  std::function<void(const QueuedRequest& req, std::size_t j,
+                     const obs::ModelQualityStats::Sample& sample)>
+      sample;
+  /// The host's class update after a served batch of `samples` samples;
+  /// returns its charged time. Unset: no update.
+  std::function<SimDuration(std::uint64_t samples)> update;
+  /// Finalises a request of `tenant` on shard `shard`, on any outcome path.
+  std::function<void(std::size_t shard, std::uint32_t tenant, obs::RequestTrace&& rt,
+                     std::optional<obs::ExemplarReason> reason)>
+      finish;
+};
+
+/// A served batch, for its loop's own bookkeeping.
+struct ServedBatch {
+  ServeTier tier = ServeTier::kFull;
+  std::uint64_t samples = 0;  ///< over the members that were served
+  std::uint64_t correct = 0;
+  SimDuration service;  ///< device or host service time
+  ResilienceReport report;
+};
+
+/// The one per-batch body under both serving loops: serves shard `index`'s
+/// head run (at most `batch_max` requests) at its ready time `at`.
+/// - Pops the run and takes the ladder verdict; syncs quarantine. A shard's
+///   monitor follows its own health; the session-wide telemetry (model
+///   quality, energy, `also_feed`) is quarantined while every shard is.
+/// - Expires each member that cannot finish its first sample in time (priced
+///   only when a deadline is set). If every member expires, `free_at`
+///   becomes max(`free_at`, `at`) and nothing is returned.
+/// - Loads the model (`hooks.load`) and serves the live members as one
+///   batch: a lone member from its own features, the interactive invoke at a
+///   batch cap of 1 and the pipelined one above it. The oldest member's
+///   budget bounds the per-sample retry watchdog.
+/// - Feeds health, sizes the telemetry off the first served batch, and
+///   records every sample (completion times spread evenly over the service,
+///   latency from arrival).
+/// - Records the batch's transport and admission, charges the host update
+///   (`hooks.update`), then finishes each member: at a batch cap of 1 its
+///   chain holds the executor's spans per sample and attempt, above it the
+///   batch's summed spans.
+/// The shard is next free when its members finish. A device with a trace
+/// attached serves one request per batch, and the trace follows it.
+std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t index,
+                                       SimDuration at, std::uint32_t batch_max,
+                                       const BatchHooks& hooks);
 
 }  // namespace hdc::runtime

@@ -200,6 +200,9 @@ TEST_F(CliTest, ServeRejectsInvalidOverloadFlags) {
   expect_rejected("--swap-classes 1,2x", "two distinct non-negative class indices");
   expect_rejected("--swap-classes 1,2,3", "two distinct non-negative class indices");
   expect_rejected("--snapshot-every 4", "snapshot directory or a Prometheus path");
+  // Every fleet flag selects the fleet, which is open-loop only.
+  expect_rejected("--skew 1.0", "open-loop only");
+  expect_rejected("--batch-age-us 5", "open-loop only");
 }
 
 TEST_F(CliTest, ServeOverloadSmokeReportsAdmissionAndHealth) {

@@ -406,6 +406,26 @@ TEST_F(TraceqTest, CorruptedAttributionFailsTheAssertion) {
   EXPECT_NE(gated.output.find("FAIL"), std::string::npos);
 }
 
+TEST_F(TraceqTest, NegativeStageFailsTheAssertion) {
+  // Handcrafted record whose stages sum exactly to the recorded 0.5, with a
+  // batch wait running backwards.
+  const std::string path = write(
+      "negative.jsonl",
+      "{\"schema\":\"hdc-request-trace-v1\",\"request_id\":7,\"outcome\":\"served\","
+      "\"reason\":\"tail_latency\",\"tier\":0,\"samples\":4,\"faulty\":false,"
+      "\"arrival_s\":0,\"end_s\":0.5,\"latency_s\":0.5,"
+      "\"attribution\":{\"batch_wait\":-0.25,\"device\":0.75},\"spans\":[]}\n");
+  const RunResult plain = run_traceq(path);
+  EXPECT_EQ(plain.exit_code, 0) << plain.output;  // report-only without the flag
+  EXPECT_NE(plain.output.find("VIOLATION request 7: stage batch_wait is negative"),
+            std::string::npos)
+      << plain.output;
+
+  const RunResult gated = run_traceq(path + " --assert-attribution");
+  EXPECT_EQ(gated.exit_code, 1) << gated.output;
+  EXPECT_NE(gated.output.find("FAIL"), std::string::npos);
+}
+
 TEST_F(TraceqTest, ChromeTraceReassemblesRequestChains) {
   obs::TraceContext trace;
   runtime::CoDesignFramework framework;

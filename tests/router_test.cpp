@@ -417,6 +417,43 @@ TEST(FleetServeTest, FleetOfOneMatchesServe) {
   }
 }
 
+// The session-wide telemetry (the aggregate monitor, model-quality stats and
+// energy accountant) is quarantined while every shard is. One request meets
+// a permanent detach: its device trips, serves it on the host and is
+// quarantined before any sample is recorded, and alarms set to fire on every
+// request show the gate. Alone, that device gates the session; beside a
+// second, idle and healthy device it does not.
+TEST(FleetServeTest, SessionTelemetryIsQuarantinedWhileEveryShardIs) {
+  const CoDesignFramework framework;
+  ServeConfig config = fleet_config();
+  config.serve_chunks = 1;
+  config.fleet.placement = PlacementPolicy::kRoundRobin;
+  config.faults.detach_at = {SimDuration()};  // never reattaches
+  config.model_stats.alarm_class_error_rate = 0.0;
+  config.model_stats.min_class_samples = 1;
+  config.energy.alarm_joules_per_inference = 1e-12;
+  config.energy.min_samples = 1;
+  for (const std::uint32_t devices : {1U, 2U}) {
+    SCOPED_TRACE(devices);
+    config.fleet.num_devices = devices;
+    const FleetResult result = serve_fleet(framework, config);
+    ASSERT_EQ(result.served_requests, 1U);
+    EXPECT_EQ(result.shards[0].final_health, DeviceHealth::kQuarantined);
+    EXPECT_TRUE(result.shards[0].final_snapshot.quarantined);
+    const bool all_out = devices == 1;
+    if (!all_out) {
+      EXPECT_EQ(result.shards[1].final_health, DeviceHealth::kHealthy);
+    }
+    EXPECT_EQ(result.fleet_snapshot.quarantined, all_out);
+    EXPECT_EQ(result.fleet_model.quarantined, all_out);
+    EXPECT_EQ(result.fleet_energy.quarantined, all_out);
+    EXPECT_EQ(result.fleet_model.suppressed_alarms_total > 0, all_out);
+    EXPECT_EQ(result.fleet_energy.suppressed_alarms_total > 0, all_out);
+    EXPECT_EQ(result.model_events.empty(), all_out);
+    EXPECT_EQ(result.energy_events.empty(), all_out);
+  }
+}
+
 // ---- the one event loop (runtime/shard) ------------------------------------
 // Stub callbacks that do no device work: `arrive` queues request `id` on the
 // shard `place(id)` picks, as tenant `tenant(id)`; `dispatch` pops the head
@@ -515,6 +552,14 @@ TEST(EventLoopTest, FullOrBlockedRunDispatchesAtFreeTimeOrHeadArrival) {
     StubLoop loop(1, 2);
     EXPECT_EQ(loop.run(1, sec(4), sec(1)), (Events{"a0@0", "d0@0:0", "a1@4", "d0@4:1"}));
   }
+}
+
+TEST(EventLoopTest, FullRunIsReadyAtItsNewestArrival) {
+  // Request 0's run is held for the age; request 1 fills it at 1, so it is
+  // served at 1, not at its head's arrival, before request 1 arrived.
+  StubLoop loop(1, 3);
+  loop.config.fleet.batch_max_age = sec(10);
+  EXPECT_EQ(loop.run(2, sec(1), sec(1)), (Events{"a0@0", "a1@1", "d0@1:0,1", "a2@2", "d0@2:2"}));
 }
 
 TEST(EventLoopTest, EarliestReadyShardGoesFirstAndTheLowestIndexWinsATie) {

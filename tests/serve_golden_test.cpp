@@ -210,13 +210,13 @@ constexpr Golden kGolden[] = {
     {"fleet_batched", "predictions", 0x97B2A538A4F8965AULL},
     {"fleet_batched", "totals", 0x3830D64965E477D3ULL},
     {"fleet_batched", "requests", 0xE02654E19B546B76ULL},
-    {"fleet_batched", "fleet_snapshot", 0x09AD81BFB757B0A5ULL},
-    {"fleet_batched", "fleet_prometheus", 0x1F8F92C2F3B8917EULL},
-    {"fleet_batched", "snapshot_files", 0x9003CB22B3C68F55ULL},
+    {"fleet_batched", "fleet_snapshot", 0x10B2A1C7CC3431D0ULL},
+    {"fleet_batched", "fleet_prometheus", 0x5289C72809FC6E7BULL},
+    {"fleet_batched", "snapshot_files", 0xF0268805719A2450ULL},
     {"fleet_batched", "shards", 0xD0276C7A6872A7A4ULL},
     {"fleet_batched", "tenant_models", 0x4D0D33EC96346996ULL},
     {"fleet_batched", "tenant_energy", 0x94DF161145931CB8ULL},
-    {"fleet_batched", "log", 0xA9FBFC3930C7C508ULL},
+    {"fleet_batched", "log", 0xEC1A61DEF41178ADULL},
     {"fleet_round_robin", "predictions", 0x009E1970B92B85DBULL},
     {"fleet_round_robin", "totals", 0x5C9A7F031085B77CULL},
     {"fleet_round_robin", "requests", 0x7DA91DFDF00E9FBBULL},
@@ -227,17 +227,17 @@ constexpr Golden kGolden[] = {
     {"fleet_round_robin", "tenant_models", 0x127B2106407D72A4ULL},
     {"fleet_round_robin", "tenant_energy", 0x09A7849EE951F917ULL},
     {"fleet_round_robin", "log", 0xD5BB350B459D20AAULL},
-    {"fleet_least_loaded", "predictions", 0xA6D4B135F2BA99BBULL},
-    {"fleet_least_loaded", "totals", 0x0CA16B9B336E7AADULL},
-    {"fleet_least_loaded", "requests", 0x4186662A1E8B6B03ULL},
-    {"fleet_least_loaded", "fleet_snapshot", 0x28A0B1DAD650D922ULL},
-    {"fleet_least_loaded", "fleet_prometheus", 0xEC012C7F625995CFULL},
-    {"fleet_least_loaded", "snapshot_files", 0x64AC48882E65D251ULL},
-    {"fleet_least_loaded", "shards", 0xB756CB8C9BFAE77EULL},
-    {"fleet_least_loaded", "tenant_models", 0x4932F3CD1F6404C1ULL},
-    {"fleet_least_loaded", "tenant_energy", 0xADE2B185276D68F6ULL},
-    {"fleet_least_loaded", "log", 0x0D4D5159FA9A0A7FULL},
-    {"fleet_least_loaded", "exemplars_file", 0xCB69E5389CE5E976ULL},
+    {"fleet_least_loaded", "predictions", 0x40D2E7FEBD64CE3AULL},
+    {"fleet_least_loaded", "totals", 0x1665FB07110021EAULL},
+    {"fleet_least_loaded", "requests", 0xCD0DBE0A02F84F87ULL},
+    {"fleet_least_loaded", "fleet_snapshot", 0x5F3B48E657C69AC3ULL},
+    {"fleet_least_loaded", "fleet_prometheus", 0x2E7965BF70F4BE55ULL},
+    {"fleet_least_loaded", "snapshot_files", 0x0F48FF15A8A6A22BULL},
+    {"fleet_least_loaded", "shards", 0x9B2A969306082BEBULL},
+    {"fleet_least_loaded", "tenant_models", 0xEC017A603F7EC75CULL},
+    {"fleet_least_loaded", "tenant_energy", 0x8B1DC6E3C3A68C2EULL},
+    {"fleet_least_loaded", "log", 0xED57E8107BE50391ULL},
+    {"fleet_least_loaded", "exemplars_file", 0xE7E5115B9F4BCB94ULL},
     // The persisted formats, over hand-built inputs (exact binary fractions,
     // no RNG and no libm), so these two hold on any little-endian host.
     {"hdcm", "classifier", 0x37F395E947FB5C93ULL},

@@ -605,12 +605,13 @@ int cmd_serve(int argc, char** argv) {
               "max(64, dim/8) reduced-tier dimension)");
     config.reduced_dim = static_cast<std::uint32_t>(*dim);
   }
-  // Fleet flags: any of them (or --devices alone) switches the command to
-  // the multi-device router (`serve_fleet`) instead of single-device serve.
-  const bool fleet_mode = arg_value(argc, argv, "--devices", nullptr) != nullptr ||
-                          arg_value(argc, argv, "--tenants", nullptr) != nullptr ||
-                          arg_value(argc, argv, "--batch-max", nullptr) != nullptr ||
-                          arg_value(argc, argv, "--placement", nullptr) != nullptr;
+  // Fleet flags: any of them switches the command to the multi-device router
+  // (`serve_fleet`) instead of single-device serve.
+  bool fleet_mode = false;
+  for (const char* flag :
+       {"--devices", "--tenants", "--skew", "--batch-max", "--batch-age-us", "--placement"}) {
+    fleet_mode = fleet_mode || arg_value(argc, argv, flag, nullptr) != nullptr;
+  }
   {
     const int devices = numeric_arg(argc, argv, "--devices", 1);
     HDC_CHECK(devices >= 1, "--devices must be at least 1");

@@ -285,18 +285,32 @@ inline std::map<std::string, StageAgg> aggregate_stages(const TraceFile& file) {
   return agg;
 }
 
+/// The first measured stage of `rec` below zero, or null. The `other`
+/// residual is exempt: it absorbs the rounding of the stage sum, so it can
+/// sit a few ulps below zero.
+inline const std::pair<const std::string, double>* negative_stage(const RequestRec& rec) {
+  for (const auto& entry : rec.attribution) {
+    if (entry.second < 0.0 && entry.first != obs::stage_name(obs::Stage::kOther)) {
+      return &entry;
+    }
+  }
+  return nullptr;
+}
+
 /// Exactness violations: requests whose attribution stages do not sum
-/// bit-exactly to the recorded end-to-end latency. The serializer emits
-/// round-trip (%.17g) doubles, so in simulated time the sum is exact and any
-/// violation is a real attribution bug, not float noise. Chrome traces are
-/// skipped (span chains there are not a partition of the latency).
+/// bit-exactly to the recorded end-to-end latency, or that carry a negative
+/// stage (a sum can be exact with one stage running backwards). The
+/// serializer emits round-trip (%.17g) doubles, so in simulated time the sum
+/// is exact and any violation is a real attribution bug, not float noise.
+/// Chrome traces are skipped (span chains there are not a partition of the
+/// latency).
 inline std::vector<const RequestRec*> attribution_violations(const TraceFile& file) {
   std::vector<const RequestRec*> bad;
   if (file.format != "jsonl") {
     return bad;
   }
   for (const RequestRec& rec : file.requests) {
-    if (attribution_sum(rec) != rec.latency_s) {
+    if (attribution_sum(rec) != rec.latency_s || negative_stage(rec) != nullptr) {
       bad.push_back(&rec);
     }
   }
@@ -486,11 +500,16 @@ inline int run(const std::vector<std::string>& args, const char* invocation) {
   const std::vector<const RequestRec*> bad = attribution_violations(*file);
   if (file->format == "jsonl") {
     std::printf("\nattribution exactness: %zu/%zu requests sum bit-exactly to "
-                "their latency\n",
+                "their latency with no negative stage\n",
                 file->requests.size() - bad.size(), file->requests.size());
     for (const RequestRec* rec : bad) {
-      std::printf("  VIOLATION request %lld: stages sum %.17g != latency %.17g\n",
-                  rec->id, attribution_sum(*rec), rec->latency_s);
+      if (const auto* stage = negative_stage(*rec)) {
+        std::printf("  VIOLATION request %lld: stage %s is negative (%.17g)\n", rec->id,
+                    stage->first.c_str(), stage->second);
+      } else {
+        std::printf("  VIOLATION request %lld: stages sum %.17g != latency %.17g\n",
+                    rec->id, attribution_sum(*rec), rec->latency_s);
+      }
     }
     if (assert_attribution && !bad.empty()) {
       std::printf("FAIL: attribution exactness violated\n");
