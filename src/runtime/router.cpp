@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -70,9 +71,9 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
 
   // The fleet-wide session: model quality over outcomes/calibration only.
   // Its dimension is 0: the served hidden layer never leaves the device.
-  // Every shard engine also feeds the aggregate monitor over the fleet.
-  ServingSession session(config, 0, SimDuration());
-  LazyMonitor fleet_monitor;
+  // Every shard's records also go to the session's aggregate monitor.
+  ServingSession session(config, 0);
+  LazyMonitor& aggregate = session.aggregate.emplace();
   FleetResult result;
 
   // ---- shards: one full simulated accelerator per device -------------------
@@ -84,8 +85,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   for (std::uint32_t d = 0; d < fleet.num_devices; ++d) {
     tpu::FaultProfile profile = config.faults;
     profile.seed += d;
-    shards.emplace_back(framework, profile, config, session, &fleet_monitor,
-                        DeviceHealthTracker(config.health));
+    shards.emplace_back(framework, profile, config, DeviceHealthTracker(config.health));
     result.shards[d].device_index = d;
   }
 
@@ -161,8 +161,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   const auto least_loaded = [&]() -> std::size_t {
     return static_cast<std::size_t>(
         std::min_element(shards.begin(), shards.end(), [](const Shard& a, const Shard& b) {
-          return std::tie(a.engine.queued_samples, a.free_at) <
-                 std::tie(b.engine.queued_samples, b.free_at);
+          return std::tie(a.queued_samples, a.free_at) < std::tie(b.queued_samples, b.free_at);
         }) -
         shards.begin());
   };
@@ -180,7 +179,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     // with the tenant's weights warm" coincide). The uncounted residency
     // probe keeps placement from perturbing the cache hit/miss telemetry.
     for (std::size_t d = 0; d < shards.size(); ++d) {
-      if (shards[d].engine.queue.size() < config.admission.queue_capacity &&
+      if (shards[d].queue.size() < config.admission.queue_capacity &&
           shards[d].endpoint.device().memory().is_resident(tenants[tenant].model.compiled.id)) {
         return d;
       }
@@ -232,7 +231,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   // A served batch keeps its device busy from dispatch until its members
   // finish, which is when the device is next free.
   const auto dispatch = [&](std::size_t index, SimDuration td) {
-    if (serve_batch(shards, index, td, fleet.batch_max_chunks, hooks).has_value()) {
+    if (serve_batch(session, shards, index, td, fleet.batch_max_chunks, hooks).has_value()) {
       ++result.shards[index].batches;
       result.shards[index].busy += shards[index].free_at - td;
     }
@@ -248,7 +247,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
 
     const std::size_t index = place(id, tenant);
     std::optional<ShedRequest> shed =
-        shards[index].engine.admit(QueuedRequest{id, tenant, at, std::move(chunk)});
+        shards[index].admit(QueuedRequest{id, tenant, at, std::move(chunk)}, session);
     if (shed.has_value()) {
       finish(index, shed->tenant, std::move(shed->trace), obs::ExemplarReason::kShed);
     }
@@ -260,9 +259,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   // A shard (or the whole session) that never served a batch takes the
   // fallback sizing.
   for (Shard& shard : shards) {
-    if (shard.engine.start_telemetry(SimDuration(), 0)) {
-      hooks.sized();
-    }
+    session.size(shard.monitor, SimDuration(), 0, hooks.sized);
   }
 
   // A shard's last batch ends when the device is next free.
@@ -273,21 +270,21 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   result.t_end = t_end;
 
   std::uint64_t correct_total = 0;
-
+  std::int64_t shard_energy_sum = 0;
   for (std::size_t d = 0; d < shards.size(); ++d) {
-    ShardEngine& engine = shards[d].engine;
-    const ShardCounters& c = engine.counters;
+    Shard& shard = shards[d];
+    const ShardCounters& c = shard.counters;
     FleetShardResult& r = result.shards[d];
-    r.t_end = shards[d].free_at;
+    r.t_end = shard.free_at;
     r.requests_served = c.served_requests;
     r.samples_served = c.served_samples;
     r.shed_requests = c.shed_requests;
     r.expired_requests = c.expired_requests;
     r.degraded_requests = c.degraded_requests;
-    r.final_health = engine.health.state();
-    r.quarantines = engine.health.quarantines();
-    r.probes = engine.health.probes_attempted();
-    r.final_snapshot = engine.monitor->snapshot(t_end);
+    r.final_health = shard.health.state();
+    r.quarantines = shard.health.quarantines();
+    r.probes = shard.health.probes_attempted();
+    r.final_snapshot = shard.monitor->snapshot(t_end);
     result.served_requests += c.served_requests;
     result.samples_served += c.served_samples;
     result.shed_requests += c.shed_requests;
@@ -300,6 +297,7 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     result.cache_lookups += r.cache_lookups;
     result.cache_hits += r.cache_hits;
     result.swaps += r.swaps;
+    shard_energy_sum += r.energy_pj;
   }
   HDC_CHECK(result.cache_hits + result.swaps == result.cache_lookups,
             "cache telemetry must balance: hits + swaps == lookups");
@@ -314,8 +312,8 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   result.mean_batch_chunks = ratio(result.served_requests, result.batches);
   result.lifetime_accuracy = ratio(correct_total, result.samples_served);
 
-  result.fleet_snapshot = fleet_monitor->snapshot(t_end);
-  result.events = fleet_monitor->alarms().events();
+  result.fleet_snapshot = aggregate->snapshot(t_end);
+  result.events = aggregate->alarms().events();
 
   result.fleet_model = session.model->snapshot(t_end);
   result.model_events = session.model->alarms().events();
@@ -333,14 +331,8 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   result.fleet_energy = session.energy->snapshot(t_end);
   result.energy_events = session.energy->alarms().events();
   result.tenant_energy_pj = std::move(tenant_energy);
-  std::int64_t shard_energy_sum = 0;
-  for (const FleetShardResult& shard : result.shards) {
-    shard_energy_sum += shard.energy_pj;
-  }
-  std::int64_t tenant_energy_sum = 0;
-  for (const std::int64_t pj : result.tenant_energy_pj) {
-    tenant_energy_sum += pj;
-  }
+  const std::int64_t tenant_energy_sum = std::accumulate(
+      result.tenant_energy_pj.begin(), result.tenant_energy_pj.end(), std::int64_t{0});
   HDC_CHECK(shard_energy_sum == result.fleet_energy.total_pj,
             "energy conservation violated: shard ledgers don't sum to fleet total");
   HDC_CHECK(tenant_energy_sum == result.fleet_energy.total_pj,

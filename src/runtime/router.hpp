@@ -27,8 +27,8 @@ namespace hdc::runtime {
 /// event loop both serving loops share (`run_event_loop`). The router
 /// supplies only its arrivals (tenant draw, placement, admission, ledgers)
 /// and its hooks: the tenant's model, the charged swap, the per-tenant
-/// stats and predictions, and the energy ledgers. Each shard engine feeds
-/// its own monitor and a router-local fleet-aggregate monitor.
+/// stats and predictions, and the energy ledgers. Each shard's records go
+/// to its own monitor and then to the fleet session's aggregate monitor.
 ///
 /// One difference from single-device serving stays on purpose: the
 /// tenant-model swap (`ServingEndpoint::swap`) is a charged, counted weight
@@ -129,7 +129,7 @@ struct FleetResult {
 
   /// Fleet-aggregate model quality plus one per-tenant view each, all over
   /// outcomes and calibration, with confidence from the served class scores
-  /// (`ShardEngine::record_sample`). Every view has `dim` 0: the served
+  /// (`record_sample`, runtime/shard). Every view has `dim` 0: the served
   /// hidden layer never leaves the device, so no dimension window is kept.
   /// Conservation: the aggregate's samples_total == samples_served and the
   /// per-tenant samples_total sum to it.

@@ -326,11 +326,10 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   // windows, EWMAs, alarm edge states, event history, quarantine gate — so
   // subsequent alarm lines and snapshots are byte-identical to the
   // uninterrupted run's.
-  ServingSession session(config, config.learner.dim, SimDuration());
-  Shard shard(framework, config.faults, config, session, nullptr,
+  ServingSession session(config, config.learner.dim);
+  Shard shard(framework, config.faults, config,
               fresh ? DeviceHealthTracker(config.health) : std::move(restored->health));
   ServingEndpoint& endpoint = shard.endpoint;
-  ShardEngine& engine = shard.engine;
   // The device's free time is the single-device loop's clock.
   SimDuration& now = shard.free_at;
   endpoint.deploy(ServeTier::kFull, deployed_full, representative);
@@ -354,11 +353,11 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     if (injector != nullptr) {
       injector->set_rng_state(restored->rng);
     }
-    engine.counters = restored->counters;
+    shard.counters = restored->counters;
     session.attribution_total = result.attribution_total;
     session.requests_traced = result.requests_traced;
     if (restored->monitor.has_value()) {
-      engine.monitor.restore(std::move(*restored->monitor));
+      shard.monitor.restore(std::move(*restored->monitor));
       session.model.emplace(std::move(*restored->model_stats));
       session.energy.emplace(std::move(*restored->energy));
     }
@@ -369,7 +368,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     for (std::uint32_t k = 0; k < next_arrival; ++k) {
       data::Dataset chunk = stream.next_chunk();
       if (queued != restored->queue.end() && queued->id == k) {
-        engine.admit(QueuedRequest{k, 0, queued->arrival, std::move(chunk)});
+        shard.admit(QueuedRequest{k, 0, queued->arrival, std::move(chunk)}, session);
         ++queued;
       }
     }
@@ -378,7 +377,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   /// Monitor snapshot with the model-quality and energy sections spliced in:
   /// they all ride inside the one hdc-monitor-v1 document.
   const auto take_snapshot = [&](SimDuration at) {
-    obs::MonitorSnapshot snap = engine.monitor->snapshot(at);
+    obs::MonitorSnapshot snap = shard.monitor->snapshot(at);
     const obs::ModelStatsSnapshot ms = session.model->snapshot(at);
     const obs::EnergySnapshot es = session.energy->snapshot(at);
     splice_sections(snap, ms, ms.to_json(), es, es.to_json());
@@ -414,12 +413,12 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
                            reduced_learner,
                            deployed_full,
                            deployed_reduced,
-                           engine.health,
+                           shard.health,
                            injector != nullptr ? injector->rng_state() : Rng::State{},
-                           engine.queue,
+                           shard.queue,
                            result,
-                           engine.counters,
-                           engine.monitor.state(),
+                           shard.counters,
+                           shard.monitor.state(),
                            session.model,
                            session.energy};
     return seal(kServeMagic, kServeVersion, [&](ByteWriter& w) {
@@ -482,9 +481,9 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   hooks.finish = finish;
 
   const auto dispatch = [&](std::size_t, SimDuration start) {
-    const std::uint64_t id = engine.queue.front().id;
-    const SimDuration wait = start - engine.queue.front().arrival;
-    const std::optional<ServedBatch> batch = serve_batch({&shard, 1}, 0, start, 1, hooks);
+    const std::uint64_t id = shard.queue.front().id;
+    const SimDuration wait = start - shard.queue.front().arrival;
+    const std::optional<ServedBatch> batch = serve_batch(session, {&shard, 1}, 0, start, 1, hooks);
     // Free the encodings before a model refresh allocates.
     encoded = tensor::MatrixF();
     reduced_encoded = tensor::MatrixF();
@@ -496,7 +495,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     tier_stats.samples += n;
     tier_stats.errors += n - batch->correct;
     tier_stats.service_time += batch->service;
-    const std::uint64_t served_count = engine.counters.served_requests;
+    const std::uint64_t served_count = shard.counters.served_requests;
 
     if (config.online_updates && config.model_refresh_chunks > 0 &&
         served_count % config.model_refresh_chunks == 0) {
@@ -521,13 +520,13 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     stats.t_end = now;
     stats.samples = n;
     stats.chunk_accuracy = ratio(batch->correct, n);
-    stats.windowed_accuracy = engine.monitor->windowed_accuracy(now);
-    stats.drift_score = engine.monitor->drift_score();
+    stats.windowed_accuracy = shard.monitor->windowed_accuracy(now);
+    stats.drift_score = shard.monitor->drift_score();
     stats.fallback_samples = batch->report.cpu_samples;
     stats.circuit_opened = batch->report.circuit_opened;
     stats.tier = batch->tier;
     stats.queue_wait = wait;
-    stats.health = engine.health.state();
+    stats.health = shard.health.state();
     result.chunks.push_back(stats);
 
     if (config.snapshot_every_chunks > 0 && served_count % config.snapshot_every_chunks == 0 &&
@@ -554,7 +553,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   const auto arrive = [&](std::uint64_t id, SimDuration at) {
     next_arrival = static_cast<std::uint32_t>(id) + 1;
     std::optional<ShedRequest> shed =
-        engine.admit(QueuedRequest{id, 0, at, stream.next_chunk()});
+        shard.admit(QueuedRequest{id, 0, at, stream.next_chunk()}, session);
     if (shed.has_value()) {
       if (trace != nullptr) {
         trace->begin_request(shed->trace.request_id);
@@ -575,12 +574,10 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
 
   // A degenerate session shed or expired every chunk before serving one, so
   // the telemetry never saw a chunk timing and takes the fallback sizing.
-  if (engine.start_telemetry(SimDuration(), 0)) {
-    hooks.sized();
-  }
+  session.size(shard.monitor, SimDuration(), 0, hooks.sized);
 
   result.final_snapshot = take_snapshot(now);
-  result.events = engine.monitor->alarms().events();
+  result.events = shard.monitor->alarms().events();
   result.final_model = session.model->snapshot(now);
   result.model_events = session.model->alarms().events();
   result.final_energy = session.energy->snapshot(now);
@@ -589,7 +586,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   // Lifetime totals come from the serve accumulators; the monitor (restored
   // warm from the checkpoint since HDSV v3) agrees, but the accumulators are
   // the source of truth for results.
-  const ShardCounters& counters = engine.counters;
+  const ShardCounters& counters = shard.counters;
   result.samples_served = counters.served_samples;
   result.lifetime_accuracy = ratio(counters.correct_samples, counters.served_samples);
   result.shed_samples = counters.shed_samples;
@@ -597,10 +594,10 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   result.degraded_samples = counters.degraded_samples;
   result.shed_chunks = static_cast<std::uint32_t>(counters.shed_requests);
   result.expired_chunks = static_cast<std::uint32_t>(counters.expired_requests);
-  result.final_health = engine.health.state();
-  result.health_transitions = engine.health.transitions();
-  result.quarantines = engine.health.quarantines();
-  result.probes = engine.health.probes_attempted();
+  result.final_health = shard.health.state();
+  result.health_transitions = shard.health.transitions();
+  result.quarantines = shard.health.quarantines();
+  result.probes = shard.health.probes_attempted();
 
   if (export_snapshot(config, "monitor_snapshot_final.json", result.final_snapshot)) {
     ++result.snapshots_written;

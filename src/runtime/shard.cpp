@@ -55,10 +55,7 @@ obs::RequestTrace begin_trace(const QueuedRequest& req, SimDuration free_before,
   rt.begin(req.id, req.arrival);
   rt.samples = req.data.num_samples();
   const SimDuration wait = dispatch - req.arrival;
-  SimDuration queue_wait;
-  if (free_before > req.arrival) {
-    queue_wait = std::min(wait, free_before - req.arrival);
-  }
+  const SimDuration queue_wait = std::clamp(free_before - req.arrival, SimDuration(), wait);
   const SimDuration batch_wait = wait - queue_wait;
   if (!queue_wait.is_zero()) {
     rt.append(obs::Stage::kQueueWait, queue_wait);
@@ -67,6 +64,68 @@ obs::RequestTrace begin_trace(const QueuedRequest& req, SimDuration free_before,
     rt.append(obs::Stage::kBatchWait, batch_wait);
   }
   return rt;
+}
+
+/// Calls `fn` on each monitor a shard's records go to: the shard's own, then
+/// the session's aggregate, if any.
+template <typename Fn>
+void feed_monitors(Shard& shard, ServingSession& session, Fn&& fn) {
+  fn(shard.monitor);
+  if (session.aggregate.has_value()) {
+    fn(*session.aggregate);
+  }
+}
+
+void record_admission(Shard& shard, ServingSession& session, SimDuration at,
+                      std::uint64_t offered, std::uint64_t shed, std::uint64_t expired,
+                      std::uint64_t degraded) {
+  feed_monitors(shard, session, [&](LazyMonitor& m) {
+    m.record_admission(session.clock, at, offered, shed, expired, degraded);
+  });
+}
+
+/// Records one served sample into the monitors and the session's
+/// model-quality stats, and returns the model-quality sample.
+///
+/// This is the one definition of serving confidence. `scores` is the row of
+/// k class scores `predicted` was taken from, on the served model of hidden
+/// width `dim`: top1 = s[predicted] / sqrt(dim), top2 = the largest other
+/// score / sqrt(dim) (0 for a single-class model), and the monitor's margin
+/// is top1 - top2. The lowered class rows are unit-norm and |tanh| <= 1, so
+/// |s_c| <= ||e|| <= sqrt(dim): top1 stays in [-1, 1] and never exceeds the
+/// cosine it stands for in magnitude.
+obs::ModelQualityStats::Sample record_sample(Shard& shard, ServingSession& session,
+                                             SimDuration at, SimDuration latency,
+                                             std::uint64_t request_id, std::uint32_t predicted,
+                                             std::uint32_t label, std::span<const float> scores,
+                                             std::uint32_t dim) {
+  HDC_CHECK(predicted < scores.size() && dim > 0, "served scores do not cover the prediction");
+  const double root = std::sqrt(static_cast<double>(dim));
+  const double top1 = scores[predicted] / root;
+  double top2 = scores.size() > 1 ? -std::numeric_limits<double>::infinity() : 0.0;
+  for (std::size_t c = 0; c < scores.size(); ++c) {
+    top2 = c == predicted ? top2 : std::max(top2, scores[c] / root);
+  }
+  obs::ServingMonitor::Sample sample;
+  sample.at = at;
+  sample.latency = latency;
+  sample.request_id = static_cast<std::int64_t>(request_id);
+  sample.predicted = predicted;
+  sample.correct = predicted == label;
+  shard.counters.correct_samples += sample.correct ? 1 : 0;
+  sample.margin = top1 - top2;
+  session.clock.set(at);
+  feed_monitors(shard, session, [&](LazyMonitor& m) { m->record(sample); });
+  // Served samples only: shed and expired requests never get here, so
+  // confusion row sums stay exactly equal to per-class served counts.
+  obs::ModelQualityStats::Sample msample;
+  msample.at = at;
+  msample.predicted = predicted;
+  msample.label = label;
+  msample.top1 = top1;
+  msample.request_id = static_cast<std::int64_t>(request_id);
+  session.model->record(msample);
+  return msample;
 }
 
 }  // namespace
@@ -103,8 +162,8 @@ std::string exemplar_output_path(const ServeConfig& config) {
   return (std::filesystem::path(config.snapshot_dir) / "exemplars.jsonl").string();
 }
 
-LogClock::LogClock(SimDuration start) : seconds_(start.to_seconds()) {
-  log::set_time_provider([this] { return seconds_; });
+LogClock::LogClock() {
+  log::set_time_provider([this] { return at_.to_seconds(); });
 }
 
 LogClock::~LogClock() { log::set_time_provider(nullptr); }
@@ -122,9 +181,10 @@ void splice_sections(obs::MonitorSnapshot& snap, const obs::ModelStatsSnapshot& 
 
 // ---- LazyMonitor -------------------------------------------------------------
 
-void LazyMonitor::init(const obs::MonitorConfig& config) {
+void LazyMonitor::init(const obs::MonitorConfig& config, LogClock& clock) {
   monitor_.emplace(config);
   for (const AdmissionRecord& rec : pending_) {
+    clock.set(rec.at);
     monitor_->record_admission(rec.at, rec.offered, rec.shed, rec.expired, rec.degraded);
   }
   pending_.clear();
@@ -143,24 +203,39 @@ void LazyMonitor::record_admission(LogClock& clock, SimDuration at, std::uint64_
 
 // ---- ServingSession ----------------------------------------------------------
 
-ServingSession::ServingSession(const ServeConfig& config, std::uint32_t model_dim,
-                               SimDuration start)
-    : clock(start), exemplars(config.exemplars), config_(config), model_dim_(model_dim) {}
+ServingSession::ServingSession(const ServeConfig& config, std::uint32_t model_dim)
+    : exemplars(config.exemplars), config_(config), model_dim_(model_dim) {}
 
-void ServingSession::init(const obs::WindowConfig& window) {
-  obs::ModelStatsConfig msc = config_.model_stats;
-  msc.num_classes = config_.stream.spec.classes;
-  msc.dim = model_dim_;
-  msc.window = window;
-  model.emplace(msc);
-
-  obs::EnergyConfig ec = config_.energy;
-  ec.window = window;
-  energy.emplace(ec);
-  for (const obs::EnergyAccountant::Request& req : pending_energy_) {
-    energy->record(req);
+void ServingSession::size(LazyMonitor& monitor, SimDuration batch_total,
+                          std::uint64_t batch_samples, const std::function<void()>& sized) {
+  const obs::MonitorConfig mc = resolve_monitor_config(config_, batch_total, batch_samples);
+  // Replayed records log at their own times; the clock then resumes.
+  const SimDuration resume = clock.now();
+  for (LazyMonitor* m : {&monitor, aggregate.has_value() ? &*aggregate : nullptr}) {
+    if (m != nullptr && !m->ready()) {
+      m->init(mc, clock);
+    }
   }
-  pending_energy_.clear();
+  const bool sizing = !ready();
+  if (sizing) {
+    obs::ModelStatsConfig msc = config_.model_stats;
+    msc.num_classes = config_.stream.spec.classes;
+    msc.dim = model_dim_;
+    msc.window = mc.window;
+    model.emplace(msc);
+    obs::EnergyConfig ec = config_.energy;
+    ec.window = mc.window;
+    energy.emplace(ec);
+    for (const obs::EnergyAccountant::Request& req : pending_energy_) {
+      clock.set(req.at);
+      energy->record(req);
+    }
+    pending_energy_.clear();
+  }
+  clock.set(resume);
+  if (sizing) {
+    sized();
+  }
 }
 
 void ServingSession::finish(obs::RequestTrace&& rt,
@@ -194,18 +269,19 @@ void ServingSession::write_exemplars() const {
   }
 }
 
-// ---- ShardEngine -------------------------------------------------------------
+// ---- Shard -------------------------------------------------------------------
 
-std::optional<ShedRequest> ShardEngine::admit(QueuedRequest&& req) {
+std::optional<ShedRequest> Shard::admit(QueuedRequest&& req, ServingSession& session) {
   const SimDuration at = req.arrival;
+  const AdmissionConfig& admission = session.config().admission;
   std::optional<ShedRequest> shed;
-  if (queue.size() >= config_.admission.queue_capacity) {
-    const bool refuse = config_.admission.policy == ShedPolicy::kRejectNewest;
+  if (queue.size() >= admission.queue_capacity) {
+    const bool refuse = admission.policy == ShedPolicy::kRejectNewest;
     QueuedRequest victim = refuse ? std::move(req) : pop();
     const std::uint64_t n = victim.data.num_samples();
     ++counters.shed_requests;
     counters.shed_samples += n;
-    record_admission(at, n, n, 0, 0);
+    record_admission(*this, session, at, n, n, 0, 0);
     // A refused arrival has no wait; a dropped one sat queued until `at`.
     shed = ShedRequest{begin_trace(victim, at, at), victim.tenant, queue.size()};
     shed->trace.outcome = obs::RequestOutcome::kShed;
@@ -219,105 +295,12 @@ std::optional<ShedRequest> ShardEngine::admit(QueuedRequest&& req) {
   return shed;
 }
 
-std::size_t ShardEngine::head_run(std::uint32_t batch_max) const {
+std::size_t Shard::head_run(std::uint32_t batch_max) const {
   std::size_t run = 1;
   while (run < queue.size() && run < batch_max && queue[run].tenant == queue.front().tenant) {
     ++run;
   }
   return run;
-}
-
-bool ShardEngine::start_telemetry(SimDuration batch_total, std::uint64_t batch_samples) {
-  const obs::MonitorConfig mc = resolve_monitor_config(config_, batch_total, batch_samples);
-  each_monitor([&](LazyMonitor& m) {
-    if (!m.ready()) {
-      m.init(mc);
-    }
-  });
-  if (session_.ready()) {
-    return false;
-  }
-  session_.init(mc.window);
-  return true;
-}
-
-void ShardEngine::sync_quarantine(SimDuration at, std::span<const Shard> shards) {
-  if (!session_.ready()) {
-    return;
-  }
-  const bool all_quarantined = std::all_of(shards.begin(), shards.end(), [](const Shard& s) {
-    return s.engine.health.state() == DeviceHealth::kQuarantined;
-  });
-  session_.clock.set(at);
-  if (monitor.ready()) {
-    monitor->set_quarantined(health.state() == DeviceHealth::kQuarantined, at);
-  }
-  if (also_feed_ != nullptr) {
-    (*also_feed_)->set_quarantined(all_quarantined, at);
-  }
-  session_.model->set_quarantined(all_quarantined, at);
-  session_.energy->set_quarantined(all_quarantined, at);
-}
-
-obs::ModelQualityStats::Sample ShardEngine::record_sample(
-    SimDuration at, SimDuration latency, std::uint64_t request_id, std::uint32_t predicted,
-    std::uint32_t label, std::span<const float> scores, std::uint32_t dim) {
-  HDC_CHECK(predicted < scores.size() && dim > 0, "served scores do not cover the prediction");
-  const double root = std::sqrt(static_cast<double>(dim));
-  const double top1 = scores[predicted] / root;
-  double top2 = scores.size() > 1 ? -std::numeric_limits<double>::infinity() : 0.0;
-  for (std::size_t c = 0; c < scores.size(); ++c) {
-    top2 = c == predicted ? top2 : std::max(top2, scores[c] / root);
-  }
-  obs::ServingMonitor::Sample sample;
-  sample.at = at;
-  sample.latency = latency;
-  sample.request_id = static_cast<std::int64_t>(request_id);
-  sample.predicted = predicted;
-  sample.correct = predicted == label;
-  counters.correct_samples += sample.correct ? 1 : 0;
-  sample.margin = top1 - top2;
-  session_.clock.set(at);
-  each_monitor([&](LazyMonitor& m) { m->record(sample); });
-  // Served samples only: shed and expired requests never get here, so
-  // confusion row sums stay exactly equal to per-class served counts.
-  obs::ModelQualityStats::Sample msample;
-  msample.at = at;
-  msample.predicted = predicted;
-  msample.label = label;
-  msample.top1 = top1;
-  msample.request_id = static_cast<std::int64_t>(request_id);
-  session_.model->record(msample);
-  return msample;
-}
-
-std::optional<obs::ExemplarReason> ShardEngine::finish_served(obs::RequestTrace& rt,
-                                                              SimDuration end, ServeTier tier,
-                                                              const ResilienceReport& report,
-                                                              SimDuration latency) {
-  rt.outcome = obs::RequestOutcome::kServed;
-  rt.tier = static_cast<std::uint8_t>(tier);
-  rt.faulty = batch_faulty(report);
-  rt.finalize(end);
-  ++counters.served_requests;
-  counters.served_samples += rt.samples;
-  if (tier != ServeTier::kFull) {
-    ++counters.degraded_requests;
-    counters.degraded_samples += rt.samples;
-  }
-  each_monitor([&](LazyMonitor& m) { m->record_attribution(end, rt.attribution); });
-  // Tail-based retention: keep the full chain only when the request left
-  // the full tier (or spilled samples to the host) or its per-sample latency
-  // reaches the windowed p99 at its own completion time. The slowest request
-  // in any window always qualifies, so alarm exemplar ids resolve to
-  // retained chains (barring later eviction under the bound).
-  if (tier != ServeTier::kFull || report.cpu_samples > 0) {
-    return obs::ExemplarReason::kTierFallback;
-  }
-  if (latency >= monitor->latency_quantile(end, 0.99)) {
-    return obs::ExemplarReason::kTailLatency;
-  }
-  return std::nullopt;
 }
 
 // ---- the event loop ----------------------------------------------------------
@@ -335,23 +318,26 @@ void run_event_loop(const ServeConfig& config, std::span<Shard> shards, std::uin
                     std::uint32_t batch_max, SimDuration period, const ArriveFn& arrive,
                     const DispatchFn& dispatch) {
   const bool closed = period.is_zero();
+  // The time of the last arrival or dispatch: no run is ready before it.
+  SimDuration now;
   for (std::uint64_t next_id = first_id;;) {
     const bool arrivals_left = next_id < config.serve_chunks;
     std::size_t ready = shards.size();
     SimDuration ready_at;
     for (std::size_t i = 0; i < shards.size(); ++i) {
-      const ShardEngine& engine = shards[i].engine;
-      if (engine.queue.empty()) {
+      const Shard& shard = shards[i];
+      if (shard.queue.empty()) {
         continue;
       }
       // A closed loop offers nothing while a queue holds a request, so only
       // an open loop's arrivals can grow a run.
-      const std::size_t run = engine.head_run(batch_max);
+      const std::size_t run = shard.head_run(batch_max);
       const bool growable =
-          run < batch_max && run == engine.queue.size() && arrivals_left && !closed;
-      const SimDuration at = std::max(
-          shards[i].free_at, growable ? engine.queue.front().arrival + config.fleet.batch_max_age
-                                      : engine.queue[run - 1].arrival);
+          run < batch_max && run == shard.queue.size() && arrivals_left && !closed;
+      const SimDuration at =
+          std::max({now, shard.free_at,
+                    growable ? shard.queue.front().arrival + config.fleet.batch_max_age
+                             : shard.queue[run - 1].arrival});
       if (ready == shards.size() || at < ready_at) {
         ready = i;
         ready_at = at;
@@ -366,6 +352,7 @@ void run_event_loop(const ServeConfig& config, std::span<Shard> shards, std::uin
                                     })->free_at
                  : period * static_cast<double>(next_id);
       if (idle || at <= ready_at) {
+        now = at;
         arrive(next_id++, at);
         continue;
       }
@@ -373,23 +360,23 @@ void run_event_loop(const ServeConfig& config, std::span<Shard> shards, std::uin
     if (idle) {
       return;
     }
+    now = ready_at;
     dispatch(ready, ready_at);
   }
 }
 
 // ---- the per-batch body ------------------------------------------------------
 
-std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t index,
-                                       SimDuration at, std::uint32_t batch_max,
-                                       const BatchHooks& hooks) {
+std::optional<ServedBatch> serve_batch(ServingSession& session, std::span<Shard> shards,
+                                       std::size_t index, SimDuration at,
+                                       std::uint32_t batch_max, const BatchHooks& hooks) {
   Shard& shard = shards[index];
-  ShardEngine& engine = shard.engine;
   obs::TraceContext* const trace = shard.endpoint.device().trace_context();
   HDC_CHECK(trace == nullptr || batch_max == 1, "a traced loop serves one request per batch");
   const SimDuration free_before = shard.free_at;
   std::vector<QueuedRequest> batch;
-  for (std::size_t k = engine.head_run(batch_max); k > 0; --k) {
-    batch.push_back(engine.pop());
+  for (std::size_t k = shard.head_run(batch_max); k > 0; --k) {
+    batch.push_back(shard.pop());
   }
   const std::uint32_t tenant = batch.front().tenant;
   if (trace != nullptr) {
@@ -405,18 +392,38 @@ std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t inde
     }
   }
 
-  const ServeTier tier =
-      engine.health.admit_tier(at, engine.queue.size(), engine.config_.admission.degrade_backlog);
-  engine.sync_quarantine(at, shards);
+  // The shard's monitor follows its own health; the session-wide telemetry
+  // is quarantined while every shard is. Nothing before the session is sized.
+  const auto sync_quarantine = [&](SimDuration t) {
+    if (!session.ready()) {
+      return;
+    }
+    const bool all_quarantined = std::all_of(shards.begin(), shards.end(), [](const Shard& s) {
+      return s.health.state() == DeviceHealth::kQuarantined;
+    });
+    session.clock.set(t);
+    if (shard.monitor.ready()) {
+      shard.monitor->set_quarantined(shard.health.state() == DeviceHealth::kQuarantined, t);
+    }
+    if (session.aggregate.has_value()) {
+      (*session.aggregate)->set_quarantined(all_quarantined, t);
+    }
+    session.model->set_quarantined(all_quarantined, t);
+    session.energy->set_quarantined(all_quarantined, t);
+  };
+
+  const AdmissionConfig& admission = session.config().admission;
+  const ServeTier tier = shard.health.admit_tier(at, shard.queue.size(), admission.degrade_backlog);
+  sync_quarantine(at);
   if (trace != nullptr) {
     trace->instant_at(obs::Track::kExecutor, "serve.admit_tier", at,
-                      {{"tier", tier_name(tier)}, {"queue_depth", engine.queue.size()}});
+                      {{"tier", tier_name(tier)}, {"queue_depth", shard.queue.size()}});
   }
 
   // Each member's deadline runs from its own arrival: a member that cannot
   // finish even its first sample expires unserved, the rest still form the
   // batch. The check is admission bookkeeping and costs no simulated time.
-  const SimDuration deadline = engine.config_.admission.deadline;
+  const SimDuration deadline = admission.deadline;
   const ServingEndpoint::Model& model = hooks.model(tenant, tier);
   const SimDuration nominal =
       deadline.is_zero() ? SimDuration() : shard.endpoint.nominal_per_sample(model, tier);
@@ -430,9 +437,9 @@ std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t inde
       continue;
     }
     obs::RequestTrace rt = begin_trace(req, free_before, at);
-    ++engine.counters.expired_requests;
-    engine.counters.expired_samples += rt.samples;
-    engine.record_admission(at, rt.samples, 0, rt.samples, 0);
+    ++shard.counters.expired_requests;
+    shard.counters.expired_samples += rt.samples;
+    record_admission(shard, session, at, rt.samples, 0, rt.samples, 0);
     rt.outcome = obs::RequestOutcome::kExpired;
     rt.tier = static_cast<std::uint8_t>(tier);
     rt.finalize(at);
@@ -478,16 +485,15 @@ std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t inde
       deadline.is_zero() ? SimDuration() : deadline - (at - live.front().arrival),
       single ? &chain : nullptr);
   const ResilienceReport& report = outcome.report;
+  const bool faulty = batch_faulty(report);
   const SimDuration per_sample = outcome.total * (1.0 / static_cast<double>(samples));
   const SimDuration service_end = service_start + outcome.total;
   // Host-tier batches never touch the device, so they do not feed its health.
   if (tier != ServeTier::kHost) {
-    engine.health.on_batch(service_end, batch_faulty(report), report.circuit_opened);
+    shard.health.on_batch(service_end, faulty, report.circuit_opened);
   }
-  if (engine.start_telemetry(upload + outcome.total, samples)) {
-    hooks.sized();
-  }
-  engine.sync_quarantine(service_end, shards);
+  session.size(shard.monitor, upload + outcome.total, samples, hooks.sized);
+  sync_quarantine(service_end);
 
   // Completion times spread evenly over the service; latency runs from
   // each member's arrival.
@@ -498,9 +504,9 @@ std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t inde
   std::size_t g = 0;
   for (const QueuedRequest& req : live) {
     for (std::size_t j = 0; j < req.data.num_samples(); ++j, ++g) {
-      const obs::ModelQualityStats::Sample sample = engine.record_sample(
-          service_start + per_sample * static_cast<double>(g + 1), latency(req), req.id,
-          outcome.predictions[g], req.data.labels[j], outcome.scores.row(g),
+      const obs::ModelQualityStats::Sample sample = record_sample(
+          shard, session, service_start + per_sample * static_cast<double>(g + 1), latency(req),
+          req.id, outcome.predictions[g], req.data.labels[j], outcome.scores.row(g),
           model.hidden_dim());
       correct += sample.predicted == sample.label ? 1 : 0;
       hooks.sample(req, j, sample);
@@ -508,12 +514,13 @@ std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t inde
   }
   // The batch's transport and admission records come before its members
   // finish.
-  engine.session_.clock.set(service_end);
-  engine.each_monitor([&](LazyMonitor& m) {
+  session.clock.set(service_end);
+  feed_monitors(shard, session, [&](LazyMonitor& m) {
     m->record_transport(service_end, samples, report.cpu_samples,
                         report.device_stats.invoke_retries);
   });
-  engine.record_admission(service_end, samples, 0, 0, tier != ServeTier::kFull ? samples : 0);
+  record_admission(shard, session, service_end, samples, 0, 0,
+                   tier != ServeTier::kFull ? samples : 0);
 
   const SimDuration update = hooks.update ? hooks.update(samples) : SimDuration();
   shard.free_at = service_end + update;
@@ -521,7 +528,7 @@ std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t inde
     trace->span_at(obs::Track::kHost, "serve.online_update", shard.free_at - update, update,
                    {{"samples", samples}});
   }
-  engine.session_.clock.set(shard.free_at);
+  session.clock.set(shard.free_at);
   for (const QueuedRequest& req : live) {
     obs::RequestTrace rt = single ? std::move(chain) : begin_trace(req, free_before, at);
     if (!single) {
@@ -533,8 +540,29 @@ std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t inde
     if (!update.is_zero()) {
       rt.append(obs::Stage::kUpdate, update);
     }
-    const std::optional<obs::ExemplarReason> reason =
-        engine.finish_served(rt, shard.free_at, tier, report, latency(req));
+    rt.outcome = obs::RequestOutcome::kServed;
+    rt.tier = static_cast<std::uint8_t>(tier);
+    rt.faulty = faulty;
+    rt.finalize(shard.free_at);
+    ++shard.counters.served_requests;
+    shard.counters.served_samples += rt.samples;
+    if (tier != ServeTier::kFull) {
+      ++shard.counters.degraded_requests;
+      shard.counters.degraded_samples += rt.samples;
+    }
+    feed_monitors(shard, session,
+                  [&](LazyMonitor& m) { m->record_attribution(shard.free_at, rt.attribution); });
+    // Tail-based retention: keep the full chain only when the request left
+    // the full tier (or spilled samples to the host) or its per-sample
+    // latency reaches the windowed p99 at its own completion time. The
+    // slowest request in any window always qualifies, so alarm exemplar ids
+    // resolve to retained chains (barring later eviction under the bound).
+    std::optional<obs::ExemplarReason> reason;
+    if (tier != ServeTier::kFull || report.cpu_samples > 0) {
+      reason = obs::ExemplarReason::kTierFallback;
+    } else if (latency(req) >= shard.monitor->latency_quantile(shard.free_at, 0.99)) {
+      reason = obs::ExemplarReason::kTailLatency;
+    }
     hooks.finish(index, tenant, std::move(rt), reason);
   }
   return ServedBatch{tier, samples, correct, outcome.total, report};

@@ -5,16 +5,16 @@
 // (`run_event_loop`), which interleaves arrivals and dispatches in
 // simulated time, and the one per-batch body (`serve_batch`), which serves a
 // shard's head run: ladder verdict, quarantine, expiry, service, per-sample
-// records, span chains, and the batch and request records. A shard is a
-// device's endpoint, its engine and the time the device is next free. The
-// engine owns the bounded request queue, the shedding decision, the health
-// state and the monitor its requests' records go to. The `ServingSession`
-// around the shards owns what spans them: the lazily sized model-quality and
-// energy telemetry, the exemplar store, request finalisation and the log
-// clock. Each loop keeps only what is its own, handed to the body as
-// `BatchHooks`, and its arrivals: the single-device loop its online learners,
-// uncharged tier switches, three-tier ladder and checkpoints; the fleet its
-// tenants, placement, charged swaps, aggregate monitor and energy ledgers.
+// records, span chains, and the batch and request records. A shard is one
+// device: its endpoint, its bounded request queue and shedding decision, its
+// health state, its counters, the monitor its requests' records go to, and
+// the time the device is next free. The `ServingSession` around the shards
+// owns what spans them: the lazily sized model-quality and energy telemetry,
+// the fleet's aggregate monitor, the exemplar store, request finalisation
+// and the log clock. Each loop keeps only what is its own, handed to the
+// body as `BatchHooks`, and its arrivals: the single-device loop its online
+// learners, uncharged tier switches, three-tier ladder and checkpoints; the
+// fleet its tenants, placement, charged swaps and energy ledgers.
 
 #include <cstdint>
 #include <deque>
@@ -50,20 +50,21 @@ std::string numbered(const char* format, unsigned index);
 bool export_snapshot(const ServeConfig& config, const std::string& name,
                      const obs::MonitorSnapshot& snap);
 
-/// Feeds a serving loop's simulated clock to the structured log for the
-/// lifetime of the session, so JSONL records (alarm edges in particular)
+/// Feeds a serving loop's simulated clock, from 0, to the structured log for
+/// the lifetime of the session, so JSONL records (alarm edges in particular)
 /// carry `t_s` in simulated seconds.
 class LogClock {
  public:
-  explicit LogClock(SimDuration start);
+  LogClock();
   ~LogClock();
   LogClock(const LogClock&) = delete;
   LogClock& operator=(const LogClock&) = delete;
 
-  void set(SimDuration at) { seconds_ = at.to_seconds(); }
+  void set(SimDuration at) { at_ = at; }
+  SimDuration now() const { return at_; }
 
  private:
-  double seconds_;
+  SimDuration at_;
 };
 
 /// Splices the model-quality and energy sections into a monitor snapshot:
@@ -74,7 +75,8 @@ void splice_sections(obs::MonitorSnapshot& snap, const obs::ModelStatsSnapshot& 
                      std::string energy_json);
 
 /// A `ServingMonitor` sized lazily from the first served batch. Admission
-/// records that arrive earlier are buffered and replayed in order.
+/// records that arrive earlier are buffered and replayed in order, each
+/// logging at its own time.
 class LazyMonitor {
  public:
   bool ready() const { return monitor_.has_value(); }
@@ -82,7 +84,7 @@ class LazyMonitor {
   /// The monitor once built (checkpoints save it as it stands).
   const std::optional<obs::ServingMonitor>& state() const { return monitor_; }
 
-  void init(const obs::MonitorConfig& config);
+  void init(const obs::MonitorConfig& config, LogClock& clock);
   /// Adopts a monitor restored from a checkpoint, exactly as it was.
   void restore(obs::ServingMonitor&& monitor) { monitor_.emplace(std::move(monitor)); }
   void record_admission(LogClock& clock, SimDuration at, std::uint64_t offered,
@@ -103,15 +105,21 @@ class LazyMonitor {
 /// Session-wide telemetry and request finalisation. The model-quality stats
 /// and the energy accountant share the first sized monitor's resolved
 /// window; energy requests finished before they exist are buffered and
-/// replayed.
+/// replayed, each logging at its own time.
 class ServingSession {
  public:
   /// `model_dim` is the encoder dimension the model-quality stats track per
   /// dimension (0 when requests come from different encoders).
-  ServingSession(const ServeConfig& config, std::uint32_t model_dim, SimDuration start);
+  ServingSession(const ServeConfig& config, std::uint32_t model_dim);
 
+  const ServeConfig& config() const { return config_; }
   bool ready() const { return model.has_value(); }
-  void init(const obs::WindowConfig& window);
+  /// Sizes a shard's `monitor` and the aggregate, when unsized, and the
+  /// session with them, off a served batch (`batch_total` over
+  /// `batch_samples` samples; a fallback when `batch_samples` is 0). Calls
+  /// `sized` when this call sized the session.
+  void size(LazyMonitor& monitor, SimDuration batch_total, std::uint64_t batch_samples,
+            const std::function<void()>& sized);
   /// Folds a finalised request into the attribution totals and the energy
   /// accountant, offers it as an exemplar when `reason` is set, and keeps it.
   void finish(obs::RequestTrace&& rt, std::optional<obs::ExemplarReason> reason);
@@ -119,6 +127,9 @@ class ServingSession {
   void write_exemplars() const;
 
   LogClock clock;
+  /// The fleet's aggregate monitor, which every shard's records also go to,
+  /// after the shard's own. Only fleet sessions have one.
+  std::optional<LazyMonitor> aggregate;
   std::optional<obs::ModelQualityStats> model;
   std::optional<obs::EnergyAccountant> energy;
   obs::ExemplarStore exemplars;
@@ -148,24 +159,21 @@ struct ShedRequest {
   std::size_t queue_depth = 0;
 };
 
-struct Shard;
-struct BatchHooks;
-struct ServedBatch;
-
-/// One device's admission queue, health state and monitor. Monitor records
-/// go to the shard's own monitor, then to `also_feed` when set. The records
-/// a dispatched batch leaves are made by the per-batch body only
+/// One device behind a serving loop: its endpoint (a full simulated
+/// accelerator with its own fault stream), its bounded request queue, its
+/// health state and counters, its own monitor, and the simulated time the
+/// device is next free. The counters are the source of both loops' totals.
+/// The records a dispatched batch leaves are made by the per-batch body only
 /// (`serve_batch`).
-class ShardEngine {
- public:
-  ShardEngine(const ServeConfig& config, ServingSession& session, LazyMonitor* also_feed,
-              DeviceHealthTracker tracker)
-      : health(std::move(tracker)), config_(config), session_(session), also_feed_(also_feed) {}
+struct Shard {
+  Shard(const CoDesignFramework& framework, const tpu::FaultProfile& faults,
+        const ServeConfig& config, DeviceHealthTracker tracker)
+      : endpoint(framework, faults, config.retry), health(std::move(tracker)) {}
 
   /// Queues a request. On a full queue the shed policy picks the victim —
   /// the arrival (reject-newest) or the oldest queued (drop-oldest) — and
-  /// returns it finalised.
-  std::optional<ShedRequest> admit(QueuedRequest&& req);
+  /// returns it finalised, its shed recorded into `session`'s monitors.
+  std::optional<ShedRequest> admit(QueuedRequest&& req, ServingSession& session);
   QueuedRequest pop() {
     QueuedRequest req = std::move(queue.front());
     queue.pop_front();
@@ -175,78 +183,13 @@ class ShardEngine {
   /// Length of the same-tenant run at the head of the queue, at most
   /// `batch_max` requests: the batch a dispatch now would serve.
   std::size_t head_run(std::uint32_t batch_max) const;
-  /// Sizes the monitors this shard feeds, and the session with them, off
-  /// the batch just served. True when the session was sized by this call.
-  bool start_telemetry(SimDuration batch_total, std::uint64_t batch_samples);
 
+  ServingEndpoint endpoint;
   std::deque<QueuedRequest> queue;
   std::uint64_t queued_samples = 0;
   DeviceHealthTracker health;
   ShardCounters counters;
   LazyMonitor monitor;
-
- private:
-  friend std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t index,
-                                                SimDuration at, std::uint32_t batch_max,
-                                                const BatchHooks& hooks);
-
-  /// Gates this shard's monitor on its own quarantine, and the session-wide
-  /// telemetry (model-quality stats, energy accountant, `also_feed`) on
-  /// whether every one of the loop's `shards` is quarantined. Nothing before
-  /// the session is sized.
-  void sync_quarantine(SimDuration at, std::span<const Shard> shards);
-  /// Records one served sample into the monitors and the session's
-  /// model-quality stats, and returns the model-quality sample.
-  ///
-  /// This is the one definition of serving confidence. `scores` is the row
-  /// of k class scores `predicted` was taken from, on the served model of
-  /// hidden width `dim`: top1 = s[predicted] / sqrt(dim), top2 = the largest
-  /// other score / sqrt(dim) (0 for a single-class model), and the monitor's
-  /// margin is top1 - top2. The lowered class rows are unit-norm and
-  /// |tanh| <= 1, so |s_c| <= ||e|| <= sqrt(dim): top1 stays in [-1, 1] and
-  /// never exceeds the cosine it stands for in magnitude.
-  obs::ModelQualityStats::Sample record_sample(SimDuration at, SimDuration latency,
-                                               std::uint64_t request_id,
-                                               std::uint32_t predicted, std::uint32_t label,
-                                               std::span<const float> scores,
-                                               std::uint32_t dim);
-  /// Marks `rt` served, records its attribution and returns its exemplar
-  /// reason, judging its per-sample `latency` against the shard's p99.
-  std::optional<obs::ExemplarReason> finish_served(obs::RequestTrace& rt, SimDuration end,
-                                                   ServeTier tier,
-                                                   const ResilienceReport& report,
-                                                   SimDuration latency);
-  template <typename Fn>
-  void each_monitor(Fn&& fn) {
-    fn(monitor);
-    if (also_feed_ != nullptr) {
-      fn(*also_feed_);
-    }
-  }
-  void record_admission(SimDuration at, std::uint64_t offered, std::uint64_t shed,
-                        std::uint64_t expired, std::uint64_t degraded) {
-    each_monitor([&](LazyMonitor& m) {
-      m.record_admission(session_.clock, at, offered, shed, expired, degraded);
-    });
-  }
-
-  const ServeConfig& config_;
-  ServingSession& session_;
-  LazyMonitor* also_feed_;
-};
-
-/// One device behind a serving loop: its endpoint (a full simulated
-/// accelerator with its own fault stream), its engine, and the simulated
-/// time the device is next free.
-struct Shard {
-  Shard(const CoDesignFramework& framework, const tpu::FaultProfile& faults,
-        const ServeConfig& config, ServingSession& session, LazyMonitor* also_feed,
-        DeviceHealthTracker tracker)
-      : endpoint(framework, faults, config.retry),
-        engine(config, session, also_feed, std::move(tracker)) {}
-
-  ServingEndpoint endpoint;
-  ShardEngine engine;
   SimDuration free_at;
 };
 
@@ -270,11 +213,14 @@ using DispatchFn = std::function<void(std::size_t shard, SimDuration at)>;
 /// - open loop (`period` > 0): request i arrives at i x `period`;
 /// - closed loop (`period` == 0): a request arrives only when every queue is
 ///   empty, at the earliest `free_at`;
-/// - a shard's head run (`ShardEngine::head_run`) is ready at
-///   max(`free_at`, arrival of its newest member) once it is full
-///   (`batch_max` requests) or cannot grow (another tenant queued behind it,
-///   or no arrival can join it); a growable run is held until
-///   max(`free_at`, head arrival + `config.fleet.batch_max_age`);
+/// - a shard's head run (`Shard::head_run`) is ready at max(`free_at`,
+///   arrival of its newest member) once it is full (`batch_max` requests)
+///   or cannot grow (another tenant queued behind it, or no arrival can join
+///   it); a growable run is held until max(`free_at`, head arrival +
+///   `config.fleet.batch_max_age`);
+/// - a run is never ready before the event that made it ready: the last
+///   arrival or dispatch the loop processed (say the arrival that ended its
+///   hold);
 /// - the earliest-ready shard is dispatched first, the lowest index on ties;
 /// - an arrival at a shard's ready time is offered before that dispatch, so
 ///   it can still join the batch.
@@ -317,10 +263,12 @@ struct ServedBatch {
 };
 
 /// The one per-batch body under both serving loops: serves shard `index`'s
-/// head run (at most `batch_max` requests) at its ready time `at`.
+/// head run (at most `batch_max` requests) at its ready time `at`. Every
+/// record goes to the shard's monitor, then the session's aggregate, then
+/// the model-quality stats.
 /// - Pops the run and takes the ladder verdict; syncs quarantine. A shard's
-///   monitor follows its own health; the session-wide telemetry (model
-///   quality, energy, `also_feed`) is quarantined while every shard is.
+///   monitor follows its own health; the session-wide telemetry (aggregate
+///   monitor, model quality, energy) is quarantined while every shard is.
 /// - Expires each member that cannot finish its first sample in time (priced
 ///   only when a deadline is set). If every member expires, `free_at`
 ///   becomes max(`free_at`, `at`) and nothing is returned.
@@ -337,8 +285,8 @@ struct ServedBatch {
 ///   batch's summed spans.
 /// The shard is next free when its members finish. A device with a trace
 /// attached serves one request per batch, and the trace follows it.
-std::optional<ServedBatch> serve_batch(std::span<Shard> shards, std::size_t index,
-                                       SimDuration at, std::uint32_t batch_max,
-                                       const BatchHooks& hooks);
+std::optional<ServedBatch> serve_batch(ServingSession& session, std::span<Shard> shards,
+                                       std::size_t index, SimDuration at,
+                                       std::uint32_t batch_max, const BatchHooks& hooks);
 
 }  // namespace hdc::runtime

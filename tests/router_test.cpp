@@ -11,12 +11,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/logging.hpp"
 #include "common/sim_time.hpp"
 #include "data/synthetic.hpp"
 #include "obs/request_trace.hpp"
@@ -417,6 +420,36 @@ TEST(FleetServeTest, FleetOfOneMatchesServe) {
   }
 }
 
+// The aggregate monitor is the session's and every shard's records go to it
+// after the shard's own, so in a fleet of one device it sees exactly what
+// the shard's monitor sees: batched, faulty and multi-tenant as the run is,
+// the two snapshots agree once the session's spliced sections are cleared.
+TEST(FleetServeTest, FleetOfOneAggregateEqualsItsShard) {
+  const CoDesignFramework framework;
+  ServeConfig config = fleet_config();
+  config.fleet.num_devices = 1;
+  config.admission.offered_load = 60.0;
+  const SimDuration span = serve_fleet(framework, config).t_end;
+  config.faults.detach_at = {span * 0.2, span * 0.6};
+  config.faults.reattach_after = span * 0.1;
+  const FleetResult result = serve_fleet(framework, config);
+  ASSERT_EQ(result.shards.size(), 1U);
+  EXPECT_GT(result.mean_batch_chunks, 1.0);
+  EXPECT_GT(result.shed_requests, 0U);
+  EXPECT_GT(result.degraded_samples, 0U);
+  EXPECT_FALSE(result.events.empty());
+
+  obs::MonitorSnapshot aggregate = result.fleet_snapshot;
+  EXPECT_FALSE(aggregate.model_json.empty());
+  EXPECT_FALSE(aggregate.energy_json.empty());
+  for (std::string* spliced :
+       {&aggregate.model_json, &aggregate.model_metrics_json, &aggregate.model_prometheus,
+        &aggregate.energy_json, &aggregate.energy_metrics_json, &aggregate.energy_prometheus}) {
+    spliced->clear();
+  }
+  EXPECT_EQ(aggregate.to_json(), result.shards[0].final_snapshot.to_json());
+}
+
 // The session-wide telemetry (the aggregate monitor, model-quality stats and
 // energy accountant) is quarantined while every shard is. One request meets
 // a permanent detach: its device trips, serves it on the host and is
@@ -454,6 +487,57 @@ TEST(FleetServeTest, SessionTelemetryIsQuarantinedWhileEveryShardIs) {
   }
 }
 
+// Alarm records carry their event time in the structured log, including
+// those replayed when the telemetry is sized: here every request expires,
+// nothing is served, and the admission records replayed at the end fire
+// the shed-rate alarm. Each JSONL `t_s` must equal the `t_s=` its message
+// names, in serve and in a fleet.
+TEST(ServeLogTest, ReplayedAlarmsLogAtTheirEventTime) {
+  const CoDesignFramework framework;
+  const std::filesystem::path sink =
+      std::filesystem::temp_directory_path() / "hdc_router_test_alarm_times.jsonl";
+  for (const std::uint32_t devices : {0U, 2U}) {
+    SCOPED_TRACE(devices);
+    ServeConfig config;
+    config.stream.spec = data::paper_dataset("PAMAP2");
+    config.stream.chunk_size = 16;
+    config.learner.dim = 128;
+    config.warmup_chunks = 1;
+    config.serve_chunks = 40;
+    config.admission.offered_load = 50.0;
+    config.admission.deadline = SimDuration::micros(1);
+    log::set_json_sink(sink.string());
+    std::uint64_t served = 0;
+    if (devices == 0) {
+      served = serve(framework, config).samples_served;
+    } else {
+      config.fleet.num_devices = devices;
+      config.fleet.num_tenants = 2;
+      served = serve_fleet(framework, config).samples_served;
+    }
+    log::close_json_sink();
+    EXPECT_EQ(served, 0U);
+
+    std::ifstream in(sink);
+    std::size_t alarms = 0;
+    for (std::string line; std::getline(in, line);) {
+      const std::size_t named = line.rfind(" t_s=");
+      if (line.find("alarm=") == std::string::npos || named == std::string::npos) {
+        continue;
+      }
+      ++alarms;
+      const std::string prefix = "{\"t_s\":";
+      ASSERT_EQ(line.rfind(prefix, 0), 0U) << line;
+      const std::string logged =
+          line.substr(prefix.size(), line.find(',') - prefix.size());
+      const std::string event = line.substr(named + 5, line.find('"', named) - named - 5);
+      EXPECT_EQ(logged, event) << line;
+    }
+    EXPECT_GT(alarms, 0U);
+  }
+  std::filesystem::remove(sink);
+}
+
 // ---- the one event loop (runtime/shard) ------------------------------------
 // Stub callbacks that do no device work: `arrive` queues request `id` on the
 // shard `place(id)` picks, as tenant `tenant(id)`; `dispatch` pops the head
@@ -477,8 +561,7 @@ struct StubLoop {
     config.admission.queue_capacity = 16;
     shards.reserve(devices);
     for (std::uint32_t d = 0; d < devices; ++d) {
-      shards.emplace_back(framework, config.faults, config, session, nullptr,
-                          DeviceHealthTracker(config.health));
+      shards.emplace_back(framework, config.faults, config, DeviceHealthTracker(config.health));
     }
   }
 
@@ -489,14 +572,14 @@ struct StubLoop {
         config, shards, first_id, batch_max, period,
         [&](std::uint64_t id, SimDuration at) {
           events.push_back("a" + std::to_string(id) + "@" + at_string(at));
-          EXPECT_FALSE(shards[place(id)].engine.admit({id, tenant(id), at, {}}).has_value());
+          EXPECT_FALSE(shards[place(id)].admit({id, tenant(id), at, {}}, session).has_value());
         },
         [&](std::size_t index, SimDuration at) {
           Shard& shard = shards[index];
           std::string served;
-          for (std::size_t k = shard.engine.head_run(batch_max); k > 0; --k) {
+          for (std::size_t k = shard.head_run(batch_max); k > 0; --k) {
             served += served.empty() ? "" : ",";
-            served += std::to_string(shard.engine.pop().id);
+            served += std::to_string(shard.pop().id);
           }
           events.push_back("d" + std::to_string(index) + "@" + at_string(at) + ":" + served);
           shard.free_at = at + service;
@@ -506,7 +589,7 @@ struct StubLoop {
 
   ServeConfig config;
   CoDesignFramework framework;
-  ServingSession session{config, 0, SimDuration()};
+  ServingSession session{config, 0};
   std::vector<Shard> shards;
   std::function<std::size_t(std::uint64_t)> place = [](std::uint64_t) { return std::size_t{0}; };
   std::function<std::uint32_t(std::uint64_t)> tenant = [](std::uint64_t) { return 0U; };
@@ -540,12 +623,13 @@ TEST(EventLoopTest, FullOrBlockedRunDispatchesAtFreeTimeOrHeadArrival) {
                                                    "a4@4", "d0@8:2,3", "d0@13:4"}));
   }
   {
-    // Another tenant queued behind the head stops its run from growing.
+    // Another tenant queued behind the head stops its run from growing, so
+    // it goes when that tenant's request arrives.
     StubLoop loop(1, 3);
     loop.config.fleet.batch_max_age = sec(10);
     loop.tenant = [](std::uint64_t id) { return static_cast<std::uint32_t>(id % 2); };
     EXPECT_EQ(loop.run(4, sec(1), sec(5)),
-              (Events{"a0@0", "a1@1", "d0@0:0", "a2@2", "d0@5:1", "d0@10:2"}));
+              (Events{"a0@0", "a1@1", "d0@1:0", "a2@2", "d0@6:1", "d0@11:2"}));
   }
   {
     // An idle device serves a full run at its head's arrival.
@@ -560,6 +644,16 @@ TEST(EventLoopTest, FullRunIsReadyAtItsNewestArrival) {
   StubLoop loop(1, 3);
   loop.config.fleet.batch_max_age = sec(10);
   EXPECT_EQ(loop.run(2, sec(1), sec(1)), (Events{"a0@0", "a1@1", "d0@1:0,1", "a2@2", "d0@2:2"}));
+}
+
+TEST(EventLoopTest, LastArrivalEndsAHold) {
+  // Request 0's run is held on shard 0 until request 1, the last, lands on
+  // shard 1 at 1: no arrival can join it after that, so both runs go at 1,
+  // not at their own arrivals, before the event that made them ready.
+  StubLoop loop(2, 2);
+  loop.config.fleet.batch_max_age = sec(10);
+  loop.place = [](std::uint64_t id) { return static_cast<std::size_t>(id); };
+  EXPECT_EQ(loop.run(4, sec(1), sec(5)), (Events{"a0@0", "a1@1", "d0@1:0", "d1@1:1"}));
 }
 
 TEST(EventLoopTest, EarliestReadyShardGoesFirstAndTheLowestIndexWinsATie) {
@@ -578,9 +672,9 @@ TEST(EventLoopTest, ClosedLoopOffersNothingWhileAQueueHoldsARequest) {
   // next arrival waits until both are served, and each later one arrives
   // when the device frees.
   StubLoop loop(1, 4);
-  ShardEngine& engine = loop.shards[0].engine;
-  engine.admit({0, 0, sec(0), {}});
-  engine.admit({1, 0, sec(0), {}});
+  Shard& shard = loop.shards[0];
+  shard.admit({0, 0, sec(0), {}}, loop.session);
+  shard.admit({1, 0, sec(0), {}}, loop.session);
   EXPECT_EQ(loop.run(1, SimDuration(), sec(3), 2),
             (Events{"d0@0:0", "d0@3:1", "a2@6", "d0@6:2", "a3@9", "d0@9:3"}));
 }
