@@ -457,8 +457,10 @@ class AlarmBank {
 };
 
 /// Everything the live monitor watches, with thresholds for the alarms.
-/// `window.span` of zero (with `ServingLoop`) means "auto-size from the
-/// first served chunk"; the monitor itself requires a positive span.
+/// In a `ServeConfig`, a zero `window.span`, `window.buckets` or
+/// `slo_latency` is resolved before the first arrival from the fault-free
+/// full-tier price (`runtime::resolve_monitor_config`); the monitor itself
+/// requires a positive span.
 struct MonitorConfig {
   std::uint32_t num_classes = 0;  ///< required: sizes the per-class counters
   WindowConfig window;

@@ -61,18 +61,6 @@ void RetryPolicy::validate() const {
             "per-sample deadline must be non-negative (0 disables the watchdog)");
 }
 
-ResilienceReport& ResilienceReport::operator+=(const ResilienceReport& other) {
-  device_stats += other.device_stats;
-  cpu_fallback_time += other.cpu_fallback_time;
-  tpu_samples += other.tpu_samples;
-  cpu_samples += other.cpu_samples;
-  shed_samples += other.shed_samples;
-  expired_samples += other.expired_samples;
-  degraded_samples += other.degraded_samples;
-  circuit_opened = circuit_opened || other.circuit_opened;
-  return *this;
-}
-
 ResilientExecutor::ResilientExecutor(tpu::EdgeTpuDevice* device, platform::CpuExecutor cpu,
                                      RetryPolicy policy)
     : device_(device), cpu_(std::move(cpu)), policy_(policy) {

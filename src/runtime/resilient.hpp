@@ -39,25 +39,19 @@ struct RetryPolicy {
   void validate() const;
 };
 
-/// What a resilient batch cost and where its samples actually ran. The
-/// shed/expired/degraded counters are filled by the serving layers above the
-/// executor (admission queue, degradation ladder); the executor itself only
-/// sets `expired_samples` for watchdog-abandoned retry sequences. The
-/// report forms a monoid under `operator+=`, so per-chunk reports fold into
-/// session totals.
+/// What one resilient batch cost and where its samples actually ran. The
+/// serving layers count shed, expired and degraded requests themselves, in
+/// each shard's `ShardCounters`; `expired_samples` here counts only the
+/// samples whose retry sequence the per-sample watchdog abandoned.
 struct ResilienceReport {
   tpu::ExecutionStats device_stats;  ///< all device-side work incl. failed attempts
   SimDuration cpu_fallback_time;     ///< host time for samples the CPU completed
   std::uint64_t tpu_samples = 0;
   std::uint64_t cpu_samples = 0;
-  std::uint64_t shed_samples = 0;      ///< dropped by admission control, never served
-  std::uint64_t expired_samples = 0;   ///< deadline exhausted (queue wait or watchdog)
-  std::uint64_t degraded_samples = 0;  ///< served on a degraded ladder tier
+  std::uint64_t expired_samples = 0;  ///< abandoned by the per-sample watchdog
   bool circuit_opened = false;
 
   SimDuration total() const { return device_stats.total() + cpu_fallback_time; }
-
-  ResilienceReport& operator+=(const ResilienceReport& other);
 };
 
 /// Appends one service's stage spans to a request's causal chain: the device

@@ -69,11 +69,6 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
             "fleet serving records no trace, metrics or profile (per-device trace "
             "tracks do not exist yet); use single-device serving for them");
 
-  // The fleet-wide session: model quality over outcomes/calibration only.
-  // Its dimension is 0: the served hidden layer never leaves the device.
-  // Every shard's records also go to the session's aggregate monitor.
-  ServingSession session(config, 0);
-  LazyMonitor& aggregate = session.aggregate.emplace();
   FleetResult result;
 
   // ---- shards: one full simulated accelerator per device -------------------
@@ -117,8 +112,27 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   // 0's interactive per-sample cost), exactly like single-device serving —
   // which is what makes "batched 4-device at load L" and "unbatched 1-device
   // at load L" the same offered stream.
-  const SimDuration period =
-      arrival_period(config, shards.front().endpoint, tenants.front().model);
+  const SimDuration nominal =
+      shards.front().endpoint.nominal_per_sample(tenants.front().model, ServeTier::kFull);
+  const SimDuration period = arrival_period(config, nominal);
+
+  // ---- telemetry: every monitor from one config, priced like the period ----
+  // The fleet-wide session: model quality over outcomes/calibration only.
+  // Its dimension is 0: the served hidden layer never leaves the device.
+  // Every shard's records also go to the session's aggregate monitor. Each
+  // tenant's model-quality instance shares the session's config and sees its
+  // own frozen model once (a frozen fleet never refreshes).
+  const obs::MonitorConfig monitor_config = resolve_monitor_config(config, nominal);
+  ServingSession session(config, monitor_config, 0);
+  obs::ServingMonitor& aggregate = session.aggregate.emplace(monitor_config);
+  for (Shard& shard : shards) {
+    shard.monitor.emplace(monitor_config);
+  }
+  std::vector<obs::ModelQualityStats> tenant_stats;
+  tenant_stats.reserve(fleet.num_tenants);
+  for (const Tenant& tenant : tenants) {
+    tenant_stats.emplace_back(session.model.config()).observe_model(tenant.classes);
+  }
 
   // Zipf(skew) tenant popularity; skew 0 degenerates to uniform.
   std::vector<double> tenant_cdf(fleet.num_tenants);
@@ -139,21 +153,17 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
 
   const std::uint64_t total_offered = config.serve_chunks;
   std::vector<std::vector<std::uint32_t>> preds(total_offered);
-  // One full model-quality instance per tenant, sized with the session.
-  std::vector<std::optional<obs::ModelQualityStats>> tenant_stats(fleet.num_tenants);
 
   // Energy: plain integer picojoule ledgers per shard and per tenant beside
-  // the session's accountant. The ledgers fold the *same* deterministic
-  // `attribute_energy` atoms the accountant records, so they sum
-  // bit-exactly to the fleet total on every outcome path.
+  // the session's accountant. The ledgers fold the atoms the accountant
+  // priced each request at, so they sum bit-exactly to the fleet total on
+  // every outcome path.
   std::vector<std::int64_t> tenant_energy(fleet.num_tenants, 0);
   const auto finish = [&](std::size_t shard, std::uint32_t tenant_index, obs::RequestTrace&& rt,
                           std::optional<obs::ExemplarReason> reason) {
-    const std::int64_t pj =
-        obs::attribute_energy(rt.attribution, config.energy.profile).total_pj();
+    const std::int64_t pj = session.finish(std::move(rt), reason).total_pj();
     result.shards[shard].energy_pj += pj;
     tenant_energy[tenant_index] += pj;
-    session.finish(std::move(rt), reason);
   };
 
   // ---- placement -----------------------------------------------------------
@@ -211,19 +221,10 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
     }
     return upload;
   };
-  // Each tenant instance shares the session's config (resolved window,
-  // dimension 0) and sees its own frozen model once (frozen fleet = one
-  // observe_model each, no refreshes).
-  hooks.sized = [&] {
-    for (std::uint32_t t = 0; t < fleet.num_tenants; ++t) {
-      tenant_stats[t].emplace(session.model->config());
-      tenant_stats[t]->observe_model(tenants[t].classes);
-    }
-  };
   // The aggregate and the tenant's instance record the same sample.
   hooks.sample = [&](const QueuedRequest& req, std::size_t,
                      const obs::ModelQualityStats::Sample& sample) {
-    tenant_stats[req.tenant]->record(sample);
+    tenant_stats[req.tenant].record(sample);
     preds[req.id].push_back(sample.predicted);
   };
   hooks.finish = finish;
@@ -256,12 +257,6 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   run_event_loop(config, shards, 0, fleet.batch_max_chunks, period, arrive, dispatch);
 
   // ---- finalize ------------------------------------------------------------
-  // A shard (or the whole session) that never served a batch takes the
-  // fallback sizing.
-  for (Shard& shard : shards) {
-    session.size(shard.monitor, SimDuration(), 0, hooks.sized);
-  }
-
   // A shard's last batch ends when the device is next free.
   SimDuration t_end;
   for (const Shard& shard : shards) {
@@ -312,15 +307,15 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   result.mean_batch_chunks = ratio(result.served_requests, result.batches);
   result.lifetime_accuracy = ratio(correct_total, result.samples_served);
 
-  result.fleet_snapshot = aggregate->snapshot(t_end);
-  result.events = aggregate->alarms().events();
+  result.fleet_snapshot = aggregate.snapshot(t_end);
+  result.events = aggregate.alarms().events();
 
-  result.fleet_model = session.model->snapshot(t_end);
-  result.model_events = session.model->alarms().events();
+  result.fleet_model = session.model.snapshot(t_end);
+  result.model_events = session.model.alarms().events();
   result.tenant_models.reserve(fleet.num_tenants);
   std::uint64_t tenant_sample_sum = 0;
   for (std::uint32_t t = 0; t < fleet.num_tenants; ++t) {
-    result.tenant_models.push_back(tenant_stats[t]->snapshot(t_end));
+    result.tenant_models.push_back(tenant_stats[t].snapshot(t_end));
     tenant_sample_sum += result.tenant_models.back().samples_total;
   }
   HDC_CHECK(result.fleet_model.samples_total == result.samples_served,
@@ -328,8 +323,8 @@ FleetResult serve_fleet(const CoDesignFramework& framework, const ServeConfig& c
   HDC_CHECK(tenant_sample_sum == result.samples_served,
             "model-quality conservation violated: tenant samples don't sum to served");
 
-  result.fleet_energy = session.energy->snapshot(t_end);
-  result.energy_events = session.energy->alarms().events();
+  result.fleet_energy = session.energy.snapshot(t_end);
+  result.energy_events = session.energy.alarms().events();
   result.tenant_energy_pj = std::move(tenant_energy);
   const std::int64_t tenant_energy_sum = std::accumulate(
       result.tenant_energy_pj.begin(), result.tenant_energy_pj.end(), std::int64_t{0});

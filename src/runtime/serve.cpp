@@ -62,9 +62,9 @@ struct SavedState {
   const std::deque<QueuedRequest>& queue;
   const ServeResult& result;
   const ShardCounters& counters;
-  const std::optional<obs::ServingMonitor>& monitor;
-  const std::optional<obs::ModelQualityStats>& model_stats;
-  const std::optional<obs::EnergyAccountant>& energy;
+  const obs::ServingMonitor& monitor;
+  const obs::ModelQualityStats& model_stats;
+  const obs::EnergyAccountant& energy;
 };
 
 /// The configuration fields a checkpoint is bound to, in wire order: each is
@@ -190,9 +190,17 @@ void checkpoint_fields(State& s, Io& io, const ServeConfig* config) {
     io.duration(stage);
   }
   io.pod(s.result.requests_traced);
-  io.maybe(s.monitor);
-  io.maybe(s.model_stats);
-  io.maybe(s.energy);
+  // Each telemetry section keeps its u8 presence flag, always 1: a session
+  // builds all three before its first arrival.
+  const auto section = [&io](auto& value) {
+    bool present = true;
+    io.flag(present);
+    HDC_CHECK(present, "serve checkpoint carries no telemetry state");
+    io.object(value);
+  };
+  section(s.monitor);
+  section(s.model_stats);
+  section(s.energy);
 }
 
 /// Parses an HDSV checkpoint. Strict mode (config != nullptr, the resume
@@ -212,9 +220,6 @@ ServeCheckpoint read_checkpoint(const std::string& path, const ServeConfig* conf
                   (i == 0 || state.queue[i].id > state.queue[i - 1].id),
               "serve checkpoint queue index out of range or order");
   }
-  HDC_CHECK(state.monitor.has_value() == state.model_stats.has_value() &&
-                state.monitor.has_value() == state.energy.has_value(),
-            "serve checkpoint carries only part of its telemetry state");
   return state;
 }
 
@@ -319,14 +324,6 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
                                                  ? std::move(*restored->deployed_reduced)
                                                  : reduced_learner.freeze();
 
-  // The session's monitor, model-quality stats and energy accountant are
-  // sized after the first served chunk (window span and SLO target derive
-  // from its simulated timings, so they stay deterministic). A resumed
-  // session adopts the interrupted run's telemetry exactly as checkpointed —
-  // windows, EWMAs, alarm edge states, event history, quarantine gate — so
-  // subsequent alarm lines and snapshots are byte-identical to the
-  // uninterrupted run's.
-  ServingSession session(config, config.learner.dim);
   Shard shard(framework, config.faults, config,
               fresh ? DeviceHealthTracker(config.health) : std::move(restored->health));
   ServingEndpoint& endpoint = shard.endpoint;
@@ -334,6 +331,22 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   SimDuration& now = shard.free_at;
   endpoint.deploy(ServeTier::kFull, deployed_full, representative);
   endpoint.deploy(ServeTier::kReduced, deployed_reduced, representative);
+
+  // The monitor, model-quality stats and energy accountant are built here,
+  // their auto window and SLO priced, like the arrival period, off the
+  // deployed full-tier model. A resumed session adopts the interrupted run's
+  // telemetry exactly as checkpointed — windows, EWMAs, alarm edge states,
+  // event history, quarantine gate — so subsequent alarm lines and snapshots
+  // are byte-identical to the uninterrupted run's.
+  const SimDuration nominal =
+      endpoint.nominal_per_sample(endpoint.model(ServeTier::kFull), ServeTier::kFull);
+  const obs::MonitorConfig monitor_config = resolve_monitor_config(config, nominal);
+  ServingSession session(config, monitor_config, config.learner.dim);
+  if (fresh) {
+    shard.monitor.emplace(monitor_config);
+    // The model-quality stats see the classifier deployed on the endpoint.
+    session.model.observe_model(deployed_full.model.class_hypervectors());
+  }
 
   ServeResult result = fresh ? ServeResult() : std::move(restored->result);
   if (fresh) {
@@ -356,11 +369,9 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     shard.counters = restored->counters;
     session.attribution_total = result.attribution_total;
     session.requests_traced = result.requests_traced;
-    if (restored->monitor.has_value()) {
-      shard.monitor.restore(std::move(*restored->monitor));
-      session.model.emplace(std::move(*restored->model_stats));
-      session.energy.emplace(std::move(*restored->energy));
-    }
+    shard.monitor = std::move(restored->monitor);
+    session.model = std::move(*restored->model_stats);
+    session.energy = std::move(*restored->energy);
     // Replay the offered chunks the interrupted session already generated:
     // the stream is deterministic, so the queued chunks' data is re-derived
     // by index (shed/served chunks are consumed and discarded).
@@ -378,8 +389,8 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   /// they all ride inside the one hdc-monitor-v1 document.
   const auto take_snapshot = [&](SimDuration at) {
     obs::MonitorSnapshot snap = shard.monitor->snapshot(at);
-    const obs::ModelStatsSnapshot ms = session.model->snapshot(at);
-    const obs::EnergySnapshot es = session.energy->snapshot(at);
+    const obs::ModelStatsSnapshot ms = session.model.snapshot(at);
+    const obs::EnergySnapshot es = session.energy.snapshot(at);
     splice_sections(snap, ms, ms.to_json(), es, es.to_json());
     return snap;
   };
@@ -418,7 +429,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
                            shard.queue,
                            result,
                            shard.counters,
-                           shard.monitor.state(),
+                           *shard.monitor,
                            session.model,
                            session.energy};
     return seal(kServeMagic, kServeVersion, [&](ByteWriter& w) {
@@ -444,8 +455,6 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
     endpoint.activate(tier);
     return SimDuration();
   };
-  // The model-quality stats see the classifier deployed on the endpoint.
-  hooks.sized = [&] { session.model->observe_model(deployed_full.model.class_hypervectors()); };
   hooks.sample = [&](const QueuedRequest& req, std::size_t j,
                      const obs::ModelQualityStats::Sample& sample) {
     if (j == 0) {
@@ -455,7 +464,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
                             : tensor::MatrixF();
       host_errors = 0;
     }
-    session.model->record_dimensions(sample.at, sample.label, encoded.row(j));
+    session.model.record_dimensions(sample.at, sample.label, encoded.row(j));
     if (config.online_updates) {
       if (learner.learn_encoded(encoded.row(j), sample.label) != sample.label) {
         ++host_errors;
@@ -510,7 +519,7 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
                 "model refresh changed the full-tier class count mid-stream");
       HDC_CHECK(deployed_reduced.num_classes() == spec.classes,
                 "model refresh changed the reduced-tier class count mid-stream");
-      session.model->observe_model(deployed_full.model.class_hypervectors());
+      session.model.observe_model(deployed_full.model.class_hypervectors());
       endpoint.deploy(ServeTier::kFull, deployed_full, representative);
       endpoint.deploy(ServeTier::kReduced, deployed_reduced, representative);
     }
@@ -568,20 +577,15 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
   };
 
   // One request per dispatch: a batch is one request here.
-  run_event_loop(config, {&shard, 1}, next_arrival, 1,
-                 arrival_period(config, endpoint, endpoint.model(ServeTier::kFull)), arrive,
+  run_event_loop(config, {&shard, 1}, next_arrival, 1, arrival_period(config, nominal), arrive,
                  dispatch);
-
-  // A degenerate session shed or expired every chunk before serving one, so
-  // the telemetry never saw a chunk timing and takes the fallback sizing.
-  session.size(shard.monitor, SimDuration(), 0, hooks.sized);
 
   result.final_snapshot = take_snapshot(now);
   result.events = shard.monitor->alarms().events();
-  result.final_model = session.model->snapshot(now);
-  result.model_events = session.model->alarms().events();
-  result.final_energy = session.energy->snapshot(now);
-  result.energy_events = session.energy->alarms().events();
+  result.final_model = session.model.snapshot(now);
+  result.model_events = session.model.alarms().events();
+  result.final_energy = session.energy.snapshot(now);
+  result.energy_events = session.energy.alarms().events();
   result.t_end = now;
   // Lifetime totals come from the serve accumulators; the monitor (restored
   // warm from the checkpoint since HDSV v3) agrees, but the accumulators are
@@ -643,12 +647,8 @@ namespace {
 template <typename Section>
 std::string checkpoint_section_json(const std::string& path,
                                     std::optional<Section> ServeCheckpoint::*member,
-                                    const char* what, const char* schema, const char* key) {
+                                    const char* schema, const char* key) {
   ServeCheckpoint state = read_checkpoint(path, nullptr);
-  std::optional<Section>& section = state.*member;
-  HDC_CHECK(section.has_value(),
-            "checkpoint '" + path + "' carries no " + what +
-                " state (the interrupted run never served a chunk)");
   std::string out = std::string("{\"schema\":\"") + schema + "\",\"t_s\":";
   obs::detail::append_json_number(out, state.now.to_seconds());
   out += ",\"lifetime\":{\"samples\":";
@@ -656,7 +656,7 @@ std::string checkpoint_section_json(const std::string& path,
   out += "},\"";
   out += key;
   out += "\":";
-  out += section->snapshot(state.now).to_json();
+  out += (state.*member)->snapshot(state.now).to_json();
   out += "}";
   return out;
 }
@@ -668,13 +668,13 @@ ServeCheckpoint verify_checkpoint(const std::string& path, const ServeConfig& co
 }
 
 std::string checkpoint_model_stats_json(const std::string& path) {
-  return checkpoint_section_json(path, &ServeCheckpoint::model_stats, "model-quality",
-                                 "hdc-modelstats-v1", "model");
+  return checkpoint_section_json(path, &ServeCheckpoint::model_stats, "hdc-modelstats-v1",
+                                 "model");
 }
 
 std::string checkpoint_energy_json(const std::string& path) {
-  return checkpoint_section_json(path, &ServeCheckpoint::energy, "energy",
-                                 "hdc-energystats-v1", "energy");
+  return checkpoint_section_json(path, &ServeCheckpoint::energy, "hdc-energystats-v1",
+                                 "energy");
 }
 
 }  // namespace hdc::runtime

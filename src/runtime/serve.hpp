@@ -126,11 +126,14 @@ struct ServeConfig {
   /// run that was never interrupted. Empty = start fresh.
   std::string resume_from;
 
-  /// Monitor thresholds/window. `monitor.num_classes` is filled from the
-  /// stream spec; `monitor.window.span == 0` auto-sizes the window to 4x the
-  /// first served chunk's simulated duration, and `monitor.slo_latency == 0`
-  /// auto-targets 1.5x the first chunk's per-sample latency — both derived
-  /// from simulated values, so they stay deterministic.
+  /// Monitor thresholds/window, shared by every serving monitor of a
+  /// session. `monitor.num_classes` is filled from the stream spec. Before
+  /// the first arrival, `monitor.window.span == 0` auto-sizes the window to
+  /// 4x a chunk at the fault-free full-tier per-sample price
+  /// (`ServingEndpoint::nominal_per_sample`, the fleet's tenant 0 on device
+  /// 0), `window.buckets == 0` takes 16, and `monitor.slo_latency == 0`
+  /// auto-targets 1.5x that price: the price the open-loop arrival period
+  /// uses, so sizing never depends on what was served.
   obs::MonitorConfig monitor;
 
   /// Model-quality monitor thresholds/bins (obs/model_stats.hpp). The serve
@@ -321,8 +324,9 @@ struct ServeCheckpoint {
   /// single-device serving reports degraded samples only).
   ShardCounters counters;
   /// The serving monitor, model-quality stats and energy accountant exactly
-  /// as they were at checkpoint time. All three or none: they are sized
-  /// together at the first served chunk.
+  /// as they were at checkpoint time. A session builds all three before its
+  /// first arrival, so a checkpoint always carries them; each keeps a u8
+  /// presence flag on the wire, always 1, and reading rejects a 0.
   std::optional<obs::ServingMonitor> monitor;
   std::optional<obs::ModelQualityStats> model_stats;
   std::optional<obs::EnergyAccountant> energy;

@@ -16,27 +16,23 @@ namespace hdc::runtime {
 
 namespace {
 
-/// The monitor config with its auto fields resolved from the first served
-/// batch (`batch_total` over `batch_samples` samples): window span 4x the
-/// batch, 16 buckets, SLO 1.5x its per-sample time; 1 ms, 16 buckets and
-/// 100 us when nothing was served (`batch_samples == 0`).
-obs::MonitorConfig resolve_monitor_config(const ServeConfig& config, SimDuration batch_total,
-                                          std::uint64_t batch_samples) {
-  obs::MonitorConfig mc = config.monitor;
-  mc.num_classes = config.stream.spec.classes;
-  if (mc.window.span.is_zero()) {
-    mc.window.span = batch_samples == 0 ? SimDuration::millis(1) : batch_total * 4.0;
-  }
-  if (mc.window.buckets == 0) {
-    mc.window.buckets = 16;
-  }
-  if (mc.slo_latency.is_zero()) {
-    mc.slo_latency =
-        batch_samples == 0
-            ? SimDuration::micros(100)
-            : batch_total * (1.0 / static_cast<double>(batch_samples)) * 1.5;
-  }
-  return mc;
+/// The model-quality stats config: the stream's classes, encoder dimension
+/// `model_dim`, and the resolved monitor window.
+obs::ModelStatsConfig model_stats_config(const ServeConfig& config,
+                                         const obs::MonitorConfig& monitor,
+                                         std::uint32_t model_dim) {
+  obs::ModelStatsConfig msc = config.model_stats;
+  msc.num_classes = config.stream.spec.classes;
+  msc.dim = model_dim;
+  msc.window = monitor.window;
+  return msc;
+}
+
+/// The energy accountant config on the resolved monitor window.
+obs::EnergyConfig energy_config(const ServeConfig& config, const obs::MonitorConfig& monitor) {
+  obs::EnergyConfig ec = config.energy;
+  ec.window = monitor.window;
+  return ec;
 }
 
 /// Any retry, host-fallback sample or circuit trip marks a batch faulty.
@@ -70,7 +66,7 @@ obs::RequestTrace begin_trace(const QueuedRequest& req, SimDuration free_before,
 /// the session's aggregate, if any.
 template <typename Fn>
 void feed_monitors(Shard& shard, ServingSession& session, Fn&& fn) {
-  fn(shard.monitor);
+  fn(*shard.monitor);
   if (session.aggregate.has_value()) {
     fn(*session.aggregate);
   }
@@ -79,8 +75,9 @@ void feed_monitors(Shard& shard, ServingSession& session, Fn&& fn) {
 void record_admission(Shard& shard, ServingSession& session, SimDuration at,
                       std::uint64_t offered, std::uint64_t shed, std::uint64_t expired,
                       std::uint64_t degraded) {
-  feed_monitors(shard, session, [&](LazyMonitor& m) {
-    m.record_admission(session.clock, at, offered, shed, expired, degraded);
+  session.clock.set(at);
+  feed_monitors(shard, session, [&](obs::ServingMonitor& m) {
+    m.record_admission(at, offered, shed, expired, degraded);
   });
 }
 
@@ -115,7 +112,7 @@ obs::ModelQualityStats::Sample record_sample(Shard& shard, ServingSession& sessi
   shard.counters.correct_samples += sample.correct ? 1 : 0;
   sample.margin = top1 - top2;
   session.clock.set(at);
-  feed_monitors(shard, session, [&](LazyMonitor& m) { m->record(sample); });
+  feed_monitors(shard, session, [&](obs::ServingMonitor& m) { m.record(sample); });
   // Served samples only: shed and expired requests never get here, so
   // confusion row sums stay exactly equal to per-class served counts.
   obs::ModelQualityStats::Sample msample;
@@ -124,7 +121,7 @@ obs::ModelQualityStats::Sample record_sample(Shard& shard, ServingSession& sessi
   msample.label = label;
   msample.top1 = top1;
   msample.request_id = static_cast<std::int64_t>(request_id);
-  session.model->record(msample);
+  session.model.record(msample);
   return msample;
 }
 
@@ -179,67 +176,32 @@ void splice_sections(obs::MonitorSnapshot& snap, const obs::ModelStatsSnapshot& 
   snap.energy_prometheus = energy.to_prometheus();
 }
 
-// ---- LazyMonitor -------------------------------------------------------------
-
-void LazyMonitor::init(const obs::MonitorConfig& config, LogClock& clock) {
-  monitor_.emplace(config);
-  for (const AdmissionRecord& rec : pending_) {
-    clock.set(rec.at);
-    monitor_->record_admission(rec.at, rec.offered, rec.shed, rec.expired, rec.degraded);
+obs::MonitorConfig resolve_monitor_config(const ServeConfig& config, SimDuration nominal) {
+  obs::MonitorConfig mc = config.monitor;
+  mc.num_classes = config.stream.spec.classes;
+  if (mc.window.span.is_zero()) {
+    mc.window.span = nominal * (4.0 * static_cast<double>(config.stream.chunk_size));
   }
-  pending_.clear();
-}
-
-void LazyMonitor::record_admission(LogClock& clock, SimDuration at, std::uint64_t offered,
-                                   std::uint64_t shed, std::uint64_t expired,
-                                   std::uint64_t degraded) {
-  if (monitor_.has_value()) {
-    clock.set(at);
-    monitor_->record_admission(at, offered, shed, expired, degraded);
-  } else {
-    pending_.push_back({at, offered, shed, expired, degraded});
+  if (mc.window.buckets == 0) {
+    mc.window.buckets = 16;
   }
+  if (mc.slo_latency.is_zero()) {
+    mc.slo_latency = nominal * 1.5;
+  }
+  return mc;
 }
 
 // ---- ServingSession ----------------------------------------------------------
 
-ServingSession::ServingSession(const ServeConfig& config, std::uint32_t model_dim)
-    : exemplars(config.exemplars), config_(config), model_dim_(model_dim) {}
+ServingSession::ServingSession(const ServeConfig& config, const obs::MonitorConfig& monitor,
+                               std::uint32_t model_dim)
+    : model(model_stats_config(config, monitor, model_dim)),
+      energy(energy_config(config, monitor)),
+      exemplars(config.exemplars),
+      config_(config) {}
 
-void ServingSession::size(LazyMonitor& monitor, SimDuration batch_total,
-                          std::uint64_t batch_samples, const std::function<void()>& sized) {
-  const obs::MonitorConfig mc = resolve_monitor_config(config_, batch_total, batch_samples);
-  // Replayed records log at their own times; the clock then resumes.
-  const SimDuration resume = clock.now();
-  for (LazyMonitor* m : {&monitor, aggregate.has_value() ? &*aggregate : nullptr}) {
-    if (m != nullptr && !m->ready()) {
-      m->init(mc, clock);
-    }
-  }
-  const bool sizing = !ready();
-  if (sizing) {
-    obs::ModelStatsConfig msc = config_.model_stats;
-    msc.num_classes = config_.stream.spec.classes;
-    msc.dim = model_dim_;
-    msc.window = mc.window;
-    model.emplace(msc);
-    obs::EnergyConfig ec = config_.energy;
-    ec.window = mc.window;
-    energy.emplace(ec);
-    for (const obs::EnergyAccountant::Request& req : pending_energy_) {
-      clock.set(req.at);
-      energy->record(req);
-    }
-    pending_energy_.clear();
-  }
-  clock.set(resume);
-  if (sizing) {
-    sized();
-  }
-}
-
-void ServingSession::finish(obs::RequestTrace&& rt,
-                            std::optional<obs::ExemplarReason> reason) {
+obs::RequestEnergy ServingSession::finish(obs::RequestTrace&& rt,
+                                          std::optional<obs::ExemplarReason> reason) {
   attribution_total += rt.attribution;
   ++requests_traced;
   // Energy rides the finalised attribution on every outcome path: shed and
@@ -251,15 +213,12 @@ void ServingSession::finish(obs::RequestTrace&& rt,
   ereq.samples = rt.outcome == obs::RequestOutcome::kServed ? rt.samples : 0;
   ereq.degraded = rt.tier != 0;
   ereq.request_id = static_cast<std::int64_t>(rt.request_id);
-  if (energy.has_value()) {
-    energy->record(ereq);
-  } else {
-    pending_energy_.push_back(ereq);
-  }
+  const obs::RequestEnergy priced = energy.record(ereq);
   if (reason.has_value()) {
     exemplars.offer(*reason, rt);
   }
   requests.push_back(std::move(rt));
+  return priced;
 }
 
 void ServingSession::write_exemplars() const {
@@ -305,12 +264,11 @@ std::size_t Shard::head_run(std::uint32_t batch_max) const {
 
 // ---- the event loop ----------------------------------------------------------
 
-SimDuration arrival_period(const ServeConfig& config, const ServingEndpoint& endpoint,
-                           const ServingEndpoint::Model& model) {
+SimDuration arrival_period(const ServeConfig& config, SimDuration nominal) {
   if (config.admission.offered_load <= 0.0) {
     return SimDuration();
   }
-  return endpoint.nominal_per_sample(model, ServeTier::kFull) *
+  return nominal *
          (static_cast<double>(config.stream.chunk_size) / config.admission.offered_load);
 }
 
@@ -393,23 +351,18 @@ std::optional<ServedBatch> serve_batch(ServingSession& session, std::span<Shard>
   }
 
   // The shard's monitor follows its own health; the session-wide telemetry
-  // is quarantined while every shard is. Nothing before the session is sized.
+  // is quarantined while every shard is.
   const auto sync_quarantine = [&](SimDuration t) {
-    if (!session.ready()) {
-      return;
-    }
     const bool all_quarantined = std::all_of(shards.begin(), shards.end(), [](const Shard& s) {
       return s.health.state() == DeviceHealth::kQuarantined;
     });
     session.clock.set(t);
-    if (shard.monitor.ready()) {
-      shard.monitor->set_quarantined(shard.health.state() == DeviceHealth::kQuarantined, t);
-    }
+    shard.monitor->set_quarantined(shard.health.state() == DeviceHealth::kQuarantined, t);
     if (session.aggregate.has_value()) {
-      (*session.aggregate)->set_quarantined(all_quarantined, t);
+      session.aggregate->set_quarantined(all_quarantined, t);
     }
-    session.model->set_quarantined(all_quarantined, t);
-    session.energy->set_quarantined(all_quarantined, t);
+    session.model.set_quarantined(all_quarantined, t);
+    session.energy.set_quarantined(all_quarantined, t);
   };
 
   const AdmissionConfig& admission = session.config().admission;
@@ -492,7 +445,6 @@ std::optional<ServedBatch> serve_batch(ServingSession& session, std::span<Shard>
   if (tier != ServeTier::kHost) {
     shard.health.on_batch(service_end, faulty, report.circuit_opened);
   }
-  session.size(shard.monitor, upload + outcome.total, samples, hooks.sized);
   sync_quarantine(service_end);
 
   // Completion times spread evenly over the service; latency runs from
@@ -515,9 +467,9 @@ std::optional<ServedBatch> serve_batch(ServingSession& session, std::span<Shard>
   // The batch's transport and admission records come before its members
   // finish.
   session.clock.set(service_end);
-  feed_monitors(shard, session, [&](LazyMonitor& m) {
-    m->record_transport(service_end, samples, report.cpu_samples,
-                        report.device_stats.invoke_retries);
+  feed_monitors(shard, session, [&](obs::ServingMonitor& m) {
+    m.record_transport(service_end, samples, report.cpu_samples,
+                       report.device_stats.invoke_retries);
   });
   record_admission(shard, session, service_end, samples, 0, 0,
                    tier != ServeTier::kFull ? samples : 0);
@@ -550,8 +502,9 @@ std::optional<ServedBatch> serve_batch(ServingSession& session, std::span<Shard>
       ++shard.counters.degraded_requests;
       shard.counters.degraded_samples += rt.samples;
     }
-    feed_monitors(shard, session,
-                  [&](LazyMonitor& m) { m->record_attribution(shard.free_at, rt.attribution); });
+    feed_monitors(shard, session, [&](obs::ServingMonitor& m) {
+      m.record_attribution(shard.free_at, rt.attribution);
+    });
     // Tail-based retention: keep the full chain only when the request left
     // the full tier (or spilled samples to the host) or its per-sample
     // latency reaches the windowed p99 at its own completion time. The

@@ -9,12 +9,15 @@
 // device: its endpoint, its bounded request queue and shedding decision, its
 // health state, its counters, the monitor its requests' records go to, and
 // the time the device is next free. The `ServingSession` around the shards
-// owns what spans them: the lazily sized model-quality and energy telemetry,
-// the fleet's aggregate monitor, the exemplar store, request finalisation
-// and the log clock. Each loop keeps only what is its own, handed to the
-// body as `BatchHooks`, and its arrivals: the single-device loop its online
-// learners, uncharged tier switches, three-tier ladder and checkpoints; the
-// fleet its tenants, placement, charged swaps and energy ledgers.
+// owns what spans them: the model-quality and energy telemetry, the fleet's
+// aggregate monitor, the exemplar store, request finalisation and the log
+// clock. Every monitor, the session's and each shard's, is built in setup,
+// before the first arrival, from one monitor config whose auto fields come
+// from the full-tier model's fault-free price. Each loop keeps only what is
+// its own, handed to the body as `BatchHooks`, and its arrivals: the
+// single-device loop its online learners, uncharged tier switches,
+// three-tier ladder and checkpoints; the fleet its tenants, placement,
+// charged swaps and energy ledgers.
 
 #include <cstdint>
 #include <deque>
@@ -74,64 +77,37 @@ void splice_sections(obs::MonitorSnapshot& snap, const obs::ModelStatsSnapshot& 
                      std::string model_json, const obs::EnergySnapshot& energy,
                      std::string energy_json);
 
-/// A `ServingMonitor` sized lazily from the first served batch. Admission
-/// records that arrive earlier are buffered and replayed in order, each
-/// logging at its own time.
-class LazyMonitor {
- public:
-  bool ready() const { return monitor_.has_value(); }
-  obs::ServingMonitor* operator->() { return &*monitor_; }
-  /// The monitor once built (checkpoints save it as it stands).
-  const std::optional<obs::ServingMonitor>& state() const { return monitor_; }
+/// The monitor config every serving monitor of a session shares, with its
+/// auto fields resolved from `nominal`, the fault-free full-tier per-sample
+/// price (`ServingEndpoint::nominal_per_sample`, which `arrival_period`
+/// takes too): window span 4x a chunk at that price, 16 buckets, SLO 1.5x it.
+obs::MonitorConfig resolve_monitor_config(const ServeConfig& config, SimDuration nominal);
 
-  void init(const obs::MonitorConfig& config, LogClock& clock);
-  /// Adopts a monitor restored from a checkpoint, exactly as it was.
-  void restore(obs::ServingMonitor&& monitor) { monitor_.emplace(std::move(monitor)); }
-  void record_admission(LogClock& clock, SimDuration at, std::uint64_t offered,
-                        std::uint64_t shed, std::uint64_t expired, std::uint64_t degraded);
-
- private:
-  struct AdmissionRecord {
-    SimDuration at;
-    std::uint64_t offered = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t expired = 0;
-    std::uint64_t degraded = 0;
-  };
-  std::optional<obs::ServingMonitor> monitor_;
-  std::vector<AdmissionRecord> pending_;
-};
-
-/// Session-wide telemetry and request finalisation. The model-quality stats
-/// and the energy accountant share the first sized monitor's resolved
-/// window; energy requests finished before they exist are buffered and
-/// replayed, each logging at its own time.
+/// Session-wide telemetry and request finalisation, all built before the
+/// first arrival. The model-quality stats and the energy accountant share
+/// the window of the session's resolved monitor config.
 class ServingSession {
  public:
-  /// `model_dim` is the encoder dimension the model-quality stats track per
-  /// dimension (0 when requests come from different encoders).
-  ServingSession(const ServeConfig& config, std::uint32_t model_dim);
+  /// `monitor` is the resolved monitor config; `model_dim` is the encoder
+  /// dimension the model-quality stats track per dimension (0 when requests
+  /// come from different encoders).
+  ServingSession(const ServeConfig& config, const obs::MonitorConfig& monitor,
+                 std::uint32_t model_dim);
 
   const ServeConfig& config() const { return config_; }
-  bool ready() const { return model.has_value(); }
-  /// Sizes a shard's `monitor` and the aggregate, when unsized, and the
-  /// session with them, off a served batch (`batch_total` over
-  /// `batch_samples` samples; a fallback when `batch_samples` is 0). Calls
-  /// `sized` when this call sized the session.
-  void size(LazyMonitor& monitor, SimDuration batch_total, std::uint64_t batch_samples,
-            const std::function<void()>& sized);
   /// Folds a finalised request into the attribution totals and the energy
   /// accountant, offers it as an exemplar when `reason` is set, and keeps it.
-  void finish(obs::RequestTrace&& rt, std::optional<obs::ExemplarReason> reason);
+  /// Returns the request's priced energy.
+  obs::RequestEnergy finish(obs::RequestTrace&& rt, std::optional<obs::ExemplarReason> reason);
   /// Writes the retained exemplars to `exemplar_output_path`, if any.
   void write_exemplars() const;
 
   LogClock clock;
   /// The fleet's aggregate monitor, which every shard's records also go to,
   /// after the shard's own. Only fleet sessions have one.
-  std::optional<LazyMonitor> aggregate;
-  std::optional<obs::ModelQualityStats> model;
-  std::optional<obs::EnergyAccountant> energy;
+  std::optional<obs::ServingMonitor> aggregate;
+  obs::ModelQualityStats model;
+  obs::EnergyAccountant energy;
   obs::ExemplarStore exemplars;
   obs::RequestAttribution attribution_total;
   std::uint64_t requests_traced = 0;
@@ -139,8 +115,6 @@ class ServingSession {
 
  private:
   const ServeConfig& config_;
-  std::uint32_t model_dim_;
-  std::vector<obs::EnergyAccountant::Request> pending_energy_;
 };
 
 /// One offered request: a chunk of a tenant's stream (tenant 0 on a single
@@ -161,8 +135,9 @@ struct ShedRequest {
 
 /// One device behind a serving loop: its endpoint (a full simulated
 /// accelerator with its own fault stream), its bounded request queue, its
-/// health state and counters, its own monitor, and the simulated time the
-/// device is next free. The counters are the source of both loops' totals.
+/// health state and counters, its own monitor (set up, off the endpoint's
+/// price, before the first arrival), and the simulated time the device is
+/// next free. The counters are the source of both loops' totals.
 /// The records a dispatched batch leaves are made by the per-batch body only
 /// (`serve_batch`).
 struct Shard {
@@ -189,16 +164,15 @@ struct Shard {
   std::uint64_t queued_samples = 0;
   DeviceHealthTracker health;
   ShardCounters counters;
-  LazyMonitor monitor;
+  std::optional<obs::ServingMonitor> monitor;
   SimDuration free_at;
 };
 
 /// The open-loop arrival period. Offered load is a multiple of the full-tier
 /// service rate: load L means chunks arrive L times faster than the
-/// fault-free `model` serves them on `endpoint`. Zero for the closed loop
-/// (`admission.offered_load == 0`).
-SimDuration arrival_period(const ServeConfig& config, const ServingEndpoint& endpoint,
-                           const ServingEndpoint::Model& model);
+/// fault-free full-tier model serves them at `nominal` per sample. Zero for
+/// the closed loop (`admission.offered_load == 0`).
+SimDuration arrival_period(const ServeConfig& config, SimDuration nominal);
 
 /// Offers request `id` at simulated time `at`.
 using ArriveFn = std::function<void(std::uint64_t id, SimDuration at)>;
@@ -237,8 +211,6 @@ struct BatchHooks {
   std::function<SimDuration(std::size_t shard, const ServingEndpoint::Model& model,
                             ServeTier tier, SimDuration at)>
       load;
-  /// Runs once, when the session's telemetry is sized.
-  std::function<void()> sized;
   /// Runs after each served sample's records: sample `j` of `req`, with its
   /// model-quality record.
   std::function<void(const QueuedRequest& req, std::size_t j,
@@ -276,9 +248,8 @@ struct ServedBatch {
 ///   batch: a lone member from its own features, the interactive invoke at a
 ///   batch cap of 1 and the pipelined one above it. The oldest member's
 ///   budget bounds the per-sample retry watchdog.
-/// - Feeds health, sizes the telemetry off the first served batch, and
-///   records every sample (completion times spread evenly over the service,
-///   latency from arrival).
+/// - Feeds health and records every sample (completion times spread evenly
+///   over the service, latency from arrival).
 /// - Records the batch's transport and admission, charges the host update
 ///   (`hooks.update`), then finishes each member: at a batch cap of 1 its
 ///   chain holds the executor's spans per sample and attempt, above it the

@@ -834,59 +834,6 @@ TEST_F(FaultInjectionTest, RetryPolicyValidation) {
   EXPECT_NO_THROW(RetryPolicy{}.validate());
 }
 
-TEST(ResilienceReportTest, FoldIsAMonoidOverEveryCounter) {
-  ResilienceReport a;
-  a.device_stats.device_compute = SimDuration::micros(10);
-  a.device_stats.invoke_retries = 2;
-  a.device_stats.deadline_abandons = 1;
-  a.cpu_fallback_time = SimDuration::micros(3);
-  a.tpu_samples = 40;
-  a.cpu_samples = 8;
-  a.shed_samples = 5;
-  a.expired_samples = 2;
-  a.degraded_samples = 16;
-  a.circuit_opened = false;
-
-  ResilienceReport b;
-  b.device_stats.device_compute = SimDuration::micros(7);
-  b.device_stats.invoke_retries = 1;
-  b.device_stats.deadline_abandons = 3;
-  b.cpu_fallback_time = SimDuration::micros(2);
-  b.tpu_samples = 30;
-  b.cpu_samples = 18;
-  b.shed_samples = 1;
-  b.expired_samples = 9;
-  b.degraded_samples = 4;
-  b.circuit_opened = true;
-
-  ResilienceReport sum = a;
-  sum += b;
-  EXPECT_EQ(sum.device_stats.invoke_retries, 3U);
-  EXPECT_EQ(sum.device_stats.deadline_abandons, 4U);
-  EXPECT_DOUBLE_EQ(sum.device_stats.device_compute.to_seconds(),
-                   SimDuration::micros(17).to_seconds());
-  EXPECT_DOUBLE_EQ(sum.cpu_fallback_time.to_seconds(),
-                   SimDuration::micros(5).to_seconds());
-  EXPECT_EQ(sum.tpu_samples, 70U);
-  EXPECT_EQ(sum.cpu_samples, 26U);
-  EXPECT_EQ(sum.shed_samples, 6U);
-  EXPECT_EQ(sum.expired_samples, 11U);
-  EXPECT_EQ(sum.degraded_samples, 20U);
-  EXPECT_TRUE(sum.circuit_opened);
-
-  // Folding the identity changes nothing (the empty report is neutral), and
-  // circuit_opened is sticky in either operand order.
-  ResilienceReport with_identity = sum;
-  with_identity += ResilienceReport{};
-  EXPECT_EQ(with_identity.tpu_samples, sum.tpu_samples);
-  EXPECT_EQ(with_identity.expired_samples, sum.expired_samples);
-  EXPECT_TRUE(with_identity.circuit_opened);
-  ResilienceReport reversed = b;
-  reversed += a;
-  EXPECT_TRUE(reversed.circuit_opened);
-  EXPECT_EQ(reversed.degraded_samples, sum.degraded_samples);
-}
-
 // ------------------------------------------------- framework end-to-end ----
 
 /// Reduced-scale PAMAP2-like task trained once; the resilient inference path

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/byte_io.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/sim_time.hpp"
 #include "data/synthetic.hpp"
@@ -587,6 +589,55 @@ TEST(ServeCheckpointTest, ResumeRejectsMismatchedConfigAndCorruptBytes) {
     FAIL() << "expected a checksum failure";
   } catch (const Error& error) {
     EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos);
+  }
+
+  fs::remove_all(dir);
+}
+
+// A session builds its monitor, model-quality stats and energy accountant
+// before the first arrival, so every checkpoint carries all three, each
+// after a u8 presence flag that is always 1. Only a crafted file can hold a
+// 0 there; with its CRC made valid again, reading it is still refused.
+TEST(ServeCheckpointTest, ZeroTelemetryFlagIsRejected) {
+  const CoDesignFramework framework;
+  const fs::path dir = fs::temp_directory_path() / "hdc_serve_ckpt_flags";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  ServeConfig config = serve_config();
+  config.serve_chunks = 2;
+  config.checkpoint_path = (dir / "flags.ck").string();
+  serve(framework, config);
+  const ServeCheckpoint state = verify_checkpoint(config.checkpoint_path, config);
+
+  // The sections close the payload (monitor, model stats, energy), then the
+  // CRC32 trailer: walk back to each section's flag.
+  std::vector<std::uint8_t> bytes = read_file(config.checkpoint_path);
+  ByteWriter monitor, model, energy;
+  state.monitor->serialize(monitor);
+  state.model_stats->serialize(model);
+  state.energy->serialize(energy);
+  const std::size_t energy_flag = bytes.size() - sizeof(std::uint32_t) - energy.size() - 1;
+  const std::size_t model_flag = energy_flag - model.size() - 1;
+  const std::size_t monitor_flag = model_flag - monitor.size() - 1;
+  for (const std::size_t flag : {monitor_flag, model_flag, energy_flag}) {
+    SCOPED_TRACE(flag);
+    std::vector<std::uint8_t> crafted = bytes;
+    ASSERT_EQ(crafted[flag], 1U);
+    crafted[flag] = 0;
+    const std::size_t trailer = crafted.size() - sizeof(std::uint32_t);
+    const std::uint32_t crc = crc32(crafted.data(), trailer);
+    std::memcpy(crafted.data() + trailer, &crc, sizeof(crc));
+    const fs::path path = dir / "crafted.ck";
+    write_file(path.string(), crafted);
+    try {
+      checkpoint_model_stats_json(path.string());
+      FAIL() << "expected the zero presence flag to be refused";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("carries no telemetry state"),
+                std::string::npos)
+          << error.what();
+    }
   }
 
   fs::remove_all(dir);

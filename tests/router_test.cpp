@@ -4,8 +4,9 @@
 // conservation invariant under overload, cache-aware placement's hit-rate
 // advantage over round-robin under skewed tenant traffic, per-request
 // latency-attribution exactness through the router/batching stages, and
-// fleet/shard accounting consistency, and the rules of the one event loop
-// (runtime/shard) that both serving loops run on.
+// fleet/shard accounting consistency, the rules of the one event loop
+// (runtime/shard) that both serving loops run on, and the sizing of every
+// auto-sized monitor before the first arrival.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,8 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/sim_time.hpp"
+#include "core/online.hpp"
+#include "data/stream.hpp"
 #include "data/synthetic.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/trace.hpp"
@@ -28,6 +31,7 @@
 #include "runtime/router.hpp"
 #include "runtime/serve.hpp"
 #include "runtime/shard.hpp"
+#include "tpu/faults.hpp"
 
 namespace hdc::runtime {
 namespace {
@@ -487,6 +491,95 @@ TEST(FleetServeTest, SessionTelemetryIsQuarantinedWhileEveryShardIs) {
   }
 }
 
+// ---- auto-sized telemetry ---------------------------------------------------
+// A monitor config with no window span and no SLO target is sized, before
+// the first arrival, off the fault-free full-tier per-sample price: span 4x
+// a chunk at that price, 16 buckets, SLO 1.5x it. Every monitor of a session
+// shares it, whatever its first batch cost or whether anything is served.
+
+/// The fault-free full-tier per-sample price of the model `serve` deploys
+/// (the fleet's tenant 0 too): the same warm-up and deploy, replayed here.
+SimDuration full_tier_price(const CoDesignFramework& framework, const ServeConfig& config) {
+  data::DriftStream stream(config.stream);
+  core::OnlineLearner learner(config.stream.spec.features, config.stream.spec.classes,
+                              config.learner);
+  data::Dataset representative;
+  for (std::uint32_t w = 0; w < config.warmup_chunks; ++w) {
+    data::Dataset chunk = stream.next_chunk();
+    learner.learn_batch(chunk);
+    if (w == 0) {
+      representative = std::move(chunk);
+    }
+  }
+  ServingEndpoint endpoint(framework, tpu::FaultProfile{}, config.retry);
+  endpoint.deploy(ServeTier::kFull, learner.freeze(), representative);
+  return endpoint.nominal_per_sample(endpoint.model(ServeTier::kFull), ServeTier::kFull);
+}
+
+void expect_sized_off_the_price(const obs::MonitorSnapshot& snap, SimDuration price,
+                                std::uint32_t chunk_size) {
+  EXPECT_EQ(snap.window_span_s, (price * (4.0 * chunk_size)).to_seconds());
+  EXPECT_EQ(snap.slo_latency_s, (price * 1.5).to_seconds());
+}
+
+ServeConfig auto_sized(ServeConfig config) {
+  config.monitor.window.span = SimDuration();
+  config.monitor.slo_latency = SimDuration();
+  return config;
+}
+
+// Batched, overloaded, and every device detached for its first batches:
+// those batches all cost different amounts, yet every shard's monitor and
+// the aggregate share one window and SLO.
+TEST(FleetServeTest, AutoSizedMonitorsShareOneWindowAndSlo) {
+  const CoDesignFramework framework;
+  ServeConfig config = auto_sized(fleet_config());
+  config.fleet.num_devices = 3;
+  config.admission.offered_load = 30.0;
+  config.faults.detach_at = {SimDuration()};
+  config.faults.reattach_after = SimDuration::micros(300);
+  const FleetResult result = serve_fleet(framework, config);
+  EXPECT_GT(result.mean_batch_chunks, 1.0);
+  EXPECT_GT(result.attribution_total[obs::Stage::kBackoff], SimDuration());
+  const SimDuration price = full_tier_price(framework, config);
+  expect_sized_off_the_price(result.fleet_snapshot, price, config.stream.chunk_size);
+  for (const FleetShardResult& shard : result.shards) {
+    SCOPED_TRACE(shard.device_index);
+    EXPECT_GT(shard.batches, 0U);
+    expect_sized_off_the_price(shard.final_snapshot, price, config.stream.chunk_size);
+  }
+}
+
+// The first chunk meets a detached device and retries until it comes back:
+// its cost does not move the window or the SLO.
+TEST(ServeTest, AutoSizedWindowIgnoresTheFirstChunksRetries) {
+  const CoDesignFramework framework;
+  ServeConfig config = auto_sized(fleet_config());
+  config.admission.offered_load = 0.0;
+  config.serve_chunks = 4;
+  config.faults.detach_at = {SimDuration()};
+  config.faults.reattach_after = SimDuration::micros(300);
+  const ServeResult result = serve(framework, config);
+  ASSERT_EQ(result.samples_served, 4U * config.stream.chunk_size);
+  EXPECT_GT(result.requests[0].attribution[obs::Stage::kBackoff], SimDuration());
+  expect_sized_off_the_price(result.final_snapshot, full_tier_price(framework, config),
+                             config.stream.chunk_size);
+}
+
+// Every request expires, so nothing is ever served: the window and SLO are
+// still the price's.
+TEST(ServeTest, AutoSizedWindowNeedsNothingServed) {
+  const CoDesignFramework framework;
+  ServeConfig config = auto_sized(fleet_config());
+  config.serve_chunks = 6;
+  config.admission.deadline = SimDuration::micros(1);
+  const ServeResult result = serve(framework, config);
+  ASSERT_EQ(result.samples_served, 0U);
+  ASSERT_EQ(result.expired_chunks, 6U);
+  expect_sized_off_the_price(result.final_snapshot, full_tier_price(framework, config),
+                             config.stream.chunk_size);
+}
+
 // Alarm records carry their event time in the structured log, including
 // those replayed when the telemetry is sized: here every request expires,
 // nothing is served, and the admission records replayed at the end fire
@@ -587,9 +680,13 @@ struct StubLoop {
     return events;
   }
 
-  ServeConfig config;
+  ServeConfig config = [] {
+    ServeConfig c;
+    c.stream.spec.classes = 2;
+    return c;
+  }();
   CoDesignFramework framework;
-  ServingSession session{config, 0};
+  ServingSession session{config, resolve_monitor_config(config, sec(1)), 0};
   std::vector<Shard> shards;
   std::function<std::size_t(std::uint64_t)> place = [](std::uint64_t) { return std::size_t{0}; };
   std::function<std::uint32_t(std::uint64_t)> tenant = [](std::uint64_t) { return 0U; };

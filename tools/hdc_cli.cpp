@@ -672,8 +672,8 @@ int cmd_serve(int argc, char** argv) {
     config.faults = tpu::parse_fault_profile(fault_spec);
   }
 
-  // Window span / SLO target default to 0 here = auto-size from the first
-  // served chunk's simulated timings (deterministic).
+  // Window span / SLO target default to 0 here = auto-size, before the
+  // first arrival, from the full-tier model's fault-free per-sample price.
   config.monitor.window.span =
       SimDuration::seconds(numeric_arg(argc, argv, "--window-span", 0.0));
   config.monitor.slo_latency =
